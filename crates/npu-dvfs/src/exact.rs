@@ -41,6 +41,7 @@
 //! on large schedules these seed the GA population with near-optimal
 //! individuals that point mutation alone could not rediscover.
 
+use crate::engine::IncrementalEval;
 use crate::ga::score;
 use crate::strategy::{Evaluation, StageTable};
 
@@ -330,16 +331,31 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
 /// the distinct candidates sorted by score, best first, truncated to
 /// `max_seeds`.
 ///
+/// A target `loss ≥ 1` (or NaN) sets no latency bound to repair into,
+/// so the ladder is empty; callers then seed nothing from it.
+///
+/// # Repair cost
+///
+/// A stage's upgrade ratio depends only on its own current gene and its
+/// minimum-time gene, and upgrading one stage changes no other stage's
+/// ratio. The greedy choice therefore follows one fixed order per rung:
+/// ratio descending, ties to the lowest stage index, and a NaN ratio
+/// (only non-finite cells produce one) taken as soon as it belongs to
+/// the lowest-index candidate left. Each rung sorts its candidates once
+/// and walks them in that order, checking the budget on an
+/// [`IncrementalEval`] — one sort per rung plus O(log n) per upgraded
+/// stage, and bit-identical to rescanning every stage and re-evaluating
+/// the whole table after each upgrade.
+///
 /// # Panics
 ///
-/// Panics if the table has no frequency points or `loss >= 1`.
+/// Panics if the table has no frequency points.
 #[must_use]
 pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<LagrangianSeed> {
     let n = table.n_stages();
     let m = table.n_freqs();
     assert!(m >= 1, "table must have frequency points");
-    assert!(loss < 1.0, "loss target must be below 1");
-    if n == 0 || max_seeds == 0 {
+    if n == 0 || max_seeds == 0 || loss.is_nan() || loss >= 1.0 {
         return Vec::new();
     }
     let baseline_time = table.baseline().time_us;
@@ -388,6 +404,8 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
     let mut seen = std::collections::BTreeSet::new();
     let mut out: Vec<LagrangianSeed> = Vec::new();
     let mut genes = vec![0usize; n];
+    let mut inc = IncrementalEval::new(table, &genes);
+    let over_budget = |inc: &IncrementalEval| inc.eval().time_us > budget;
     for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
         for (s, g) in genes.iter_mut().enumerate() {
             *g = (0..m)
@@ -408,45 +426,77 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
                 })
                 .unwrap_or(m - 1);
         }
+        inc.assign(&genes);
         // Budget repair: walk over-budget rungs back toward speed, best
-        // time-saved-per-energy ratio first.
-        let mut eval = table.evaluate(&genes);
-        while eval.time_us > budget {
-            let mut best: Option<(usize, f64)> = None;
-            for s in 0..n {
-                let g = genes[s];
-                let fast = min_time_gene[s];
-                if g == fast {
-                    continue;
-                }
-                let cur = table.cell(s, g);
-                let nxt = table.cell(s, fast);
-                let saved = cur.time - nxt.time;
-                if saved <= 0.0 {
-                    continue;
-                }
-                let cost = (nxt.ea - cur.ea).max(1e-12);
-                let ratio = saved / cost;
-                if best.as_ref().is_none_or(|&(_, r)| ratio > r) {
-                    best = Some((s, ratio));
+        // time-saved-per-energy ratio first. A NaN total ends it.
+        if over_budget(&inc) {
+            for s in repair_order(table, &genes, &min_time_gene) {
+                genes[s] = min_time_gene[s];
+                inc.set_gene(s, genes[s]);
+                if !over_budget(&inc) {
+                    break;
                 }
             }
-            let Some((s, _)) = best else { break };
-            genes[s] = min_time_gene[s];
-            eval = table.evaluate(&genes);
         }
         if seen.insert(genes.clone()) {
-            let s = score(&eval, baseline_time, loss);
+            let eval = inc.eval();
             out.push(LagrangianSeed {
                 genes: genes.clone(),
                 eval,
-                score: s,
+                score: score(&eval, baseline_time, loss),
             });
         }
     }
     out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
     out.truncate(max_seeds);
     out
+}
+
+/// The stages an over-budget rung upgrades to their minimum-time gene,
+/// in the order the greedy repair takes them (see [`lagrangian_seeds`]).
+///
+/// A candidate is a stage off its minimum-time gene whose upgrade saves
+/// time (or whose saving is NaN); its ratio is `saved / max(cost,
+/// 1e-12)`, which is never negative. Of the candidates left, the greedy
+/// pick is the lowest-index one when its ratio is NaN, else the highest
+/// non-NaN ratio with ties to the lowest index. Picks never change the
+/// remaining ratios, so the whole sequence follows from one sort.
+fn repair_order(table: &StageTable, genes: &[usize], min_time_gene: &[usize]) -> Vec<usize> {
+    let mut ranked: Vec<(f64, usize)> = Vec::new();
+    let mut nan_stages: Vec<usize> = Vec::new();
+    for (s, (&g, &fast)) in genes.iter().zip(min_time_gene).enumerate() {
+        if g == fast {
+            continue;
+        }
+        let cur = table.cell(s, g);
+        let nxt = table.cell(s, fast);
+        let saved = cur.time - nxt.time;
+        if saved <= 0.0 {
+            continue;
+        }
+        let ratio = saved / (nxt.ea - cur.ea).max(1e-12);
+        if ratio.is_nan() {
+            nan_stages.push(s);
+        } else {
+            ranked.push((ratio, s));
+        }
+    }
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    // lowest[k]: the lowest stage index among ranked[k..].
+    let mut lowest = vec![usize::MAX; ranked.len() + 1];
+    for k in (0..ranked.len()).rev() {
+        lowest[k] = lowest[k + 1].min(ranked[k].1);
+    }
+    let mut nans = nan_stages.into_iter().peekable();
+    let mut order = Vec::with_capacity(ranked.len() + nans.len());
+    for (k, &(_, s)) in ranked.iter().enumerate() {
+        while let Some(nan) = nans.next_if(|&q| q < lowest[k]) {
+            order.push(nan);
+        }
+        order.push(s);
+    }
+    order.extend(nans);
+    order
 }
 
 #[cfg(test)]
@@ -622,6 +672,34 @@ mod tests {
         let base_genes = vec![t.n_freqs() - 1; t.n_stages()];
         let base_score = score(&t.evaluate(&base_genes), baseline, 0.02);
         assert!(seeds[0].score >= base_score);
+    }
+
+    #[test]
+    fn loss_targets_without_a_bound_skip_the_ladder() {
+        // 256 stages trips the GA's automatic oracle rule; the coupled
+        // copy sends `solve` down its uncertified Lagrangian fallback.
+        let t = table(128, 128);
+        let coupled = t.clone().with_thermal_coupling(
+            ThermalCoupling {
+                gamma_aicore: 0.05,
+                gamma_soc: 0.1,
+                k_c_per_w: 0.08,
+            },
+            vec![0.9; 9],
+        );
+        let all_max = vec![t.n_freqs() - 1; t.n_stages()];
+        for loss in [1.0, f64::NAN] {
+            assert!(lagrangian_seeds(&t, loss, 8).is_empty());
+            let cfg = GaConfig::default()
+                .with_loss_target(loss)
+                .with_population(8)
+                .with_iterations(2);
+            assert_eq!(cfg.effective_oracle_seeds(t.n_stages()), 8);
+            assert_eq!(search(&t, &cfg).strategy.len(), t.n_stages());
+            let out = solve(&coupled, &ExactConfig::default().with_loss_target(loss));
+            assert!(!out.certified);
+            assert_eq!(out.genes, all_max, "no rungs: the all-max fallback");
+        }
     }
 
     #[test]

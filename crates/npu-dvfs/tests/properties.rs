@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use npu_dvfs::{
     exact, preprocess::preprocess, score, search, EvalEngine, GaConfig, GenomePool,
-    IncrementalEval, Stage, StageKind, StageTable,
+    IncrementalEval, Stage, StageKind, StageTable, ThermalCoupling,
 };
 use npu_sim::{FreqMhz, OpClass, OpRecord, PipelineRatios, Scenario};
 
@@ -64,44 +64,47 @@ fn arb_table() -> impl Strategy<Value = StageTable> {
 }
 
 fn arb_table_sized(stages: std::ops::Range<usize>) -> impl Strategy<Value = StageTable> {
-    prop::collection::vec((1_000.0f64..50_000.0, any::<bool>(), 5.0f64..40.0), stages).prop_map(
-        |rows| {
-            let freqs: Vec<FreqMhz> = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
-            let mut stages = Vec::new();
-            let mut time = Vec::new();
-            let mut ea = Vec::new();
-            let mut es = Vec::new();
-            let mut t0 = 0.0;
-            for (i, (dur, mem, p_active)) in rows.into_iter().enumerate() {
-                stages.push(Stage {
-                    start_us: t0,
-                    dur_us: dur,
-                    op_range: i..i + 1,
-                    kind: if mem { StageKind::Lfc } else { StageKind::Hfc },
-                });
-                t0 += dur;
-                let mut trow = Vec::new();
-                let mut arow = Vec::new();
-                let mut srow = Vec::new();
-                for &f in &freqs {
-                    let x = f.as_f64() / 1800.0;
-                    let t = if mem {
-                        dur * (1.05 - 0.05 * x)
-                    } else {
-                        dur / x
-                    };
-                    let p = 10.0 + p_active * x * x;
-                    trow.push(t);
-                    arow.push(p * t);
-                    srow.push((p + 180.0) * t);
-                }
-                time.push(trow);
-                ea.push(arow);
-                es.push(srow);
-            }
-            StageTable::from_parts(freqs, stages, time, ea, es).expect("consistent shapes")
-        },
-    )
+    prop::collection::vec((1_000.0f64..50_000.0, any::<bool>(), 5.0f64..40.0), stages)
+        .prop_map(table_from_rows)
+}
+
+/// A 9-frequency memory/compute mix from `(duration µs, memory-bound,
+/// active power W)` rows.
+fn table_from_rows(rows: Vec<(f64, bool, f64)>) -> StageTable {
+    let freqs: Vec<FreqMhz> = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
+    let mut stages = Vec::new();
+    let mut time = Vec::new();
+    let mut ea = Vec::new();
+    let mut es = Vec::new();
+    let mut t0 = 0.0;
+    for (i, (dur, mem, p_active)) in rows.into_iter().enumerate() {
+        stages.push(Stage {
+            start_us: t0,
+            dur_us: dur,
+            op_range: i..i + 1,
+            kind: if mem { StageKind::Lfc } else { StageKind::Hfc },
+        });
+        t0 += dur;
+        let mut trow = Vec::new();
+        let mut arow = Vec::new();
+        let mut srow = Vec::new();
+        for &f in &freqs {
+            let x = f.as_f64() / 1800.0;
+            let t = if mem {
+                dur * (1.05 - 0.05 * x)
+            } else {
+                dur / x
+            };
+            let p = 10.0 + p_active * x * x;
+            trow.push(t);
+            arow.push(p * t);
+            srow.push((p + 180.0) * t);
+        }
+        time.push(trow);
+        ea.push(arow);
+        es.push(srow);
+    }
+    StageTable::from_parts(freqs, stages, time, ea, es).expect("consistent shapes")
 }
 
 proptest! {
@@ -352,5 +355,327 @@ proptest! {
             ..eval_fast
         };
         prop_assert!(score(&eval_hot, baseline, target) < s);
+    }
+}
+
+/// FNV-1a over 64-bit words: a compact, platform-independent fingerprint
+/// of a result's genes and float bits.
+fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A deterministic 300-stage, thermally coupled memory/compute mix:
+/// past the GA's automatic oracle-seeding threshold (256 stages), so an
+/// auto-configured `search` runs the Lagrangian ladder on it. Stage
+/// shapes come from a fixed SplitMix64 stream.
+fn coupled_300_stage_table() -> StageTable {
+    let mut state = 0x0DD5_EED5_u64;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let rows = (0..300)
+        .map(|_| {
+            let dur = 1_000.0 + 40_000.0 * unit();
+            let mem = unit() < 0.45;
+            (dur, mem, 5.0 + 35.0 * unit())
+        })
+        .collect();
+    let volts = (0..9).map(|k| 0.70 + 0.03 * f64::from(k)).collect();
+    table_from_rows(rows).with_thermal_coupling(
+        ThermalCoupling {
+            gamma_aicore: 0.05,
+            gamma_soc: 0.1,
+            k_c_per_w: 0.08,
+        },
+        volts,
+    )
+}
+
+/// Pins the Lagrangian ladder on a table large enough for automatic
+/// oracle seeding: every rung's genes and evaluation/score bits, in
+/// order. Any change to the sweep or the budget repair shows here.
+#[test]
+fn lagrangian_ladder_is_pinned_at_the_auto_threshold() {
+    let table = coupled_300_stage_table();
+    let seeds = exact::lagrangian_seeds(&table, 0.02, 64);
+    let digest = fingerprint(seeds.iter().flat_map(|s| {
+        s.genes.iter().map(|&g| g as u64).chain([
+            s.eval.time_us.to_bits(),
+            s.eval.aicore_energy_wus.to_bits(),
+            s.eval.soc_energy_wus.to_bits(),
+            s.score.to_bits(),
+        ])
+    }));
+    assert_eq!(
+        (seeds.len(), digest),
+        (64, 0x2943_ba35_ef94_0189),
+        "ladder digest {digest:#018x}"
+    );
+}
+
+/// Pins a short GA search that trips the automatic oracle rule (300
+/// stages ≥ 256): the winning strategy, its evaluation and score bits,
+/// the per-generation trace and both evaluation counts.
+#[test]
+fn auto_oracle_seeded_search_is_pinned() {
+    let table = coupled_300_stage_table();
+    let cfg = GaConfig::default().with_population(40).with_iterations(20);
+    assert_eq!(cfg.effective_oracle_seeds(table.n_stages()), 8);
+    let out = search(&table, &cfg);
+    let digest = fingerprint(
+        out.strategy
+            .freqs()
+            .iter()
+            .map(|f| u64::from(f.mhz()))
+            .chain([
+                out.best_eval.time_us.to_bits(),
+                out.best_eval.aicore_energy_wus.to_bits(),
+                out.best_eval.soc_energy_wus.to_bits(),
+                out.best_score.to_bits(),
+            ])
+            .chain(out.score_trace.iter().map(|s| s.to_bits())),
+    );
+    assert_eq!(
+        (out.evaluations, out.unique_evaluations, digest),
+        (332_000, 331_818, 0x1344_0c94_1061_4d1e),
+        "search digest {digest:#018x}"
+    );
+}
+
+/// A stage table for the ladder differential test, with the raw
+/// per-cell time and AICore energy it was built from.
+#[derive(Debug)]
+struct LadderCase {
+    table: StageTable,
+    time: Vec<Vec<f64>>,
+    ea: Vec<Vec<f64>>,
+}
+
+/// Non-finite cell values the generator mixes in (`-NaN` has its sign
+/// bit set, which `total_cmp` orders below every other value).
+const SPECIALS: [f64; 4] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+
+/// Up to 40 stages × 8 frequencies of cells whose time is not monotone
+/// in frequency. `quantized` draws time and energy from small integer
+/// multiples, so many stages share an upgrade ratio. With `specials`,
+/// one cell in 50 has a non-finite time or energy, and about one stage
+/// in 16 is shaped so that its upgrade ratio is NaN while the rung's
+/// total time is infinite rather than NaN, which keeps the repair
+/// running. `coupled` turns on the thermal fix point.
+fn arb_ladder_case() -> impl Strategy<Value = LadderCase> {
+    (
+        1usize..41,
+        1usize..9,
+        prop::collection::vec((1u32..17, 1u32..17, 0.5f64..2.0, 0u32..400), 40 * 8),
+        prop::collection::vec(0u32..16, 40),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(|(n, m, cells, traps, (quantized, specials, coupled))| {
+            let freqs: Vec<FreqMhz> = (0..m)
+                .map(|k| FreqMhz::new(1000 + 100 * k as u32))
+                .collect();
+            let mut stages = Vec::new();
+            let (mut time, mut ea, mut es) = (Vec::new(), Vec::new(), Vec::new());
+            for s in 0..n {
+                stages.push(Stage {
+                    start_us: s as f64,
+                    dur_us: 1.0,
+                    op_range: s..s + 1,
+                    kind: if s % 2 == 0 {
+                        StageKind::Lfc
+                    } else {
+                        StageKind::Hfc
+                    },
+                });
+                let (mut trow, mut arow) = (Vec::new(), Vec::new());
+                for &(kt, ke, jitter, special) in &cells[s * 8..s * 8 + m] {
+                    let (mut t, mut e) = if quantized {
+                        (100.0 * f64::from(kt), 50.0 * f64::from(ke))
+                    } else {
+                        (
+                            100.0 * f64::from(kt) * jitter,
+                            50.0 * f64::from(ke) / jitter,
+                        )
+                    };
+                    if specials && special < 8 {
+                        let v = SPECIALS[special as usize % 4];
+                        if special < 4 {
+                            t = v;
+                        } else {
+                            e = v;
+                        }
+                    }
+                    trow.push(t);
+                    arow.push(e);
+                }
+                // Gene 0 is infinitely slow and ties every other gene at
+                // an infinite λ-value, so the argmin keeps it; its upgrade
+                // saves ∞ at ∞ cost, a NaN ratio.
+                if specials && m >= 2 && traps[s] == 0 {
+                    trow[0] = f64::INFINITY;
+                    arow[0] = 50.0;
+                    for e in &mut arow[1..] {
+                        *e = f64::INFINITY;
+                    }
+                }
+                es.push(
+                    trow.iter()
+                        .zip(&arow)
+                        .map(|(t, e)| 1.5 * e + 10.0 * t)
+                        .collect(),
+                );
+                time.push(trow);
+                ea.push(arow);
+            }
+            let mut table = StageTable::from_parts(freqs, stages, time.clone(), ea.clone(), es)
+                .expect("consistent shapes");
+            if coupled {
+                let volts = (0..m).map(|k| 0.7 + 0.03 * k as f64).collect();
+                table = table.with_thermal_coupling(
+                    ThermalCoupling {
+                        gamma_aicore: 0.05,
+                        gamma_soc: 0.1,
+                        k_c_per_w: 0.08,
+                    },
+                    volts,
+                );
+            }
+            LadderCase { table, time, ea }
+        })
+}
+
+/// `exact::lagrangian_seeds` as first written, with the quadratic
+/// budget repair: after every upgrade, rescan all stages for the best
+/// time-saved-per-energy ratio and re-evaluate the whole table. The
+/// sorted one-pass repair must reproduce it bit for bit.
+fn reference_lagrangian_seeds(
+    case: &LadderCase,
+    loss: f64,
+    max_seeds: usize,
+) -> Vec<exact::LagrangianSeed> {
+    let (table, time, ea) = (&case.table, &case.time, &case.ea);
+    let n = table.n_stages();
+    let m = table.n_freqs();
+    assert!(loss < 1.0, "loss target must be below 1");
+    if n == 0 || max_seeds == 0 {
+        return Vec::new();
+    }
+    let baseline_time = table.baseline().time_us;
+    let budget = baseline_time / (1.0 - loss);
+
+    let mut lambdas = vec![0.0_f64];
+    for s in 0..n {
+        for a in 0..m {
+            for b in (a + 1)..m {
+                let (dt, de) = (time[s][a] - time[s][b], ea[s][b] - ea[s][a]);
+                if (dt > 0.0 && de > 0.0) || (dt < 0.0 && de < 0.0) {
+                    lambdas.push(de / dt);
+                }
+            }
+        }
+    }
+    lambdas.retain(|l| l.is_finite() && *l >= 0.0);
+    lambdas.sort_by(f64::total_cmp);
+    lambdas.dedup();
+    const MAX_LAMBDAS: usize = 192;
+    let sweep: Vec<f64> = if lambdas.len() <= MAX_LAMBDAS {
+        lambdas
+    } else {
+        (0..MAX_LAMBDAS)
+            .map(|k| lambdas[k * (lambdas.len() - 1) / (MAX_LAMBDAS - 1)])
+            .collect()
+    };
+
+    let min_time_gene: Vec<usize> = (0..n)
+        .map(|s| {
+            (0..m)
+                .min_by(|&a, &b| time[s][a].total_cmp(&time[s][b]))
+                .unwrap_or(m - 1)
+        })
+        .collect();
+
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out = Vec::new();
+    let mut genes = vec![0usize; n];
+    for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
+        for (s, g) in genes.iter_mut().enumerate() {
+            let value = |x: usize| {
+                if lambda == f64::MAX {
+                    time[s][x]
+                } else {
+                    ea[s][x] + lambda * time[s][x]
+                }
+            };
+            *g = (0..m)
+                .min_by(|&a, &b| value(a).total_cmp(&value(b)))
+                .unwrap_or(m - 1);
+        }
+        let mut eval = table.evaluate(&genes);
+        while eval.time_us > budget {
+            let mut best: Option<(usize, f64)> = None;
+            for s in 0..n {
+                let (g, fast) = (genes[s], min_time_gene[s]);
+                if g == fast {
+                    continue;
+                }
+                let saved = time[s][g] - time[s][fast];
+                if saved <= 0.0 {
+                    continue;
+                }
+                let cost = (ea[s][fast] - ea[s][g]).max(1e-12);
+                let ratio = saved / cost;
+                if best.as_ref().is_none_or(|&(_, r)| ratio > r) {
+                    best = Some((s, ratio));
+                }
+            }
+            let Some((s, _)) = best else { break };
+            genes[s] = min_time_gene[s];
+            eval = table.evaluate(&genes);
+        }
+        if seen.insert(genes.clone()) {
+            out.push(exact::LagrangianSeed {
+                genes: genes.clone(),
+                eval,
+                score: score(&eval, baseline_time, loss),
+            });
+        }
+    }
+    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
+    out.truncate(max_seeds);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted one-pass budget repair returns exactly the rungs of
+    /// the quadratic rescan: same genes, same evaluation and score bits,
+    /// same order — across ratio ties, non-monotone rows, thermal
+    /// coupling, non-finite cells and loss targets from 0 upward.
+    #[test]
+    fn lagrangian_seeds_match_the_quadratic_repair(
+        case in arb_ladder_case(),
+        loss in prop_oneof![Just(0.0), 0.0f64..0.05, 0.05f64..0.9],
+    ) {
+        let got = exact::lagrangian_seeds(&case.table, loss, usize::MAX);
+        let want = reference_lagrangian_seeds(&case, loss, usize::MAX);
+        prop_assert_eq!(got.len(), want.len());
+        // Rust leaves the sign and payload of a NaN result unspecified,
+        // so a NaN compares as one value; every other float by its bits.
+        let bits = |s: &exact::LagrangianSeed| {
+            [s.eval.time_us, s.eval.aicore_energy_wus, s.eval.soc_energy_wus, s.score]
+                .map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() })
+        };
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(&g.genes, &w.genes, "rung {i}: genes differ");
+            prop_assert_eq!(bits(g), bits(w), "rung {i}: evaluation or score bits differ");
+        }
     }
 }

@@ -10,8 +10,8 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy panic-freedom gate (npu-sim, npu-exec library code)"
-cargo clippy -p npu-sim -p npu-exec --lib -- \
+echo "==> cargo clippy panic-freedom gate (npu-sim, npu-exec, npu-dvfs library code)"
+cargo clippy -p npu-sim -p npu-exec -p npu-dvfs --lib -- \
   -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "==> cargo test"
