@@ -241,7 +241,7 @@ fn main() {
         smoke,
         devices,
         epochs,
-        npu_dvfs::resolve_threads(0).min(devices),
+        npu_sim::par::resolve_threads(0).min(devices),
         warm.clusters,
         warm_secs,
         cold_secs,

@@ -4,13 +4,13 @@
 //! within 5 minutes; a model-free approach would manage ~30 in the same
 //! time).
 //!
-//! Besides the criterion groups, this bench self-times the four
+//! Besides the criterion groups, this bench self-times the three
 //! evaluation paths over an identical GA-like genome stream — full
-//! re-evaluation, incremental re-evaluation, the memoized engine fed
-//! genome slices, and the bit-packed genome-pool fast path — and writes
-//! the measured policies/sec to `BENCH_ga_eval.json` at the workspace
-//! root so CI and EXPERIMENTS.md can consume the numbers without
-//! scraping bench output. Alongside throughput it records three
+//! re-evaluation, incremental re-evaluation, and the memoized engine
+//! over the bit-packed genome pool — and writes the measured
+//! policies/sec to `BENCH_ga_eval.json` at the workspace root so CI and
+//! EXPERIMENTS.md can consume the numbers without scraping bench
+//! output. Alongside throughput it records three
 //! correctness artifacts the check script gates on: pool scores are
 //! bit-identical across 1/2/8 worker threads and to the reference full
 //! evaluation, a warm single-threaded `score_pool` pass performs zero
@@ -209,15 +209,6 @@ fn measure_eval_modes(table: &StageTable) -> String {
         }
     });
 
-    // Engine fed genome slices (memo + incremental + worker pool), in
-    // generation-sized batches: pays per-genome packing + fingerprinting.
-    let engine_pps = time_policies_per_sec(stream.len(), || {
-        let mut engine = EvalEngine::new(table, baseline_time, target, 0);
-        for gen_chunk in stream.chunks(generation) {
-            sink += engine.score_population(gen_chunk).iter().sum::<f64>();
-        }
-    });
-
     // Pool fast path: generations live in the bit-packed arena, mutated
     // in place; fingerprints are maintained incrementally and scoring
     // extracts only the changed stages.
@@ -311,11 +302,8 @@ fn measure_eval_modes(table: &StageTable) -> String {
             "  \"stream_len\": {},\n",
             "  \"full_policies_per_sec\": {:.1},\n",
             "  \"incremental_policies_per_sec\": {:.1},\n",
-            "  \"engine_policies_per_sec\": {:.1},\n",
             "  \"pool_policies_per_sec\": {:.1},\n",
             "  \"incremental_speedup\": {:.2},\n",
-            "  \"engine_speedup\": {:.2},\n",
-            "  \"pool_vs_engine_speedup\": {:.2},\n",
             "  \"pool_bit_identical\": {},\n",
             "  \"pool_score_allocs\": {},\n",
             "  \"optimality_gap\": {:?},\n",
@@ -331,11 +319,8 @@ fn measure_eval_modes(table: &StageTable) -> String {
         stream_len,
         full,
         incremental,
-        engine_pps,
         pool_pps,
         incremental / full,
-        engine_pps / full,
-        pool_pps / engine_pps,
         pool_bit_identical,
         pool_score_allocs,
         optimality_gap,
@@ -385,12 +370,6 @@ fn bench_ga(c: &mut Criterion) {
                 .iter()
                 .map(|g| score(&table.evaluate(g), baseline_time, 0.02))
                 .sum::<f64>()
-        });
-    });
-    group.bench_function("engine_512_policies_fresh_memo", |b| {
-        b.iter(|| {
-            let mut engine = EvalEngine::new(&table, baseline_time, 0.02, 0);
-            engine.score_population(&stream).iter().sum::<f64>()
         });
     });
     group.bench_function("pool_512_policies_fresh_memo", |b| {

@@ -6,9 +6,9 @@
 //! a CI gate, a re-run after an unrelated config change. Pre-pipeline,
 //! every service is cold and serial: no cache, single-threaded sweeps,
 //! each epoch pays the full profile/fit/search cost again. The
-//! pipeline serves the first epoch cold through the parallel fleet
-//! driver and every later epoch from the shared content-addressed
-//! cache. Both schedules are fully measured (no extrapolation) and the
+//! pipeline serves the first epoch cold, one session per workload
+//! fanned out with `par_map_ordered`, and every later epoch from the
+//! shared content-addressed cache. Both schedules are fully measured (no extrapolation) and the
 //! bench writes per-pass and whole-epoch sessions/sec plus speedups to
 //! `BENCH_pipeline.json` at the workspace root.
 //!
@@ -22,9 +22,10 @@
 //! full-run measurement untouched (scripts/check.sh validates the
 //! smoke file).
 
-use npu_core::{FleetRunner, OptimizationReport, OptimizerConfig};
+use npu_core::{ArtifactCache, EnergyOptimizer, OptimizationReport, OptimizerConfig};
 use npu_power_model::HardwareCalibration;
-use npu_sim::NpuConfig;
+use npu_sim::par::{par_map_ordered, resolve_threads};
+use npu_sim::{Device, NpuConfig};
 use npu_workloads::{models, Workload};
 use std::time::Instant;
 
@@ -62,9 +63,27 @@ fn opts(smoke: bool) -> OptimizerConfig {
     o
 }
 
-fn timed(runner: &FleetRunner, batch: &[Workload]) -> (Vec<OptimizationReport>, f64) {
+/// One batch service: a session per workload on a fresh device of
+/// `cfg`, all sharing `cache`, fanned out over `workers`. Returns the
+/// reports in batch order and the wall time.
+fn timed(
+    cfg: &NpuConfig,
+    calib: HardwareCalibration,
+    opts: &OptimizerConfig,
+    cache: &ArtifactCache,
+    workers: usize,
+    batch: &[Workload],
+) -> (Vec<OptimizationReport>, f64) {
     let start = Instant::now();
-    let reports = runner.run(batch).expect("batch optimization failed");
+    let reports = par_map_ordered(workers, batch.len(), |i| {
+        let mut opt = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
+        let mut session = opt.session(&batch[i], opts);
+        session.set_cache(cache.clone());
+        session.report()
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()
+    .expect("batch optimization failed");
     (reports, start.elapsed().as_secs_f64())
 }
 
@@ -79,27 +98,22 @@ fn main() {
     // run — no cache survives between services, sweeps on one thread.
     let mut serial_epoch_secs = 0.0;
     let mut serial_reports = Vec::new();
+    let serial_opts = opts(smoke).with_threads(1);
     for _ in 0..EPOCH_BATCHES {
-        let runner = FleetRunner::builder(cfg.clone())
-            .with_calibration(calib)
-            .with_config(opts(smoke).with_threads(1))
-            .with_workers(1)
-            .build();
-        let (reports, secs) = timed(&runner, &batch);
+        let cache = ArtifactCache::new();
+        let (reports, secs) = timed(&cfg, calib, &serial_opts, &cache, 1, &batch);
         serial_epoch_secs += secs;
         serial_reports = reports;
     }
     let serial_secs = serial_epoch_secs / EPOCH_BATCHES as f64;
 
-    // The pipeline: first service cold through the parallel fleet…
-    let workers = npu_dvfs::resolve_threads(0).min(n);
-    let pipeline = FleetRunner::builder(cfg)
-        .with_calibration(calib)
-        .with_config(opts(smoke))
-        .with_workers(workers)
-        .build();
-    let (parallel_reports, parallel_secs) = timed(&pipeline, &batch);
-    let cold_stats = pipeline.cache().stats();
+    // The pipeline: first service cold and parallel…
+    let workers = resolve_threads(0).min(n);
+    let pipeline_opts = opts(smoke);
+    let cache = ArtifactCache::new();
+    let (parallel_reports, parallel_secs) =
+        timed(&cfg, calib, &pipeline_opts, &cache, workers, &batch);
+    let cold_stats = cache.stats();
     assert_eq!(cold_stats.hits(), 0, "cold cache cannot hit");
     assert!(
         parallel_reports == serial_reports,
@@ -107,10 +121,10 @@ fn main() {
     );
 
     // …then every later service from the shared warm cache.
-    pipeline.cache().reset_stats();
+    cache.reset_stats();
     let mut warm_epoch_secs = 0.0;
     for _ in 1..EPOCH_BATCHES {
-        let (warm_reports, secs) = timed(&pipeline, &batch);
+        let (warm_reports, secs) = timed(&cfg, calib, &pipeline_opts, &cache, workers, &batch);
         warm_epoch_secs += secs;
         assert!(
             warm_reports == serial_reports,
@@ -118,7 +132,7 @@ fn main() {
         );
     }
     let warm_secs = warm_epoch_secs / (EPOCH_BATCHES - 1) as f64;
-    let warm_stats = pipeline.cache().stats();
+    let warm_stats = cache.stats();
     assert_eq!(
         warm_stats.misses(),
         0,

@@ -250,7 +250,7 @@ fn main() {
         ),
         smoke,
         seed,
-        npu_dvfs::resolve_threads(0),
+        npu_sim::par::resolve_threads(0),
         fields,
         baseline_requests,
         baseline_served_per_sec,

@@ -98,11 +98,10 @@ use npu_exec::{execute_resilient, Degradation};
 use npu_fault::{FaultInjector, FaultPlan, FleetFaultPlan};
 use npu_obs::{Event, ObserverHandle};
 use npu_power_model::HardwareCalibration;
+use npu_sim::par::par_map_ordered;
 use npu_sim::{ConfigSpread, Device, DriftModel, FreqMhz, HookHandle, NpuConfig};
 use npu_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 /// Components of a device's calibration vector (see
 /// [`calibration_vector`]).
@@ -479,7 +478,7 @@ enum EpochWork {
 /// Owns and serves a fleet of N drifting devices with cross-device
 /// strategy transfer and per-device fault tolerance (see the module
 /// docs for the protocol). Assembled through its own `with_*` chain,
-/// consistent with [`crate::FleetBuilder`] / [`crate::ServeBuilder`].
+/// consistent with [`crate::ServeBuilder`] and [`crate::ServiceBuilder`].
 ///
 /// # Examples
 ///
@@ -578,7 +577,7 @@ impl FleetController {
     }
 
     /// Sets the worker pool size (`0` = auto-detect via
-    /// [`npu_dvfs::resolve_threads`]). Worker count changes wall time
+    /// [`npu_sim::par::resolve_threads`]). Worker count changes wall time
     /// only, never any outcome.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -684,6 +683,7 @@ impl FleetController {
     /// [`crate::ServeBuilder::try_build`] applies, plus the fleet- and
     /// health-policy counts).
     fn validate(&self) -> Result<(), ConfigError> {
+        self.opts.validate()?;
         if self.devices == 0 {
             return Err(ConfigError::ZeroCount {
                 field: "fleet.devices",
@@ -885,62 +885,34 @@ impl FleetController {
             }
 
             // Parallel phase: serving devices run one epoch window,
-            // probation devices run their shadow check. Work-stealing
-            // over device indices; each slot is taken by exactly one
-            // worker, so the per-device trajectory is
+            // probation devices run their shadow check, and idle devices
+            // (quarantined or evicted) yield `None`. Each device index
+            // runs exactly once, so the per-device trajectory is
             // schedule-independent.
-            let workers = npu_dvfs::resolve_threads(self.workers).min(n).max(1);
-            let next = AtomicUsize::new(0);
-            let health_ref = &health;
-            let plan_ref = &plan;
-            let per_worker: Vec<Vec<(usize, EpochWork)>> = thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let slots = &slots;
-                        s.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let record = &health_ref[i];
-                                if record.state.serves() {
-                                    if plan_ref.crashes_at(i, epoch) {
-                                        local.push((i, EpochWork::Crashed));
-                                        continue;
-                                    }
-                                    let hang = plan_ref.hangs_reopt_at(i, epoch);
-                                    let mut slot = lock(&slots[i]);
-                                    let r = self.run_device_epoch(&mut slot, epoch_iters, hang);
-                                    local.push((i, EpochWork::Served(r)));
-                                } else if record.state == DeviceHealth::Probation {
-                                    let slot = lock(&slots[i]);
-                                    let pass = self.run_probation(
-                                        &slot,
-                                        plan_ref.device_plan(i),
-                                        record.probations,
-                                    );
-                                    local.push((i, EpochWork::Probed(pass)));
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                    })
-                    .collect()
+            let epoch_work = par_map_ordered(self.workers, n, |i| {
+                let record = &health[i];
+                if record.state.serves() {
+                    if plan.crashes_at(i, epoch) {
+                        return Some(EpochWork::Crashed);
+                    }
+                    let hang = plan.hangs_reopt_at(i, epoch);
+                    let mut slot = lock(&slots[i]);
+                    Some(EpochWork::Served(self.run_device_epoch(
+                        &mut slot,
+                        epoch_iters,
+                        hang,
+                    )))
+                } else if record.state == DeviceHealth::Probation {
+                    let slot = lock(&slots[i]);
+                    Some(EpochWork::Probed(self.run_probation(
+                        &slot,
+                        plan.device_plan(i),
+                        record.probations,
+                    )))
+                } else {
+                    None
+                }
             });
-            let mut epoch_work: Vec<Option<EpochWork>> = (0..n).map(|_| None).collect();
-            for (i, w) in per_worker.into_iter().flatten() {
-                epoch_work[i] = Some(w);
-            }
 
             // Barrier phase B (sequential, device order): account
             // transfers, publish through the gate, apply health

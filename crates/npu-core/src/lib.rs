@@ -20,7 +20,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
-mod fleet;
 pub mod fleet_serve;
 mod model_free;
 mod optimizer;
@@ -34,7 +33,6 @@ pub use cache::{
     ArtifactCache, CacheError, CacheFlightStats, CacheStats, FlightRole, FlightStats,
     SingleFlightError,
 };
-pub use fleet::{optimize_batch, FleetBuilder, FleetRunner};
 pub use fleet_serve::{
     calibration_fingerprint, calibration_vector, cluster_by_fingerprint, DeviceHealth,
     DeviceHealthReport, FleetController, FleetError, FleetOutcome, HealthPolicy,

@@ -3,6 +3,7 @@
 //! execute the strategy → compare against baseline.
 
 use crate::report::OptimizationReport;
+use crate::serve::ConfigError;
 use crate::session::OptimizationSession;
 use npu_dvfs::{GaConfig, GaOutcome, TableError};
 use npu_exec::{ExecError, ResilientOptions};
@@ -29,7 +30,7 @@ pub struct OptimizerConfig {
     /// Genetic-algorithm settings.
     pub ga: GaConfig,
     /// Worker threads for the parallel profiling sweep (`0` =
-    /// auto-detect via [`npu_dvfs::resolve_threads`], which honours the
+    /// auto-detect via [`npu_sim::par::resolve_threads`], which honours the
     /// `NPU_THREADS` override). Thread count changes wall time only,
     /// never results — sweeps are bit-identical at every count.
     pub threads: usize,
@@ -171,6 +172,60 @@ impl OptimizerConfig {
     pub fn with_resilience(mut self, resilience: Option<ResilientOptions>) -> Self {
         self.resilience = resilience;
         self
+    }
+
+    /// Checks that the options describe a well-defined optimization.
+    /// Every validating entry point runs this: [`ServeBuilder::try_build`],
+    /// [`ServiceBuilder::try_build`] and [`FleetController::run`].
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::ZeroCount`] for an empty build-frequency grid,
+    /// zero GA generations or zero profiling passes;
+    /// [`ConfigError::BadThreshold`] for a GA population below 2 (the
+    /// GA's crossover needs two parents), a non-finite or non-positive
+    /// frequency-adjustment interval, or a performance-loss target
+    /// outside `[0, 1)`.
+    ///
+    /// [`ServeBuilder::try_build`]: crate::ServeBuilder::try_build
+    /// [`ServiceBuilder::try_build`]: crate::ServiceBuilder::try_build
+    /// [`FleetController::run`]: crate::FleetController::run
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.build_freqs.is_empty() {
+            return Err(ConfigError::ZeroCount {
+                field: "opts.build_freqs",
+            });
+        }
+        if self.ga.population < 2 {
+            return Err(ConfigError::BadThreshold {
+                field: "opts.ga.population",
+                value: self.ga.population as f64,
+            });
+        }
+        if self.ga.iterations == 0 {
+            return Err(ConfigError::ZeroCount {
+                field: "opts.ga.iterations",
+            });
+        }
+        if self.profile_passes == 0 {
+            return Err(ConfigError::ZeroCount {
+                field: "opts.profile_passes",
+            });
+        }
+        if !self.fai_us.is_finite() || self.fai_us <= 0.0 {
+            return Err(ConfigError::BadThreshold {
+                field: "opts.fai_us",
+                value: self.fai_us,
+            });
+        }
+        let loss = self.ga.perf_loss_target;
+        if !loss.is_finite() || !(0.0..1.0).contains(&loss) {
+            return Err(ConfigError::BadThreshold {
+                field: "opts.ga.perf_loss_target",
+                value: loss,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -559,6 +614,123 @@ mod tests {
             .unwrap();
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].records.len(), w.op_count());
+    }
+
+    #[test]
+    fn validate_rejects_bad_configs() {
+        let err = |o: OptimizerConfig| o.validate().expect_err("expected rejection");
+
+        let mut o = quick_opts();
+        o.build_freqs.clear();
+        assert_eq!(
+            err(o),
+            ConfigError::ZeroCount {
+                field: "opts.build_freqs"
+            }
+        );
+
+        // The GA's crossover needs two parents, so 0 and 1 both fail.
+        for population in [0, 1] {
+            let mut o = quick_opts();
+            o.ga.population = population;
+            assert_eq!(
+                err(o),
+                ConfigError::BadThreshold {
+                    field: "opts.ga.population",
+                    value: population as f64
+                }
+            );
+        }
+
+        let mut o = quick_opts();
+        o.ga.iterations = 0;
+        assert_eq!(
+            err(o),
+            ConfigError::ZeroCount {
+                field: "opts.ga.iterations"
+            }
+        );
+
+        let mut o = quick_opts();
+        o.profile_passes = 0;
+        assert_eq!(
+            err(o),
+            ConfigError::ZeroCount {
+                field: "opts.profile_passes"
+            }
+        );
+
+        let mut o = quick_opts();
+        o.fai_us = -1.0;
+        assert_eq!(
+            err(o),
+            ConfigError::BadThreshold {
+                field: "opts.fai_us",
+                value: -1.0
+            }
+        );
+
+        let mut o = quick_opts();
+        o.ga.perf_loss_target = 1.5;
+        assert_eq!(
+            err(o),
+            ConfigError::BadThreshold {
+                field: "opts.ga.perf_loss_target",
+                value: 1.5
+            }
+        );
+
+        let mut o = quick_opts();
+        o.ga.perf_loss_target = f64::NAN;
+        assert!(matches!(
+            err(o),
+            ConfigError::BadThreshold {
+                field: "opts.ga.perf_loss_target",
+                value,
+            } if value.is_nan()
+        ));
+
+        assert!(quick_opts().validate().is_ok());
+        assert!(OptimizerConfig::default().validate().is_ok());
+        let mut o = OptimizerConfig::default().with_loss_target(0.5);
+        o.ga.population = 2;
+        assert!(o.validate().is_ok());
+    }
+
+    #[test]
+    fn every_validating_entry_point_rejects_unsearchable_configs() {
+        use crate::{FleetController, FleetError, ServeBuilder, ServiceBuilder};
+
+        let cfg = NpuConfig::ascend_like();
+        let w = models::tiny(&cfg);
+        let mut population_one = quick_opts();
+        population_one.ga.population = 1;
+        let nan_loss = quick_opts().with_loss_target(f64::NAN);
+        // Compared as text: a NaN value is never `==` to itself.
+        let text = |e: Option<ConfigError>| e.map(|e| e.to_string());
+        for bad in [population_one, nan_loss] {
+            let want = text(bad.validate().err());
+            assert!(want.is_some(), "config must be invalid");
+
+            let service = ServiceBuilder::new(cfg.clone())
+                .with_config(bad.clone())
+                .try_build();
+            assert_eq!(text(service.err()), want, "service");
+
+            let mut opt = fast_optimizer(&cfg);
+            let serve = ServeBuilder::new(&mut opt, &w)
+                .with_config(bad.clone())
+                .try_build();
+            assert_eq!(text(serve.err()), want, "serve");
+
+            let fleet = FleetController::new(cfg.clone(), w.clone())
+                .with_config(bad)
+                .run();
+            match fleet {
+                Err(FleetError::Invalid(e)) => assert_eq!(text(Some(e)), want, "fleet"),
+                other => panic!("fleet: expected Invalid, got {other:?}"),
+            }
+        }
     }
 
     #[test]

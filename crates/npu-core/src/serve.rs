@@ -431,10 +431,10 @@ impl ServeState {
 /// # Ok::<(), npu_core::OptimizeError>(())
 /// ```
 /// A builder input that cannot produce a well-defined run: a count that
-/// must be positive was zero, or a threshold was negative or non-finite.
-/// Returned by [`ServeBuilder::try_build`] and
-/// [`crate::FleetBuilder::try_build`] instead of panicking or silently
-/// misbehaving later.
+/// must be positive was zero, or a numeric parameter was non-finite or
+/// out of range.
+/// Returned by [`OptimizerConfig::validate`] and every builder that runs
+/// it instead of panicking or silently misbehaving later.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A count that must be at least one was zero.
@@ -581,14 +581,17 @@ impl<'a> ServeBuilder<'a> {
         }
     }
 
-    /// Validates the serve options, then assembles the runtime.
+    /// Validates the optimizer and serve options, then assembles the
+    /// runtime.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroCount`] for a zero window length or zero
-    /// detector window; [`ConfigError::BadThreshold`] for a non-finite
-    /// or out-of-range detector/guardrail threshold.
+    /// Any [`OptimizerConfig::validate`] error; [`ConfigError::ZeroCount`]
+    /// for a zero window length or zero detector window;
+    /// [`ConfigError::BadThreshold`] for a non-finite or out-of-range
+    /// detector/guardrail threshold.
     pub fn try_build(self) -> Result<ServeRuntime<'a>, ConfigError> {
+        self.opts.validate()?;
         validate_serve_options(&self.serve)?;
         Ok(self.build())
     }

@@ -17,7 +17,7 @@
 //!    machine and of the real worker count.
 //! 2. **Strategy computation in real time.** The distinct optimization
 //!    problems the timeline admitted are then executed on a real
-//!    work-stealing pool (the `sweep.rs`/`fleet.rs` pattern) against the
+//!    work-stealing pool ([`npu_sim::par::par_map_ordered`]) against the
 //!    shared single-flight [`ArtifactCache`], so the returned strategies
 //!    are bit-identical at any worker count while wall-clock throughput
 //!    scales.
@@ -33,12 +33,11 @@ use crate::serve::ConfigError;
 use npu_dvfs::{DvfsStrategy, Evaluation};
 use npu_obs::{Event, ObserverHandle};
 use npu_power_model::HardwareCalibration;
+use npu_sim::par::par_map_ordered;
 use npu_sim::{Device, NpuConfig};
 use npu_workloads::Workload;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ impl CostModel {
 }
 
 /// Builder for an [`OptService`], consistent with the `with_*` style of
-/// [`crate::FleetBuilder`] / [`crate::ServeBuilder`].
+/// [`crate::ServeBuilder`].
 #[derive(Debug)]
 pub struct ServiceBuilder {
     cfg: NpuConfig,
@@ -345,11 +344,10 @@ impl ServiceBuilder {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroCount`] for a zero queue capacity, zero
-    /// virtual servers, an empty build-frequency grid or a zero GA
-    /// population/generation count; [`ConfigError::BadThreshold`] for a
-    /// non-finite or non-positive cost-model entry or
-    /// frequency-adjustment interval.
+    /// Any [`OptimizerConfig::validate`] error;
+    /// [`ConfigError::ZeroCount`] for a zero queue capacity or zero
+    /// virtual servers; [`ConfigError::BadThreshold`] for a non-finite or
+    /// negative cost-model entry.
     pub fn try_build(self) -> Result<OptService, ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroCount {
@@ -361,27 +359,7 @@ impl ServiceBuilder {
                 field: "service.virtual_servers",
             });
         }
-        if self.opts.build_freqs.is_empty() {
-            return Err(ConfigError::ZeroCount {
-                field: "service.opts.build_freqs",
-            });
-        }
-        if self.opts.ga.population == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "service.opts.ga.population",
-            });
-        }
-        if self.opts.ga.iterations == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "service.opts.ga.iterations",
-            });
-        }
-        if !self.opts.fai_us.is_finite() || self.opts.fai_us <= 0.0 {
-            return Err(ConfigError::BadThreshold {
-                field: "service.opts.fai_us",
-                value: self.opts.fai_us,
-            });
-        }
+        self.opts.validate()?;
         for (field, value) in [
             ("service.cost.cold_base_us", self.cost.cold_base_us),
             ("service.cost.cold_per_op_us", self.cost.cold_per_op_us),
@@ -881,50 +859,12 @@ impl OptService {
         load: &[OptRequest],
         items: &[usize],
     ) -> Result<Vec<(DvfsStrategy, Evaluation)>, OptimizeError> {
-        let workers = npu_dvfs::resolve_threads(self.workers)
-            .min(items.len())
-            .max(1);
-        type SessionResult = Result<(DvfsStrategy, Evaluation), OptimizeError>;
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<SessionResult>> = (0..items.len()).map(|_| None).collect();
-        let per_worker: Vec<Vec<(usize, SessionResult)>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&req_idx) = items.get(slot) else {
-                                break;
-                            };
-                            let req = &load[req_idx];
-                            local.push((slot, self.run_one(&req.workload, req.device_seed)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-        for (slot, r) in per_worker.into_iter().flatten() {
-            slots[slot] = Some(r);
-        }
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Some(Ok(r)) => results.push(r),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("every item ran exactly once"),
-            }
-        }
-        Ok(results)
+        par_map_ordered(self.workers, items.len(), |slot| {
+            let req = &load[items[slot]];
+            self.run_one(&req.workload, req.device_seed)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// One real optimization session through the search stage. Shared

@@ -20,13 +20,12 @@
 
 use npu_obs::{Event, ObserverHandle};
 use npu_perf_model::FreqProfile;
+use npu_sim::par::par_map_ordered;
 use npu_sim::{Device, DeviceError, FreqMhz, RunOptions, Schedule};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 /// Profiles `schedule` at each of `freqs`, `passes` recorded runs per
 /// frequency, fanning the frequency points out over `threads` workers
-/// (`0` = auto-detect via [`npu_dvfs::resolve_threads`], which honours
+/// (`0` = auto-detect via [`npu_sim::par::resolve_threads`], which honours
 /// the `NPU_THREADS` override). Returns one inner vector per frequency,
 /// in the order of `freqs`, one [`FreqProfile`] per pass.
 ///
@@ -48,50 +47,14 @@ pub fn sweep_profiles(
     obs: &ObserverHandle,
 ) -> Result<Vec<Vec<FreqProfile>>, DeviceError> {
     let passes = passes.max(1);
-    let workers = npu_dvfs::resolve_threads(threads).min(freqs.len()).max(1);
     let tau = dev.config().thermal_tau_us;
-
-    type PointResult = Result<Vec<FreqProfile>, DeviceError>;
-
-    // Work-stealing over an atomic cursor. Each frequency writes its own
-    // slot and its fork seed depends only on its index, so the assembled
-    // sweep cannot observe which worker ran what.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<PointResult>> = (0..freqs.len()).map(|_| None).collect();
-    let per_worker: Vec<Vec<(usize, PointResult)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&freq) = freqs.get(i) else { break };
-                        local.push((i, profile_point(dev, i as u64, schedule, freq, passes, tau)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    });
-    for (i, r) in per_worker.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-
-    let mut out = Vec::with_capacity(freqs.len());
-    for slot in slots {
-        match slot {
-            Some(Ok(per_freq)) => out.push(per_freq),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every frequency point ran exactly once"),
-        }
-    }
+    // Each frequency's fork seed depends only on its index, so the
+    // assembled sweep cannot observe which worker ran what.
+    let out = par_map_ordered(threads, freqs.len(), |i| {
+        profile_point(dev, i as u64, schedule, freqs[i], passes, tau)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     if obs.enabled() {
         for per_freq in &out {
             for profile in per_freq {

@@ -40,6 +40,7 @@ use crate::ga::score;
 use crate::memo::FingerprintRing;
 use crate::pool::{assert_pool_matches, GenomePool, PoolScratch};
 use crate::strategy::{Evaluation, StageTable, Sums};
+use npu_sim::par::resolve_threads;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::thread;
@@ -204,42 +205,6 @@ const MEMO_SLOTS: usize = 1 << 20;
 /// ever exceeds half of it).
 const SEEN_SLOTS: usize = 1 << 12;
 
-/// Resolves a requested worker count. An explicit `requested > 0` is
-/// taken literally; `0` means "auto" — the `NPU_THREADS` environment
-/// variable (a positive integer) pins the count, otherwise one worker
-/// per available CPU.
-#[must_use]
-pub fn resolve_threads(requested: usize) -> usize {
-    resolve_threads_with(requested, |name| std::env::var(name).ok())
-}
-
-/// [`resolve_threads`] with an injectable environment lookup, so the
-/// resolution logic is testable without `std::env::set_var` — process
-/// environment mutation is unsynchronized with respect to concurrent
-/// readers (and outright UB on some platforms once threads exist), and
-/// the default test harness runs tests in parallel.
-///
-/// `lookup` is called with the variable name (`"NPU_THREADS"`) and
-/// returns its value, or `None` when unset.
-#[must_use]
-pub fn resolve_threads_with(requested: usize, lookup: impl Fn(&str) -> Option<String>) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    // `0` means "auto": the `NPU_THREADS` environment variable pins the
-    // count (how benches and CI get deterministic parallelism without
-    // touching configs); `0`, unset or unparsable falls through to
-    // one worker per available CPU. Thread count never changes results,
-    // only wall time.
-    if let Some(n) = lookup("NPU_THREADS")
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Population scorer: memoized, incremental, optionally parallel.
 ///
 /// Scores are a pure function of the genome (given the table, baseline
@@ -250,12 +215,15 @@ pub fn resolve_threads_with(requested: usize, lookup: impl Fn(&str) -> Option<St
 /// fan-out, so thread count cannot even perturb the memo's (bounded,
 /// deterministic) eviction sequence.
 ///
-/// The fast path is [`Self::score_pool`] over a bit-packed
-/// [`GenomePool`]; [`Self::score_population`] accepts plain slices and
-/// shares the same memo space via [`crate::pool::genome_fingerprint`]-
-/// compatible staging-pool fingerprints. All dedup and
-/// result buffers are engine-owned: a warm single-threaded
-/// [`Self::score_pool`] call performs no heap allocation.
+/// Populations arrive as a bit-packed [`GenomePool`] through
+/// [`Self::score_pool`]. All dedup and result buffers are engine-owned:
+/// a warm single-threaded [`Self::score_pool`] call performs no heap
+/// allocation.
+///
+/// The fan-out is a chunked scorer of its own rather than
+/// [`npu_sim::par::par_map_ordered`]: each worker keeps a persistent
+/// [`PoolScratch`] across generations and writes a disjoint slice of the
+/// engine-owned result buffer, which an index map cannot express.
 #[derive(Debug)]
 pub struct EvalEngine<'t> {
     table: &'t StageTable,
@@ -270,7 +238,6 @@ pub struct EvalEngine<'t> {
     /// generations. Tree state depends only on the current genome, so
     /// reuse cannot change any score.
     scratches: Vec<Option<PoolScratch<'t>>>,
-    fps_buf: Vec<u64>,
     scores_buf: Vec<f64>,
     /// Population indices needing evaluation this call.
     pending: Vec<u32>,
@@ -278,10 +245,6 @@ pub struct EvalEngine<'t> {
     copy_from: Vec<(u32, u32)>,
     /// Freshly evaluated scores, parallel to `pending`.
     fresh_buf: Vec<f64>,
-    /// Engine-owned staging pool for the slice API: `score_population`
-    /// packs each genome once here (fingerprints computed in the same
-    /// pass) and then scores through the pool fast path.
-    slice_pool: GenomePool,
     scored: usize,
     unique_scored: usize,
 }
@@ -303,12 +266,10 @@ impl<'t> EvalEngine<'t> {
             memo: FingerprintRing::new(MEMO_SLOTS),
             seen: FingerprintRing::new(SEEN_SLOTS),
             scratches: Vec::new(),
-            fps_buf: Vec::new(),
             scores_buf: Vec::new(),
             pending: Vec::new(),
             copy_from: Vec::new(),
             fresh_buf: Vec::new(),
-            slice_pool: GenomePool::new(table.n_stages(), table.n_freqs()),
             scored: 0,
             unique_scored: 0,
         }
@@ -351,43 +312,13 @@ impl<'t> EvalEngine<'t> {
     #[must_use]
     pub fn score_pool(&mut self, pool: &GenomePool) -> &[f64] {
         assert_pool_matches(pool, self.table);
-        self.fps_buf.clear();
-        self.fps_buf.extend((0..pool.len()).map(|i| pool.fp(i)));
-        self.run_scoring(|scratch, i| scratch.eval_pool(pool, i));
+        self.run_scoring(pool);
         &self.scores_buf
     }
 
-    /// Scores every individual of a slice-based population through the
-    /// same dedup/memo/fan-out machinery as [`Self::score_pool`] (the
-    /// fingerprints agree, so both paths share one memo space).
-    #[must_use]
-    pub fn score_population(&mut self, population: &[Vec<usize>]) -> Vec<f64> {
-        // Pack each genome exactly once into the engine-owned staging
-        // pool (`push_genes` derives the fingerprint during the same
-        // packing pass) and score through the pool fast path, which
-        // repositions scratches by XOR-diffing packed words. The old
-        // slice path paid two full packing passes per genome — one for
-        // `genome_fingerprint`, one inside `eval_genes` — which left it
-        // slower than unmemoized full evaluation on mutation-sized
-        // diffs. Fingerprints are identical by construction, so both
-        // entry points still share one memo space.
-        let mut pool = std::mem::replace(&mut self.slice_pool, GenomePool::new(0, 1));
-        pool.clear();
-        for genes in population {
-            let _ = pool.push_genes(genes);
-        }
-        let scores = self.score_pool(&pool).to_vec();
-        self.slice_pool = pool;
-        scores
-    }
-
-    /// Shared scoring core. `self.fps_buf` holds the population's
-    /// fingerprints; `eval` evaluates individual `i` on a scratch.
-    /// Results land in `self.scores_buf`.
-    fn run_scoring<E>(&mut self, eval: E)
-    where
-        E: Fn(&mut PoolScratch<'t>, usize) -> Evaluation + Sync,
-    {
+    /// Scoring core behind [`Self::score_pool`]. Results land in
+    /// `self.scores_buf`.
+    fn run_scoring(&mut self, pool: &GenomePool) {
         let Self {
             table,
             baseline_time_us,
@@ -396,18 +327,16 @@ impl<'t> EvalEngine<'t> {
             memo,
             seen,
             scratches,
-            fps_buf,
             scores_buf,
             pending,
             copy_from,
             fresh_buf,
-            slice_pool: _,
             scored,
             unique_scored,
         } = self;
         let table: &'t StageTable = table;
         let (bt, lt) = (*baseline_time_us, *perf_loss_target);
-        let count = fps_buf.len();
+        let count = pool.len();
         debug_assert!(count <= u32::MAX as usize, "population exceeds u32 indices");
         *scored += count;
 
@@ -423,12 +352,13 @@ impl<'t> EvalEngine<'t> {
         scores_buf.resize(count, 0.0);
         pending.clear();
         copy_from.clear();
-        for (i, &fp) in fps_buf.iter().enumerate() {
+        for (i, slot) in scores_buf.iter_mut().enumerate() {
+            let fp = pool.fp(i);
             if let Some(j) = seen.get(fp) {
                 copy_from.push((i as u32, j));
             } else if let Some(s) = memo.get(fp) {
                 seen.insert(fp, i as u32);
-                scores_buf[i] = s;
+                *slot = s;
             } else {
                 seen.insert(fp, i as u32);
                 pending.push(i as u32);
@@ -455,11 +385,10 @@ impl<'t> EvalEngine<'t> {
             if n_workers <= 1 {
                 let scratch = scratches[0].get_or_insert_with(|| PoolScratch::new(table));
                 for (out, &i) in fresh_buf.iter_mut().zip(pending.iter()) {
-                    *out = score(&eval(scratch, i as usize), bt, lt);
+                    *out = score(&scratch.eval_pool(pool, i as usize), bt, lt);
                 }
             } else {
                 let chunk = pending.len().div_ceil(n_workers);
-                let eval_ref = &eval;
                 thread::scope(|s| {
                     let mut rest: &mut [f64] = fresh_buf;
                     let mut handles = Vec::with_capacity(n_workers);
@@ -469,7 +398,7 @@ impl<'t> EvalEngine<'t> {
                         handles.push(s.spawn(move || {
                             let scratch = slot.get_or_insert_with(|| PoolScratch::new(table));
                             for (o, &i) in out.iter_mut().zip(idxs.iter()) {
-                                *o = score(&eval_ref(scratch, i as usize), bt, lt);
+                                *o = score(&scratch.eval_pool(pool, i as usize), bt, lt);
                             }
                         }));
                     }
@@ -483,7 +412,7 @@ impl<'t> EvalEngine<'t> {
             // a pure function of the genome sequence.
             for (&i, &s) in pending.iter().zip(fresh_buf.iter()) {
                 scores_buf[i as usize] = s;
-                memo.insert(fps_buf[i as usize], s);
+                memo.insert(pool.fp(i as usize), s);
             }
         }
         for &(dst, src) in copy_from.iter() {
@@ -691,32 +620,18 @@ mod tests {
     }
 
     #[test]
-    fn engine_scores_match_direct_evaluation_any_thread_count() {
-        let t = table(9);
-        let baseline = t.baseline().time_us;
-        // Large enough that multi-thread runs take the scoped-worker
-        // path (pending / MIN_GENOMES_PER_WORKER > 1).
-        let population: Vec<Vec<usize>> = (0..200)
-            .map(|i| (0..9).map(|s| (i * 7 + s * 3) % t.n_freqs()).collect())
-            .collect();
-        let expect: Vec<f64> = population
-            .iter()
-            .map(|g| score(&t.evaluate(g), baseline, 0.02))
-            .collect();
-        for threads in [1, 2, 5] {
-            let mut engine = EvalEngine::new(&t, baseline, 0.02, threads);
-            let got = engine.score_population(&population);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&expect), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn pool_scores_bit_match_slices_and_direct_evaluation() {
+    fn pool_scores_bit_match_direct_evaluation_at_any_thread_count() {
         let t = table(11);
         let baseline = t.baseline().time_us;
-        let population: Vec<Vec<usize>> = (0..200)
-            .map(|i| (0..11).map(|s| (i * 5 + s * 7 + 1) % t.n_freqs()).collect())
+        // Stages 0-2 spell `i` in base 9, so all 200 genomes are
+        // distinct: every one is pending, and multi-thread runs take the
+        // scoped-worker path (pending / MIN_GENOMES_PER_WORKER > 1).
+        let population: Vec<Vec<usize>> = (0..200_usize)
+            .map(|i| {
+                (0..11_u32)
+                    .map(|s| (i / 9_usize.pow(s % 3) + s as usize) % t.n_freqs())
+                    .collect()
+            })
             .collect();
         let mut pool = GenomePool::new(11, t.n_freqs());
         for g in &population {
@@ -726,24 +641,15 @@ mod tests {
             .iter()
             .map(|g| score(&t.evaluate(g), baseline, 0.02).to_bits())
             .collect();
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 5, 8] {
             let mut engine = EvalEngine::new(&t, baseline, 0.02, threads);
-            let via_pool: Vec<u64> = engine
+            let got: Vec<u64> = engine
                 .score_pool(&pool)
                 .iter()
                 .map(|s| s.to_bits())
                 .collect();
-            assert_eq!(via_pool, expect, "pool path, threads = {threads}");
-            // The slice path shares the same memo space (identical
-            // fingerprints), so everything is now a memo hit.
-            let before = engine.unique_scored();
-            let via_slices: Vec<u64> = engine
-                .score_population(&population)
-                .iter()
-                .map(|s| s.to_bits())
-                .collect();
-            assert_eq!(via_slices, expect, "slice path, threads = {threads}");
-            assert_eq!(engine.unique_scored(), before, "memo spaces must agree");
+            assert_eq!(got, expect, "threads = {threads}");
+            assert_eq!(engine.unique_scored(), population.len());
         }
     }
 
@@ -752,10 +658,13 @@ mod tests {
         let t = table(4);
         let baseline = t.baseline().time_us;
         let mut engine = EvalEngine::new(&t, baseline, 0.02, 1);
-        let a = vec![1, 2, 3, 4];
-        let b = vec![8, 8, 8, 8];
-        let population = vec![a.clone(), b.clone(), a.clone(), a.clone()];
-        let scores = engine.score_population(&population);
+        let a = [1, 2, 3, 4];
+        let b = [8, 8, 8, 8];
+        let mut pool = GenomePool::new(4, t.n_freqs());
+        for g in [&a, &b, &a, &a] {
+            pool.push_genes(g);
+        }
+        let scores = engine.score_pool(&pool).to_vec();
         assert_eq!(engine.scored(), 4);
         assert_eq!(engine.unique_scored(), 2);
         assert_eq!(engine.memo_len(), 2);
@@ -763,34 +672,11 @@ mod tests {
         assert_eq!(scores[0].to_bits(), scores[2].to_bits());
         assert_eq!(scores[0].to_bits(), scores[3].to_bits());
         // A later generation repeating a genome is served from the memo.
-        let again = engine.score_population(std::slice::from_ref(&a));
+        pool.clear();
+        pool.push_genes(&a);
+        let again = engine.score_pool(&pool)[0];
         assert_eq!(engine.unique_scored(), 2);
-        assert_eq!(again[0].to_bits(), scores[0].to_bits());
-    }
-
-    #[test]
-    fn npu_threads_env_pins_auto_detection() {
-        // Explicit counts always beat the environment; NPU_THREADS only
-        // steers the `0 = auto` path, and `0`/garbage stay auto. The
-        // lookup is injected instead of mutating the process environment:
-        // `set_var` is unsynchronized with concurrent readers under the
-        // parallel test harness (see `resolve_threads_with`).
-        let env = |val: &'static str| {
-            move |name: &str| {
-                assert_eq!(name, "NPU_THREADS");
-                Some(val.to_string())
-            }
-        };
-        assert_eq!(resolve_threads_with(5, env("3")), 5);
-        assert_eq!(resolve_threads_with(0, env("3")), 3);
-        assert_eq!(resolve_threads_with(0, env(" 12 ")), 12);
-        assert!(resolve_threads_with(0, env("0")) >= 1);
-        assert!(resolve_threads_with(0, env("not-a-number")) >= 1);
-        assert!(resolve_threads_with(0, |_| None) >= 1);
-        // The env-reading wrapper stays a thin pass-through: with an
-        // explicit request it never consults the environment at all.
-        assert_eq!(resolve_threads(7), 7);
-        assert!(resolve_threads(0) >= 1);
+        assert_eq!(again.to_bits(), scores[0].to_bits());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   evaluation engine behind [`search`]: memoized (bounded,
 //!   deterministically evicting [`FingerprintRing`]), incremental
 //!   (O(changed genes · log stages) per re-score, bit-identical to a
-//!   full pass) and parallel across `std::thread::scope` workers without
+//!   full pass) and parallel across scoped worker threads without
 //!   perturbing the seeded search trajectory;
 //! * [`GenomePool`] / [`PoolScratch`] — the bit-packed structure-of-
 //!   arrays genome arena the GA generations live in: 4 bits per gene for
@@ -59,7 +59,7 @@ mod strategy;
 
 pub use baseline::{phase_level, program_level, BaselineOutcome};
 pub use classify::{Bottleneck, Sensitivity};
-pub use engine::{resolve_threads, EvalEngine, IncrementalEval, RouletteWheel};
+pub use engine::{EvalEngine, IncrementalEval, RouletteWheel};
 pub use exact::{ExactConfig, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
 pub use memo::FingerprintRing;

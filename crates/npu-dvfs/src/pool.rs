@@ -24,8 +24,7 @@
 //! mirror of its current genome: repositioning onto another genome
 //! diffs the packed words (XOR + `trailing_zeros`), touching only the
 //! changed stages. [`genome_fingerprint`] computes the identical
-//! fingerprint for an unpacked `&[usize]` genome, so pooled and
-//! slice-based scoring share one memo space.
+//! fingerprint for an unpacked `&[usize]` genome.
 
 use crate::engine::IncrementalEval;
 use crate::strategy::{Evaluation, StageTable};
@@ -348,9 +347,7 @@ impl GenomePool {
 /// Per-worker evaluation scratch: a warm [`IncrementalEval`] plus a
 /// packed mirror of its current genome. Repositioning onto the next
 /// genome XOR-diffs packed words and updates only the changed stages —
-/// O(diff · log n) with a word-sized constant factor — and the mirror
-/// stays coherent whether genomes arrive packed ([`Self::eval_pool`]) or
-/// as slices ([`Self::eval_genes`]).
+/// O(diff · log n) with a word-sized constant factor.
 #[derive(Debug)]
 pub struct PoolScratch<'t> {
     inc: IncrementalEval<'t>,
@@ -405,30 +402,6 @@ impl<'t> PoolScratch<'t> {
             self.sync_word(w, word);
         }
         self.inc.eval()
-    }
-
-    /// Evaluates an unpacked genome through the same packed-diff path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gene count disagrees or a gene is out of range.
-    pub fn eval_genes(&mut self, genes: &[usize]) -> Evaluation {
-        assert_eq!(
-            genes.len(),
-            self.layout.n_stages,
-            "gene count must match stages"
-        );
-        let layout = self.layout;
-        for (w, chunk) in genes.chunks(layout.genes_per_word).enumerate() {
-            self.sync_word(w, pack_word(&layout, chunk));
-        }
-        self.inc.eval()
-    }
-
-    /// Whether this scratch evaluates against `table`'s shape.
-    #[must_use]
-    pub fn fits(&self, table: &StageTable) -> bool {
-        self.layout == PackLayout::new(table.n_stages(), table.n_freqs())
     }
 }
 
@@ -605,8 +578,8 @@ mod tests {
             }
             let mut scratch = PoolScratch::new(&t);
             let mut out = Vec::new();
-            // Jump around the pool (non-sequential diffs) and interleave
-            // slice-based evaluation to stress mirror coherence.
+            // Jump around the pool (non-sequential diffs) to stress
+            // mirror coherence.
             for &idx in &[0usize, 3, 1, 5, 2, 4, 0, 5] {
                 let fast = scratch.eval_pool(&pool, idx);
                 pool.read_genes(idx, &mut out);
@@ -617,8 +590,6 @@ mod tests {
                     full.aicore_energy_wus.to_bits()
                 );
                 assert_eq!(fast.soc_energy_wus.to_bits(), full.soc_energy_wus.to_bits());
-                let via_genes = scratch.eval_genes(&out);
-                assert_eq!(via_genes.time_us.to_bits(), full.time_us.to_bits());
             }
         }
     }

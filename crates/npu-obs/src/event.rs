@@ -215,15 +215,6 @@ pub enum Event {
         /// Artifact kind (`profiles`, `models`, `search`).
         kind: String,
     },
-    /// A batch fleet driver handed one workload to a worker.
-    BatchScheduled {
-        /// Workload name.
-        workload: String,
-        /// Worker slot index (0-based).
-        worker: usize,
-        /// Host wall-clock time the workload waited in the queue, µs.
-        queue_wait_us: f64,
-    },
     /// A serving-runtime drift window closed: the windowed mean of the
     /// normalized residual between observed iteration telemetry and the
     /// active model predictions.
@@ -433,7 +424,6 @@ impl Event {
             Self::DegradationApplied { .. } => "DegradationApplied",
             Self::CacheHit { .. } => "CacheHit",
             Self::CacheMiss { .. } => "CacheMiss",
-            Self::BatchScheduled { .. } => "BatchScheduled",
             Self::DriftScore { .. } => "DriftScore",
             Self::DriftDetected { .. } => "DriftDetected",
             Self::ReoptimizationStarted { .. } => "ReoptimizationStarted",
@@ -579,15 +569,6 @@ impl Event {
             }
             Self::CacheHit { kind } | Self::CacheMiss { kind } => {
                 push_str_field(&mut s, "kind", kind);
-            }
-            Self::BatchScheduled {
-                workload,
-                worker,
-                queue_wait_us,
-            } => {
-                push_str_field(&mut s, "workload", workload);
-                push_uint_field(&mut s, "worker", *worker as u64);
-                push_num_field(&mut s, "queue_wait_us", *queue_wait_us);
             }
             Self::DriftScore {
                 iter,
@@ -862,7 +843,7 @@ mod tests {
     }
 
     #[test]
-    fn json_encodes_cache_and_batch_events() {
+    fn json_encodes_cache_events() {
         let e = Event::CacheHit {
             kind: "profiles".to_owned(),
         };
@@ -874,15 +855,6 @@ mod tests {
             kind: "search".to_owned(),
         };
         assert_eq!(e.to_json(), "{\"event\":\"CacheMiss\",\"kind\":\"search\"}");
-        let e = Event::BatchScheduled {
-            workload: "GPT3".to_owned(),
-            worker: 2,
-            queue_wait_us: 15.5,
-        };
-        assert_eq!(
-            e.to_json(),
-            "{\"event\":\"BatchScheduled\",\"workload\":\"GPT3\",\"worker\":2,\"queue_wait_us\":15.5}"
-        );
     }
 
     #[test]

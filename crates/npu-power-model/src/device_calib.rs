@@ -7,10 +7,9 @@ use crate::calib::{
     fit_gamma, fit_gamma_robust, CalibrationError, HardwareCalibration, IdleFit, ThermalFit,
 };
 use npu_obs::{Event, Phase};
+use npu_sim::par::par_map_ordered;
 use npu_sim::{summarize, Device, DeviceError, FreqMhz, RunOptions, Schedule, TelemetrySample};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use std::time::Instant;
 
 /// Options for the offline calibration procedure.
@@ -300,16 +299,16 @@ fn run_cal_task(
 /// Like [`calibrate_device`], but fans the independent measurement
 /// segments — one idle observation per frequency, the heat + cool-down,
 /// and one equilibrium run per load — out over `threads` workers
-/// (`0` = one per available CPU), each on a cold [`Device::fork`] of
-/// `dev`.
+/// (`0` = auto-detect via [`npu_sim::par::resolve_threads`], which
+/// honours the `NPU_THREADS` override), each on a cold [`Device::fork`]
+/// of `dev`.
 ///
 /// Results are **bit-identical for every thread count**: each segment's
 /// fork is seeded from `(dev.seed(), segment index)` and shares no
-/// state, workers write into per-segment slots, and the fits consume the
-/// slots in the fixed serial order. They are *not* bit-identical to
-/// [`calibrate_device`] (whose segments share one RNG stream
-/// sequentially), but recover the same physical parameters to within
-/// measurement noise. Unlike the serial procedure this never mutates
+/// state, and the fits consume the segment results in the fixed serial
+/// order. They are *not* bit-identical to [`calibrate_device`] (whose
+/// segments share one RNG stream sequentially), but recover the same
+/// physical parameters to within measurement noise. Unlike the serial procedure this never mutates
 /// `dev` — the device is left exactly as the caller handed it over —
 /// and faults injected via the device hook do **not** reach the forked
 /// workers; calibrate a hooked device through the serial path.
@@ -340,60 +339,18 @@ pub fn calibrate_device_parallel(
     tasks.push(CalTask::Cooldown(test_load));
     tasks.extend(equilibrium_loads.iter().map(CalTask::Equilibrium));
 
-    let workers = if threads == 0 {
-        thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-    .min(tasks.len())
-    .max(1);
-
-    // Work-stealing over an atomic cursor: which worker runs which
-    // segment is scheduling-dependent, but each segment writes its own
-    // slot and its fork's seed depends only on the segment index, so the
-    // assembled outputs cannot observe the schedule.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<CalOut, DeviceCalibrationError>>> =
-        (0..tasks.len()).map(|_| None).collect();
-    let per_worker: Vec<Vec<(usize, Result<CalOut, DeviceCalibrationError>)>> =
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(task) = tasks.get(i) else { break };
-                            local.push((i, run_cal_task(dev, i as u64, task, opts, fmax)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        });
-    for (i, r) in per_worker.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    // Propagate the first (by segment order) failure deterministically.
-    let mut outs = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Some(Ok(out)) => outs.push(out),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every calibration segment ran exactly once"),
-        }
-    }
+    // Each segment's fork seed depends only on the segment index, so the
+    // assembled outputs cannot observe the schedule; the first failure in
+    // segment order wins.
+    let mut outs = par_map_ordered(threads, tasks.len(), |i| {
+        run_cal_task(dev, i as u64, &tasks[i], opts, fmax)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?
+    .into_iter();
 
     // Fits happen on this thread, in the exact order of the serial
     // procedure.
-    let mut outs = outs.into_iter();
     let mut ai_pts = Vec::new();
     let mut soc_pts = Vec::new();
     for &f in &opts.idle_freqs {

@@ -48,6 +48,7 @@ mod freq;
 mod hook;
 mod noise;
 mod operator;
+pub mod par;
 pub mod power;
 pub mod profile;
 mod profiler;

@@ -46,6 +46,11 @@ for seed in 1 2 3; do
   FAULT_SEED=$seed cargo run --quiet --example fault_injection > /dev/null
 done
 
+echo "==> batch smoke (one session per workload over a shared cache, warm pass fully cached)"
+# The example is self-checking: it exits non-zero unless the warm pass
+# has zero cache misses and reports bit-identical to the cold pass.
+cargo run --quiet --release --example batch_fleet > /dev/null
+
 echo "==> serve-loop smoke (drift detection, one swap, energy + EDP win, 1/2/8-thread digests)"
 # The example is self-checking: it exits non-zero unless exactly one
 # strategy swap fires under drift, the refreshed strategy beats the
@@ -64,8 +69,7 @@ CRITERION_SMOKE=1 cargo bench -p npu-bench --bench simulator
 # allocations on a warm single-threaded score_pool pass, and the exact
 # Pareto-DP oracle certifying the GA result with a gap of exactly 0.0.
 ga_fields="full_policies_per_sec incremental_policies_per_sec \
-engine_policies_per_sec pool_policies_per_sec engine_speedup \
-pool_vs_engine_speedup pool_bit_identical pool_score_allocs \
+pool_policies_per_sec pool_bit_identical pool_score_allocs \
 optimality_gap oracle_certified"
 for f in $ga_fields; do
   grep -q "\"$f\"" BENCH_ga_eval.smoke.json \
@@ -81,21 +85,13 @@ grep -q '"oracle_certified": true' BENCH_ga_eval.smoke.json \
   || { echo "exact oracle failed to certify the small schedule" >&2; exit 1; }
 rm -f BENCH_ga_eval.smoke.json
 
-# The checked-in full-run measurement must carry the same fields, show
-# the >= 5x pool-vs-engine speedup, and the same correctness artifacts
-# (full runs: cargo bench -p npu-bench --bench ga_eval, no
-# CRITERION_SMOKE).
+# The checked-in full-run measurement must carry the same fields and
+# the same correctness artifacts (full runs: cargo bench -p npu-bench
+# --bench ga_eval, no CRITERION_SMOKE).
 for f in $ga_fields; do
   grep -q "\"$f\"" BENCH_ga_eval.json \
     || { echo "BENCH_ga_eval.json: missing field $f" >&2; exit 1; }
 done
-awk -F': ' '/"pool_vs_engine_speedup"/ { if ($2 + 0 < 5.0) exit 1 }' BENCH_ga_eval.json \
-  || { echo "BENCH_ga_eval.json: pool speedup below 5x" >&2; exit 1; }
-# Regression pin: the engine's slice path once re-packed every genome
-# twice per scoring call and recorded slower than scoring from scratch
-# (engine_speedup 0.81). It must never lose to full evaluation again.
-awk -F': ' '/"engine_speedup"/ { if ($2 + 0 < 1.0) exit 1 }' BENCH_ga_eval.json \
-  || { echo "BENCH_ga_eval.json: engine slower than full evaluation" >&2; exit 1; }
 grep -q '"pool_bit_identical": true' BENCH_ga_eval.json \
   || { echo "BENCH_ga_eval.json: pool scores not bit-identical" >&2; exit 1; }
 grep -q '"optimality_gap": 0.0,' BENCH_ga_eval.json \

@@ -58,14 +58,14 @@ pub use npu_workloads as workloads;
 /// Commonly used items for examples and quick experiments.
 pub mod prelude {
     pub use npu_core::{
-        degradation_rank, generate_load, optimize_batch, sweep_profiles, ArtifactCache, CacheError,
+        degradation_rank, generate_load, sweep_profiles, ArtifactCache, CacheError,
         CacheFlightStats, CacheStats, ConfigError, CostModel, DeviceHealth, DeviceHealthReport,
         Disposition, DriftDetector, DriftDetectorConfig, DriftSignal, EnergyOptimizer,
-        FleetBuilder, FleetController, FleetError, FleetOutcome, FleetRunner, FlightRole,
-        FlightStats, HealthPolicy, LoadSpec, OptRequest, OptResponse, OptService,
-        OptimizationReport, OptimizationSession, OptimizerConfig, Provenance, RejectReason,
-        ServeBuilder, ServeIteration, ServeOptions, ServeOutcome, ServeRuntime, ServiceBuilder,
-        ServiceMetrics, ServiceOutcome, SingleFlightError,
+        FleetController, FleetError, FleetOutcome, FlightRole, FlightStats, HealthPolicy, LoadSpec,
+        OptRequest, OptResponse, OptService, OptimizationReport, OptimizationSession,
+        OptimizerConfig, Provenance, RejectReason, ServeBuilder, ServeIteration, ServeOptions,
+        ServeOutcome, ServeRuntime, ServiceBuilder, ServiceMetrics, ServiceOutcome,
+        SingleFlightError,
     };
     pub use npu_dvfs::{DvfsStrategy, GaConfig, GaOutcome, StageTable};
     pub use npu_exec::{
