@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------------
 // Fingerprinting
@@ -382,9 +382,8 @@ fn parse_err(line: usize, what: impl Into<String>) -> ArtifactParseError {
 
 /// Error from a checked cache lookup: the persisted artifact for the key
 /// *exists* but could not be used. Returned by
-/// [`ArtifactCache::try_lookup_profile`] /
-/// [`ArtifactCache::try_lookup_search`] — the lossy `lookup_*`
-/// convenience wrappers fold these cases into a plain miss.
+/// [`ArtifactCache::try_lookup`] — the lossy [`ArtifactCache::lookup`]
+/// folds these cases into a plain miss.
 #[derive(Debug)]
 pub enum CacheError {
     /// The artifact file exists but reading it failed.
@@ -415,7 +414,7 @@ pub enum CacheError {
     /// follower did not get a result and must decide for itself whether
     /// to recompute.
     FlightPoisoned {
-        /// Artifact kind (`"profile"` or `"search"`).
+        /// Artifact kind (`"profile"`, `"model"` or `"search"`).
         kind: &'static str,
         /// The content-addressed cache key.
         key: u64,
@@ -557,7 +556,9 @@ fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseEr
     let [mhz, n_recs] = lines.fields::<2>("freq")?;
     let freq = FreqMhz::new(lines.uint(mhz)?);
     let n_recs: usize = lines.uint(n_recs)?;
-    let mut records = Vec::with_capacity(n_recs);
+    // Never size a vector from a decoded count: a corrupt count must
+    // fail at end of file, not abort on allocation.
+    let mut records = Vec::new();
     for _ in 0..n_recs {
         let rest = lines.expect("rec ")?;
         let mut parts = rest.splitn(17, ' ');
@@ -608,10 +609,10 @@ fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseEr
     Ok(FreqProfile { freq, records })
 }
 
-fn read_profiles(lines: &mut Lines<'_>, tag: &str) -> Result<Vec<FreqProfile>, ArtifactParseError> {
-    let [n] = lines.fields::<1>(tag)?;
+/// Reads `n` (still undecoded) `freq` blocks.
+fn read_profiles(lines: &mut Lines<'_>, n: &str) -> Result<Vec<FreqProfile>, ArtifactParseError> {
     let n: usize = lines.uint(n)?;
-    let mut profiles = Vec::with_capacity(n);
+    let mut profiles = Vec::new();
     for _ in 0..n {
         profiles.push(read_freq_block(lines)?);
     }
@@ -684,23 +685,12 @@ impl ProfileArtifact {
             soc_w: lines.f64(s)?,
             temp_c: lines.f64(c)?,
         };
-        let profiles = read_profiles(&mut lines, "profiles")?;
-        let raw_profiles = {
-            // Either `raw none` or a counted block of `freq` sections.
-            let line = lines.next()?;
-            let rest = line.strip_prefix("raw ").ok_or_else(|| {
-                parse_err(lines.line_no, format!("expected `raw …`, got `{line}`"))
-            })?;
-            if rest == "none" {
-                None
-            } else {
-                let n: usize = lines.uint(rest)?;
-                let mut raw = Vec::with_capacity(n);
-                for _ in 0..n {
-                    raw.push(read_freq_block(&mut lines)?);
-                }
-                Some(raw)
-            }
+        let [n] = lines.fields::<1>("profiles")?;
+        let profiles = read_profiles(&mut lines, n)?;
+        // Either `raw none` or a counted block of `freq` sections.
+        let raw_profiles = match lines.expect("raw ")? {
+            "none" => None,
+            n => Some(read_profiles(&mut lines, n)?),
         };
         Ok(Self {
             profiles,
@@ -791,8 +781,8 @@ impl SearchArtifact {
         let unique_evaluations: usize = lines.uint(unique)?;
         let [n_stages] = lines.fields::<1>("stages")?;
         let n_stages: usize = lines.uint(n_stages)?;
-        let mut stages = Vec::with_capacity(n_stages);
-        let mut freqs = Vec::with_capacity(n_stages);
+        let mut stages = Vec::new();
+        let mut freqs = Vec::new();
         for _ in 0..n_stages {
             let [start, dur, op_start, op_end, kind, mhz] = lines.fields::<6>("stage")?;
             let kind = match kind {
@@ -871,6 +861,11 @@ struct Counters {
 }
 
 impl Counters {
+    fn tally(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> KindStats {
         KindStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -882,6 +877,13 @@ impl Counters {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
+}
+
+/// Locks `m`, recovering the data from a poisoned lock: every critical
+/// section in the cache leaves its map consistent, so a panic elsewhere
+/// never invalidates it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------
@@ -905,6 +907,8 @@ pub struct FlightStats {
 pub struct CacheFlightStats {
     /// Profile-artifact flights.
     pub profile: FlightStats,
+    /// Model-artifact flights.
+    pub model: FlightStats,
     /// Search-artifact flights.
     pub search: FlightStats,
 }
@@ -922,8 +926,7 @@ pub enum FlightRole {
     Coalesced,
 }
 
-/// Error from [`ArtifactCache::profile_single_flight`] /
-/// [`ArtifactCache::search_single_flight`].
+/// Error from [`ArtifactCache::single_flight`].
 #[derive(Debug)]
 pub enum SingleFlightError<E> {
     /// This caller led the flight and its own computation failed. Any
@@ -978,7 +981,7 @@ impl<T> FlightSlot<T> {
 
     /// Blocks until the leader publishes (`Some`) or poisons (`None`).
     fn wait(&self) -> Option<Arc<T>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = lock(&self.state);
         loop {
             match &*state {
                 FlightState::Pending => {
@@ -991,7 +994,7 @@ impl<T> FlightSlot<T> {
     }
 
     fn publish(&self, outcome: Option<Arc<T>>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = lock(&self.state);
         *state = match outcome {
             Some(artifact) => FlightState::Done(artifact),
             None => FlightState::Poisoned,
@@ -1006,7 +1009,7 @@ enum Join<T> {
     Follow(Arc<FlightSlot<T>>),
 }
 
-/// The in-flight computations of one artifact domain, keyed on the same
+/// The in-flight computations of one artifact kind, keyed on the same
 /// content-addressed keys as the store. The table lock is only ever held
 /// for a map probe/insert/remove — store lookups, disk I/O and the
 /// computation itself all run outside it.
@@ -1034,7 +1037,7 @@ impl<T> FlightTable<T> {
     /// happen under one lock, so two concurrent misses can never both
     /// decide to compute.
     fn join(&self, key: u64) -> Join<T> {
-        let mut table = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        let mut table = lock(&self.inflight);
         match table.get(&key) {
             Some(slot) => Join::Follow(slot.clone()),
             None => {
@@ -1051,10 +1054,7 @@ impl<T> FlightTable<T> {
     /// fresh flight whose store lookup hits the just-inserted artifact).
     fn finish(&self, key: u64, slot: &FlightSlot<T>, outcome: Option<Arc<T>>) {
         slot.publish(outcome);
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
+        lock(&self.inflight).remove(&key);
     }
 
     fn snapshot(&self) -> FlightStats {
@@ -1091,28 +1091,90 @@ impl<T> Drop for LeadGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Domains
+// Artifact kinds
 // ---------------------------------------------------------------------------
 
-/// One artifact kind's store: its own map lock, hit/miss counters and
-/// single-flight table, so traffic in different domains never contends
-/// on a shared lock.
-#[derive(Debug)]
-struct Domain<T> {
-    map: Mutex<HashMap<u64, Arc<T>>>,
-    stats: Counters,
-    flights: FlightTable<T>,
-}
+/// An artifact kind the cache stores: [`ProfileArtifact`],
+/// [`ModelArtifact`] or [`SearchArtifact`]. The generic
+/// [`ArtifactCache`] operations take one of these as their type
+/// parameter, e.g. `cache.lookup::<SearchArtifact>(key)`. The trait is
+/// sealed: the three kinds are the only implementors.
+pub trait Artifact: kind::Kind {}
 
-impl<T> Domain<T> {
-    fn new() -> Self {
-        Self {
-            map: Mutex::new(HashMap::new()),
-            stats: Counters::default(),
-            flights: FlightTable::new(),
+pub(crate) mod kind {
+    use super::{ArtifactCache, ArtifactParseError, Counters, FlightTable};
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+
+    /// What the cache knows about one artifact kind. Public only in
+    /// name: the module is crate-private, which seals
+    /// [`super::Artifact`].
+    pub trait Kind: Sized + Send + Sync + 'static {
+        /// The kind's name: the persisted file-name prefix and the
+        /// `kind` of its errors and events.
+        const NAME: &'static str;
+        /// The kind's text codec; `None` keeps the kind memory-only.
+        const CODEC: Codec<Self>;
+        /// The kind's store within `cache`.
+        fn domain(cache: &ArtifactCache) -> &Domain<Self>;
+    }
+
+    /// A kind's `(encode, decode)` text functions for the persistence
+    /// directory, if it has one.
+    pub type Codec<A> = Option<(fn(&A) -> String, fn(&str) -> Result<A, ArtifactParseError>)>;
+
+    /// One artifact kind's store: its own map lock, hit/miss counters and
+    /// single-flight table, so traffic in different kinds never contends
+    /// on a shared lock.
+    #[derive(Debug)]
+    pub struct Domain<A> {
+        pub(super) map: Mutex<HashMap<u64, Arc<A>>>,
+        pub(super) stats: Counters,
+        pub(super) flights: FlightTable<A>,
+    }
+
+    impl<A> Domain<A> {
+        pub(super) fn new() -> Self {
+            Self {
+                map: Mutex::new(HashMap::new()),
+                stats: Counters::default(),
+                flights: FlightTable::new(),
+            }
         }
     }
 }
+
+use kind::{Codec, Domain, Kind};
+
+impl Kind for ProfileArtifact {
+    const NAME: &'static str = "profile";
+    const CODEC: Codec<Self> = Some((Self::to_text, Self::from_text));
+    fn domain(cache: &ArtifactCache) -> &Domain<Self> {
+        &cache.inner.profiles
+    }
+}
+
+/// Fits are pure and cheap to recompute from cached profiles, so model
+/// artifacts stay memory-only.
+impl Kind for ModelArtifact {
+    const NAME: &'static str = "model";
+    const CODEC: Codec<Self> = None;
+    fn domain(cache: &ArtifactCache) -> &Domain<Self> {
+        &cache.inner.models
+    }
+}
+
+impl Kind for SearchArtifact {
+    const NAME: &'static str = "search";
+    const CODEC: Codec<Self> = Some((Self::to_text, Self::from_text));
+    fn domain(cache: &ArtifactCache) -> &Domain<Self> {
+        &cache.inner.searches
+    }
+}
+
+impl Artifact for ProfileArtifact {}
+impl Artifact for ModelArtifact {}
+impl Artifact for SearchArtifact {}
 
 #[derive(Debug)]
 struct CacheInner {
@@ -1180,7 +1242,7 @@ impl ArtifactCache {
     /// Attaches an observer: disk-degradation incidents are emitted as
     /// [`Event::CacheDegraded`] instead of being silently swallowed.
     pub fn set_observer(&self, obs: ObserverHandle) {
-        *self.inner.obs.lock().unwrap_or_else(|e| e.into_inner()) = obs;
+        *lock(&self.inner.obs) = obs;
     }
 
     /// Whether a disk write has failed and the cache degraded to
@@ -1221,26 +1283,23 @@ impl ArtifactCache {
     pub fn flight_stats(&self) -> CacheFlightStats {
         CacheFlightStats {
             profile: self.inner.profiles.flights.snapshot(),
+            model: self.inner.models.flights.snapshot(),
             search: self.inner.searches.flights.snapshot(),
         }
     }
 
-    /// The on-disk path of a persisted search artifact, if this cache
-    /// spills to disk and is not degraded (crate-internal: the fleet
-    /// chaos corruption fault overwrites the file behind the cache's
-    /// back).
-    pub(crate) fn search_disk_path(&self, key: u64) -> Option<PathBuf> {
-        self.disk_path("search", key)
-    }
-
-    fn disk_path(&self, kind: &str, key: u64) -> Option<PathBuf> {
-        if self.inner.disk_failed.load(Ordering::Relaxed) {
+    /// The on-disk path of a persisted `A` artifact: `None` for
+    /// memory-only kinds and caches, and once the cache has degraded.
+    /// (Crate-internal: the fleet chaos corruption fault overwrites the
+    /// file behind the cache's back.)
+    pub(crate) fn disk_path<A: Artifact>(&self, key: u64) -> Option<PathBuf> {
+        if A::CODEC.is_none() || self.inner.disk_failed.load(Ordering::Relaxed) {
             return None;
         }
         self.inner
             .dir
             .as_ref()
-            .map(|d| d.join(format!("{kind}-{key:016x}.txt")))
+            .map(|d| d.join(format!("{}-{key:016x}.txt", A::NAME)))
     }
 
     /// Spills `text` to `path`; the first failure trips degraded mode
@@ -1249,7 +1308,7 @@ impl ArtifactCache {
     fn spill(&self, kind: &'static str, path: PathBuf, text: String) {
         if let Err(e) = std::fs::write(path, text) {
             self.inner.disk_failed.store(true, Ordering::Relaxed);
-            let obs = self.inner.obs.lock().unwrap_or_else(|e| e.into_inner());
+            let obs = lock(&self.inner.obs);
             if obs.enabled() {
                 obs.emit(Event::CacheDegraded {
                     kind: kind.to_owned(),
@@ -1259,38 +1318,67 @@ impl ArtifactCache {
         }
     }
 
-    fn tally(counters: &Counters, hit: bool) {
-        if hit {
-            counters.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.misses.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Looks up an artifact: memory first, then — for profile and search
+    /// artifacts — the persistence directory. Counts a hit or miss. A
+    /// persisted file that exists but cannot be read or decoded is
+    /// treated as a miss; use [`Self::try_lookup`] to surface that case
+    /// as a typed error instead of a silent skip.
+    #[must_use]
+    pub fn lookup<A: Artifact>(&self, key: u64) -> Option<Arc<A>> {
+        self.try_lookup(key).unwrap_or_default()
     }
 
-    /// The one disk-backed lookup implementation behind every checked
-    /// artifact lookup: memory map first, then the persistence
-    /// directory, decoding through `decode` and promoting disk hits into
-    /// the memory map. Counts exactly one hit or miss on the domain's
-    /// counters. The disk read and decode run with no lock held — only
-    /// the two map probes are critical sections — so a slow disk never
-    /// stalls concurrent memory hits on the same domain.
-    fn lookup_disk_backed<T>(
-        &self,
-        domain: &Domain<T>,
-        kind: &'static str,
-        key: u64,
-        decode: impl FnOnce(&str) -> Result<T, ArtifactParseError>,
-    ) -> Result<Option<Arc<T>>, CacheError> {
-        {
-            let map = domain.map.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(found) = map.get(&key).cloned() {
-                drop(map);
-                Self::tally(&domain.stats, true);
-                return Ok(Some(found));
-            }
-        }
-        let loaded = match Self::load_text(self.disk_path(kind, key), kind, key) {
-            Ok(Some((path, text))) => match decode(&text) {
+    /// [`Self::lookup`], surfacing persistence problems.
+    ///
+    /// Memory hits, disk hits and genuine absences behave identically to
+    /// the unchecked lookup. The difference is a key whose artifact file
+    /// *exists* but cannot be used — unreadable, corrupt or truncated:
+    /// that still counts a [`CacheStats`] miss (the caller must recompute
+    /// either way) but returns the typed [`CacheError`] so the condition
+    /// is observable rather than silently folded into "never cached".
+    /// Model artifacts are never persisted, so their lookups never fail.
+    ///
+    /// The disk read and decode run with no lock held — only the two map
+    /// probes are critical sections — so a slow disk never stalls
+    /// concurrent memory hits on the same kind.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Io`] when the persisted file exists but reading it
+    /// fails; [`CacheError::Corrupt`] when it reads but fails to decode.
+    pub fn try_lookup<A: Artifact>(&self, key: u64) -> Result<Option<Arc<A>>, CacheError> {
+        let domain = A::domain(self);
+        let in_memory = lock(&domain.map).get(&key).cloned();
+        let found = match in_memory {
+            Some(artifact) => Ok(Some(artifact)),
+            // Promote a disk hit, preferring an artifact a racing
+            // promoter or inserter beat us to — every caller then shares
+            // one `Arc` per key.
+            None => self.load::<A>(key).map(|loaded| {
+                loaded.map(|artifact| lock(&domain.map).entry(key).or_insert(artifact).clone())
+            }),
+        };
+        domain.stats.tally(matches!(found, Ok(Some(_))));
+        found
+    }
+
+    /// Reads and decodes a persisted artifact. `Ok(None)` when there is
+    /// no file to read (memory-only kind or cache, degraded cache, or no
+    /// such file); `Err` when the file exists but cannot be used.
+    fn load<A: Artifact>(&self, key: u64) -> Result<Option<Arc<A>>, CacheError> {
+        let (Some((_, decode)), Some(path)) = (A::CODEC, self.disk_path::<A>(key)) else {
+            return Ok(None);
+        };
+        let kind = A::NAME;
+        match std::fs::read_to_string(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(source) => Err(CacheError::Io {
+                kind,
+                key,
+                path,
+                source,
+            }),
+            Ok(text) => match decode(&text) {
                 Ok(artifact) => Ok(Some(Arc::new(artifact))),
                 Err(source) => Err(CacheError::Corrupt {
                     kind,
@@ -1299,206 +1387,55 @@ impl ArtifactCache {
                     source,
                 }),
             },
-            Ok(None) => Ok(None),
-            Err(e) => Err(e),
-        };
-        let loaded = match loaded {
-            // Promote the disk hit, preferring an artifact a racing
-            // promoter or inserter beat us to — every caller then shares
-            // one `Arc` per key, exactly as under the old single lock.
-            Ok(Some(artifact)) => {
-                let mut map = domain.map.lock().unwrap_or_else(|e| e.into_inner());
-                let shared = map.entry(key).or_insert_with(|| artifact).clone();
-                drop(map);
-                Ok(Some(shared))
-            }
-            other => other,
-        };
-        Self::tally(&domain.stats, matches!(&loaded, Ok(Some(_))));
-        loaded
-    }
-
-    /// Looks up a profile artifact (memory first, then the persistence
-    /// directory). Counts a hit or miss. A persisted file that exists
-    /// but cannot be read or decoded is treated as a miss; use
-    /// [`Self::try_lookup_profile`] to surface that case as a typed
-    /// error instead of a silent skip.
-    #[must_use]
-    pub fn lookup_profile(&self, key: u64) -> Option<Arc<ProfileArtifact>> {
-        self.try_lookup_profile(key).unwrap_or_default()
-    }
-
-    /// [`Self::lookup_profile`], surfacing persistence problems.
-    ///
-    /// Memory hits, disk hits and genuine absences behave identically to
-    /// the unchecked lookup. The difference is a key whose artifact file
-    /// *exists* but cannot be used — unreadable, corrupt or truncated:
-    /// that still counts a [`CacheStats`] miss (the caller must recompute
-    /// either way) but returns the typed [`CacheError`] so the condition
-    /// is observable rather than silently folded into "never cached".
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Io`] when the persisted file exists but reading it
-    /// fails; [`CacheError::Corrupt`] when it reads but fails to decode.
-    pub fn try_lookup_profile(&self, key: u64) -> Result<Option<Arc<ProfileArtifact>>, CacheError> {
-        self.lookup_disk_backed(
-            &self.inner.profiles,
-            "profile",
-            key,
-            ProfileArtifact::from_text,
-        )
-    }
-
-    /// Reads a persisted artifact's text. `Ok(None)` when the cache is
-    /// memory-only or the file simply does not exist; `Err` when the
-    /// file exists but reading it fails.
-    fn load_text(
-        path: Option<PathBuf>,
-        kind: &'static str,
-        key: u64,
-    ) -> Result<Option<(PathBuf, String)>, CacheError> {
-        let Some(path) = path else { return Ok(None) };
-        match std::fs::read_to_string(&path) {
-            Ok(text) => Ok(Some((path, text))),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(source) => Err(CacheError::Io {
-                kind,
-                key,
-                path,
-                source,
-            }),
         }
     }
 
-    /// Stores a profile artifact (and spills it to disk when the cache
-    /// is persistent; a disk error degrades the cache to memory-only
-    /// mode and emits [`Event::CacheDegraded`] — the memory store is
-    /// authoritative either way).
-    pub fn insert_profile(&self, key: u64, artifact: ProfileArtifact) -> Arc<ProfileArtifact> {
-        if let Some(path) = self.disk_path("profile", key) {
-            self.spill("profile", path, artifact.to_text());
+    /// Stores an artifact. Profile and search artifacts are also spilled
+    /// to disk when the cache is persistent; a disk error degrades the
+    /// cache to memory-only mode and emits [`Event::CacheDegraded`] — the
+    /// memory store is authoritative either way.
+    pub fn insert<A: Artifact>(&self, key: u64, artifact: A) -> Arc<A> {
+        if let (Some((encode, _)), Some(path)) = (A::CODEC, self.disk_path::<A>(key)) {
+            self.spill(A::NAME, path, encode(&artifact));
         }
         let artifact = Arc::new(artifact);
-        self.inner
-            .profiles
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, artifact.clone());
+        lock(&A::domain(self).map).insert(key, artifact.clone());
         artifact
     }
 
-    /// Looks up a model artifact (memory only). Counts a hit or miss.
-    #[must_use]
-    pub fn lookup_model(&self, key: u64) -> Option<Arc<ModelArtifact>> {
-        self.try_lookup_model(key).unwrap_or_default()
-    }
-
-    /// [`Self::lookup_model`] behind the shared `Result` idiom. Model
-    /// artifacts are never persisted, so today this cannot fail — the
-    /// signature exists so the transfer path and the serving path handle
-    /// every artifact kind through one error surface.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; reserved for a future persisted model store.
-    pub fn try_lookup_model(&self, key: u64) -> Result<Option<Arc<ModelArtifact>>, CacheError> {
-        let found = self
-            .inner
-            .models
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-            .cloned();
-        Self::tally(&self.inner.models.stats, found.is_some());
-        Ok(found)
-    }
-
-    /// Stores a model artifact.
-    pub fn insert_model(&self, key: u64, artifact: ModelArtifact) -> Arc<ModelArtifact> {
-        let artifact = Arc::new(artifact);
-        self.inner
-            .models
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, artifact.clone());
-        artifact
-    }
-
-    /// Looks up a search artifact (memory first, then the persistence
-    /// directory). Counts a hit or miss. A persisted file that exists
-    /// but cannot be read or decoded is treated as a miss; use
-    /// [`Self::try_lookup_search`] to surface that case as a typed
-    /// error instead of a silent skip.
-    #[must_use]
-    pub fn lookup_search(&self, key: u64) -> Option<Arc<SearchArtifact>> {
-        self.try_lookup_search(key).unwrap_or_default()
-    }
-
-    /// [`Self::lookup_search`], surfacing persistence problems — see
-    /// [`Self::try_lookup_profile`] for the exact semantics.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Io`] when the persisted file exists but reading it
-    /// fails; [`CacheError::Corrupt`] when it reads but fails to decode.
-    pub fn try_lookup_search(&self, key: u64) -> Result<Option<Arc<SearchArtifact>>, CacheError> {
-        self.lookup_disk_backed(
-            &self.inner.searches,
-            "search",
-            key,
-            SearchArtifact::from_text,
-        )
-    }
-
-    /// Stores a search artifact (and spills it to disk when the cache is
-    /// persistent; disk errors degrade to memory-only mode as in
-    /// [`Self::insert_profile`]).
-    pub fn insert_search(&self, key: u64, artifact: SearchArtifact) -> Arc<SearchArtifact> {
-        if let Some(path) = self.disk_path("search", key) {
-            self.spill("search", path, artifact.to_text());
-        }
-        let artifact = Arc::new(artifact);
-        self.inner
-            .searches
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, artifact.clone());
-        artifact
-    }
-
-    /// Drops the in-memory copy of a search artifact, forcing the next
-    /// lookup back to the persistence directory (or to a miss for
-    /// in-memory caches). Returns whether an entry was present. The
+    /// Drops the in-memory copy of an artifact, forcing the next lookup
+    /// back to the persistence directory (or to a miss for memory-only
+    /// kinds and caches). Returns whether an entry was present. The
     /// chaos harness uses this to model a node whose memory state is
     /// lost while its disk artifact has been corrupted.
-    pub fn evict_search(&self, key: u64) -> bool {
-        self.inner
-            .searches
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key)
-            .is_some()
+    pub fn evict<A: Artifact>(&self, key: u64) -> bool {
+        lock(&A::domain(self).map).remove(&key).is_some()
     }
 
-    /// The generic single-flight protocol: join (or lead) the key's
-    /// flight, and as leader run the authoritative store lookup followed
-    /// by `compute` + insert on a genuine miss. Store lookups, disk I/O
-    /// and the computation all run outside the flight-table lock.
-    fn single_flight<T, E>(
+    /// Runs `compute` for `key` under the single-flight guarantee: of N
+    /// concurrent callers with the same key, exactly one (the *leader*)
+    /// performs the lookup — and, on a miss, the computation and insert
+    /// — while the other N−1 block until the leader publishes its
+    /// result. The returned [`FlightRole`] records how this caller's
+    /// artifact was obtained. Store lookups, disk I/O and the
+    /// computation all run outside the flight-table lock.
+    ///
+    /// Lookup semantics match [`Self::lookup`]: an unreadable or corrupt
+    /// persisted file is treated as a miss (and recomputed), and exactly
+    /// one [`CacheStats`] hit or miss is counted per flight.
+    ///
+    /// # Errors
+    ///
+    /// [`SingleFlightError::Compute`] when this caller led the flight
+    /// and its own `compute` failed; [`SingleFlightError::Poisoned`]
+    /// when it followed a leader that failed (or panicked) — the flight
+    /// entry is gone, so retrying elects a fresh leader.
+    pub fn single_flight<A: Artifact, E>(
         &self,
-        flights: &FlightTable<T>,
-        kind: &'static str,
         key: u64,
-        lookup: impl FnOnce(&Self) -> Option<Arc<T>>,
-        insert: impl FnOnce(&Self, T) -> Arc<T>,
-        compute: impl FnOnce() -> Result<T, E>,
-    ) -> Result<(Arc<T>, FlightRole), SingleFlightError<E>> {
+        compute: impl FnOnce() -> Result<A, E>,
+    ) -> Result<(Arc<A>, FlightRole), SingleFlightError<E>> {
+        let flights = &A::domain(self).flights;
         let slot = match flights.join(key) {
             Join::Follow(slot) => slot,
             Join::Lead(slot) => {
@@ -1508,13 +1445,13 @@ impl ArtifactCache {
                     slot,
                     done: false,
                 };
-                if let Some(found) = lookup(self) {
+                if let Some(found) = self.lookup::<A>(key) {
                     guard.complete(found.clone());
                     return Ok((found, FlightRole::Cached));
                 }
                 return match compute() {
                     Ok(artifact) => {
-                        let artifact = insert(self, artifact);
+                        let artifact = self.insert(key, artifact);
                         flights.led.fetch_add(1, Ordering::Relaxed);
                         guard.complete(artifact.clone());
                         Ok((artifact, FlightRole::Led))
@@ -1533,64 +1470,10 @@ impl ArtifactCache {
             None => {
                 flights.poisoned.fetch_add(1, Ordering::Relaxed);
                 Err(SingleFlightError::Poisoned(CacheError::FlightPoisoned {
-                    kind,
+                    kind: A::NAME,
                     key,
                 }))
             }
         }
-    }
-
-    /// Runs `compute` for a profile key under the single-flight
-    /// guarantee: of N concurrent callers with the same key, exactly one
-    /// (the *leader*) performs the lookup — and, on a miss, the
-    /// computation and insert — while the other N−1 block until the
-    /// leader publishes its result. The returned [`FlightRole`] records
-    /// how this caller's artifact was obtained.
-    ///
-    /// Lookup semantics match [`Self::lookup_profile`]: an unreadable or
-    /// corrupt persisted file is treated as a miss (and recomputed), and
-    /// exactly one [`CacheStats`] hit or miss is counted per flight.
-    ///
-    /// # Errors
-    ///
-    /// [`SingleFlightError::Compute`] when this caller led the flight
-    /// and its own `compute` failed; [`SingleFlightError::Poisoned`]
-    /// when it followed a leader that failed (or panicked) — the flight
-    /// entry is gone, so retrying elects a fresh leader.
-    pub fn profile_single_flight<E>(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Result<ProfileArtifact, E>,
-    ) -> Result<(Arc<ProfileArtifact>, FlightRole), SingleFlightError<E>> {
-        self.single_flight(
-            &self.inner.profiles.flights,
-            "profile",
-            key,
-            |cache| cache.lookup_profile(key),
-            |cache, artifact| cache.insert_profile(key, artifact),
-            compute,
-        )
-    }
-
-    /// [`Self::profile_single_flight`] for search artifacts — the key
-    /// under which the service front end coalesces identical requests
-    /// and the fleet controller dedupes concurrent re-optimization.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::profile_single_flight`].
-    pub fn search_single_flight<E>(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Result<SearchArtifact, E>,
-    ) -> Result<(Arc<SearchArtifact>, FlightRole), SingleFlightError<E>> {
-        self.single_flight(
-            &self.inner.searches.flights,
-            "search",
-            key,
-            |cache| cache.lookup_search(key),
-            |cache, artifact| cache.insert_search(key, artifact),
-            compute,
-        )
     }
 }

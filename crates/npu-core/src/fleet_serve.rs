@@ -847,7 +847,7 @@ impl FleetController {
                     let Some(key) = published[j] else { continue };
                     // A counted cache lookup: transfer reads are part
                     // of the fleet's cache-hit economics.
-                    match self.cache.try_lookup_search(key) {
+                    match self.cache.try_lookup::<SearchArtifact>(key) {
                         Ok(Some(artifact)) => {
                             if strategy_is_sound(&artifact.outcome, &slot.cfg.freq_table) {
                                 slot.armed_seeds = vec![artifact.outcome.strategy.freqs().to_vec()];
@@ -975,8 +975,7 @@ impl FleetController {
                             if strategy_is_sound(&outgoing, &slot.cfg.freq_table) {
                                 let key =
                                     fleet_strategy_key(&slot.cfg, slot.seed, state.generation);
-                                self.cache
-                                    .insert_search(key, SearchArtifact { outcome: outgoing });
+                                self.cache.insert(key, SearchArtifact { outcome: outgoing });
                                 published[i] = Some(key);
                                 if plan.corrupts_at(i, epoch) {
                                     self.corrupt_cache_entry(key);
@@ -1212,8 +1211,8 @@ impl FleetController {
     /// persistent and not degraded) overwritten with garbage, so the
     /// next transfer lookup must reject it.
     fn corrupt_cache_entry(&self, key: u64) {
-        self.cache.evict_search(key);
-        if let Some(path) = self.cache.search_disk_path(key) {
+        self.cache.evict::<SearchArtifact>(key);
+        if let Some(path) = self.cache.disk_path::<SearchArtifact>(key) {
             let _ = std::fs::write(path, "corrupted by fleet chaos\n");
         }
     }

@@ -425,50 +425,13 @@ impl EnergyOptimizer {
         self
     }
 
-    /// Profiles `schedule` once per frequency, warming the chip to the
-    /// thermal steady state of each frequency first (the paper collects
-    /// data "once stable training is achieved"). Each recorded run is
-    /// reported as an [`Event::ProfileRun`] through the attached
+    /// Profiles `schedule` `passes` times per frequency, warming the chip
+    /// to the thermal steady state of each frequency first (the paper
+    /// collects data "once stable training is achieved"). Returns one
+    /// inner vector per frequency, one [`FreqProfile`] per pass; several
+    /// passes feed the median-of-k robust model inputs. Each recorded run
+    /// is reported as an [`Event::ProfileRun`] through the attached
     /// observer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError::Device`] if a run fails.
-    pub fn profile(
-        &mut self,
-        schedule: &Schedule,
-        freqs: &[FreqMhz],
-    ) -> Result<Vec<FreqProfile>, OptimizeError> {
-        let tau = self.dev.config().thermal_tau_us;
-        let mut profiles = Vec::with_capacity(freqs.len());
-        for &freq in freqs {
-            // Reach thermal steady state *at this frequency* before
-            // recording, as the paper does ("once stable training is
-            // achieved"): each frequency's power data must carry its own
-            // equilibrium temperature, not the previous run's heat.
-            let _ = self
-                .dev
-                .warm_until_steady(schedule, freq, 0.2, 12.0 * tau)?;
-            let run = self.dev.run(schedule, &RunOptions::at(freq))?;
-            self.dev.observer().emit(Event::ProfileRun {
-                freq_mhz: freq.mhz(),
-                ops: run.records.len(),
-                duration_us: run.duration_us,
-            });
-            profiles.push(FreqProfile {
-                freq,
-                records: run.records,
-            });
-        }
-        Ok(profiles)
-    }
-
-    /// Like [`Self::profile`] but records `passes` runs per frequency
-    /// (warming to the thermal steady state once per frequency), for the
-    /// median-of-k robust model inputs. Returns one inner vector per
-    /// frequency, one [`FreqProfile`] per pass. With `passes == 1` each
-    /// inner vector holds exactly the profile [`Self::profile`] would
-    /// have produced.
     ///
     /// # Errors
     ///
@@ -483,6 +446,8 @@ impl EnergyOptimizer {
         let tau = self.dev.config().thermal_tau_us;
         let mut out = Vec::with_capacity(freqs.len());
         for &freq in freqs {
+            // Each frequency's power data must carry its own equilibrium
+            // temperature, not the previous frequency's heat.
             let _ = self
                 .dev
                 .warm_until_steady(schedule, freq, 0.2, 12.0 * tau)?;
@@ -610,10 +575,10 @@ mod tests {
         let w = models::tiny(&cfg);
         let mut opt = fast_optimizer(&cfg);
         let profiles = opt
-            .profile(w.schedule(), &[FreqMhz::new(1800), FreqMhz::new(1000)])
+            .profile_passes(w.schedule(), &[FreqMhz::new(1800), FreqMhz::new(1000)], 1)
             .unwrap();
         assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].records.len(), w.op_count());
+        assert_eq!(profiles[0][0].records.len(), w.op_count());
     }
 
     #[test]

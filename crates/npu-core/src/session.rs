@@ -15,8 +15,8 @@
 //! `observe_pipeline` example).
 
 use crate::cache::{
-    model_key, profile_key, search_key, ArtifactCache, FlightRole, ModelArtifact, ProfileArtifact,
-    SearchArtifact, SingleFlightError,
+    model_key, profile_key, search_key, Artifact, ArtifactCache, FlightRole, ModelArtifact,
+    ProfileArtifact, SearchArtifact, SingleFlightError,
 };
 use crate::optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 use crate::report::{MeasuredIteration, OptimizationReport};
@@ -150,27 +150,57 @@ impl<'a> OptimizationSession<'a> {
         self
     }
 
-    /// The cache for this session's lookups: attached, and only usable
-    /// when the device has no fault hook (hook state is not fingerprinted,
-    /// so cached artifacts would be wrong for a faulty device).
-    fn usable_cache(&self) -> Option<ArtifactCache> {
-        if self.opt.dev.hook().is_some() {
-            return None;
-        }
-        self.cache.clone()
-    }
-
     fn emit_cache_event(&self, hit: bool, kind: &str) {
         if self.obs.enabled() {
+            let kind = kind.to_owned();
             self.obs.emit(if hit {
-                Event::CacheHit {
-                    kind: kind.to_owned(),
-                }
+                Event::CacheHit { kind }
             } else {
-                Event::CacheMiss {
-                    kind: kind.to_owned(),
-                }
+                Event::CacheMiss { kind }
             });
+        }
+    }
+
+    /// Runs one cacheable stage — profile, model or search — through the
+    /// session's cache, emitting [`Event::CacheHit`] / [`Event::CacheMiss`].
+    /// Single-flight: of N concurrent sessions with this key, exactly one
+    /// leads — running the authoritative lookup and, on a miss, `compute`
+    /// and the insert — while the rest block on its published artifact.
+    /// Without a key or an attached cache, `compute` simply runs, and so
+    /// it does on a device with a fault hook: hook state is not part of
+    /// the key, so cached artifacts would be wrong for a faulty device.
+    fn cached<A: Artifact + Clone>(
+        &self,
+        key: Option<u64>,
+        mut compute: impl FnMut() -> Result<A, OptimizeError>,
+    ) -> Result<A, OptimizeError> {
+        let cache = self
+            .cache
+            .as_ref()
+            .filter(|_| self.opt.dev.hook().is_none());
+        let (Some(key), Some(cache)) = (key, cache) else {
+            return compute();
+        };
+        let flight = cache.single_flight(key, || {
+            self.emit_cache_event(false, A::NAME);
+            compute()
+        });
+        match flight {
+            Ok((artifact, role)) => {
+                if role != FlightRole::Led {
+                    self.emit_cache_event(true, A::NAME);
+                }
+                Ok(A::clone(&artifact))
+            }
+            Err(SingleFlightError::Compute(e)) => Err(e),
+            Err(SingleFlightError::Poisoned(_)) => {
+                // The flight's leader failed; recompute locally rather
+                // than fail this session too. No insert — the next flight
+                // elects a fresh leader that publishes the authoritative
+                // artifact.
+                self.emit_cache_event(false, A::NAME);
+                compute()
+            }
         }
     }
 
@@ -216,103 +246,63 @@ impl<'a> OptimizationSession<'a> {
                 let passes = s.opts.profile_passes.max(1);
                 let keep_raw = s.opts.robust_fit && passes > 1;
 
-                if s.opt.dev.hook().is_some() {
+                let artifact = if s.opt.dev.hook().is_some() {
                     // Legacy serial in-place path: the hook's faults must
                     // reach the profiling runs, and hook state cannot be
                     // shared across worker forks (or fingerprinted).
-                    let profiles = if passes == 1 {
-                        s.opt.profile(s.workload.schedule(), &build_freqs)?
-                    } else {
-                        let raw =
-                            s.opt
-                                .profile_passes(s.workload.schedule(), &build_freqs, passes)?;
-                        let merged = merge_passes(&raw)?;
-                        if keep_raw {
-                            s.raw_profiles = Some(raw.into_iter().flatten().collect());
-                        }
-                        merged
-                    };
-                    s.finish_profile_stage(profiles, fmax);
-                    return Ok(());
-                }
-
-                let key = profile_key(
-                    s.opt.dev.config(),
-                    s.opt.dev.seed(),
-                    s.workload.schedule(),
-                    &build_freqs,
-                    passes,
-                    keep_raw,
-                );
-                s.profile_cache_key = Some(key);
-                let Some(cache) = s.usable_cache() else {
-                    // No cache attached: plain cold sweep.
-                    let artifact = s.run_profile_cold(&build_freqs, passes, keep_raw, fmax)?;
-                    s.adopt_profile(artifact);
-                    return Ok(());
+                    let raw = s
+                        .opt
+                        .profile_passes(s.workload.schedule(), &build_freqs, passes)?;
+                    s.fold_profile(raw, passes, keep_raw, fmax)?
+                } else {
+                    let key = profile_key(
+                        s.opt.dev.config(),
+                        s.opt.dev.seed(),
+                        s.workload.schedule(),
+                        &build_freqs,
+                        passes,
+                        keep_raw,
+                    );
+                    s.profile_cache_key = Some(key);
+                    s.cached(Some(key), || {
+                        let raw = sweep_profiles(
+                            &s.opt.dev,
+                            s.workload.schedule(),
+                            &build_freqs,
+                            passes,
+                            s.opts.threads,
+                            &s.obs,
+                        )?;
+                        s.fold_profile(raw, passes, keep_raw, fmax)
+                    })?
                 };
-                // Single-flight: of N concurrent sessions with this key,
-                // exactly one leads — running the authoritative lookup
-                // and, on a miss, the sweep + insert — while the rest
-                // block on its published artifact.
-                let flight = cache.profile_single_flight(key, || {
-                    s.emit_cache_event(false, "profile");
-                    s.run_profile_cold(&build_freqs, passes, keep_raw, fmax)
-                });
-                match flight {
-                    Ok((artifact, role)) => {
-                        if role != FlightRole::Led {
-                            s.emit_cache_event(true, "profile");
-                        }
-                        s.adopt_profile(ProfileArtifact::clone(&artifact));
-                        Ok(())
-                    }
-                    Err(SingleFlightError::Compute(e)) => Err(e),
-                    Err(SingleFlightError::Poisoned(_)) => {
-                        // The flight's leader failed; recompute locally
-                        // rather than fail this session too. No insert —
-                        // the next flight elects a fresh leader that
-                        // publishes the authoritative artifact.
-                        s.emit_cache_event(false, "profile");
-                        let artifact = s.run_profile_cold(&build_freqs, passes, keep_raw, fmax)?;
-                        s.adopt_profile(artifact);
-                        Ok(())
-                    }
-                }
+                s.profiles = Some(artifact.profiles);
+                s.raw_profiles = artifact.raw_profiles;
+                s.baseline = Some(artifact.baseline);
+                Ok(())
             })?;
         }
         Ok(self.profiles.as_deref().expect("profile stage ran"))
     }
 
-    /// The cold profile computation: parallel sweep over per-frequency
-    /// device forks, pass merging, and the measured-baseline fold.
-    /// Borrows the session immutably so it can run as a single-flight
-    /// compute closure; the caller adopts the returned artifact.
-    fn run_profile_cold(
+    /// Folds a sweep's passes (one inner vector per frequency) into the
+    /// profile artifact: per-operator medians across passes, the raw
+    /// passes when kept for the robust fitter, and the measured baseline.
+    fn fold_profile(
         &self,
-        build_freqs: &[npu_sim::FreqMhz],
+        raw: Vec<Vec<FreqProfile>>,
         passes: usize,
         keep_raw: bool,
         fmax: npu_sim::FreqMhz,
     ) -> Result<ProfileArtifact, OptimizeError> {
-        let raw = sweep_profiles(
-            &self.opt.dev,
-            self.workload.schedule(),
-            build_freqs,
-            passes,
-            self.opts.threads,
-            &self.obs,
-        )?;
         let (profiles, raw_profiles) = if passes == 1 {
             (raw.into_iter().flatten().collect(), None)
         } else {
             let merged = merge_passes(&raw)?;
-            let kept = if keep_raw {
-                Some(raw.into_iter().flatten().collect())
-            } else {
-                None
-            };
-            (merged, kept)
+            (
+                merged,
+                keep_raw.then(|| raw.into_iter().flatten().collect()),
+            )
         };
         let baseline = self.measure_baseline(&profiles, fmax);
         Ok(ProfileArtifact {
@@ -322,26 +312,8 @@ impl<'a> OptimizationSession<'a> {
         })
     }
 
-    /// Installs a profile artifact as this session's profile-stage state.
-    fn adopt_profile(&mut self, artifact: ProfileArtifact) {
-        self.profiles = Some(artifact.profiles);
-        self.raw_profiles = artifact.raw_profiles;
-        self.baseline = Some(artifact.baseline);
-    }
-
-    /// Folds the fmax profile into the measured baseline, emits the
-    /// baseline [`Event::IterationMeasured`], and stores the stage's
-    /// artifacts on the session.
-    fn finish_profile_stage(&mut self, profiles: Vec<FreqProfile>, fmax: npu_sim::FreqMhz) {
-        let baseline = self.measure_baseline(&profiles, fmax);
-        self.baseline = Some(baseline);
-        self.profiles = Some(profiles);
-    }
-
     /// Folds the fmax profile into the measured baseline and emits the
-    /// baseline [`Event::IterationMeasured`]. Borrows the session
-    /// immutably so the cold-profile path can run under a single-flight
-    /// closure.
+    /// baseline [`Event::IterationMeasured`].
     fn measure_baseline(
         &self,
         profiles: &[FreqProfile],
@@ -397,47 +369,9 @@ impl<'a> OptimizationSession<'a> {
                     .profile_cache_key
                     .map(|pk| model_key(pk, s.opts.fit, s.opts.robust_fit, &s.opt.calib));
                 s.model_cache_key = key;
-                if let (Some(key), Some(cache)) = (key, s.usable_cache()) {
-                    if let Some(artifact) = cache.lookup_model(key) {
-                        s.emit_cache_event(true, "model");
-                        s.perf = Some(artifact.perf.clone());
-                        s.power = Some(artifact.power.clone());
-                        return Ok(());
-                    }
-                    s.emit_cache_event(false, "model");
-                }
-                let voltage = s.opt.dev.config().voltage_curve;
-                let profiles = s.profiles.as_ref().expect("profile stage ran");
-                let perf = if s.opts.robust_fit {
-                    // Feed the fitter every raw pass (when multi-pass
-                    // profiling kept them) so the MAD cut sees the
-                    // repeats; otherwise it degrades gracefully to the
-                    // merged medians.
-                    let src: &[FreqProfile] = s.raw_profiles.as_deref().unwrap_or(profiles);
-                    let store = PerfModelStore::build_robust(src, s.opts.fit, MAD_K)?;
-                    if s.obs.enabled() {
-                        s.obs.emit(Event::ModelFitted {
-                            func: s.opts.fit.to_string(),
-                            ops: store.len(),
-                            max_err: store.max_fit_error(profiles),
-                        });
-                    }
-                    store
-                } else {
-                    PerfModelStore::build_observed(profiles, s.opts.fit, &s.obs)?
-                };
-                let power = PowerModel::build(s.opt.calib, voltage, profiles)?;
-                if let (Some(key), Some(cache)) = (key, s.usable_cache()) {
-                    cache.insert_model(
-                        key,
-                        ModelArtifact {
-                            perf: perf.clone(),
-                            power: power.clone(),
-                        },
-                    );
-                }
-                s.perf = Some(perf);
-                s.power = Some(power);
+                let models = s.cached(key, || s.fit_models())?;
+                s.perf = Some(models.perf);
+                s.power = Some(models.power);
                 Ok(())
             })?;
         }
@@ -445,6 +379,32 @@ impl<'a> OptimizationSession<'a> {
             self.perf.as_ref().expect("model stage ran"),
             self.power.as_ref().expect("model stage ran"),
         ))
+    }
+
+    /// The cold model computation: fits the performance models and the
+    /// power model from the session's profiles.
+    fn fit_models(&self) -> Result<ModelArtifact, OptimizeError> {
+        let profiles = self.profiles.as_ref().expect("profile stage ran");
+        let perf = if self.opts.robust_fit {
+            // Feed the fitter every raw pass (when multi-pass profiling
+            // kept them) so the MAD cut sees the repeats; otherwise it
+            // degrades gracefully to the merged medians.
+            let src: &[FreqProfile] = self.raw_profiles.as_deref().unwrap_or(profiles);
+            let store = PerfModelStore::build_robust(src, self.opts.fit, MAD_K)?;
+            if self.obs.enabled() {
+                self.obs.emit(Event::ModelFitted {
+                    func: self.opts.fit.to_string(),
+                    ops: store.len(),
+                    max_err: store.max_fit_error(profiles),
+                });
+            }
+            store
+        } else {
+            PerfModelStore::build_observed(profiles, self.opts.fit, &self.obs)?
+        };
+        let voltage = self.opt.dev.config().voltage_curve;
+        let power = PowerModel::build(self.opt.calib, voltage, profiles)?;
+        Ok(ModelArtifact { perf, power })
     }
 
     /// Stage 3 — preprocesses the baseline profile into stages and runs
@@ -464,80 +424,36 @@ impl<'a> OptimizationSession<'a> {
                 // latency cannot land where planned.
                 let fai = s.opts.fai_us.max(s.opt.dev.config().setfreq_latency_us);
                 let key = s.model_cache_key.map(|mk| search_key(mk, fai, &s.opts.ga));
-                let (Some(key), Some(cache)) = (key, s.usable_cache()) else {
-                    let (pre, table, outcome) = s.run_search_cold(fai)?;
-                    s.preprocessed = Some(pre);
-                    s.table = Some(table);
-                    s.outcome = Some(outcome);
-                    return Ok(());
-                };
-                // Single-flight over the search key — the key the service
-                // front end coalesces identical requests on. The leader
-                // keeps its preprocessed stages and table; followers and
-                // plain hits recompute only the cheap preprocessing.
+                let baseline_records = &s.profiles.as_ref().expect("profile stage ran")[0].records;
+                // A session that runs the search keeps its preprocessed
+                // stages and stage table; one served from the cache
+                // recomputes only the cheap preprocessing, so the stage
+                // count and stage artifact stay available. The stage
+                // table is not rebuilt on a hit.
                 let mut built = None;
-                let flight = cache.search_single_flight(key, || {
-                    s.emit_cache_event(false, "search");
-                    let (pre, table, outcome) = s.run_search_cold(fai)?;
+                let artifact = s.cached(key, || {
+                    let pre = preprocess(baseline_records, fai);
+                    let table = StageTable::build(
+                        &pre,
+                        s.perf.as_ref().expect("model stage ran"),
+                        s.power.as_ref().expect("model stage ran"),
+                        &s.opt.dev.config().freq_table,
+                    )?;
+                    let outcome = search_observed(&table, &s.opts.ga, &s.obs);
                     built = Some((pre, table));
                     Ok(SearchArtifact { outcome })
-                });
-                match flight {
-                    Ok((artifact, role)) => {
-                        if role != FlightRole::Led {
-                            s.emit_cache_event(true, "search");
-                        }
-                        s.outcome = Some(artifact.outcome.clone());
-                        if let Some((pre, table)) = built {
-                            s.preprocessed = Some(pre);
-                            s.table = Some(table);
-                        } else {
-                            // Preprocessing is a cheap pure function of
-                            // the (cached) baseline profile; recompute it
-                            // so the stage count and stage artifact stay
-                            // available. The stage table is not rebuilt
-                            // on a hit.
-                            let baseline_records =
-                                &s.profiles.as_ref().expect("profile stage ran")[0].records;
-                            s.preprocessed = Some(preprocess(baseline_records, fai));
-                        }
-                        Ok(())
-                    }
-                    Err(SingleFlightError::Compute(e)) => Err(e),
-                    Err(SingleFlightError::Poisoned(_)) => {
-                        // Leader failure: recompute locally, no insert
-                        // (see the profile stage for the rationale).
-                        s.emit_cache_event(false, "search");
-                        let (pre, table, outcome) = s.run_search_cold(fai)?;
-                        s.preprocessed = Some(pre);
-                        s.table = Some(table);
-                        s.outcome = Some(outcome);
-                        Ok(())
-                    }
-                }
+                })?;
+                let (pre, table) = match built {
+                    Some((pre, table)) => (pre, Some(table)),
+                    None => (preprocess(baseline_records, fai), None),
+                };
+                s.preprocessed = Some(pre);
+                s.table = table;
+                s.outcome = Some(artifact.outcome);
+                Ok(())
             })?;
         }
         Ok(self.outcome.as_ref().expect("search stage ran"))
-    }
-
-    /// The cold search computation: preprocess the baseline profile,
-    /// build the stage table, run the GA. Borrows the session immutably
-    /// so it can run as a single-flight compute closure.
-    fn run_search_cold(
-        &self,
-        fai: f64,
-    ) -> Result<(Preprocessed, StageTable, GaOutcome), OptimizeError> {
-        let baseline_records = &self.profiles.as_ref().expect("profile stage ran")[0].records;
-        let freq_table = self.opt.dev.config().freq_table.clone();
-        let pre = preprocess(baseline_records, fai);
-        let table = StageTable::build(
-            &pre,
-            self.perf.as_ref().expect("model stage ran"),
-            self.power.as_ref().expect("model stage ran"),
-            &freq_table,
-        )?;
-        let outcome = search_observed(&table, &self.opts.ga, &self.obs);
-        Ok((pre, table, outcome))
     }
 
     /// Stage 4 — executes the winning strategy on the device and
@@ -685,7 +601,8 @@ impl<'a> OptimizationSession<'a> {
                 }
             }
             let fmax = s.opt.dev.config().freq_table.max();
-            s.finish_profile_stage(profiles, fmax);
+            s.baseline = Some(s.measure_baseline(&profiles, fmax));
+            s.profiles = Some(profiles);
             s.profile_cache_key = None;
             s.invalidate_models();
             Ok(())

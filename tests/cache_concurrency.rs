@@ -87,7 +87,7 @@ fn racing_identical_keys_runs_exactly_one_compute_per_key() {
                 s.spawn(move || {
                     barrier.wait();
                     let (artifact, role) = cache
-                        .search_single_flight(key, || {
+                        .single_flight(key, || {
                             computes[key as usize].fetch_add(1, Ordering::SeqCst);
                             // Widen the window so followers actually
                             // pile onto the in-flight computation.
@@ -110,7 +110,7 @@ fn racing_identical_keys_runs_exactly_one_compute_per_key() {
     // one the cache stores, and the contents are the derived artifact.
     for (key, artifact, _) in &results {
         let stored = cache
-            .try_lookup_search(*key)
+            .try_lookup::<SearchArtifact>(*key)
             .unwrap()
             .expect("artifact stored");
         assert!(
@@ -154,7 +154,7 @@ fn near_identical_keys_do_not_share_flights() {
             let cache = &cache;
             s.spawn(move || {
                 let (artifact, role) = cache
-                    .search_single_flight(key, || Ok::<_, CacheError>(search_artifact(key)))
+                    .single_flight(key, || Ok::<_, CacheError>(search_artifact(key)))
                     .unwrap();
                 assert_eq!(role, FlightRole::Led);
                 assert_eq!(
@@ -167,7 +167,7 @@ fn near_identical_keys_do_not_share_flights() {
     assert_eq!(cache.flight_stats().search.led, keys.len() as u64);
     for &key in &keys {
         assert_eq!(
-            *cache.try_lookup_search(key).unwrap().unwrap(),
+            *cache.try_lookup::<SearchArtifact>(key).unwrap().unwrap(),
             search_artifact(key)
         );
     }
@@ -189,7 +189,7 @@ fn poisoned_leader_yields_typed_error_and_a_fresh_leader_recovers() {
             let barrier = &barrier;
             s.spawn(move || {
                 cache
-                    .search_single_flight(key, || {
+                    .single_flight::<SearchArtifact, _>(key, || {
                         barrier.wait();
                         thread::sleep(Duration::from_millis(200));
                         Err("injected compute failure")
@@ -204,7 +204,7 @@ fn poisoned_leader_yields_typed_error_and_a_fresh_leader_recovers() {
                 s.spawn(move || {
                     barrier.wait();
                     cache
-                        .search_single_flight(key, || Err("injected compute failure"))
+                        .single_flight::<SearchArtifact, _>(key, || Err("injected compute failure"))
                         .map(|(_, role)| role)
                 })
             })
@@ -236,11 +236,11 @@ fn poisoned_leader_yields_typed_error_and_a_fresh_leader_recovers() {
     assert!(poisoned >= 1, "no follower observed the poisoned flight");
     assert_eq!(cache.flight_stats().search.poisoned, poisoned);
     // Nothing was published...
-    assert!(cache.try_lookup_search(key).unwrap().is_none());
+    assert!(cache.try_lookup::<SearchArtifact>(key).unwrap().is_none());
     // ...and the table is clean: the next caller leads a fresh flight
     // and succeeds.
     let (artifact, role) = cache
-        .search_single_flight(key, || Ok::<_, CacheError>(search_artifact(key)))
+        .single_flight(key, || Ok::<_, CacheError>(search_artifact(key)))
         .unwrap();
     assert_eq!(role, FlightRole::Led);
     assert_eq!(*artifact, search_artifact(key));
@@ -259,7 +259,7 @@ fn profile_domain_coalesces_independently_of_search_domain() {
             s.spawn(move || {
                 barrier.wait();
                 let (artifact, _) = cache
-                    .profile_single_flight(7, || {
+                    .single_flight(7, || {
                         computes.fetch_add(1, Ordering::SeqCst);
                         thread::sleep(Duration::from_millis(10));
                         Ok::<_, CacheError>(profile_artifact(7))
@@ -276,6 +276,45 @@ fn profile_domain_coalesces_independently_of_search_domain() {
     assert_eq!(flights.search, dvfs_repro::core::FlightStats::default());
 }
 
+#[test]
+fn concurrent_sessions_sharing_a_model_key_fit_the_models_once() {
+    const SESSIONS: usize = 8;
+    let cfg = NpuConfig::ascend_like();
+    let workload = models::tiny(&cfg);
+    let calib = dvfs_repro::power_model::HardwareCalibration::ground_truth(&cfg);
+    let opts = OptimizerConfig::for_device(&cfg);
+    let build_models = |cache: &ArtifactCache| {
+        let mut opt = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
+        let mut session = opt.session(&workload, &opts).with_cache(cache.clone());
+        session.build_models().unwrap();
+    };
+
+    // A lone session counts one miss per stage it runs.
+    let lone = ArtifactCache::new();
+    build_models(&lone);
+    let stats = lone.stats();
+    assert_eq!((stats.profile.hits, stats.profile.misses), (0, 1));
+    assert_eq!((stats.model.hits, stats.model.misses), (0, 1));
+    assert_eq!(lone.flight_stats().model.led, 1);
+
+    // Concurrent sessions over one workload, config and cache: one
+    // leader fits the models, every other session waits for its result
+    // or finds it stored.
+    let shared = ArtifactCache::new();
+    let barrier = Barrier::new(SESSIONS);
+    thread::scope(|s| {
+        for _ in 0..SESSIONS {
+            s.spawn(|| {
+                barrier.wait();
+                build_models(&shared);
+            });
+        }
+    });
+    assert_eq!(shared.flight_stats().model.led, 1);
+    assert_eq!(shared.stats().model.misses, 1);
+    assert_eq!(shared.flight_stats().profile.led, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -290,9 +329,9 @@ proptest! {
     ) {
         let serial = ArtifactCache::new();
         for &k in &keys {
-            serial.insert_search(k, search_artifact(k));
-            serial.insert_profile(k, profile_artifact(k));
-            prop_assert!(serial.try_lookup_search(k).unwrap().is_some());
+            serial.insert(k, search_artifact(k));
+            serial.insert(k, profile_artifact(k));
+            prop_assert!(serial.try_lookup::<SearchArtifact>(k).unwrap().is_some());
         }
 
         let concurrent = ArtifactCache::new();
@@ -303,12 +342,12 @@ proptest! {
                 s.spawn(move || {
                     for (i, &k) in keys.iter().enumerate() {
                         if i % threads == t {
-                            concurrent.insert_search(k, search_artifact(k));
-                            concurrent.insert_profile(k, profile_artifact(k));
+                            concurrent.insert(k, search_artifact(k));
+                            concurrent.insert(k, profile_artifact(k));
                         } else {
                             // Interleave lookups on keys other threads own.
-                            let _ = concurrent.try_lookup_search(k).unwrap();
-                            let _ = concurrent.try_lookup_profile(k).unwrap();
+                            let _ = concurrent.try_lookup::<SearchArtifact>(k).unwrap();
+                            let _ = concurrent.try_lookup::<ProfileArtifact>(k).unwrap();
                         }
                     }
                 });
@@ -316,11 +355,11 @@ proptest! {
         });
 
         for &k in &keys {
-            let a = serial.try_lookup_search(k).unwrap().unwrap();
-            let b = concurrent.try_lookup_search(k).unwrap().unwrap();
+            let a = serial.try_lookup::<SearchArtifact>(k).unwrap().unwrap();
+            let b = concurrent.try_lookup::<SearchArtifact>(k).unwrap().unwrap();
             prop_assert_eq!(&*a, &*b);
-            let a = serial.try_lookup_profile(k).unwrap().unwrap();
-            let b = concurrent.try_lookup_profile(k).unwrap().unwrap();
+            let a = serial.try_lookup::<ProfileArtifact>(k).unwrap().unwrap();
+            let b = concurrent.try_lookup::<ProfileArtifact>(k).unwrap().unwrap();
             prop_assert_eq!(&*a, &*b);
         }
     }

@@ -479,11 +479,11 @@ fn tiny_profile_artifact() -> ProfileArtifact {
 fn truncated_persisted_profile_is_a_typed_error_and_counts_a_miss() {
     let dir = scratch_cache_dir("profile-truncated");
     let warm = ArtifactCache::persistent(&dir).unwrap();
-    warm.insert_profile(0xBAD, tiny_profile_artifact());
+    warm.insert(0xBAD, tiny_profile_artifact());
 
     // A fresh store over an intact file starts warm.
     let cold = ArtifactCache::persistent(&dir).unwrap();
-    assert!(cold.try_lookup_profile(0xBAD).unwrap().is_some());
+    assert!(cold.try_lookup::<ProfileArtifact>(0xBAD).unwrap().is_some());
 
     // Truncate the file mid-stream (the text is pure ASCII) and look it
     // up through another fresh store, so memory cannot mask the damage.
@@ -491,7 +491,7 @@ fn truncated_persisted_profile_is_a_typed_error_and_counts_a_miss() {
     let full = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, &full[..full.len() / 2]).unwrap();
     let cold = ArtifactCache::persistent(&dir).unwrap();
-    match cold.try_lookup_profile(0xBAD) {
+    match cold.try_lookup::<ProfileArtifact>(0xBAD) {
         Err(CacheError::Corrupt {
             kind,
             key,
@@ -508,8 +508,24 @@ fn truncated_persisted_profile_is_a_typed_error_and_counts_a_miss() {
     assert_eq!((stats.profile.hits, stats.profile.misses), (0, 1));
 
     // The unchecked lookup folds the same damage into a plain miss.
-    assert!(cold.lookup_profile(0xBAD).is_none());
+    assert!(cold.lookup::<ProfileArtifact>(0xBAD).is_none());
     assert_eq!(cold.stats().profile.misses, 2);
+
+    // A count no file can back fails at end of file as well, instead of
+    // sizing an allocation from it.
+    let head = "npu-core-cache profile v1\nbaseline 1 2 3 4\n";
+    for text in [
+        format!("{head}profiles 18446744073709551615\n"),
+        format!("{head}profiles 1\nfreq 1800 18446744073709551615\n"),
+        format!("{head}profiles 1\nfreq 1800 0\nraw 18446744073709551615\n"),
+    ] {
+        std::fs::write(&path, &text).unwrap();
+        let cold = ArtifactCache::persistent(&dir).unwrap();
+        let found = cold.try_lookup::<ProfileArtifact>(0xBAD);
+        assert!(matches!(found, Err(CacheError::Corrupt { .. })), "{text}");
+        let stats = cold.stats();
+        assert_eq!((stats.profile.hits, stats.profile.misses), (0, 1));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -531,15 +547,18 @@ fn disk_write_failure_degrades_to_memory_only_and_emits_event() {
 
     // The failing insert degrades the cache instead of erroring; the
     // memory store stays authoritative.
-    cache.insert_profile(0xD06, tiny_profile_artifact());
+    cache.insert(0xD06, tiny_profile_artifact());
     assert!(cache.disk_degraded());
-    assert!(cache.try_lookup_profile(0xD06).unwrap().is_some());
+    assert!(cache
+        .try_lookup::<ProfileArtifact>(0xD06)
+        .unwrap()
+        .is_some());
 
     // Later traffic skips the dead disk entirely — inserts land in
     // memory and lookups of unknown keys are plain misses, not errors.
-    cache.insert_profile(0xD07, tiny_profile_artifact());
-    assert!(cache.lookup_profile(0xD07).is_some());
-    assert!(cache.try_lookup_search(0xD08).unwrap().is_none());
+    cache.insert(0xD07, tiny_profile_artifact());
+    assert!(cache.lookup::<ProfileArtifact>(0xD07).is_some());
+    assert!(cache.try_lookup::<SearchArtifact>(0xD08).unwrap().is_none());
 
     drop(cache);
     let text = String::from_utf8(
@@ -562,20 +581,32 @@ fn garbage_persisted_search_is_corrupt_while_absence_stays_a_plain_miss() {
     let dir = scratch_cache_dir("search-garbage");
     let cache = ArtifactCache::persistent(&dir).unwrap();
     // Nothing stored: a genuine absence, not an error.
-    assert!(cache.try_lookup_search(1).unwrap().is_none());
+    assert!(cache.try_lookup::<SearchArtifact>(1).unwrap().is_none());
 
     let path = dir.join(format!("search-{:016x}.txt", 2u64));
     std::fs::write(&path, "not an artifact\n").unwrap();
-    match cache.try_lookup_search(2) {
+    match cache.try_lookup::<SearchArtifact>(2) {
         Err(CacheError::Corrupt { kind, key, .. }) => {
             assert_eq!(kind, "search");
             assert_eq!(key, 2);
         }
         other => panic!("expected CacheError::Corrupt, got {other:?}"),
     }
-    assert!(cache.lookup_search(2).is_none());
+    assert!(cache.lookup::<SearchArtifact>(2).is_none());
     let stats = cache.stats();
     assert_eq!(stats.search.hits, 0);
     assert_eq!(stats.search.misses, 3);
+
+    // A stage count no file can back fails at end of file as well,
+    // instead of sizing (or aborting on) an allocation.
+    let head = "npu-core-cache search v1\neval 1 2 3\nscore 0\ntrace 0\nevals 1 1\n";
+    for count in ["18446744073709551615", "1000000000000000"] {
+        std::fs::write(&path, format!("{head}stages {count}\n")).unwrap();
+        let cache = ArtifactCache::persistent(&dir).unwrap();
+        let found = cache.try_lookup::<SearchArtifact>(2);
+        assert!(matches!(found, Err(CacheError::Corrupt { .. })), "{count}");
+        let stats = cache.stats();
+        assert_eq!((stats.search.hits, stats.search.misses), (0, 1));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
