@@ -15,11 +15,11 @@
 //!
 //! - **profile key** ← every [`NpuConfig`] field (frequency table points
 //!   and the voltage at each of them included), the device noise seed,
-//!   every descriptor field of every schedule operator, the build
-//!   frequencies in profiling order, the pass count, and whether raw
-//!   passes are kept for the robust fitter.
-//! - **model key** ← profile key + fitting function + robust-fit flag +
-//!   the eight calibration parameters.
+//!   every descriptor field of every schedule operator, and the build
+//!   frequencies in profiling order.
+//! - **model key** ← profile key + fitting function + robust-fit flag
+//!   (set once a session's `refit_models` has run) + the eight
+//!   calibration parameters.
 //! - **search key** ← model key + the effective FAI + every
 //!   [`GaConfig`] field *except* `threads` (worker counts never change
 //!   GA results, so they must not fragment the cache) — including the
@@ -194,18 +194,17 @@ fn push_schedule(fp: &mut Fingerprint, schedule: &Schedule) {
 }
 
 /// Cache key for a profiling sweep: device config + noise seed +
-/// schedule + build frequencies (in profiling order) + pass count +
-/// whether the raw passes are kept for the robust fitter.
+/// schedule + build frequencies (in profiling order).
 #[must_use]
 pub fn profile_key(
     cfg: &NpuConfig,
     device_seed: u64,
     schedule: &Schedule,
     build_freqs: &[FreqMhz],
-    passes: usize,
-    keep_raw: bool,
 ) -> u64 {
-    let mut fp = Fingerprint::new("npu-core/profile/v1");
+    // v2: the pass count and the keep-raw flag left the key (profiling
+    // records one pass per frequency).
+    let mut fp = Fingerprint::new("npu-core/profile/v2");
     push_config(&mut fp, cfg);
     fp.push_u64(device_seed);
     push_schedule(&mut fp, schedule);
@@ -213,8 +212,6 @@ pub fn profile_key(
     for &f in build_freqs {
         fp.push_u64(u64::from(f.mhz()));
     }
-    fp.push_usize(passes);
-    fp.push_bool(keep_raw);
     fp.finish()
 }
 
@@ -299,14 +296,12 @@ pub fn fleet_strategy_key(cfg: &NpuConfig, device_seed: u64, generation: usize) 
 // Artifacts
 // ---------------------------------------------------------------------------
 
-/// The profile stage's outputs: merged per-frequency profiles, the raw
-/// passes when kept for the robust fitter, and the measured baseline.
+/// The profile stage's outputs: the per-frequency profiles and the
+/// measured baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileArtifact {
-    /// One merged profile per build frequency, fmax first.
+    /// One profile per build frequency, fmax first.
     pub profiles: Vec<FreqProfile>,
-    /// Raw per-pass profiles (`profile_passes > 1` with `robust_fit`).
-    pub raw_profiles: Option<Vec<FreqProfile>>,
     /// The fmax profile folded into the measured baseline iteration.
     pub baseline: MeasuredIteration,
 }
@@ -519,8 +514,8 @@ impl<'a> Lines<'a> {
     }
 }
 
-fn write_profiles(out: &mut String, tag: &str, profiles: &[FreqProfile]) {
-    let _ = writeln!(out, "{tag} {}", profiles.len());
+fn write_profiles(out: &mut String, profiles: &[FreqProfile]) {
+    let _ = writeln!(out, "profiles {}", profiles.len());
     for p in profiles {
         let _ = writeln!(out, "freq {} {}", p.freq.mhz(), p.records.len());
         for r in &p.records {
@@ -609,16 +604,6 @@ fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseEr
     Ok(FreqProfile { freq, records })
 }
 
-/// Reads `n` (still undecoded) `freq` blocks.
-fn read_profiles(lines: &mut Lines<'_>, n: &str) -> Result<Vec<FreqProfile>, ArtifactParseError> {
-    let n: usize = lines.uint(n)?;
-    let mut profiles = Vec::new();
-    for _ in 0..n {
-        profiles.push(read_freq_block(lines)?);
-    }
-    Ok(profiles)
-}
-
 fn parse_op_class(s: &str, line: usize) -> Result<npu_sim::OpClass, ArtifactParseError> {
     use npu_sim::OpClass::{AiCpu, Communication, Compute, Idle};
     match s {
@@ -649,7 +634,8 @@ impl ProfileArtifact {
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("npu-core-cache profile v1\n");
+        // v2: the `raw` block of kept profiling passes left the format.
+        out.push_str("npu-core-cache profile v2\n");
         let b = &self.baseline;
         let _ = writeln!(
             out,
@@ -659,11 +645,7 @@ impl ProfileArtifact {
             F64Text(b.soc_w),
             F64Text(b.temp_c)
         );
-        write_profiles(&mut out, "profiles", &self.profiles);
-        match &self.raw_profiles {
-            Some(raw) => write_profiles(&mut out, "raw", raw),
-            None => out.push_str("raw none\n"),
-        }
+        write_profiles(&mut out, &self.profiles);
         out
     }
 
@@ -675,7 +657,7 @@ impl ProfileArtifact {
     pub fn from_text(text: &str) -> Result<Self, ArtifactParseError> {
         let mut lines = Lines::new(text);
         let header = lines.next()?;
-        if header != "npu-core-cache profile v1" {
+        if header != "npu-core-cache profile v2" {
             return Err(parse_err(1, format!("bad header `{header}`")));
         }
         let [t, a, s, c] = lines.fields::<4>("baseline")?;
@@ -686,17 +668,12 @@ impl ProfileArtifact {
             temp_c: lines.f64(c)?,
         };
         let [n] = lines.fields::<1>("profiles")?;
-        let profiles = read_profiles(&mut lines, n)?;
-        // Either `raw none` or a counted block of `freq` sections.
-        let raw_profiles = match lines.expect("raw ")? {
-            "none" => None,
-            n => Some(read_profiles(&mut lines, n)?),
-        };
-        Ok(Self {
-            profiles,
-            raw_profiles,
-            baseline,
-        })
+        let n: usize = lines.uint(n)?;
+        let mut profiles = Vec::new();
+        for _ in 0..n {
+            profiles.push(read_freq_block(&mut lines)?);
+        }
+        Ok(Self { profiles, baseline })
     }
 }
 

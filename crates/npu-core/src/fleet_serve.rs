@@ -1147,7 +1147,7 @@ impl FleetController {
             .with_config(self.opts.clone())
             .with_serve_options(self.serve.clone())
             .with_cache(self.cache.clone())
-            .build();
+            .assemble();
         rt.set_force_reopt_failure(hang_reopt);
         rt.restore_state(slot.state.take());
         if !slot.armed_seeds.is_empty() {

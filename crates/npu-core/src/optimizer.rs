@@ -6,14 +6,14 @@ use crate::report::OptimizationReport;
 use crate::serve::ConfigError;
 use crate::session::OptimizationSession;
 use npu_dvfs::{GaConfig, GaOutcome, TableError};
-use npu_exec::{ExecError, ResilientOptions};
-use npu_obs::{Event, ObserverHandle};
-use npu_perf_model::{BuildError, FitFunction, FreqProfile, MergeError};
+use npu_exec::ExecError;
+use npu_obs::ObserverHandle;
+use npu_perf_model::{BuildError, FitFunction};
 use npu_power_model::{
     calibrate_device, CalibrationOptions, DeviceCalibrationError, HardwareCalibration,
     PowerBuildError,
 };
-use npu_sim::{Device, DeviceError, FreqMhz, NpuConfig, RunOptions, Schedule};
+use npu_sim::{Device, DeviceError, FreqMhz, NpuConfig};
 use npu_workloads::{models, ops, Workload};
 use std::fmt;
 
@@ -37,23 +37,6 @@ pub struct OptimizerConfig {
     /// Trigger-placement latency override (see
     /// [`npu_exec::ExecutorOptions::planned_latency_us`]).
     pub planned_latency_us: Option<f64>,
-    /// Recorded profiling passes per build frequency. The default `1`
-    /// keeps the historical single-pass path bit-identical; `k > 1` runs
-    /// each frequency `k` times and merges per-operator medians
-    /// ([`npu_perf_model::merge_profiles`]), so up to ⌈k/2⌉−1 corrupted
-    /// passes per operator cannot poison the model inputs.
-    pub profile_passes: usize,
-    /// Fit the performance model through the MAD outlier-rejecting
-    /// sample path ([`npu_perf_model::PerfModelStore::build_robust`]).
-    /// Most useful together with `profile_passes > 1`, where the fitter
-    /// then sees every raw pass instead of the merged medians. Off by
-    /// default (bit-identical results).
-    pub robust_fit: bool,
-    /// Execute the winning strategy through the resilient runtime
-    /// ([`npu_exec::execute_resilient`]) with these retry/guardrail
-    /// settings instead of the plain executor. `None` (the default)
-    /// keeps the plain single-shot path.
-    pub resilience: Option<ResilientOptions>,
 }
 
 impl OptimizerConfig {
@@ -83,9 +66,6 @@ impl Default for OptimizerConfig {
             ga: GaConfig::default(),
             threads: 0,
             planned_latency_us: None,
-            profile_passes: 1,
-            robust_fit: false,
-            resilience: None,
         }
     }
 }
@@ -149,39 +129,14 @@ impl OptimizerConfig {
         self
     }
 
-    /// Sets the recorded profiling passes per build frequency (clamped
-    /// to at least 1), chainable.
-    #[must_use]
-    pub fn with_profile_passes(mut self, passes: usize) -> Self {
-        self.profile_passes = passes.max(1);
-        self
-    }
-
-    /// Enables or disables MAD outlier-rejecting performance-model
-    /// fitting, chainable.
-    #[must_use]
-    pub fn with_robust_fit(mut self, robust: bool) -> Self {
-        self.robust_fit = robust;
-        self
-    }
-
-    /// Routes execution through the resilient runtime with the given
-    /// retry/guardrail settings (`None` restores the plain executor),
-    /// chainable.
-    #[must_use]
-    pub fn with_resilience(mut self, resilience: Option<ResilientOptions>) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
     /// Checks that the options describe a well-defined optimization.
     /// Every validating entry point runs this: [`ServeBuilder::try_build`],
     /// [`ServiceBuilder::try_build`] and [`FleetController::run`].
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroCount`] for an empty build-frequency grid,
-    /// zero GA generations or zero profiling passes;
+    /// [`ConfigError::ZeroCount`] for an empty build-frequency grid or
+    /// zero GA generations;
     /// [`ConfigError::BadThreshold`] for a GA population below 2 (the
     /// GA's crossover needs two parents), a non-finite or non-positive
     /// frequency-adjustment interval, or a performance-loss target
@@ -205,11 +160,6 @@ impl OptimizerConfig {
         if self.ga.iterations == 0 {
             return Err(ConfigError::ZeroCount {
                 field: "opts.ga.iterations",
-            });
-        }
-        if self.profile_passes == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "opts.profile_passes",
             });
         }
         if !self.fai_us.is_finite() || self.fai_us <= 0.0 {
@@ -244,8 +194,6 @@ pub enum OptimizeError {
     Table(TableError),
     /// Strategy execution failed.
     Exec(ExecError),
-    /// Multi-pass profile merging failed.
-    ProfileMerge(MergeError),
 }
 
 impl fmt::Display for OptimizeError {
@@ -257,7 +205,6 @@ impl fmt::Display for OptimizeError {
             Self::PowerModel(e) => write!(f, "power model failed: {e}"),
             Self::Table(e) => write!(f, "stage table failed: {e}"),
             Self::Exec(e) => write!(f, "strategy execution failed: {e}"),
-            Self::ProfileMerge(e) => write!(f, "profile merge failed: {e}"),
         }
     }
 }
@@ -271,7 +218,6 @@ impl std::error::Error for OptimizeError {
             Self::PowerModel(e) => Some(e),
             Self::Table(e) => Some(e),
             Self::Exec(e) => Some(e),
-            Self::ProfileMerge(e) => Some(e),
         }
     }
 }
@@ -304,11 +250,6 @@ impl From<TableError> for OptimizeError {
 impl From<ExecError> for OptimizeError {
     fn from(e: ExecError) -> Self {
         Self::Exec(e)
-    }
-}
-impl From<MergeError> for OptimizeError {
-    fn from(e: MergeError) -> Self {
-        Self::ProfileMerge(e)
     }
 }
 
@@ -352,21 +293,6 @@ impl EnergyOptimizer {
         // calibration works on any device profile. For the Ascend ladder
         // this resolves to the historical [1000, 1800] MHz defaults.
         let calib_opts = CalibrationOptions::for_table(&cfg.freq_table);
-        Self::calibrated_with(cfg, &calib_opts)
-    }
-
-    /// Like [`Self::calibrated`] but with explicit calibration settings —
-    /// in particular `CalibrationOptions { robust: true, .. }` switches
-    /// the idle/γ extraction to the outlier-rejecting estimators, which
-    /// is the right choice on devices with faulty telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError::Calibration`] if a calibration fit fails.
-    pub fn calibrated_with(
-        cfg: NpuConfig,
-        calib_opts: &CalibrationOptions,
-    ) -> Result<Self, OptimizeError> {
         let mut dev = Device::new(cfg.clone());
         // The heat load mixes cube work with heavy memory traffic so the
         // chip swings well above the idle equilibrium and the cool-down
@@ -382,7 +308,7 @@ impl EnergyOptimizer {
             models::tiny(&cfg).schedule().clone(),
             heat.schedule().clone(),
         ];
-        let calib = calibrate_device(&mut dev, heat.schedule(), &loads, calib_opts)?;
+        let calib = calibrate_device(&mut dev, heat.schedule(), &loads, &calib_opts)?;
         Ok(Self { dev, calib })
     }
 
@@ -423,50 +349,6 @@ impl EnergyOptimizer {
     pub fn with_observer(mut self, obs: ObserverHandle) -> Self {
         self.set_observer(obs);
         self
-    }
-
-    /// Profiles `schedule` `passes` times per frequency, warming the chip
-    /// to the thermal steady state of each frequency first (the paper
-    /// collects data "once stable training is achieved"). Returns one
-    /// inner vector per frequency, one [`FreqProfile`] per pass; several
-    /// passes feed the median-of-k robust model inputs. Each recorded run
-    /// is reported as an [`Event::ProfileRun`] through the attached
-    /// observer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError::Device`] if a run fails.
-    pub fn profile_passes(
-        &mut self,
-        schedule: &Schedule,
-        freqs: &[FreqMhz],
-        passes: usize,
-    ) -> Result<Vec<Vec<FreqProfile>>, OptimizeError> {
-        let passes = passes.max(1);
-        let tau = self.dev.config().thermal_tau_us;
-        let mut out = Vec::with_capacity(freqs.len());
-        for &freq in freqs {
-            // Each frequency's power data must carry its own equilibrium
-            // temperature, not the previous frequency's heat.
-            let _ = self
-                .dev
-                .warm_until_steady(schedule, freq, 0.2, 12.0 * tau)?;
-            let mut per_freq = Vec::with_capacity(passes);
-            for _ in 0..passes {
-                let run = self.dev.run(schedule, &RunOptions::at(freq))?;
-                self.dev.observer().emit(Event::ProfileRun {
-                    freq_mhz: freq.mhz(),
-                    ops: run.records.len(),
-                    duration_us: run.duration_us,
-                });
-                per_freq.push(FreqProfile {
-                    freq,
-                    records: run.records,
-                });
-            }
-            out.push(per_freq);
-        }
-        Ok(out)
     }
 
     /// Starts a staged optimization session for one workload.
@@ -570,18 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_returns_one_profile_per_freq() {
-        let cfg = NpuConfig::ascend_like();
-        let w = models::tiny(&cfg);
-        let mut opt = fast_optimizer(&cfg);
-        let profiles = opt
-            .profile_passes(w.schedule(), &[FreqMhz::new(1800), FreqMhz::new(1000)], 1)
-            .unwrap();
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0][0].records.len(), w.op_count());
-    }
-
-    #[test]
     fn validate_rejects_bad_configs() {
         let err = |o: OptimizerConfig| o.validate().expect_err("expected rejection");
 
@@ -613,15 +483,6 @@ mod tests {
             err(o),
             ConfigError::ZeroCount {
                 field: "opts.ga.iterations"
-            }
-        );
-
-        let mut o = quick_opts();
-        o.profile_passes = 0;
-        assert_eq!(
-            err(o),
-            ConfigError::ZeroCount {
-                field: "opts.profile_passes"
             }
         );
 
@@ -706,10 +567,7 @@ mod tests {
             .with_threads(3)
             .with_fit(FitFunction::StallConstant)
             .with_build_freqs(vec![FreqMhz::new(1200), FreqMhz::new(1800)])
-            .with_planned_latency_us(Some(2_000.0))
-            .with_profile_passes(3)
-            .with_robust_fit(true)
-            .with_resilience(Some(ResilientOptions::default()));
+            .with_planned_latency_us(Some(2_000.0));
         assert_eq!(o.ga.perf_loss_target, 0.06);
         assert_eq!(o.fai_us, 100_000.0);
         assert_eq!(o.ga.threads, 3);
@@ -717,52 +575,6 @@ mod tests {
         assert_eq!(o.fit, FitFunction::StallConstant);
         assert_eq!(o.build_freqs, vec![FreqMhz::new(1200), FreqMhz::new(1800)]);
         assert_eq!(o.planned_latency_us, Some(2_000.0));
-        assert_eq!(o.profile_passes, 3);
-        assert!(o.robust_fit);
-        assert!(o.resilience.is_some());
-        // Zero passes make no sense; the builder clamps to one.
-        assert_eq!(
-            OptimizerConfig::default()
-                .with_profile_passes(0)
-                .profile_passes,
-            1
-        );
-    }
-
-    #[test]
-    fn robust_session_on_healthy_device_stays_on_rung_zero() {
-        let cfg = NpuConfig::ascend_like();
-        let w = models::tiny(&cfg);
-        let mut opt = fast_optimizer(&cfg);
-        let opts = quick_opts()
-            .with_profile_passes(3)
-            .with_robust_fit(true)
-            .with_resilience(Some(ResilientOptions::default()));
-        let mut session = opt.session(&w, &opts);
-        let report = session.report().unwrap();
-        // Three passes per build frequency were recorded and kept.
-        assert_eq!(session.raw_profiles().unwrap().len(), 6);
-        assert_eq!(session.profiles().unwrap().len(), 2);
-        // A healthy device needs no degradation: one run, rung zero.
-        assert_eq!(session.execution_attempts(), Some(1));
-        assert_eq!(
-            session.execution().unwrap().degradation,
-            npu_exec::Degradation::None
-        );
-        assert!(report.baseline.time_us > 0.0);
-        assert!(report.perf_loss() < 0.08, "loss {}", report.perf_loss());
-    }
-
-    #[test]
-    fn plain_session_leaves_resilience_artifacts_empty() {
-        let cfg = NpuConfig::ascend_like();
-        let w = models::tiny(&cfg);
-        let mut opt = fast_optimizer(&cfg);
-        let opts = quick_opts();
-        let mut session = opt.session(&w, &opts);
-        session.report().unwrap();
-        assert_eq!(session.execution_attempts(), None);
-        assert!(session.raw_profiles().is_none());
     }
 
     #[test]

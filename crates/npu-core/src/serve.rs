@@ -15,8 +15,8 @@
 //! 1. **minimal re-profile** — sweep only a small frequency subset on a
 //!    device frozen at the drifted configuration
 //!    ([`npu_sim::Device::drifted_config`]);
-//! 2. **robust re-fit** — [`OptimizationSession::refit_models`] with the
-//!    MAD-cut fitter forced on, escalating to a wider re-profile
+//! 2. **robust re-fit** — [`OptimizationSession::refit_models`] through
+//!    the MAD-cut fitter, escalating to a wider re-profile
 //!    ([`OptimizationSession::refresh_profile`]) if the fit stays poor;
 //! 3. **cached re-search** — the GA re-runs against the refreshed
 //!    models through the shared [`ArtifactCache`]; because the snapshot
@@ -411,25 +411,6 @@ impl ServeState {
     }
 }
 
-/// Builder for a [`ServeRuntime`], consistent with the `with_*` style of
-/// [`OptimizerConfig`]: borrow the optimizer and workload, chain the
-/// optional pieces, `build()`.
-///
-/// ```no_run
-/// use npu_core::{ArtifactCache, EnergyOptimizer, ServeBuilder, ServeOptions};
-/// use npu_sim::NpuConfig;
-/// use npu_workloads::models;
-///
-/// let cfg = NpuConfig::ascend_like();
-/// let workload = models::tiny(&cfg);
-/// let mut optimizer = EnergyOptimizer::calibrated(cfg)?;
-/// let mut runtime = ServeBuilder::new(&mut optimizer, &workload)
-///     .with_serve_options(ServeOptions::default())
-///     .with_cache(ArtifactCache::new())
-///     .build();
-/// let outcome = runtime.run()?;
-/// # Ok::<(), npu_core::OptimizeError>(())
-/// ```
 /// A builder input that cannot produce a well-defined run: a count that
 /// must be positive was zero, or a numeric parameter was non-finite or
 /// out of range.
@@ -516,9 +497,25 @@ pub(crate) fn validate_serve_options(serve: &ServeOptions) -> Result<(), ConfigE
     Ok(())
 }
 
-/// Assembles a [`ServeRuntime`] over a live optimizer: optimizer and
-/// serve options plus a shared artifact cache, with `try_build` for
-/// validated construction.
+/// Builder for a [`ServeRuntime`], consistent with the `with_*` style of
+/// [`OptimizerConfig`]: borrow the optimizer and workload, chain the
+/// optional pieces, then [`Self::try_build`], which validates them.
+///
+/// ```no_run
+/// use npu_core::{ArtifactCache, EnergyOptimizer, ServeBuilder, ServeOptions};
+/// use npu_sim::NpuConfig;
+/// use npu_workloads::models;
+///
+/// let cfg = NpuConfig::ascend_like();
+/// let workload = models::tiny(&cfg);
+/// let mut optimizer = EnergyOptimizer::calibrated(cfg)?;
+/// let mut runtime = ServeBuilder::new(&mut optimizer, &workload)
+///     .with_serve_options(ServeOptions::default())
+///     .with_cache(ArtifactCache::new())
+///     .try_build()?;
+/// let outcome = runtime.run()?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
 pub struct ServeBuilder<'a> {
     opt: &'a mut EnergyOptimizer,
@@ -566,9 +563,10 @@ impl<'a> ServeBuilder<'a> {
         self
     }
 
-    /// Assembles the runtime.
-    #[must_use]
-    pub fn build(self) -> ServeRuntime<'a> {
+    /// Assembles the runtime without validating the options — for the
+    /// fleet controller, which validates them once per run rather than
+    /// once per device epoch.
+    pub(crate) fn assemble(self) -> ServeRuntime<'a> {
         ServeRuntime {
             opt: self.opt,
             workload: self.workload,
@@ -593,7 +591,7 @@ impl<'a> ServeBuilder<'a> {
     pub fn try_build(self) -> Result<ServeRuntime<'a>, ConfigError> {
         self.opts.validate()?;
         validate_serve_options(&self.serve)?;
-        Ok(self.build())
+        Ok(self.assemble())
     }
 }
 
@@ -614,10 +612,10 @@ impl<'a> ServeBuilder<'a> {
 /// let mut runtime = ServeRuntime::builder(&mut optimizer, &workload)
 ///     .with_config(OptimizerConfig::default())
 ///     .with_serve_options(ServeOptions::default())
-///     .build();
+///     .try_build()?;
 /// let outcome = runtime.run()?;
 /// println!("served {} iterations, {} swaps", outcome.iterations.len(), outcome.swaps);
-/// # Ok::<(), npu_core::OptimizeError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct ServeRuntime<'a> {
@@ -1033,7 +1031,7 @@ impl<'a> ServeRuntime<'a> {
     /// Robust re-fit, returning the perf model's worst relative residual
     /// against the session's current profiles.
     fn refit_error(session: &mut OptimizationSession<'_>) -> Result<f64, OptimizeError> {
-        session.refit_models(true)?;
+        session.refit_models()?;
         Ok(match (session.perf_model(), session.profiles()) {
             (Some(perf), Some(profiles)) => perf.max_fit_error(profiles),
             _ => 0.0,

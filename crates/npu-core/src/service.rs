@@ -319,27 +319,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Assembles the service.
-    #[must_use]
-    pub fn build(self) -> OptService {
-        let calib = self
-            .calib
-            .unwrap_or_else(|| HardwareCalibration::ground_truth(&self.cfg));
-        OptService {
-            cfg: self.cfg,
-            calib,
-            opts: self.opts,
-            cache: self.cache,
-            obs: self.obs,
-            workers: self.workers,
-            queue_capacity: self.queue_capacity,
-            virtual_servers: self.virtual_servers,
-            coalescing: self.coalescing,
-            isolated_sessions: self.isolated_sessions,
-            cost: self.cost,
-        }
-    }
-
     /// Validates the configuration, then assembles the service.
     ///
     /// # Errors
@@ -369,7 +348,22 @@ impl ServiceBuilder {
                 return Err(ConfigError::BadThreshold { field, value });
             }
         }
-        Ok(self.build())
+        let calib = self
+            .calib
+            .unwrap_or_else(|| HardwareCalibration::ground_truth(&self.cfg));
+        Ok(OptService {
+            cfg: self.cfg,
+            calib,
+            opts: self.opts,
+            cache: self.cache,
+            obs: self.obs,
+            workers: self.workers,
+            queue_capacity: self.queue_capacity,
+            virtual_servers: self.virtual_servers,
+            coalescing: self.coalescing,
+            isolated_sessions: self.isolated_sessions,
+            cost: self.cost,
+        })
     }
 }
 
@@ -388,12 +382,12 @@ impl ServiceBuilder {
 /// use npu_workloads::models;
 ///
 /// let cfg = NpuConfig::ascend_like();
-/// let service = OptService::builder(cfg.clone()).build();
+/// let service = OptService::builder(cfg.clone()).try_build()?;
 /// let catalog = [models::tiny(&cfg), models::tanh_loop(&cfg, 12)];
 /// let load = generate_load(&catalog, &LoadSpec { requests: 1000, ..LoadSpec::default() });
 /// let outcome = service.run(&load)?;
 /// println!("completed {}", outcome.metrics.completed);
-/// # Ok::<(), npu_core::OptimizeError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct OptService {

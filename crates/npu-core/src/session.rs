@@ -20,32 +20,18 @@ use crate::cache::{
 };
 use crate::optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 use crate::report::{MeasuredIteration, OptimizationReport};
-use crate::sweep::sweep_profiles;
+use crate::sweep::{profile_point, sweep_profiles};
 use npu_dvfs::{preprocess::preprocess, search_observed, GaOutcome, Preprocessed, StageTable};
-use npu_exec::{
-    execute_resilient, execute_strategy, ExecutionOutcome, ExecutorOptions, ResilientOptions,
-};
+use npu_exec::{execute_strategy, ExecutionOutcome, ExecutorOptions};
 use npu_obs::{Event, ObserverHandle, Phase};
-use npu_perf_model::{merge_profiles, FreqProfile, PerfModelStore};
+use npu_perf_model::{FreqProfile, PerfModelStore};
 use npu_power_model::PowerModel;
+use npu_sim::FreqMhz;
 use std::time::Instant;
 
 /// MAD cut for the robust fit path (the conventional robust z-score
 /// threshold).
 const MAD_K: f64 = 3.5;
-
-/// Folds k recorded passes per frequency to per-operator medians.
-fn merge_passes(raw: &[Vec<FreqProfile>]) -> Result<Vec<FreqProfile>, OptimizeError> {
-    let mut merged = Vec::with_capacity(raw.len());
-    for per_freq in raw {
-        let records: Vec<_> = per_freq.iter().map(|p| p.records.clone()).collect();
-        merged.push(FreqProfile {
-            freq: per_freq[0].freq,
-            records: merge_profiles(&records)?,
-        });
-    }
-    Ok(merged)
-}
 
 /// A staged run of the optimization pipeline over one workload.
 ///
@@ -81,9 +67,10 @@ pub struct OptimizationSession<'a> {
     cache: Option<ArtifactCache>,
     profile_cache_key: Option<u64>,
     model_cache_key: Option<u64>,
+    /// Whether the model stage fits through the MAD-cut robust fitter;
+    /// set by [`Self::refit_models`].
+    robust_fit: bool,
     profiles: Option<Vec<FreqProfile>>,
-    raw_profiles: Option<Vec<FreqProfile>>,
-    attempts: Option<u32>,
     baseline: Option<MeasuredIteration>,
     perf: Option<PerfModelStore>,
     power: Option<PowerModel>,
@@ -108,9 +95,8 @@ impl<'a> OptimizationSession<'a> {
             cache: None,
             profile_cache_key: None,
             model_cache_key: None,
+            robust_fit: false,
             profiles: None,
-            raw_profiles: None,
-            attempts: None,
             baseline: None,
             perf: None,
             power: None,
@@ -227,8 +213,8 @@ impl<'a> OptimizationSession<'a> {
     /// [`npu_sim::Device::fork`]s (worker count from
     /// [`OptimizerConfig::threads`]) — bit-identical at every thread
     /// count and never mutating the session device. Devices with a
-    /// fault hook keep the legacy in-place serial sweep, so injected
-    /// faults reach the profiling runs.
+    /// fault hook profile in place, serially, so injected faults reach
+    /// the profiling runs.
     ///
     /// # Errors
     ///
@@ -243,41 +229,33 @@ impl<'a> OptimizationSession<'a> {
                 }
                 build_freqs.sort();
                 build_freqs.reverse(); // profile at fmax first
-                let passes = s.opts.profile_passes.max(1);
-                let keep_raw = s.opts.robust_fit && passes > 1;
 
                 let artifact = if s.opt.dev.hook().is_some() {
-                    // Legacy serial in-place path: the hook's faults must
-                    // reach the profiling runs, and hook state cannot be
-                    // shared across worker forks (or fingerprinted).
-                    let raw = s
-                        .opt
-                        .profile_passes(s.workload.schedule(), &build_freqs, passes)?;
-                    s.fold_profile(raw, passes, keep_raw, fmax)?
+                    // The hook's faults must reach the profiling runs,
+                    // and hook state cannot be shared across worker forks
+                    // (or fingerprinted).
+                    let profiles = s.profile_in_place(&build_freqs)?;
+                    s.fold_profile(profiles, fmax)
                 } else {
                     let key = profile_key(
                         s.opt.dev.config(),
                         s.opt.dev.seed(),
                         s.workload.schedule(),
                         &build_freqs,
-                        passes,
-                        keep_raw,
                     );
                     s.profile_cache_key = Some(key);
                     s.cached(Some(key), || {
-                        let raw = sweep_profiles(
+                        let profiles = sweep_profiles(
                             &s.opt.dev,
                             s.workload.schedule(),
                             &build_freqs,
-                            passes,
                             s.opts.threads,
                             &s.obs,
                         )?;
-                        s.fold_profile(raw, passes, keep_raw, fmax)
+                        Ok(s.fold_profile(profiles, fmax))
                     })?
                 };
                 s.profiles = Some(artifact.profiles);
-                s.raw_profiles = artifact.raw_profiles;
                 s.baseline = Some(artifact.baseline);
                 Ok(())
             })?;
@@ -285,40 +263,35 @@ impl<'a> OptimizationSession<'a> {
         Ok(self.profiles.as_deref().expect("profile stage ran"))
     }
 
-    /// Folds a sweep's passes (one inner vector per frequency) into the
-    /// profile artifact: per-operator medians across passes, the raw
-    /// passes when kept for the robust fitter, and the measured baseline.
-    fn fold_profile(
-        &self,
-        raw: Vec<Vec<FreqProfile>>,
-        passes: usize,
-        keep_raw: bool,
-        fmax: npu_sim::FreqMhz,
-    ) -> Result<ProfileArtifact, OptimizeError> {
-        let (profiles, raw_profiles) = if passes == 1 {
-            (raw.into_iter().flatten().collect(), None)
-        } else {
-            let merged = merge_passes(&raw)?;
-            (
-                merged,
-                keep_raw.then(|| raw.into_iter().flatten().collect()),
-            )
-        };
+    /// Profiles the workload at `freqs` in place, serially, through the
+    /// sweep's per-point function; each [`Event::ProfileRun`] reports the
+    /// run's own duration.
+    fn profile_in_place(&mut self, freqs: &[FreqMhz]) -> Result<Vec<FreqProfile>, OptimizeError> {
+        let mut profiles = Vec::with_capacity(freqs.len());
+        for &freq in freqs {
+            let run = profile_point(&mut self.opt.dev, self.workload.schedule(), freq)?;
+            self.obs.emit(Event::ProfileRun {
+                freq_mhz: freq.mhz(),
+                ops: run.records.len(),
+                duration_us: run.duration_us,
+            });
+            profiles.push(FreqProfile {
+                freq,
+                records: run.records,
+            });
+        }
+        Ok(profiles)
+    }
+
+    /// Pairs the profiles with their measured baseline.
+    fn fold_profile(&self, profiles: Vec<FreqProfile>, fmax: FreqMhz) -> ProfileArtifact {
         let baseline = self.measure_baseline(&profiles, fmax);
-        Ok(ProfileArtifact {
-            profiles,
-            raw_profiles,
-            baseline,
-        })
+        ProfileArtifact { profiles, baseline }
     }
 
     /// Folds the fmax profile into the measured baseline and emits the
     /// baseline [`Event::IterationMeasured`].
-    fn measure_baseline(
-        &self,
-        profiles: &[FreqProfile],
-        fmax: npu_sim::FreqMhz,
-    ) -> MeasuredIteration {
+    fn measure_baseline(&self, profiles: &[FreqProfile], fmax: FreqMhz) -> MeasuredIteration {
         let baseline_profile = &profiles[0];
         debug_assert_eq!(baseline_profile.freq, fmax);
         let baseline_time: f64 = baseline_profile.records.iter().map(|r| r.dur_us).sum();
@@ -367,7 +340,7 @@ impl<'a> OptimizationSession<'a> {
             self.phase(Phase::BuildModels, |s| {
                 let key = s
                     .profile_cache_key
-                    .map(|pk| model_key(pk, s.opts.fit, s.opts.robust_fit, &s.opt.calib));
+                    .map(|pk| model_key(pk, s.opts.fit, s.robust_fit, &s.opt.calib));
                 s.model_cache_key = key;
                 let models = s.cached(key, || s.fit_models())?;
                 s.perf = Some(models.perf);
@@ -385,12 +358,8 @@ impl<'a> OptimizationSession<'a> {
     /// power model from the session's profiles.
     fn fit_models(&self) -> Result<ModelArtifact, OptimizeError> {
         let profiles = self.profiles.as_ref().expect("profile stage ran");
-        let perf = if self.opts.robust_fit {
-            // Feed the fitter every raw pass (when multi-pass profiling
-            // kept them) so the MAD cut sees the repeats; otherwise it
-            // degrades gracefully to the merged medians.
-            let src: &[FreqProfile] = self.raw_profiles.as_deref().unwrap_or(profiles);
-            let store = PerfModelStore::build_robust(src, self.opts.fit, MAD_K)?;
+        let perf = if self.robust_fit {
+            let store = PerfModelStore::build_robust(profiles, self.opts.fit, MAD_K)?;
             if self.obs.enabled() {
                 self.obs.emit(Event::ModelFitted {
                     func: self.opts.fit.to_string(),
@@ -469,38 +438,16 @@ impl<'a> OptimizationSession<'a> {
             self.phase(Phase::Execute, |s| {
                 let strategy = &s.outcome.as_ref().expect("search stage ran").strategy;
                 let baseline_records = &s.profiles.as_ref().expect("profile stage ran")[0].records;
-                let exec = if let Some(res) = s.opts.resilience {
-                    let opts = ResilientOptions {
-                        exec: ExecutorOptions {
-                            planned_latency_us: s
-                                .opts
-                                .planned_latency_us
-                                .or(res.exec.planned_latency_us),
-                            ..res.exec
-                        },
-                        ..res
-                    };
-                    let resilient = execute_resilient(
-                        &mut s.opt.dev,
-                        s.workload.schedule(),
-                        strategy,
-                        baseline_records,
-                        &opts,
-                    )?;
-                    s.attempts = Some(resilient.attempts);
-                    resilient.outcome
-                } else {
-                    execute_strategy(
-                        &mut s.opt.dev,
-                        s.workload.schedule(),
-                        strategy,
-                        baseline_records,
-                        &ExecutorOptions {
-                            planned_latency_us: s.opts.planned_latency_us,
-                            ..ExecutorOptions::default()
-                        },
-                    )?
-                };
+                let exec = execute_strategy(
+                    &mut s.opt.dev,
+                    s.workload.schedule(),
+                    strategy,
+                    baseline_records,
+                    &ExecutorOptions {
+                        planned_latency_us: s.opts.planned_latency_us,
+                        ..ExecutorOptions::default()
+                    },
+                )?;
                 s.execution = Some(exec);
                 Ok(())
             })?;
@@ -557,42 +504,23 @@ impl<'a> OptimizationSession<'a> {
     /// # Errors
     ///
     /// Returns [`OptimizeError::Device`] if a profiling run fails.
-    pub fn refresh_profile(&mut self, freqs: &[npu_sim::FreqMhz]) -> Result<(), OptimizeError> {
+    pub fn refresh_profile(&mut self, freqs: &[FreqMhz]) -> Result<(), OptimizeError> {
         self.profile()?;
         if freqs.is_empty() {
             return Ok(());
         }
         self.phase(Phase::Profile, |s| {
-            let passes = s.opts.profile_passes.max(1);
-            let keep_raw = s.opts.robust_fit && passes > 1;
-            let raw = if s.opt.dev.hook().is_some() {
-                s.opt.profile_passes(s.workload.schedule(), freqs, passes)?
+            let fresh = if s.opt.dev.hook().is_some() {
+                s.profile_in_place(freqs)?
             } else {
                 sweep_profiles(
                     &s.opt.dev,
                     s.workload.schedule(),
                     freqs,
-                    passes,
                     s.opts.threads,
                     &s.obs,
                 )?
             };
-            let fresh = if passes == 1 {
-                raw.iter().flatten().cloned().collect()
-            } else {
-                merge_passes(&raw)?
-            };
-            if keep_raw {
-                let mut kept: Vec<FreqProfile> = s
-                    .raw_profiles
-                    .take()
-                    .unwrap_or_default()
-                    .into_iter()
-                    .filter(|p| !freqs.contains(&p.freq))
-                    .collect();
-                kept.extend(raw.into_iter().flatten());
-                s.raw_profiles = Some(kept);
-            }
             let mut profiles = s.profiles.take().unwrap_or_default();
             for new in fresh {
                 match profiles.iter_mut().find(|p| p.freq == new.freq) {
@@ -609,23 +537,20 @@ impl<'a> OptimizationSession<'a> {
         })
     }
 
-    /// Re-fits the performance/power models from the current profiles,
-    /// with the robust (MAD-cut) fitter forced on or off — the second
-    /// rung of the drift-response ladder, typically `robust = true` so
-    /// that samples straddling a drift transition are down-weighted.
-    /// Search and execution state is invalidated and recomputes lazily.
-    /// The artifact cache stays sound: the robust flag is part of the
-    /// model cache key.
+    /// Re-fits the performance/power models from the current profiles
+    /// through the robust (MAD-cut) fitter — the second rung of the
+    /// drift-response ladder, so that samples straddling a drift
+    /// transition are down-weighted. The session keeps fitting robustly
+    /// from then on. Search and execution state is invalidated and
+    /// recomputes lazily. The artifact cache stays sound: the robust
+    /// flag is part of the model cache key.
     ///
     /// # Errors
     ///
     /// Returns [`OptimizeError`] if profiling or a model build fails.
-    pub fn refit_models(
-        &mut self,
-        robust: bool,
-    ) -> Result<(&PerfModelStore, &PowerModel), OptimizeError> {
+    pub fn refit_models(&mut self) -> Result<(&PerfModelStore, &PowerModel), OptimizeError> {
         self.profile()?;
-        self.opts.robust_fit = robust;
+        self.robust_fit = true;
         self.invalidate_models();
         self.build_models()
     }
@@ -640,7 +565,6 @@ impl<'a> OptimizationSession<'a> {
         self.table = None;
         self.outcome = None;
         self.execution = None;
-        self.attempts = None;
     }
 
     /// The frequency profiles, if [`Self::profile`] has run.
@@ -690,22 +614,6 @@ impl<'a> OptimizationSession<'a> {
     #[must_use]
     pub fn execution(&self) -> Option<&ExecutionOutcome> {
         self.execution.as_ref()
-    }
-
-    /// Device runs the execute stage performed, if it went through the
-    /// resilient runtime (`None` before execution or on the plain path).
-    /// The chosen degradation rung is on
-    /// [`ExecutionOutcome::degradation`].
-    #[must_use]
-    pub fn execution_attempts(&self) -> Option<u32> {
-        self.attempts
-    }
-
-    /// The raw per-pass profiles, when multi-pass profiling kept them
-    /// for the robust fitter (`profile_passes > 1` and `robust_fit`).
-    #[must_use]
-    pub fn raw_profiles(&self) -> Option<&[FreqProfile]> {
-        self.raw_profiles.as_deref()
     }
 
     /// Consumes the session, returning the GA outcome if the search

@@ -15,23 +15,23 @@
 //! [`crate::cache`]).
 //!
 //! The coordinator emits the [`Event::ProfileRun`] stream *after* the
-//! join, in frequency-then-pass order, so observers see exactly the
-//! sequence the serial path would have reported.
+//! join, in frequency order, so observers see exactly the sequence the
+//! serial path would have reported.
 
 use npu_obs::{Event, ObserverHandle};
 use npu_perf_model::FreqProfile;
 use npu_sim::par::par_map_ordered;
-use npu_sim::{Device, DeviceError, FreqMhz, RunOptions, Schedule};
+use npu_sim::{Device, DeviceError, FreqMhz, RunOptions, RunResult, Schedule};
 
-/// Profiles `schedule` at each of `freqs`, `passes` recorded runs per
+/// Profiles `schedule` at each of `freqs`, one recorded run per
 /// frequency, fanning the frequency points out over `threads` workers
 /// (`0` = auto-detect via [`npu_sim::par::resolve_threads`], which honours
-/// the `NPU_THREADS` override). Returns one inner vector per frequency,
-/// in the order of `freqs`, one [`FreqProfile`] per pass.
+/// the `NPU_THREADS` override). Returns one [`FreqProfile`] per
+/// frequency, in the order of `freqs`.
 ///
 /// The parent device is never mutated; each frequency point runs on a
 /// cold [`Device::fork`] seeded by its index in `freqs`. One
-/// [`Event::ProfileRun`] per recorded pass is emitted on `obs` after all
+/// [`Event::ProfileRun`] per frequency is emitted on `obs` after all
 /// workers join, in frequency order.
 ///
 /// # Errors
@@ -42,54 +42,43 @@ pub fn sweep_profiles(
     dev: &Device,
     schedule: &Schedule,
     freqs: &[FreqMhz],
-    passes: usize,
     threads: usize,
     obs: &ObserverHandle,
-) -> Result<Vec<Vec<FreqProfile>>, DeviceError> {
-    let passes = passes.max(1);
-    let tau = dev.config().thermal_tau_us;
+) -> Result<Vec<FreqProfile>, DeviceError> {
     // Each frequency's fork seed depends only on its index, so the
     // assembled sweep cannot observe which worker ran what.
     let out = par_map_ordered(threads, freqs.len(), |i| {
-        profile_point(dev, i as u64, schedule, freqs[i], passes, tau)
+        let run = profile_point(&mut dev.fork(i as u64), schedule, freqs[i])?;
+        Ok(FreqProfile {
+            freq: freqs[i],
+            records: run.records,
+        })
     })
     .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+    .collect::<Result<Vec<_>, DeviceError>>()?;
     if obs.enabled() {
-        for per_freq in &out {
-            for profile in per_freq {
-                obs.emit(Event::ProfileRun {
-                    freq_mhz: profile.freq.mhz(),
-                    ops: profile.records.len(),
-                    duration_us: profile.records.iter().map(|r| r.dur_us).sum(),
-                });
-            }
+        for profile in &out {
+            obs.emit(Event::ProfileRun {
+                freq_mhz: profile.freq.mhz(),
+                ops: profile.records.len(),
+                duration_us: profile.records.iter().map(|r| r.dur_us).sum(),
+            });
         }
     }
     Ok(out)
 }
 
-/// Runs one frequency point on a cold fork: warm to the thermal steady
-/// state at `freq`, then record `passes` runs.
-fn profile_point(
-    dev: &Device,
-    stream: u64,
+/// Profiles one frequency point on `dev`: warm the chip to the thermal
+/// steady state at `freq` (the paper collects data "once stable
+/// training is achieved"), then record one run.
+pub(crate) fn profile_point(
+    dev: &mut Device,
     schedule: &Schedule,
     freq: FreqMhz,
-    passes: usize,
-    tau: f64,
-) -> Result<Vec<FreqProfile>, DeviceError> {
-    let mut d = dev.fork(stream);
-    let _ = d.warm_until_steady(schedule, freq, 0.2, 12.0 * tau)?;
-    let mut per_freq = Vec::with_capacity(passes);
-    for _ in 0..passes {
-        let run = d.run(schedule, &RunOptions::at(freq))?;
-        per_freq.push(FreqProfile {
-            freq,
-            records: run.records,
-        });
-    }
-    Ok(per_freq)
+) -> Result<RunResult, DeviceError> {
+    let tau = dev.config().thermal_tau_us;
+    let _ = dev.warm_until_steady(schedule, freq, 0.2, 12.0 * tau)?;
+    dev.run(schedule, &RunOptions::at(freq))
 }
 
 #[cfg(test)]
@@ -106,13 +95,12 @@ mod tests {
         let freqs = [FreqMhz::new(1800), FreqMhz::new(1400), FreqMhz::new(1000)];
         let obs = ObserverHandle::null();
         let run =
-            |threads: usize| sweep_profiles(&dev, w.schedule(), &freqs, 2, threads, &obs).unwrap();
+            |threads: usize| sweep_profiles(&dev, w.schedule(), &freqs, threads, &obs).unwrap();
         let one = run(1);
         assert_eq!(one.len(), 3);
-        assert!(one.iter().all(|p| p.len() == 2));
-        for (i, per_freq) in one.iter().enumerate() {
-            assert_eq!(per_freq[0].freq, freqs[i]);
-            assert_eq!(per_freq[0].records.len(), w.op_count());
+        for (i, profile) in one.iter().enumerate() {
+            assert_eq!(profile.freq, freqs[i]);
+            assert_eq!(profile.records.len(), w.op_count());
         }
         for threads in [2, 8] {
             assert_eq!(one, run(threads), "threads={threads} diverged");
@@ -132,8 +120,8 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::new());
         let obs = ObserverHandle::from_arc(metrics.clone());
         let freqs = [FreqMhz::new(1800), FreqMhz::new(1000)];
-        sweep_profiles(&dev, w.schedule(), &freqs, 3, 4, &obs).unwrap();
-        assert_eq!(metrics.counter("event.ProfileRun"), 6);
+        sweep_profiles(&dev, w.schedule(), &freqs, 4, &obs).unwrap();
+        assert_eq!(metrics.counter("event.ProfileRun"), 2);
         // Worker forks are silent: no DeviceRun chatter reaches the
         // coordinator's observer.
         assert_eq!(metrics.counter("event.DeviceRun"), 0);

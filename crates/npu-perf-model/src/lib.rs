@@ -51,4 +51,4 @@ pub use eval::{
 };
 pub use fitting::{fit, FitError, FitFunction, FitParams};
 pub use model::{BuildError, FreqProfile, PerfModel, PerfModelStore};
-pub use robust::{fit_samples_robust, merge_profiles, MergeError};
+pub use robust::fit_samples_robust;

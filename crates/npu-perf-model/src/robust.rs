@@ -1,23 +1,13 @@
-//! Robust model inputs: median-of-k profile merging and outlier-rejecting
-//! fit samples.
+//! Robust model inputs: outlier-rejecting fit samples.
 //!
 //! Real profilers produce timing outliers (preemption, interrupt storms,
 //! a stuck counter); a single 8× stretched record poisons a two-point
-//! closed-form fit outright. The helpers here make the model-construction
-//! inputs robust without changing the models themselves:
-//!
-//! * [`merge_profiles`] folds k profiling passes of the same schedule
-//!   into one profile with per-operator **median** durations and power
-//!   readings — up to ⌈k/2⌉−1 corrupted passes per operator leave the
-//!   merged value untouched;
-//! * [`fit_samples_robust`] collapses repeated `(frequency, time)`
-//!   measurements to their per-frequency median, with an optional
-//!   MAD-based rejection of what remains.
-//!
-//! Everything is opt-in: the plain single-pass paths are bit-identical to
-//! what they were before this module existed.
-
-use npu_sim::OpRecord;
+//! closed-form fit outright. [`fit_samples_robust`] collapses repeated
+//! `(frequency, time)` measurements to their per-frequency median, with
+//! an optional MAD-based rejection of what remains — the sample path of
+//! [`crate::PerfModelStore::build_robust`], which a serving runtime's
+//! drift-response ladder re-fits through. The plain fit path never
+//! touches this module.
 
 /// Median of a sample set; `None` when empty. Non-finite values are
 /// ignored (a NaN-poisoned sort would otherwise scramble the order).
@@ -64,79 +54,6 @@ pub fn mad_filter(xs: &[f64], k: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Errors from profile merging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeError {
-    /// No passes were supplied.
-    Empty,
-    /// Passes disagree on operator count (they must profile the same
-    /// schedule).
-    LengthMismatch {
-        /// Operators in the first pass.
-        first: usize,
-        /// Operators in the offending pass.
-        other: usize,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Empty => write!(f, "no profiling passes to merge"),
-            Self::LengthMismatch { first, other } => write!(
-                f,
-                "profiling passes disagree on operator count: {first} vs {other}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// Merges k profiling passes of the same schedule into one profile.
-///
-/// Per operator, the merged record takes the **median** duration, power
-/// and temperature across passes (rejecting profiler timing outliers and
-/// telemetry spikes without any threshold tuning); identity fields
-/// (name, class, scenario, frequency, ratios, traffic) come from the
-/// first pass. Start times are rebuilt cumulatively from the merged
-/// durations so the profile stays self-consistent.
-///
-/// # Errors
-///
-/// Returns [`MergeError`] when `passes` is empty or the passes profile
-/// different operator counts.
-pub fn merge_profiles(passes: &[Vec<OpRecord>]) -> Result<Vec<OpRecord>, MergeError> {
-    let Some(first) = passes.first() else {
-        return Err(MergeError::Empty);
-    };
-    for p in passes {
-        if p.len() != first.len() {
-            return Err(MergeError::LengthMismatch {
-                first: first.len(),
-                other: p.len(),
-            });
-        }
-    }
-    let mut merged = Vec::with_capacity(first.len());
-    let mut t = first.first().map_or(0.0, |r| r.start_us);
-    for (i, proto) in first.iter().enumerate() {
-        let col = |f: &dyn Fn(&OpRecord) -> f64| -> Vec<f64> {
-            passes.iter().map(|p| f(&p[i])).collect()
-        };
-        let dur = median(&col(&|r| r.dur_us)).unwrap_or(proto.dur_us);
-        let mut r = proto.clone();
-        r.start_us = t;
-        r.dur_us = dur;
-        r.aicore_w = median(&col(&|r| r.aicore_w)).unwrap_or(proto.aicore_w);
-        r.soc_w = median(&col(&|r| r.soc_w)).unwrap_or(proto.soc_w);
-        r.temp_c = median(&col(&|r| r.temp_c)).unwrap_or(proto.temp_c);
-        t += dur;
-        merged.push(r);
-    }
-    Ok(merged)
-}
-
 /// Collapses repeated `(f_mhz, time_us)` measurements into one robust
 /// sample per distinct frequency: the median time of that frequency's
 /// repeats, after dropping repeats more than `mad_k` MADs from their
@@ -180,24 +97,6 @@ pub fn fit_samples_robust(samples: &[(f64, f64)], mad_k: f64) -> Vec<(f64, f64)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use npu_sim::{FreqMhz, OpClass, Scenario};
-
-    fn rec(i: usize, dur: f64) -> OpRecord {
-        OpRecord {
-            index: i,
-            name: format!("Op{i}"),
-            class: OpClass::Compute,
-            scenario: Scenario::PingPongIndependent,
-            start_us: 0.0,
-            dur_us: dur,
-            freq_mhz: FreqMhz::new(1800),
-            ratios: npu_sim::PipelineRatios::default(),
-            aicore_w: 50.0,
-            soc_w: 250.0,
-            temp_c: 60.0,
-            traffic_bytes: 1024.0,
-        }
-    }
 
     #[test]
     fn median_handles_odd_even_and_nan() {
@@ -220,35 +119,6 @@ mod tests {
         let kept = mad_filter(&xs, 3.5);
         assert_eq!(kept.len(), 4);
         assert!(kept.iter().all(|&x| x < 11.0));
-    }
-
-    #[test]
-    fn merge_rejects_a_stretched_pass() {
-        // Pass 2 has an 8× profiler outlier on op 1; the median ignores it.
-        let clean = vec![rec(0, 100.0), rec(1, 200.0)];
-        let mut dirty = clean.clone();
-        dirty[1].dur_us = 1600.0;
-        let merged = merge_profiles(&[clean.clone(), dirty, clean.clone()]).unwrap();
-        assert_eq!(merged[1].dur_us, 200.0);
-        // Start times rebuilt cumulatively.
-        assert_eq!(merged[0].start_us, 0.0);
-        assert_eq!(merged[1].start_us, 100.0);
-    }
-
-    #[test]
-    fn merge_validates_input() {
-        assert_eq!(merge_profiles(&[]).unwrap_err(), MergeError::Empty);
-        let e = merge_profiles(&[vec![rec(0, 1.0)], vec![]]).unwrap_err();
-        assert_eq!(e, MergeError::LengthMismatch { first: 1, other: 0 });
-    }
-
-    #[test]
-    fn merge_of_identical_passes_is_identity_up_to_start_rebase() {
-        let p = vec![rec(0, 100.0), rec(1, 200.0)];
-        let merged = merge_profiles(&[p.clone(), p.clone()]).unwrap();
-        assert_eq!(merged[0].dur_us, 100.0);
-        assert_eq!(merged[1].dur_us, 200.0);
-        assert_eq!(merged[1].aicore_w, 50.0);
     }
 
     #[test]

@@ -36,40 +36,6 @@ pub fn linear_regression(points: &[(f64, f64)]) -> Result<(f64, f64), Calibratio
     Ok((slope, intercept))
 }
 
-/// Least-squares line fit with one pass of MAD outlier rejection:
-/// fit, drop points whose residual sits more than `mad_k` MADs from the
-/// residual median, refit on the survivors. Falls back to the plain fit
-/// when rejection would leave fewer than two points.
-///
-/// # Errors
-///
-/// Returns [`CalibrationError::Degenerate`] when the initial fit is
-/// degenerate (fewer than two points or zero variance in `x`).
-pub fn linear_regression_robust(
-    points: &[(f64, f64)],
-    mad_k: f64,
-) -> Result<(f64, f64), CalibrationError> {
-    let (m, b) = linear_regression(points)?;
-    let residuals: Vec<f64> = points.iter().map(|&(x, y)| y - (m * x + b)).collect();
-    let (Some(med), Some(mad)) = (
-        npu_perf_model::robust::median(&residuals),
-        npu_perf_model::robust::mad(&residuals),
-    ) else {
-        return Ok((m, b));
-    };
-    let cut = mad_k * mad;
-    let kept: Vec<(f64, f64)> = points
-        .iter()
-        .zip(&residuals)
-        .filter(|&(_, r)| (r - med).abs() <= cut)
-        .map(|(&p, _)| p)
-        .collect();
-    if kept.len() < 2 || kept.len() == points.len() {
-        return Ok((m, b));
-    }
-    linear_regression(&kept).or(Ok((m, b)))
-}
-
 /// Fitted load-independent power `P_idle(f) = β·f·V² + θ·V`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdleFit {
@@ -139,26 +105,6 @@ pub fn fit_gamma(
         return Err(CalibrationError::Degenerate("voltage must be positive"));
     }
     let (slope, _) = linear_regression(cooldown)?;
-    Ok(slope / volts)
-}
-
-/// [`fit_gamma`] with MAD outlier rejection on the cool-down samples —
-/// a telemetry spike or stuck-sensor run during the observation no
-/// longer drags the slope (see [`linear_regression_robust`]; `3.5` MADs
-/// is the conventional cut).
-///
-/// # Errors
-///
-/// Returns [`CalibrationError`] on degenerate samples or non-positive
-/// voltage.
-pub fn fit_gamma_robust(
-    cooldown: &[(f64, f64)], // (temp_c, power_w)
-    volts: f64,
-) -> Result<f64, CalibrationError> {
-    if volts <= 0.0 {
-        return Err(CalibrationError::Degenerate("voltage must be positive"));
-    }
-    let (slope, _) = linear_regression_robust(cooldown, 3.5)?;
     Ok(slope / volts)
 }
 

@@ -57,12 +57,9 @@ mod device_calib;
 mod model;
 
 pub use calib::{
-    fit_gamma, fit_gamma_robust, linear_regression, linear_regression_robust, CalibrationError,
-    HardwareCalibration, IdleFit, ThermalFit,
+    fit_gamma, linear_regression, CalibrationError, HardwareCalibration, IdleFit, ThermalFit,
 };
-pub use device_calib::{
-    calibrate_device, calibrate_device_parallel, CalibrationOptions, DeviceCalibrationError,
-};
+pub use device_calib::{calibrate_device, CalibrationOptions, DeviceCalibrationError};
 pub use model::{
     validation_errors, ErrorDistribution, OpPower, PowerBuildError, PowerDomain, PowerModel,
     PowerPrediction,

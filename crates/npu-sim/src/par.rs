@@ -1,10 +1,10 @@
 //! Deterministic parallel map: the one worker-pool loop every fan-out
 //! in the pipeline runs on.
 //!
-//! Profiling sweeps, parallel calibration, fleet epochs and the service
-//! pool all fan independent, index-addressed jobs out over scoped
-//! workers. [`par_map_ordered`] is that loop: workers pull indices from
-//! one atomic cursor, so which worker runs which index depends on
+//! Profiling sweeps, fleet epochs and the service pool all fan
+//! independent, index-addressed jobs out over scoped workers.
+//! [`par_map_ordered`] is that loop: workers pull indices from one
+//! atomic cursor, so which worker runs which index depends on
 //! scheduling, but the returned vector is in index order and each entry
 //! is whatever `f(i)` returned. When `f` is a pure function of its
 //! index, the result is bit-identical at every worker count.

@@ -42,8 +42,7 @@ fn run_batch(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = NpuConfig::ascend_like();
     // Oracle calibration keeps the example quick; swap in
-    // `EnergyOptimizer::calibrated(cfg)` (or `calibrate_device_parallel`)
-    // for the measured procedure.
+    // `EnergyOptimizer::calibrated(cfg)` for the measured procedure.
     let calib = HardwareCalibration::ground_truth(&cfg);
     let batch = [
         models::tiny(&cfg),

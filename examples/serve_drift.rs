@@ -162,7 +162,7 @@ fn serve_once(
     let outcome = ServeRuntime::builder(&mut optimizer, &workload)
         .with_config(opts)
         .with_serve_options(serve)
-        .build()
+        .try_build()?
         .run()?;
     Ok((outcome, log.swapped.load(Ordering::Relaxed)))
 }

@@ -10,9 +10,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy panic-freedom gate (npu-sim, npu-exec, npu-dvfs, npu-obs, npu-perf-model, npu-power-model, npu-fault library code)"
+echo "==> cargo clippy panic-freedom gate (npu-sim, npu-exec, npu-dvfs, npu-obs, npu-perf-model, npu-power-model, npu-fault, npu-workloads library code)"
 cargo clippy -p npu-sim -p npu-exec -p npu-dvfs -p npu-obs -p npu-perf-model \
-  -p npu-power-model -p npu-fault --lib -- \
+  -p npu-power-model -p npu-fault -p npu-workloads --lib -- \
   -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "==> cargo test"

@@ -80,9 +80,7 @@ pub mod prelude {
         SummarySink,
     };
     pub use npu_perf_model::{FitFunction, FreqProfile, PerfModelStore};
-    pub use npu_power_model::{
-        calibrate_device, calibrate_device_parallel, CalibrationOptions, PowerModel,
-    };
+    pub use npu_power_model::{calibrate_device, CalibrationOptions, PowerModel};
     pub use npu_sim::{
         profile, ConfigSpread, Device, DeviceProfile, DriftModel, FreqMhz, FrequencyTable,
         NpuConfig, OpDescriptor, OpRecord, ProfileError, RunOptions, Scenario, Schedule,

@@ -59,7 +59,6 @@ fn profile_artifact(key: u64) -> ProfileArtifact {
             freq: FreqMhz::new(1000 + (key % 800) as u32),
             records: vec![],
         }],
-        raw_profiles: None,
         baseline: dvfs_repro::core::MeasuredIteration {
             time_us: 50.0 + x,
             aicore_w: 20.0 + x,

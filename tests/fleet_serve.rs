@@ -146,7 +146,8 @@ fn reopt_outcome(warm_seeds: Option<Vec<Vec<FreqMhz>>>) -> GaOutcome {
     let mut rt = ServeRuntime::builder(&mut optimizer, &workload)
         .with_config(opts)
         .with_serve_options(serve)
-        .build();
+        .try_build()
+        .unwrap();
     let armed = warm_seeds.is_some();
     if let Some(seeds) = warm_seeds {
         rt.arm_warm_seeds(seeds);

@@ -112,7 +112,8 @@ fn serve_once(
     let outcome = ServeRuntime::builder(&mut optimizer, &workload)
         .with_config(opts)
         .with_serve_options(serve)
-        .build()
+        .try_build()
+        .unwrap()
         .run()
         .unwrap();
     (outcome, counts)
@@ -240,7 +241,8 @@ fn failed_reoptimization_degrades_without_bumping_generation() {
     let outcome = ServeRuntime::builder(&mut optimizer, &workload)
         .with_config(opts)
         .with_serve_options(serve)
-        .build()
+        .try_build()
+        .unwrap()
         .run()
         .unwrap();
 
