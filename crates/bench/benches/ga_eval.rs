@@ -4,19 +4,21 @@
 //! within 5 minutes; a model-free approach would manage ~30 in the same
 //! time).
 //!
-//! Besides the criterion groups, this bench self-times the three
-//! evaluation paths over an identical GA-like genome stream — full
+//! Besides the criterion groups, this bench self-times the evaluation
+//! paths over an identical clone-chain genome stream — full
 //! re-evaluation, incremental re-evaluation, and the memoized engine
-//! over the bit-packed genome pool — and writes the measured
-//! policies/sec to `BENCH_ga_eval.json` at the workspace root so CI and
-//! EXPERIMENTS.md can consume the numbers without scraping bench
-//! output. Alongside throughput it records three
-//! correctness artifacts the check script gates on: pool scores are
-//! bit-identical across 1/2/8 worker threads and to the reference full
-//! evaluation, a warm single-threaded `score_pool` pass performs zero
-//! heap allocations (counted by a wrapping global allocator), and the
-//! exact Pareto-DP oracle certifies the GA's result on a small schedule
-//! with an optimality gap of exactly `0.0`.
+//! over the bit-packed genome pool — plus the engine over a GA-lineage
+//! replay (each generation bred from the last by cross-pool copy,
+//! suffix swap and point mutation, the path the GA runs), and writes
+//! the measured policies/sec to `BENCH_ga_eval.json` at the workspace
+//! root so CI and EXPERIMENTS.md can consume the numbers without
+//! scraping bench output. Alongside throughput it records three
+//! correctness artifacts the check script gates on: pool scores on both
+//! streams are bit-identical to the reference full evaluation, a warm
+//! `score_pool` pass performs zero heap allocations (counted by a
+//! wrapping global allocator), and the exact Pareto-DP oracle certifies
+//! the GA's result on a small schedule with an optimality gap of
+//! exactly `0.0`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use npu_bench::{build_models, steady_profiles};
@@ -137,15 +139,14 @@ fn genome_stream(table: &StageTable, len: usize) -> Vec<Vec<usize>> {
 }
 
 /// Replays the [`genome_stream`] LCG directly into a [`GenomePool`]
-/// arena the way the GA builds generations: clone the previous genome
-/// inside the pool, apply the point mutations via [`GenomePool::set_gene`].
-/// Scores every generation through `engine.score_pool` and returns the
-/// policies scored. Writing through `on_scores` lets the caller collect
-/// or sum without allocating on the hot path.
+/// arena: clone the previous genome inside the pool, apply the point
+/// mutations via [`GenomePool::set_gene`]. Scores every generation
+/// through `engine.score_pool`. Writing through `on_scores` lets the
+/// caller collect or sum without allocating on the hot path.
 fn replay_stream_through_pool(
     table: &StageTable,
     engine: &mut EvalEngine<'_>,
-    pool: &mut GenomePool,
+    pool: &mut GenomePool<'_>,
     len: usize,
     generation: usize,
     mut on_scores: impl FnMut(&[f64]),
@@ -175,6 +176,47 @@ fn replay_stream_through_pool(
     }
 }
 
+/// Replays a GA lineage: a random first generation, then each
+/// generation bred from the previous scored one — LCG-drawn parents
+/// copied across pools, each pair crossed over by a suffix swap at an
+/// LCG cut, and each child given one point mutation. Scores every
+/// generation through `engine.score_pool` and hands the pool and its
+/// scores to `on_scores`.
+fn replay_lineage<'t>(
+    table: &'t StageTable,
+    engine: &mut EvalEngine<'t>,
+    pools: &mut [GenomePool<'t>; 2],
+    generations: usize,
+    population: usize,
+    mut on_scores: impl FnMut(&GenomePool<'t>, &[f64]),
+) {
+    let (n, m) = (table.n_stages(), table.n_freqs());
+    let mut state = LCG_SEED;
+    let [cur, next] = pools;
+    let (mut cur, mut next) = (cur, next);
+    cur.clear();
+    let mut genes = vec![0; n];
+    for _ in 0..population {
+        genes.fill_with(|| lcg_step(&mut state) % m);
+        cur.push_genes(&genes);
+    }
+    for _ in 0..generations {
+        on_scores(cur, engine.score_pool(cur));
+        next.clear();
+        while next.len() < population {
+            let ca = next.push_copy_from(cur, lcg_step(&mut state) % population);
+            let cb = next.push_copy_from(cur, lcg_step(&mut state) % population);
+            next.swap_suffix(ca, cb, 1 + lcg_step(&mut state) % (n - 1));
+            for child in [ca, cb] {
+                let s = lcg_step(&mut state) % n;
+                next.set_gene(child, s, lcg_step(&mut state) % m);
+            }
+        }
+        next.truncate(population);
+        std::mem::swap(&mut cur, &mut next);
+    }
+}
+
 /// Policies/sec of one evaluation mode over the shared genome stream.
 fn time_policies_per_sec(total_policies: usize, f: impl FnOnce()) -> f64 {
     let start = Instant::now();
@@ -190,7 +232,6 @@ fn measure_eval_modes(table: &StageTable) -> String {
     let stream = genome_stream(table, stream_len);
     let baseline_time = table.baseline().time_us;
     let target = 0.02;
-    let (n, m) = (table.n_stages(), table.n_freqs());
 
     // Full pass: what every individual cost before the engine.
     let mut sink = 0.0_f64;
@@ -209,11 +250,11 @@ fn measure_eval_modes(table: &StageTable) -> String {
         }
     });
 
-    // Pool fast path: generations live in the bit-packed arena, mutated
-    // in place; fingerprints are maintained incrementally and scoring
-    // extracts only the changed stages.
-    let mut pool_engine = EvalEngine::new(table, baseline_time, target, 0);
-    let mut pool = GenomePool::with_capacity(n, m, generation);
+    // Pool fast path over the clone chain: each genome is a clone of
+    // the previous one plus 1-3 point mutations, so this stream is made
+    // of near-duplicates no GA produces; kept for continuity.
+    let mut pool_engine = EvalEngine::new(table, baseline_time, target);
+    let mut pool = GenomePool::with_capacity(table, generation);
     let pool_pps = time_policies_per_sec(stream.len(), || {
         replay_stream_through_pool(
             table,
@@ -226,31 +267,64 @@ fn measure_eval_modes(table: &StageTable) -> String {
             },
         );
     });
+
+    // The GA's own path: generations bred from their scored parents.
+    let lineage_gens = stream_len / generation;
+    let mut pools = [
+        GenomePool::with_capacity(table, generation),
+        GenomePool::with_capacity(table, generation),
+    ];
+    let mut lineage_engine = EvalEngine::new(table, baseline_time, target);
+    let lineage_pps = time_policies_per_sec(lineage_gens * generation, || {
+        replay_lineage(
+            table,
+            &mut lineage_engine,
+            &mut pools,
+            lineage_gens,
+            generation,
+            |_, s| {
+                sink += s.iter().sum::<f64>();
+            },
+        );
+    });
     criterion::black_box(sink);
 
-    // Correctness artifact 1: pool scores are bit-identical to the full
-    // reference evaluation at every worker count (fresh engine each, so
-    // nothing is served from a previous run's memo).
+    // Correctness artifact 1: pool scores on both streams are
+    // bit-identical to the full reference evaluation (fresh engines, so
+    // nothing is served from a timed run's memo).
     let reference: Vec<u64> = stream
         .iter()
         .map(|g| score(&table.evaluate(g), baseline_time, target).to_bits())
         .collect();
-    let mut pool_bit_identical = true;
-    for threads in [1usize, 2, 8] {
-        let mut engine = EvalEngine::new(table, baseline_time, target, threads);
-        let mut got: Vec<u64> = Vec::with_capacity(stream_len);
-        replay_stream_through_pool(table, &mut engine, &mut pool, stream_len, generation, |s| {
-            got.extend(s.iter().map(|x| x.to_bits()));
-        });
-        pool_bit_identical &= got == reference;
-    }
+    let mut engine = EvalEngine::new(table, baseline_time, target);
+    let mut got: Vec<u64> = Vec::with_capacity(stream_len);
+    replay_stream_through_pool(table, &mut engine, &mut pool, stream_len, generation, |s| {
+        got.extend(s.iter().map(|x| x.to_bits()));
+    });
+    let mut pool_bit_identical = got == reference;
+    let mut engine = EvalEngine::new(table, baseline_time, target);
+    let mut genes = Vec::new();
+    replay_lineage(
+        table,
+        &mut engine,
+        &mut pools,
+        lineage_gens,
+        generation,
+        |pool, s| {
+            for (i, x) in s.iter().enumerate() {
+                pool.read_genes(i, &mut genes);
+                let want = score(&table.evaluate(&genes), baseline_time, target);
+                pool_bit_identical &= x.to_bits() == want.to_bits();
+            }
+        },
+    );
 
-    // Correctness artifact 2: a warm single-threaded `score_pool` pass
-    // allocates nothing. Warm-up establishes buffer capacities and
-    // memoizes one generation; the measured pass scores a *different*
-    // (fresh, unmemoized) generation so the real evaluation path runs.
-    let mut engine = EvalEngine::new(table, baseline_time, target, 1);
-    fn warm(pool: &mut GenomePool, generation: usize, salt: usize) {
+    // Correctness artifact 2: a warm `score_pool` pass allocates
+    // nothing. Warm-up establishes buffer capacities and memoizes one
+    // generation; the measured pass scores a *different* (fresh,
+    // unmemoized) generation so the real evaluation path runs.
+    let mut engine = EvalEngine::new(table, baseline_time, target);
+    fn warm(pool: &mut GenomePool<'_>, generation: usize, salt: usize) {
         let (n, m) = (pool.n_stages(), pool.n_freqs());
         pool.clear();
         let genes = vec![m - 1; n];
@@ -292,6 +366,22 @@ fn measure_eval_modes(table: &StageTable) -> String {
     let outcome = search(table, &cfg);
     let ga_secs = start.elapsed().as_secs_f64();
 
+    // A fleet-shaped search: 24 stages, population 60 x 240
+    // generations. Median of five runs.
+    let fleet_table = certified_table(12, 12);
+    let fleet_cfg = GaConfig::default()
+        .with_population(60)
+        .with_iterations(240)
+        .with_loss_target(target);
+    let mut fleet_secs: Vec<f64> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            criterion::black_box(search(&fleet_table, &fleet_cfg));
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    fleet_secs.sort_by(f64::total_cmp);
+
     format!(
         concat!(
             "{{\n",
@@ -303,6 +393,7 @@ fn measure_eval_modes(table: &StageTable) -> String {
             "  \"full_policies_per_sec\": {:.1},\n",
             "  \"incremental_policies_per_sec\": {:.1},\n",
             "  \"pool_policies_per_sec\": {:.1},\n",
+            "  \"lineage_policies_per_sec\": {:.1},\n",
             "  \"incremental_speedup\": {:.2},\n",
             "  \"pool_bit_identical\": {},\n",
             "  \"pool_score_allocs\": {},\n",
@@ -311,7 +402,8 @@ fn measure_eval_modes(table: &StageTable) -> String {
             "  \"ga_search_evaluations\": {},\n",
             "  \"ga_search_unique_evaluations\": {},\n",
             "  \"ga_search_secs\": {:.3},\n",
-            "  \"ga_search_policies_per_sec\": {:.1}\n",
+            "  \"ga_search_policies_per_sec\": {:.1},\n",
+            "  \"ga_search_24_stages_secs\": {:.4}\n",
             "}}\n"
         ),
         table.n_stages(),
@@ -320,6 +412,7 @@ fn measure_eval_modes(table: &StageTable) -> String {
         full,
         incremental,
         pool_pps,
+        lineage_pps,
         incremental / full,
         pool_bit_identical,
         pool_score_allocs,
@@ -329,6 +422,7 @@ fn measure_eval_modes(table: &StageTable) -> String {
         outcome.unique_evaluations,
         ga_secs,
         outcome.evaluations as f64 / ga_secs,
+        fleet_secs[2],
     )
 }
 
@@ -373,9 +467,9 @@ fn bench_ga(c: &mut Criterion) {
         });
     });
     group.bench_function("pool_512_policies_fresh_memo", |b| {
-        let mut pool = GenomePool::with_capacity(table.n_stages(), table.n_freqs(), 512);
+        let mut pool = GenomePool::with_capacity(&table, 512);
         b.iter(|| {
-            let mut engine = EvalEngine::new(&table, baseline_time, 0.02, 0);
+            let mut engine = EvalEngine::new(&table, baseline_time, 0.02);
             let mut sum = 0.0;
             replay_stream_through_pool(&table, &mut engine, &mut pool, 512, 512, |s| {
                 sum += s.iter().sum::<f64>();

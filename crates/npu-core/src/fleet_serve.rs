@@ -632,8 +632,10 @@ impl FleetController {
 
     /// Attaches a structured-event observer. The controller emits
     /// transfer, health and epoch events at epoch barriers, in device
-    /// order; device loops themselves run silent (their interleaving is
-    /// schedule-dependent).
+    /// order. Every device's optimizer reports through the same
+    /// observer, so its sessions, GA generations and device runs show
+    /// too; those events interleave across workers in schedule order.
+    /// Observing never changes the run.
     #[must_use]
     pub fn with_observer(mut self, obs: ObserverHandle) -> Self {
         self.obs = obs;
@@ -772,7 +774,7 @@ impl FleetController {
             slots.push(Mutex::new(DeviceSlot {
                 cfg,
                 seed,
-                opt: EnergyOptimizer::new(dev, calib),
+                opt: EnergyOptimizer::new(dev, calib).with_observer(self.obs.clone()),
                 state: None,
                 armed_donor: None,
                 armed_seeds: Vec::new(),

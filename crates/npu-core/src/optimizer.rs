@@ -85,13 +85,13 @@ impl OptimizerConfig {
         self
     }
 
-    /// Sets the worker count for both the profiling sweep and the GA
-    /// scoring engine (`0` = auto-detect), chainable. Thread count
-    /// changes wall time only, never the outcome.
+    /// Sets the worker count for the profiling sweep (`0` =
+    /// auto-detect), chainable. Thread count changes wall time only,
+    /// never the outcome. The GA search itself runs on the calling
+    /// thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self.ga.threads = threads;
         self
     }
 
@@ -570,7 +570,6 @@ mod tests {
             .with_planned_latency_us(Some(2_000.0));
         assert_eq!(o.ga.perf_loss_target, 0.06);
         assert_eq!(o.fai_us, 100_000.0);
-        assert_eq!(o.ga.threads, 3);
         assert_eq!(o.threads, 3);
         assert_eq!(o.fit, FitFunction::StallConstant);
         assert_eq!(o.build_freqs, vec![FreqMhz::new(1200), FreqMhz::new(1800)]);

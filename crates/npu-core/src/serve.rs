@@ -30,7 +30,7 @@
 //! stops attempting re-optimization.
 //!
 //! Everything is deterministic: shadow devices derive their seeds from
-//! the live device's fork stream, the GA is thread-count invariant, and
+//! the live device's fork stream, the GA is a pure function of its seed, and
 //! no wall-clock time enters any decision — two runs of the same serve
 //! loop are bit-identical at any worker thread count.
 

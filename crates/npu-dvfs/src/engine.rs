@@ -1,4 +1,4 @@
-//! Parallel + incremental strategy-evaluation engine for the GA search.
+//! Incremental strategy-evaluation engine for the GA search.
 //!
 //! Scoring dominates GA wall time: the paper's configuration evaluates
 //! 200 individuals × 600 generations, and every candidate move of the
@@ -14,23 +14,24 @@
 //!    tree shape, the root sums are **bit-identical** to a fresh full
 //!    pass after any sequence of gene flips (`x + 0.0` is exact, and
 //!    both paths perform the identical `left + right` additions).
-//! 2. **Purity.** Scoring uses no RNG — it is a pure function of the
-//!    genome — so a generation can be scored on any number of threads in
-//!    any order and the scores are identical. [`EvalEngine`] fans a
-//!    population out over `std::thread::scope` workers that write
-//!    results by index; the GA's RNG stream stays sequential and never
-//!    observes thread count.
+//! 2. **Lineage.** A GA child is a copy of one parent with another
+//!    parent's suffix and at most one point mutation. [`GenomePool`]
+//!    keeps each genome's sums for aligned blocks of that same tree and
+//!    carries them from parent to child, so [`EvalEngine`] scores a
+//!    genome by folding at most 32 block sums to the root.
 //! 3. **Redundancy.** Elitism, crossover between similar parents and
 //!    seeded individuals make duplicate genomes common. [`EvalEngine`]
 //!    memoizes score by genome fingerprint — in a bounded, deterministic
 //!    [`FingerprintRing`] rather than an unbounded map — and evaluates
 //!    only first occurrences.
-//! 4. **Flat genomes.** The fast path scores a bit-packed
-//!    [`GenomePool`]: fingerprints are maintained incrementally by the
+//! 4. **Flat genomes.** Fingerprints are maintained incrementally by the
 //!    pool (O(1) per mutation instead of an O(n) hash per lookup), and
-//!    per-worker [`PoolScratch`] evaluators reposition by XOR-diffing
-//!    packed words. All buffers are engine-owned and reused, so a warm
-//!    single-threaded scoring pass allocates nothing.
+//!    all dedup and result buffers are engine-owned and reused, so a
+//!    warm scoring pass allocates nothing.
+//!
+//! Scoring is a pure function of the genome and runs on the caller's
+//! thread: once a score is a fold of block sums, a second worker costs
+//! more to spawn than it saves.
 //!
 //! [`RouletteWheel`] replaces the O(population) linear selection scan
 //! with a prefix-sum + binary-search sampler over pre-normalized
@@ -38,12 +39,10 @@
 
 use crate::ga::score;
 use crate::memo::FingerprintRing;
-use crate::pool::{assert_pool_matches, GenomePool, PoolScratch};
+use crate::pool::GenomePool;
 use crate::strategy::{Evaluation, StageTable, Sums};
-use npu_sim::par::resolve_threads;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::thread;
 
 /// Incremental evaluator over one genome: a segment tree of per-stage
 /// `Sums` whose root feeds the thermal fix point. Re-scoring after `k`
@@ -187,15 +186,6 @@ impl<'t> IncrementalEval<'t> {
     }
 }
 
-/// Minimum pending genomes per worker before adding that worker pays
-/// off. Spawning one scoped thread costs about as much as incrementally
-/// scoring a few dozen individuals (the `ga_eval` bench measures both),
-/// so the engine caps the worker count at `pending / MIN_GENOMES_PER_WORKER`
-/// instead of gating on a single population-size threshold — a
-/// 200-individual generation gets 4 workers with real work each rather
-/// than 16 workers whose spawn cost eats the speedup.
-const MIN_GENOMES_PER_WORKER: usize = 48;
-
 /// Slots in the bounded score memo. At ~24 bytes per slot this caps the
 /// memo at a fixed ~24 MB per engine for the life of a search — the old
 /// unbounded `HashMap` grew past 8.9 M entries on a GPT-3-sized run.
@@ -205,71 +195,49 @@ const MEMO_SLOTS: usize = 1 << 20;
 /// ever exceeds half of it).
 const SEEN_SLOTS: usize = 1 << 12;
 
-/// Population scorer: memoized, incremental, optionally parallel.
+/// Population scorer: memoized, from block sums.
 ///
 /// Scores are a pure function of the genome (given the table, baseline
-/// time and loss target fixed at construction), so results are identical
-/// — bitwise — for any worker count, and duplicate genomes are served
-/// from a bounded memo without re-evaluation. Duplicate detection and
-/// memo updates run sequentially in population-index order before any
-/// fan-out, so thread count cannot even perturb the memo's (bounded,
-/// deterministic) eviction sequence.
+/// time and loss target fixed at construction), and duplicate genomes
+/// are served from a bounded memo without re-evaluation. Duplicate
+/// detection and memo updates run in population-index order, so the
+/// memo's (bounded, deterministic) eviction sequence is a pure function
+/// of the genome sequence.
 ///
 /// Populations arrive as a bit-packed [`GenomePool`] through
 /// [`Self::score_pool`]. All dedup and result buffers are engine-owned:
-/// a warm single-threaded [`Self::score_pool`] call performs no heap
-/// allocation.
-///
-/// The fan-out is a chunked scorer of its own rather than
-/// [`npu_sim::par::par_map_ordered`]: each worker keeps a persistent
-/// [`PoolScratch`] across generations and writes a disjoint slice of the
-/// engine-owned result buffer, which an index map cannot express.
+/// a warm [`Self::score_pool`] call performs no heap allocation.
 #[derive(Debug)]
 pub struct EvalEngine<'t> {
     table: &'t StageTable,
     baseline_time_us: f64,
     perf_loss_target: f64,
-    workers: usize,
     /// Bounded fingerprint → score memo (deterministic eviction).
     memo: FingerprintRing<f64>,
     /// Within-call dedup: fingerprint → first population index.
     seen: FingerprintRing<u32>,
-    /// One warm evaluator per worker, built lazily and reused across
-    /// generations. Tree state depends only on the current genome, so
-    /// reuse cannot change any score.
-    scratches: Vec<Option<PoolScratch<'t>>>,
     scores_buf: Vec<f64>,
     /// Population indices needing evaluation this call.
     pending: Vec<u32>,
     /// `(dst, src)` within-population duplicate copies.
     copy_from: Vec<(u32, u32)>,
-    /// Freshly evaluated scores, parallel to `pending`.
-    fresh_buf: Vec<f64>,
     scored: usize,
     unique_scored: usize,
 }
 
 impl<'t> EvalEngine<'t> {
-    /// Creates an engine. `threads == 0` auto-detects the CPU count.
+    /// Creates an engine scoring against `table`.
     #[must_use]
-    pub fn new(
-        table: &'t StageTable,
-        baseline_time_us: f64,
-        perf_loss_target: f64,
-        threads: usize,
-    ) -> Self {
+    pub fn new(table: &'t StageTable, baseline_time_us: f64, perf_loss_target: f64) -> Self {
         Self {
             table,
             baseline_time_us,
             perf_loss_target,
-            workers: resolve_threads(threads),
             memo: FingerprintRing::new(MEMO_SLOTS),
             seen: FingerprintRing::new(SEEN_SLOTS),
-            scratches: Vec::new(),
             scores_buf: Vec::new(),
             pending: Vec::new(),
             copy_from: Vec::new(),
-            fresh_buf: Vec::new(),
             scored: 0,
             unique_scored: 0,
         }
@@ -303,121 +271,62 @@ impl<'t> EvalEngine<'t> {
     /// Scores every genome of a pool, returning one score per genome in
     /// index order (a view into an engine-owned buffer, valid until the
     /// next scoring call). Duplicates — within the pool or across
-    /// earlier calls — are evaluated once; the rest fan out over the
-    /// worker pool in deterministic index order.
+    /// earlier calls — are evaluated once; the rest are evaluated from
+    /// their block sums ([`GenomePool::evaluate`]) in index order.
     ///
     /// # Panics
     ///
-    /// Panics if the pool's shape disagrees with the engine's table.
+    /// Panics if the pool is bound to a different table than the engine
+    /// (compared by address).
     #[must_use]
-    pub fn score_pool(&mut self, pool: &GenomePool) -> &[f64] {
-        assert_pool_matches(pool, self.table);
-        self.run_scoring(pool);
-        &self.scores_buf
-    }
-
-    /// Scoring core behind [`Self::score_pool`]. Results land in
-    /// `self.scores_buf`.
-    fn run_scoring(&mut self, pool: &GenomePool) {
-        let Self {
-            table,
-            baseline_time_us,
-            perf_loss_target,
-            workers,
-            memo,
-            seen,
-            scratches,
-            scores_buf,
-            pending,
-            copy_from,
-            fresh_buf,
-            scored,
-            unique_scored,
-        } = self;
-        let table: &'t StageTable = table;
-        let (bt, lt) = (*baseline_time_us, *perf_loss_target);
+    pub fn score_pool(&mut self, pool: &GenomePool<'_>) -> &[f64] {
+        assert!(
+            std::ptr::eq(pool.table(), self.table),
+            "genome pool must be bound to the engine's stage table"
+        );
+        let (bt, lt) = (self.baseline_time_us, self.perf_loss_target);
         let count = pool.len();
         debug_assert!(count <= u32::MAX as usize, "population exceeds u32 indices");
-        *scored += count;
+        self.scored += count;
 
-        // Sequential dedup pass, in index order: resolve duplicates
-        // within this population to their first occurrence, serve
-        // memoized genomes, queue the rest.
-        if seen.capacity() < count.saturating_mul(2) {
-            *seen = FingerprintRing::new(count * 2);
+        // Dedup pass, in index order: resolve duplicates within this
+        // population to their first occurrence, serve memoized genomes,
+        // queue the rest.
+        if self.seen.capacity() < count.saturating_mul(2) {
+            self.seen = FingerprintRing::new(count * 2);
         } else {
-            seen.clear();
+            self.seen.clear();
         }
-        scores_buf.clear();
-        scores_buf.resize(count, 0.0);
-        pending.clear();
-        copy_from.clear();
-        for (i, slot) in scores_buf.iter_mut().enumerate() {
+        self.scores_buf.clear();
+        self.scores_buf.resize(count, 0.0);
+        self.pending.clear();
+        self.copy_from.clear();
+        for (i, slot) in self.scores_buf.iter_mut().enumerate() {
             let fp = pool.fp(i);
-            if let Some(j) = seen.get(fp) {
-                copy_from.push((i as u32, j));
-            } else if let Some(s) = memo.get(fp) {
-                seen.insert(fp, i as u32);
+            if let Some(j) = self.seen.get(fp) {
+                self.copy_from.push((i as u32, j));
+            } else if let Some(s) = self.memo.get(fp) {
+                self.seen.insert(fp, i as u32);
                 *slot = s;
             } else {
-                seen.insert(fp, i as u32);
-                pending.push(i as u32);
+                self.seen.insert(fp, i as u32);
+                self.pending.push(i as u32);
             }
         }
-        *unique_scored += pending.len();
+        self.unique_scored += self.pending.len();
 
-        // Evaluate the pending genomes: inline unless enough work exists
-        // to amortize every spawned worker (at least
-        // MIN_GENOMES_PER_WORKER genomes each). Workers reuse persistent
-        // per-worker scratches and write into disjoint slices of the
-        // engine-owned result buffer; chunking cannot change any result.
-        if !pending.is_empty() {
-            let n_workers = if *workers <= 1 {
-                1
-            } else {
-                (*workers).min(pending.len() / MIN_GENOMES_PER_WORKER)
-            };
-            fresh_buf.clear();
-            fresh_buf.resize(pending.len(), 0.0);
-            while scratches.len() < n_workers.max(1) {
-                scratches.push(None);
-            }
-            if n_workers <= 1 {
-                let scratch = scratches[0].get_or_insert_with(|| PoolScratch::new(table));
-                for (out, &i) in fresh_buf.iter_mut().zip(pending.iter()) {
-                    *out = score(&scratch.eval_pool(pool, i as usize), bt, lt);
-                }
-            } else {
-                let chunk = pending.len().div_ceil(n_workers);
-                thread::scope(|s| {
-                    let mut rest: &mut [f64] = fresh_buf;
-                    let mut handles = Vec::with_capacity(n_workers);
-                    for (idxs, slot) in pending.chunks(chunk).zip(scratches.iter_mut()) {
-                        let (out, tail) = rest.split_at_mut(idxs.len());
-                        rest = tail;
-                        handles.push(s.spawn(move || {
-                            let scratch = slot.get_or_insert_with(|| PoolScratch::new(table));
-                            for (o, &i) in out.iter_mut().zip(idxs.iter()) {
-                                *o = score(&scratch.eval_pool(pool, i as usize), bt, lt);
-                            }
-                        }));
-                    }
-                    for h in handles {
-                        h.join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                    }
-                });
-            }
-            // Memo writes stay sequential in index order, so eviction is
-            // a pure function of the genome sequence.
-            for (&i, &s) in pending.iter().zip(fresh_buf.iter()) {
-                scores_buf[i as usize] = s;
-                memo.insert(pool.fp(i as usize), s);
-            }
+        // Evaluate the pending genomes. Memo writes follow in index
+        // order after the whole dedup pass, so eviction is a pure
+        // function of the genome sequence.
+        for &i in &self.pending {
+            let s = score(&pool.evaluate(i as usize), bt, lt);
+            self.scores_buf[i as usize] = s;
+            self.memo.insert(pool.fp(i as usize), s);
         }
-        for &(dst, src) in copy_from.iter() {
-            scores_buf[dst as usize] = scores_buf[src as usize];
+        for &(dst, src) in &self.copy_from {
+            self.scores_buf[dst as usize] = self.scores_buf[src as usize];
         }
+        &self.scores_buf
     }
 }
 
@@ -620,12 +529,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_scores_bit_match_direct_evaluation_at_any_thread_count() {
+    fn pool_scores_bit_match_direct_evaluation() {
         let t = table(11);
         let baseline = t.baseline().time_us;
         // Stages 0-2 spell `i` in base 9, so all 200 genomes are
-        // distinct: every one is pending, and multi-thread runs take the
-        // scoped-worker path (pending / MIN_GENOMES_PER_WORKER > 1).
+        // distinct and every one is pending.
         let population: Vec<Vec<usize>> = (0..200_usize)
             .map(|i| {
                 (0..11_u32)
@@ -633,7 +541,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut pool = GenomePool::new(11, t.n_freqs());
+        let mut pool = GenomePool::new(&t);
         for g in &population {
             pool.push_genes(g);
         }
@@ -641,26 +549,24 @@ mod tests {
             .iter()
             .map(|g| score(&t.evaluate(g), baseline, 0.02).to_bits())
             .collect();
-        for threads in [1, 2, 5, 8] {
-            let mut engine = EvalEngine::new(&t, baseline, 0.02, threads);
-            let got: Vec<u64> = engine
-                .score_pool(&pool)
-                .iter()
-                .map(|s| s.to_bits())
-                .collect();
-            assert_eq!(got, expect, "threads = {threads}");
-            assert_eq!(engine.unique_scored(), population.len());
-        }
+        let mut engine = EvalEngine::new(&t, baseline, 0.02);
+        let got: Vec<u64> = engine
+            .score_pool(&pool)
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(got, expect);
+        assert_eq!(engine.unique_scored(), population.len());
     }
 
     #[test]
     fn engine_memoizes_duplicates() {
         let t = table(4);
         let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02, 1);
+        let mut engine = EvalEngine::new(&t, baseline, 0.02);
         let a = [1, 2, 3, 4];
         let b = [8, 8, 8, 8];
-        let mut pool = GenomePool::new(4, t.n_freqs());
+        let mut pool = GenomePool::new(&t);
         for g in [&a, &b, &a, &a] {
             pool.push_genes(g);
         }
@@ -680,15 +586,15 @@ mod tests {
     }
 
     #[test]
-    fn template_reuse_is_stable_across_generations() {
-        // Successive generations reuse the persistent per-worker
-        // scratches; scores must stay identical to direct evaluation no
-        // matter what the previous generation left behind.
+    fn engine_reuse_is_stable_across_generations() {
+        // Successive generations reuse the engine's buffers and memo;
+        // scores must stay identical to direct evaluation no matter what
+        // the previous generation left behind.
         let t = table(9);
         let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02, 4);
+        let mut engine = EvalEngine::new(&t, baseline, 0.02);
         for gen in 0..3_usize {
-            let mut pool = GenomePool::new(9, t.n_freqs());
+            let mut pool = GenomePool::new(&t);
             let population: Vec<Vec<usize>> = (0..200)
                 .map(|i| {
                     (0..9)
@@ -705,6 +611,16 @@ mod tests {
                 assert_eq!(s.to_bits(), direct.to_bits(), "gen {gen}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "engine's stage table")]
+    fn score_pool_rejects_a_pool_bound_to_another_table() {
+        let (t, other) = (table(4), table(4));
+        let mut engine = EvalEngine::new(&t, t.baseline().time_us, 0.02);
+        let mut pool = GenomePool::new(&other);
+        pool.push_genes(&[0, 1, 2, 3]);
+        let _ = engine.score_pool(&pool);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! mutation, with the best individual carried over unchanged.
 //!
 //! Generations live in a bit-packed [`GenomePool`] arena (two pools,
-//! swapped per generation) and are scored through [`crate::EvalEngine`]
-//! — memoized, incremental, and parallel across `cfg.threads` workers —
-//! so the hot loop performs no per-individual heap allocation. The RNG
-//! is only consumed in the sequential population-generation phase and
-//! scoring is a pure function of the genome, so the search returns a
-//! bit-identical [`GaOutcome`] for a given seed at any thread count.
+//! swapped per generation). Children are built inside the arena by
+//! copy, suffix swap and point mutation, which carry each parent's
+//! evaluation-tree block sums over to the child, and
+//! [`crate::EvalEngine`] scores them from those sums, memoized. The hot
+//! loop performs no per-individual heap allocation, and scoring is a
+//! pure function of the genome, so the search returns a bit-identical
+//! [`GaOutcome`] for a given seed.
 //!
 //! On large schedules the first generation is additionally seeded from
 //! the [`crate::exact`] Lagrangian ladder (see
@@ -53,10 +54,6 @@ pub struct GaConfig {
     pub hfc_prior: FreqMhz,
     /// RNG seed (the search is deterministic given the seed).
     pub seed: u64,
-    /// Scoring worker threads; `0` auto-detects the CPU count. The
-    /// outcome is identical for any value — threads only change wall
-    /// time.
-    pub threads: usize,
     /// Oracle seed individuals injected into the first generation from
     /// the [`crate::exact::lagrangian_seeds`] ladder. `0` applies the
     /// automatic rule: seed 8 individuals when the schedule has at
@@ -97,7 +94,6 @@ impl Default for GaConfig {
             lfc_prior: FreqMhz::new(1600),
             hfc_prior: FreqMhz::new(1800),
             seed: 0x6A_5EED,
-            threads: 0,
             oracle_seeds: 0,
             oracle_auto_stages: 256,
             warm_seeds: Vec::new(),
@@ -124,13 +120,6 @@ impl GaConfig {
     #[must_use]
     pub fn with_population(mut self, population: usize) -> Self {
         self.population = population;
-        self
-    }
-
-    /// Sets the scoring worker count (`0` = auto), chainable.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -272,8 +261,8 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             .position(|&g| g >= f)
             .unwrap_or(max_gene)
     };
-    let mut pool = GenomePool::with_capacity(n, m, cfg.population + 1);
-    let mut next = GenomePool::with_capacity(n, m, cfg.population + 1);
+    let mut pool = GenomePool::with_capacity(table, cfg.population + 1);
+    let mut next = GenomePool::with_capacity(table, cfg.population + 1);
     let mut genes_buf: Vec<usize> = vec![max_gene; n];
     pool.push_genes(&genes_buf); // baseline individual
     if cfg.include_prior {
@@ -346,12 +335,10 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     }
 
     // All scoring flows through the engine: memoized (elites and seeded
-    // duplicates are evaluated once), incremental, and parallel. The RNG
-    // stream above/below never depends on scoring internals, so thread
-    // count cannot perturb the search trajectory.
-    let mut engine = EvalEngine::new(table, baseline_time, cfg.perf_loss_target, cfg.threads);
+    // duplicates are evaluated once) and folded from block sums. The RNG
+    // stream above/below never depends on scoring internals.
+    let mut engine = EvalEngine::new(table, baseline_time, cfg.perf_loss_target);
     let mut score_trace = Vec::with_capacity(cfg.iterations);
-    let mut best_genes = vec![max_gene; n]; // the baseline individual
     let mut best_score = f64::NEG_INFINITY;
     let mut prev_memo_hits = 0;
 
@@ -365,10 +352,15 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap_or((0, f64::NEG_INFINITY));
-        if gen_best > best_score {
+        // The best-so-far genome is always in the pool: index 0 holds
+        // the baseline individual in the first generation and the elite
+        // carried over in every later one.
+        let elite = if gen_best > best_score {
             best_score = gen_best;
-            pool.read_genes(gen_best_idx, &mut best_genes);
-        }
+            gen_best_idx
+        } else {
+            0
+        };
         score_trace.push(best_score);
 
         // Next generation: elite + roulette-selected offspring via the
@@ -386,7 +378,7 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             prev_memo_hits = memo_hits;
         }
         next.clear();
-        next.push_genes(&best_genes); // elitism
+        next.push_copy_from(&pool, elite); // elitism
         while next.len() < cfg.population {
             let pa = wheel.sample(&mut rng);
             let pb = wheel.sample(&mut rng);
@@ -410,6 +402,8 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
 
     let mut evaluations = engine.scored();
     let mut unique_evaluations = engine.unique_scored();
+    let mut best_genes = Vec::with_capacity(n);
+    pool.read_genes(0, &mut best_genes);
 
     // Memetic refinement: deterministic budget-constrained coordinate
     // ascent from the GA's best individual, with O(log n) incremental
@@ -627,18 +621,6 @@ mod tests {
         let b = search(&t, &quick_cfg());
         assert_eq!(a.strategy, b.strategy);
         assert_eq!(a.score_trace, b.score_trace);
-    }
-
-    #[test]
-    fn outcome_is_bit_identical_across_thread_counts() {
-        // Scoring is pure and the RNG never observes thread count, so 1
-        // worker and N workers must produce the same GaOutcome.
-        let t = table(4, 4);
-        let single = search(&t, &quick_cfg().with_threads(1));
-        for threads in [2, 3, 8] {
-            let multi = search(&t, &quick_cfg().with_threads(threads));
-            assert_eq!(single, multi, "threads = {threads}");
-        }
     }
 
     #[test]

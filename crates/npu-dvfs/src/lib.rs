@@ -16,15 +16,16 @@
 //!   point mutation;
 //! * [`EvalEngine`] / [`IncrementalEval`] / [`RouletteWheel`] — the
 //!   evaluation engine behind [`search`]: memoized (bounded,
-//!   deterministically evicting [`FingerprintRing`]), incremental
+//!   deterministically evicting [`FingerprintRing`]) and incremental
 //!   (O(changed genes · log stages) per re-score, bit-identical to a
-//!   full pass) and parallel across scoped worker threads without
-//!   perturbing the seeded search trajectory;
-//! * [`GenomePool`] / [`PoolScratch`] — the bit-packed structure-of-
-//!   arrays genome arena the GA generations live in: 4 bits per gene for
-//!   the paper's 9-level frequency ladder, one contiguous buffer reused
-//!   across generations, O(1) incrementally-maintained fingerprints, and
-//!   word-level delta extraction so scoring touches only changed stages;
+//!   full pass);
+//! * [`GenomePool`] — the bit-packed structure-of-arrays genome arena
+//!   the GA generations live in, bound to its [`StageTable`]: 4 bits per
+//!   gene for the paper's 9-level frequency ladder, one contiguous
+//!   buffer reused across generations, O(1) incrementally-maintained
+//!   fingerprints, and per-genome block sums of the evaluation tree that
+//!   children inherit from their parents, so scoring a child folds at
+//!   most 32 sums instead of re-summing every stage;
 //! * [`exact`] — the per-stage separable oracle: a Pareto-frontier
 //!   dynamic program that certifies the true Eq. (17) optimum on
 //!   thermally-uncoupled tables (bit-identical to [`StageTable`]
@@ -64,6 +65,6 @@ pub use exact::{ExactConfig, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
 pub use memo::FingerprintRing;
 pub use persist::{read_strategy, write_strategy, StrategyParseError, STRATEGY_HEADER};
-pub use pool::{genome_fingerprint, GenomePool, PoolScratch};
+pub use pool::{genome_fingerprint, GenomePool};
 pub use preprocess::{Preprocessed, Stage, StageKind};
 pub use strategy::{DvfsStrategy, Evaluation, StageTable, TableError, ThermalCoupling};

@@ -10,9 +10,9 @@
 //!   power of two); memory never grows afterwards.
 //! * **Deterministic** — the slot for a fingerprint is `fp & mask`, and
 //!   an insert simply overwrites whatever occupied the slot. Eviction is
-//!   a pure function of the insertion sequence, so two runs (at any
-//!   thread count, because the engine probes and inserts sequentially in
-//!   population-index order) hit and miss identically.
+//!   a pure function of the insertion sequence, so two runs (the engine
+//!   probes and inserts in population-index order) hit and miss
+//!   identically.
 //! * **O(1)** — no hashing beyond the mask, no probing chains, no
 //!   tombstones. A collision between two *different* fingerprints is a
 //!   miss (the stored fingerprint is compared in full), never an alias.

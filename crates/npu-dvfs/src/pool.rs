@@ -2,14 +2,14 @@
 //!
 //! A GA generation used to live as `Vec<Vec<usize>>`: one heap
 //! allocation per individual, 8 bytes per gene, and a full O(n) pass
-//! (fingerprint + diff scan) per evaluation. [`GenomePool`] replaces
-//! that with a struct-of-arrays arena:
+//! (fingerprint + evaluation) per score. [`GenomePool`] replaces that
+//! with a struct-of-arrays arena bound to the [`StageTable`] its genomes
+//! are scored against:
 //!
 //! * **Bit-packed genes.** A gene indexes one of at most 256 frequency
 //!   points, so it fits in 4 bits (≤16 points — the paper's ladder has
 //!   9) or 8 bits. A GPT-3-sized genome (960 stages) is 60 `u64` words
-//!   instead of 7.7 KB of `usize`s — small enough that diffing two
-//!   genomes is 60 XORs.
+//!   instead of 7.7 KB of `usize`s.
 //! * **One contiguous buffer.** Genome `i` occupies
 //!   `words[i*W .. (i+1)*W]`. Building the next generation reuses the
 //!   arena via [`GenomePool::clear`] — after warm-up, a generation
@@ -18,18 +18,34 @@
 //!   fingerprint maintained as `base ^ XOR_w contrib(w, word_w)`, so a
 //!   single-gene mutation updates the fingerprint in O(1) (XOR the old
 //!   word's contribution out, the new one in) instead of re-hashing all
-//!   n genes — which used to dominate the engine's per-genome cost.
+//!   n genes.
+//! * **Block sums.** Every genome also keeps the [`Sums`] of its aligned
+//!   power-of-two blocks of the evaluation tree: `max(8, n_pad / 32)`
+//!   stages per block (`n_pad` = stage count rounded up to a power of
+//!   two), so at most 32 blocks — 32 blocks of 32 stages for GPT-3's 960.
+//!   An aligned block is a node of [`StageTable::evaluate`]'s pairwise
+//!   tree, so folding the blocks to the root ([`GenomePool::evaluate`])
+//!   is bit-identical to a full evaluation. Every mutator keeps the sums
+//!   current from the genome's lineage: a copy takes its parent's
+//!   blocks, a suffix swap exchanges the whole blocks past the cut and
+//!   re-reduces only the cut block, a point mutation re-reduces its one
+//!   block. A GA child therefore scores in a few dozen additions instead
+//!   of a pass over every stage.
 //!
-//! [`PoolScratch`] pairs a warm [`IncrementalEval`] with a packed
-//! mirror of its current genome: repositioning onto another genome
-//! diffs the packed words (XOR + `trailing_zeros`), touching only the
-//! changed stages. [`genome_fingerprint`] computes the identical
-//! fingerprint for an unpacked `&[usize]` genome.
+//! [`genome_fingerprint`] computes the identical fingerprint for an
+//! unpacked `&[usize]` genome.
 
-use crate::engine::IncrementalEval;
-use crate::strategy::{Evaluation, StageTable};
+use crate::strategy::{Evaluation, StageTable, Sums};
 
-/// How genes map onto `u64` words for a given table shape.
+/// Fewest stages per block-sum block: below this, a short schedule's
+/// blocks cost more to copy into every child than re-reducing one saves.
+const MIN_BLOCK_STAGES: usize = 8;
+
+/// Most blocks per genome (the fold's fixed-size stack buffer).
+const MAX_BLOCKS: usize = 32;
+
+/// How genes map onto `u64` words and evaluation-tree blocks for a given
+/// table shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PackLayout {
     n_stages: usize,
@@ -39,6 +55,10 @@ struct PackLayout {
     genes_per_word: usize,
     words_per_genome: usize,
     gene_mask: u64,
+    /// Stages per block sum (a power of two).
+    block_stages: usize,
+    /// Blocks per genome: `n_pad / block_stages`, at most [`MAX_BLOCKS`].
+    n_blocks: usize,
 }
 
 impl PackLayout {
@@ -49,6 +69,8 @@ impl PackLayout {
         );
         let gene_bits: u32 = if n_freqs <= 16 { 4 } else { 8 };
         let genes_per_word = (64 / gene_bits) as usize;
+        let n_pad = n_stages.next_power_of_two(); // 0 -> 1
+        let block_stages = (n_pad / MAX_BLOCKS).max(MIN_BLOCK_STAGES).min(n_pad);
         Self {
             n_stages,
             n_freqs,
@@ -56,6 +78,8 @@ impl PackLayout {
             genes_per_word,
             words_per_genome: n_stages.div_ceil(genes_per_word),
             gene_mask: (1u64 << gene_bits) - 1,
+            block_stages,
+            n_blocks: n_pad / block_stages,
         }
     }
 
@@ -98,8 +122,8 @@ fn word_contrib(word_idx: usize, word: u64) -> u64 {
 }
 
 /// Fingerprint of an unpacked genome, identical to the fingerprint a
-/// [`GenomePool`] with the same `n_freqs` maintains for these genes —
-/// the bridge that lets slice-based and pooled scoring share one memo.
+/// [`GenomePool`] over an `n_freqs`-point table maintains for these
+/// genes.
 ///
 /// # Panics
 ///
@@ -129,42 +153,55 @@ fn pack_word(layout: &PackLayout, chunk: &[usize]) -> u64 {
     word
 }
 
-/// A flat arena of bit-packed genomes with per-genome fingerprints.
+/// A flat arena of bit-packed genomes with per-genome fingerprints and
+/// evaluation-tree block sums, bound to one [`StageTable`].
 ///
 /// All genomes share one `Vec<u64>`; [`Self::clear`] keeps the buffers
 /// for the next generation, so a warmed pool never allocates.
 #[derive(Debug, Clone)]
-pub struct GenomePool {
+pub struct GenomePool<'t> {
+    table: &'t StageTable,
     layout: PackLayout,
     /// Genome `i` is `words[i*W .. (i+1)*W]`, `W = words_per_genome`.
     words: Vec<u64>,
     /// One fingerprint per genome, maintained incrementally.
     fps: Vec<u64>,
+    /// Genome `i`'s block sums are `blocks[i*B .. (i+1)*B]`,
+    /// `B = n_blocks`; block `b` covers stages
+    /// `[b * block_stages, (b + 1) * block_stages)`.
+    blocks: Vec<Sums>,
     base_fp: u64,
 }
 
-impl GenomePool {
-    /// Creates an empty pool for genomes of `n_stages` genes over an
-    /// alphabet of `n_freqs` frequency points.
+impl<'t> GenomePool<'t> {
+    /// Creates an empty pool for genomes over `table`'s stages and
+    /// frequency points.
     ///
     /// # Panics
     ///
-    /// Panics if `n_freqs` is outside `1..=256`.
+    /// Panics if the table has more than 256 (or no) frequency points.
     #[must_use]
-    pub fn new(n_stages: usize, n_freqs: usize) -> Self {
-        Self::with_capacity(n_stages, n_freqs, 0)
+    pub fn new(table: &'t StageTable) -> Self {
+        Self::with_capacity(table, 0)
     }
 
     /// [`Self::new`] with space pre-reserved for `genomes` individuals.
     #[must_use]
-    pub fn with_capacity(n_stages: usize, n_freqs: usize, genomes: usize) -> Self {
-        let layout = PackLayout::new(n_stages, n_freqs);
+    pub fn with_capacity(table: &'t StageTable, genomes: usize) -> Self {
+        let layout = PackLayout::new(table.n_stages(), table.n_freqs());
         Self {
+            table,
             layout,
             words: Vec::with_capacity(genomes * layout.words_per_genome),
             fps: Vec::with_capacity(genomes),
-            base_fp: fp_base(n_stages),
+            blocks: Vec::with_capacity(genomes * layout.n_blocks),
+            base_fp: fp_base(layout.n_stages),
         }
+    }
+
+    /// The table this pool's genomes are scored against.
+    pub(crate) fn table(&self) -> &'t StageTable {
+        self.table
     }
 
     /// Genes per genome.
@@ -195,6 +232,7 @@ impl GenomePool {
     pub fn clear(&mut self) {
         self.words.clear();
         self.fps.clear();
+        self.blocks.clear();
     }
 
     /// Drops genomes past index `len` (no-op when already shorter).
@@ -202,6 +240,7 @@ impl GenomePool {
         if len < self.fps.len() {
             self.fps.truncate(len);
             self.words.truncate(len * self.layout.words_per_genome);
+            self.blocks.truncate(len * self.layout.n_blocks);
         }
     }
 
@@ -217,24 +256,35 @@ impl GenomePool {
             "gene count must match stages"
         );
         let mut fp = self.base_fp;
-        for (w, chunk) in genes.chunks(self.layout.genes_per_word.max(1)).enumerate() {
+        for (w, chunk) in genes.chunks(self.layout.genes_per_word).enumerate() {
             let word = pack_word(&self.layout, chunk);
             self.words.push(word);
             fp ^= word_contrib(w, word);
         }
         self.fps.push(fp);
+        let width = self.layout.block_stages;
+        let mut genes = genes.iter().copied();
+        for b in 0..self.layout.n_blocks {
+            let sums = self.table.reduce(b * width, width, &mut genes);
+            self.blocks.push(sums);
+        }
         self.fps.len() - 1
     }
 
-    /// Appends a copy of genome `src` from `other` (same layout);
-    /// returns the new index. `other` may be `self`-shaped next-gen pool.
+    /// Appends a copy of genome `src` from `other`, block sums included;
+    /// returns the new index.
     ///
     /// # Panics
     ///
-    /// Panics if the layouts disagree or `src` is out of range.
-    pub fn push_copy_from(&mut self, other: &GenomePool, src: usize) -> usize {
-        assert_eq!(self.layout, other.layout, "pool layouts must agree");
+    /// Panics if `other` is bound to a different table (compared by
+    /// address) or `src` is out of range.
+    pub fn push_copy_from(&mut self, other: &GenomePool<'_>, src: usize) -> usize {
+        assert!(
+            std::ptr::eq(self.table, other.table),
+            "pools must be bound to the same stage table"
+        );
         self.words.extend_from_slice(other.words_of(src));
+        self.blocks.extend_from_slice(other.blocks_of(src));
         self.fps.push(other.fps[src]);
         self.fps.len() - 1
     }
@@ -246,8 +296,9 @@ impl GenomePool {
     /// Panics if `src` is out of range.
     pub fn push_clone(&mut self, src: usize) -> usize {
         assert!(src < self.fps.len(), "genome {src} out of range");
-        let w = self.layout.words_per_genome;
+        let (w, b) = (self.layout.words_per_genome, self.layout.n_blocks);
         self.words.extend_from_within(src * w..(src + 1) * w);
+        self.blocks.extend_from_within(src * b..(src + 1) * b);
         self.fps.push(self.fps[src]);
         self.fps.len() - 1
     }
@@ -260,7 +311,8 @@ impl GenomePool {
             as usize
     }
 
-    /// Sets one gene, updating the genome's fingerprint in O(1).
+    /// Sets one gene, updating the genome's fingerprint in O(1) and
+    /// re-reducing the one block that holds the stage.
     ///
     /// # Panics
     ///
@@ -278,12 +330,15 @@ impl GenomePool {
         if new != old {
             self.words[slot] = new;
             self.fps[idx] ^= word_contrib(w, old) ^ word_contrib(w, new);
+            self.reduce_block(idx, stage / self.layout.block_stages);
         }
     }
 
     /// Swaps the gene suffix `[from_stage, n_stages)` between genomes
     /// `a` and `b` — the GA's last-`k` crossover — word-at-a-time, with
-    /// O(changed words) fingerprint updates.
+    /// O(changed words) fingerprint updates. The whole blocks past the
+    /// cut swap their sums; only the block the cut falls inside is
+    /// re-reduced, once per genome.
     ///
     /// # Panics
     ///
@@ -310,20 +365,28 @@ impl GenomePool {
             let na = (va & keep_mask) | (vb & !keep_mask);
             let nb = (vb & keep_mask) | (va & !keep_mask);
             if na != va {
-                // The contribution delta is symmetric: both genomes
-                // exchange the same pair of word values.
                 self.words[ia] = na;
                 self.words[ib] = nb;
                 self.fps[a] ^= word_contrib(w, va) ^ word_contrib(w, na);
                 self.fps[b] ^= word_contrib(w, vb) ^ word_contrib(w, nb);
             }
         }
+        let (width, nb) = (self.layout.block_stages, self.layout.n_blocks);
+        let cut = from_stage / width;
+        let mid_block = !from_stage.is_multiple_of(width);
+        for blk in cut + usize::from(mid_block)..nb {
+            self.blocks.swap(a * nb + blk, b * nb + blk);
+        }
+        if mid_block {
+            self.reduce_block(a, cut);
+            self.reduce_block(b, cut);
+        }
     }
 
     /// Unpacks genome `idx` into `out` (cleared first).
     pub fn read_genes(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
-        out.extend((0..self.layout.n_stages).map(|s| self.gene(idx, s)));
+        out.extend(self.genes_from(idx, 0));
     }
 
     /// The genome's 64-bit fingerprint (identical to
@@ -333,88 +396,45 @@ impl GenomePool {
         self.fps[idx]
     }
 
+    /// Evaluates genome `idx` by folding its block sums to the root of
+    /// the evaluation tree. Bit-identical to `table.evaluate(&genes)` of
+    /// the unpacked genome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[must_use]
+    pub fn evaluate(&self, idx: usize) -> Evaluation {
+        let mut acc = [Sums::ZERO; MAX_BLOCKS];
+        let blocks = &mut acc[..self.layout.n_blocks];
+        blocks.copy_from_slice(self.blocks_of(idx));
+        self.table.finish_sums(Sums::fold(blocks))
+    }
+
     /// The packed words of genome `idx`.
-    pub(crate) fn words_of(&self, idx: usize) -> &[u64] {
+    fn words_of(&self, idx: usize) -> &[u64] {
         let w = self.layout.words_per_genome;
         &self.words[idx * w..(idx + 1) * w]
     }
 
-    fn layout_matches(&self, table: &StageTable) -> bool {
-        self.layout == PackLayout::new(table.n_stages(), table.n_freqs())
-    }
-}
-
-/// Per-worker evaluation scratch: a warm [`IncrementalEval`] plus a
-/// packed mirror of its current genome. Repositioning onto the next
-/// genome XOR-diffs packed words and updates only the changed stages —
-/// O(diff · log n) with a word-sized constant factor.
-#[derive(Debug)]
-pub struct PoolScratch<'t> {
-    inc: IncrementalEval<'t>,
-    packed: Vec<u64>,
-    layout: PackLayout,
-}
-
-impl<'t> PoolScratch<'t> {
-    /// Creates a scratch positioned at the all-zero genome.
-    #[must_use]
-    pub fn new(table: &'t StageTable) -> Self {
-        let genes = vec![0usize; table.n_stages()];
-        let layout = PackLayout::new(table.n_stages(), table.n_freqs());
-        Self {
-            inc: IncrementalEval::new(table, &genes),
-            packed: vec![0u64; layout.words_per_genome],
-            layout,
-        }
+    /// The block sums of genome `idx`.
+    fn blocks_of(&self, idx: usize) -> &[Sums] {
+        let b = self.layout.n_blocks;
+        &self.blocks[idx * b..(idx + 1) * b]
     }
 
-    /// Repositions one packed word, committing only the lanes that
-    /// changed to the underlying evaluator.
-    #[inline]
-    fn sync_word(&mut self, w: usize, new_word: u64) {
-        let mut x = new_word ^ self.packed[w];
-        if x == 0 {
-            return;
-        }
-        let bits = self.layout.gene_bits;
-        while x != 0 {
-            let shift = (x.trailing_zeros() / bits) * bits;
-            let stage = w * self.layout.genes_per_word + (shift / bits) as usize;
-            self.inc.set_gene(
-                stage,
-                ((new_word >> shift) & self.layout.gene_mask) as usize,
-            );
-            x &= !(self.layout.gene_mask << shift);
-        }
-        self.packed[w] = new_word;
+    /// The genes of genome `idx` from stage `from` on, in order.
+    fn genes_from(&self, idx: usize, from: usize) -> impl Iterator<Item = usize> + '_ {
+        (from..self.layout.n_stages).map(move |s| self.gene(idx, s))
     }
 
-    /// Evaluates genome `idx` of `pool`. Bit-identical to
-    /// `table.evaluate(&genes)` of the unpacked genome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool's layout disagrees with the scratch's table.
-    pub fn eval_pool(&mut self, pool: &GenomePool, idx: usize) -> Evaluation {
-        assert_eq!(self.layout, pool.layout, "pool layout must match table");
-        let src = pool.words_of(idx);
-        for (w, &word) in src.iter().enumerate() {
-            self.sync_word(w, word);
-        }
-        self.inc.eval()
+    /// Re-reduces block `blk` of genome `idx` from its packed genes.
+    fn reduce_block(&mut self, idx: usize, blk: usize) {
+        let width = self.layout.block_stages;
+        let lo = blk * width;
+        let sums = self.table.reduce(lo, width, &mut self.genes_from(idx, lo));
+        self.blocks[idx * self.layout.n_blocks + blk] = sums;
     }
-}
-
-/// Asserts a pool was built for `table`'s shape (engine entry check).
-pub(crate) fn assert_pool_matches(pool: &GenomePool, table: &StageTable) {
-    assert!(
-        pool.layout_matches(table),
-        "genome pool shape ({} stages × {} freqs) must match table ({} × {})",
-        pool.n_stages(),
-        pool.n_freqs(),
-        table.n_stages(),
-        table.n_freqs()
-    );
 }
 
 #[cfg(test)]
@@ -463,6 +483,18 @@ mod tests {
         (0..n).map(|s| (s * 7 + salt * 13 + 3) % m).collect()
     }
 
+    fn assert_evaluates_like_full(pool: &GenomePool<'_>, t: &StageTable, idx: usize) {
+        let mut genes = Vec::new();
+        pool.read_genes(idx, &mut genes);
+        let (fast, full) = (pool.evaluate(idx), t.evaluate(&genes));
+        assert_eq!(fast.time_us.to_bits(), full.time_us.to_bits());
+        assert_eq!(
+            fast.aicore_energy_wus.to_bits(),
+            full.aicore_energy_wus.to_bits()
+        );
+        assert_eq!(fast.soc_energy_wus.to_bits(), full.soc_energy_wus.to_bits());
+    }
+
     #[test]
     fn pack_layout_picks_nibbles_for_small_alphabets() {
         let nib = PackLayout::new(37, 9);
@@ -476,9 +508,31 @@ mod tests {
     }
 
     #[test]
+    fn block_layout_keeps_at_most_32_blocks_of_at_least_8_stages() {
+        for (n, block_stages, n_blocks) in [
+            (0, 1, 1),
+            (1, 1, 1),
+            (7, 8, 1),
+            (9, 8, 2),
+            (256, 8, 32),
+            (257, 16, 32),
+            (960, 32, 32),
+            (2_049, 128, 32),
+        ] {
+            let l = PackLayout::new(n, 9);
+            assert_eq!(
+                (l.block_stages, l.n_blocks),
+                (block_stages, n_blocks),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
     fn push_and_read_round_trip() {
         for m in [2, 9, 16, 17, 200] {
-            let mut pool = GenomePool::new(21, m);
+            let t = table(21, m);
+            let mut pool = GenomePool::new(&t);
             let g = genome(21, m, 1);
             let idx = pool.push_genes(&g);
             let mut out = Vec::new();
@@ -491,18 +545,20 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_match_the_free_function_through_every_mutation_path() {
+    fn fingerprints_and_sums_track_every_mutation_path() {
         let m = 9;
-        let mut pool = GenomePool::new(33, m);
+        let t = table(33, m);
+        let mut pool = GenomePool::new(&t);
         let a = pool.push_genes(&genome(33, m, 0));
         let b = pool.push_clone(a);
         let c = pool.push_genes(&genome(33, m, 5));
         pool.set_gene(b, 0, 3);
         pool.set_gene(b, 17, 8);
         pool.set_gene(b, 32, 1);
-        pool.set_gene(b, 32, 1); // no-op keeps fp coherent
+        pool.set_gene(b, 32, 1); // no-op keeps fp and sums coherent
         pool.swap_suffix(b, c, 13);
         pool.swap_suffix(a, c, 32);
+        pool.swap_suffix(a, b, 8); // block-aligned cut
         let mut out = Vec::new();
         for idx in [a, b, c] {
             pool.read_genes(idx, &mut out);
@@ -511,6 +567,7 @@ mod tests {
                 genome_fingerprint(&out, m),
                 "genome {idx} fingerprint drifted from its genes"
             );
+            assert_evaluates_like_full(&pool, &t, idx);
         }
         // Distinct genomes get distinct fingerprints here.
         assert_ne!(pool.fp(a), pool.fp(b));
@@ -526,7 +583,8 @@ mod tests {
             (11, 30, 5),
             (48, 9, 16),
         ] {
-            let mut pool = GenomePool::new(n, m);
+            let t = table(n, m);
+            let mut pool = GenomePool::new(&t);
             let ga = genome(n, m, 1);
             let gb = genome(n, m, 2);
             let a = pool.push_genes(&ga);
@@ -541,17 +599,20 @@ mod tests {
                 assert_eq!(pool.gene(a, s), wa, "n={n} m={m} from={from} stage {s}");
                 assert_eq!(pool.gene(b, s), wb, "n={n} m={m} from={from} stage {s}");
             }
+            assert_evaluates_like_full(&pool, &t, a);
+            assert_evaluates_like_full(&pool, &t, b);
         }
     }
 
     #[test]
     fn copy_truncate_and_clear_manage_the_arena() {
-        let mut cur = GenomePool::with_capacity(10, 9, 4);
+        let t = table(10, 9);
+        let mut cur = GenomePool::with_capacity(&t, 4);
         let g0 = genome(10, 9, 0);
         let g1 = genome(10, 9, 1);
         cur.push_genes(&g0);
         cur.push_genes(&g1);
-        let mut next = GenomePool::new(10, 9);
+        let mut next = GenomePool::new(&t);
         next.push_copy_from(&cur, 1);
         next.push_copy_from(&cur, 0);
         next.push_copy_from(&cur, 0);
@@ -562,59 +623,49 @@ mod tests {
         let mut out = Vec::new();
         next.read_genes(0, &mut out);
         assert_eq!(out, g1);
+        assert_evaluates_like_full(&next, &t, 0);
         next.clear();
         assert!(next.is_empty());
         next.push_genes(&g0);
         assert_eq!(next.fp(0), cur.fp(0));
+        assert_evaluates_like_full(&next, &t, 0);
     }
 
     #[test]
-    fn scratch_eval_is_bit_identical_to_full_evaluation() {
-        for m in [9, 30] {
-            let t = table(13, m);
-            let mut pool = GenomePool::new(13, m);
+    fn evaluate_is_bit_identical_to_full_evaluation() {
+        for (n, m) in [(13, 9), (13, 30), (300, 9)] {
+            let t = table(n, m);
+            let mut pool = GenomePool::new(&t);
             for salt in 0..6 {
-                pool.push_genes(&genome(13, m, salt));
+                pool.push_genes(&genome(n, m, salt));
             }
-            let mut scratch = PoolScratch::new(&t);
-            let mut out = Vec::new();
-            // Jump around the pool (non-sequential diffs) to stress
-            // mirror coherence.
-            for &idx in &[0usize, 3, 1, 5, 2, 4, 0, 5] {
-                let fast = scratch.eval_pool(&pool, idx);
-                pool.read_genes(idx, &mut out);
-                let full = t.evaluate(&out);
-                assert_eq!(fast.time_us.to_bits(), full.time_us.to_bits());
-                assert_eq!(
-                    fast.aicore_energy_wus.to_bits(),
-                    full.aicore_energy_wus.to_bits()
-                );
-                assert_eq!(fast.soc_energy_wus.to_bits(), full.soc_energy_wus.to_bits());
+            for idx in 0..6 {
+                assert_evaluates_like_full(&pool, &t, idx);
             }
         }
     }
 
     #[test]
     fn empty_genomes_are_supported() {
-        let mut pool = GenomePool::new(0, 9);
+        let t = table(0, 9);
+        let mut pool = GenomePool::new(&t);
         let idx = pool.push_genes(&[]);
         assert_eq!(pool.fp(idx), genome_fingerprint(&[], 9));
-        let t = table(0, 9);
-        let mut scratch = PoolScratch::new(&t);
-        let e = scratch.eval_pool(&pool, idx);
-        assert_eq!(e.time_us.to_bits(), t.evaluate(&[]).time_us.to_bits());
+        assert_evaluates_like_full(&pool, &t, idx);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn push_rejects_out_of_range_genes() {
-        let mut pool = GenomePool::new(3, 9);
+        let t = table(3, 9);
+        let mut pool = GenomePool::new(&t);
         let _ = pool.push_genes(&[0, 9, 0]);
     }
 
     #[test]
     #[should_panic(expected = "alphabet")]
     fn rejects_oversized_alphabets() {
-        let _ = GenomePool::new(3, 257);
+        let t = table(3, 257);
+        let _ = GenomePool::new(&t);
     }
 }

@@ -96,6 +96,9 @@ pub struct ThermalCoupling {
     pub k_c_per_w: f64,
 }
 
+/// Widest leaf range [`StageTable::reduce`] folds without recursing.
+const LEAF_RUN: usize = 32;
+
 /// Per-stage accumulator: the four running totals an evaluation needs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct Sums {
@@ -128,6 +131,21 @@ impl Sums {
             es: left.es + right.es,
             vt: left.vt + right.vt,
         }
+    }
+
+    /// Folds a power-of-two run of sibling subtree sums to their root,
+    /// level by level, adjacent pairs first: the same `left + right`
+    /// pairs recursive halving adds. Overwrites `sums`.
+    pub(crate) fn fold(sums: &mut [Sums]) -> Sums {
+        debug_assert!(sums.len().is_power_of_two());
+        let mut k = sums.len();
+        while k > 1 {
+            k /= 2;
+            for i in 0..k {
+                sums[i] = Sums::add(sums[2 * i], sums[2 * i + 1]);
+            }
+        }
+        sums[0]
     }
 }
 
@@ -285,7 +303,7 @@ impl StageTable {
     ///
     /// Panics if `gene` is out of range (prevents silently reading a
     /// neighbouring stage's row in the flat layout).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn cell(&self, stage: usize, gene: usize) -> Sums {
         let m = self.freqs.len();
         assert!(gene < m, "gene {gene} out of range ({m} frequency points)");
@@ -329,23 +347,43 @@ impl StageTable {
         }
     }
 
-    /// Fixed-topology pairwise reduction of the stage cells selected by
-    /// `genes` over the leaf range `[lo, lo + width)`, where `width` is a
-    /// power of two and out-of-range leaves contribute zero. This is the
-    /// exact summation tree [`crate::engine::IncrementalEval`] maintains.
-    fn reduce(&self, genes: &[usize], lo: usize, width: usize) -> Sums {
-        if width == 1 {
-            return if lo < genes.len() {
-                self.cell(lo, genes[lo])
-            } else {
-                Sums::ZERO
-            };
+    /// Fixed-topology pairwise reduction of the stage cells over the leaf
+    /// range `[lo, lo + width)`, where `lo` is a multiple of `width`, a
+    /// power of two. `genes` yields the genes of the stages in the range,
+    /// in order; leaves past the last stage contribute zero. This is the
+    /// exact summation tree [`crate::engine::IncrementalEval`] maintains,
+    /// and the range is one of its nodes — what [`crate::GenomePool`]'s
+    /// block sums store.
+    ///
+    /// A range of up to [`LEAF_RUN`] leaves gathers its cells into a
+    /// buffer (zeros past the last stage) and [`Sums::fold`]s it; wider
+    /// ranges halve recursively down to that size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `genes` runs out before the last stage in the range.
+    pub(crate) fn reduce(
+        &self,
+        lo: usize,
+        width: usize,
+        genes: &mut impl Iterator<Item = usize>,
+    ) -> Sums {
+        debug_assert!(width.is_power_of_two() && lo.is_multiple_of(width));
+        if width > LEAF_RUN {
+            let half = width / 2;
+            let left = self.reduce(lo, half, genes);
+            return Sums::add(left, self.reduce(lo + half, half, genes));
         }
-        let half = width / 2;
-        Sums::add(
-            self.reduce(genes, lo, half),
-            self.reduce(genes, lo + half, half),
-        )
+        let mut buf = [Sums::ZERO; LEAF_RUN];
+        let live = width.min(self.n_stages().saturating_sub(lo));
+        for (k, slot) in buf[..live].iter_mut().enumerate() {
+            let stage = lo + k;
+            let Some(gene) = genes.next() else {
+                panic!("gene iterator ended at stage {stage}");
+            };
+            *slot = self.cell(stage, gene);
+        }
+        Sums::fold(&mut buf[..width])
     }
 
     /// Evaluates an individual: per-stage predicted time/energy summed
@@ -361,7 +399,7 @@ impl StageTable {
             return self.finish_sums(Sums::ZERO);
         }
         let width = genes.len().next_power_of_two();
-        self.finish_sums(self.reduce(genes, 0, width))
+        self.finish_sums(self.reduce(0, width, &mut genes.iter().copied()))
     }
 
     /// The all-max-frequency baseline evaluation.

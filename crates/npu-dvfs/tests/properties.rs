@@ -5,10 +5,12 @@
 use proptest::prelude::*;
 
 use npu_dvfs::{
-    exact, preprocess::preprocess, score, search, EvalEngine, GaConfig, GenomePool,
-    IncrementalEval, Stage, StageKind, StageTable, ThermalCoupling,
+    exact, genome_fingerprint, preprocess::preprocess, score, search, EvalEngine, GaConfig,
+    GenomePool, IncrementalEval, Stage, StageKind, StageTable, ThermalCoupling,
 };
 use npu_sim::{FreqMhz, OpClass, OpRecord, PipelineRatios, Scenario};
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 fn rec(index: usize, start: f64, dur: f64, sensitive: bool) -> OpRecord {
     let ratios = if sensitive {
@@ -71,7 +73,11 @@ fn arb_table_sized(stages: std::ops::Range<usize>) -> impl Strategy<Value = Stag
 /// A 9-frequency memory/compute mix from `(duration µs, memory-bound,
 /// active power W)` rows.
 fn table_from_rows(rows: Vec<(f64, bool, f64)>) -> StageTable {
-    let freqs: Vec<FreqMhz> = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
+    table_from_rows_over((10..=18).map(|k| FreqMhz::new(k * 100)).collect(), rows)
+}
+
+/// [`table_from_rows`] over an arbitrary ascending frequency ladder.
+fn table_from_rows_over(freqs: Vec<FreqMhz>, rows: Vec<(f64, bool, f64)>) -> StageTable {
     let mut stages = Vec::new();
     let mut time = Vec::new();
     let mut ea = Vec::new();
@@ -228,37 +234,11 @@ proptest! {
         }
     }
 
-    /// The GA returns a bit-identical outcome for the same seed at any
-    /// worker count: scoring is pure and the RNG stream never observes
-    /// the thread pool. Population 80 crosses the engine's parallel
-    /// dispatch threshold, so the threaded path really runs.
-    #[test]
-    fn ga_outcome_independent_of_thread_count(
-        table in arb_table(),
-        seed in 0u64..1_000,
-        threads in 2usize..6,
-    ) {
-        let cfg = GaConfig {
-            seed,
-            ..GaConfig::default().with_population(80).with_iterations(8)
-        };
-        let single = search(&table, &cfg.clone().with_threads(1));
-        let multi = search(&table, &cfg.with_threads(threads));
-        prop_assert_eq!(single.strategy, multi.strategy);
-        prop_assert_eq!(single.best_eval.time_us.to_bits(), multi.best_eval.time_us.to_bits());
-        prop_assert_eq!(single.best_score.to_bits(), multi.best_score.to_bits());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&single.score_trace), bits(&multi.score_trace));
-        prop_assert_eq!(single.evaluations, multi.evaluations);
-        prop_assert_eq!(single.unique_evaluations, multi.unique_evaluations);
-    }
-
     /// Scoring a bit-packed [`GenomePool`] through the engine is
     /// bit-identical (0 ULP) to scoring each genome with a fresh full
-    /// `StageTable::evaluate`, at every worker count. This pins the
-    /// whole pool path — packing, incremental fingerprints, the memo
-    /// ring, worker sharding and delta extraction — to the reference
-    /// semantics.
+    /// `StageTable::evaluate`. This pins the whole pool path — packing,
+    /// incremental fingerprints, the memo ring and the block-sum fold —
+    /// to the reference semantics.
     #[test]
     fn pool_scoring_bit_identical_to_full_evaluation(
         table in arb_table(),
@@ -268,23 +248,18 @@ proptest! {
         let m = table.n_freqs();
         let baseline = table.baseline().time_us;
         let loss = 0.02;
-        let mut pool = GenomePool::new(n, m);
+        let mut pool = GenomePool::new(&table);
         let mut expected = Vec::with_capacity(raw_genomes.len());
         for raw in &raw_genomes {
             let genes: Vec<usize> = (0..n).map(|i| raw[i % raw.len()] % m).collect();
             pool.push_genes(&genes);
             expected.push(score(&table.evaluate(&genes), baseline, loss));
         }
-        for threads in [1usize, 2, 8] {
-            let mut engine = EvalEngine::new(&table, baseline, loss, threads);
-            let got = engine.score_pool(&pool);
-            prop_assert_eq!(got.len(), expected.len());
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                prop_assert_eq!(
-                    g.to_bits(), e.to_bits(),
-                    "genome {i} at {threads} threads: {g} vs {e}"
-                );
-            }
+        let mut engine = EvalEngine::new(&table, baseline, loss);
+        let got = engine.score_pool(&pool);
+        prop_assert_eq!(got.len(), expected.len());
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            prop_assert_eq!(g.to_bits(), e.to_bits(), "genome {i}: {g} vs {e}");
         }
     }
 
@@ -371,7 +346,15 @@ fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
 /// auto-configured `search` runs the Lagrangian ladder on it. Stage
 /// shapes come from a fixed SplitMix64 stream.
 fn coupled_300_stage_table() -> StageTable {
-    let mut state = 0x0DD5_EED5_u64;
+    let ladder = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
+    seeded_table(0x0DD5_EED5, 300, ladder, true)
+}
+
+/// A deterministic `n`-stage memory/compute mix over `freqs`, its stage
+/// shapes drawn from a SplitMix64 stream seeded with `seed`. `coupled`
+/// adds the thermal fix point.
+fn seeded_table(seed: u64, n: usize, freqs: Vec<FreqMhz>, coupled: bool) -> StageTable {
+    let mut state = seed;
     let mut unit = move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
@@ -380,15 +363,19 @@ fn coupled_300_stage_table() -> StageTable {
         z ^= z >> 31;
         (z >> 11) as f64 / (1u64 << 53) as f64
     };
-    let rows = (0..300)
+    let rows = (0..n)
         .map(|_| {
             let dur = 1_000.0 + 40_000.0 * unit();
             let mem = unit() < 0.45;
             (dur, mem, 5.0 + 35.0 * unit())
         })
         .collect();
-    let volts = (0..9).map(|k| 0.70 + 0.03 * f64::from(k)).collect();
-    table_from_rows(rows).with_thermal_coupling(
+    let volts = (0..freqs.len()).map(|k| 0.70 + 0.03 * k as f64).collect();
+    let table = table_from_rows_over(freqs, rows);
+    if !coupled {
+        return table;
+    }
+    table.with_thermal_coupling(
         ThermalCoupling {
             gamma_aicore: 0.05,
             gamma_soc: 0.1,
@@ -678,4 +665,165 @@ proptest! {
             prop_assert_eq!(bits(g), bits(w), "rung {i}: evaluation or score bits differ");
         }
     }
+}
+
+/// Stage counts for the lineage test: empty, single, both sides of the
+/// 8-stage minimum block, both sides of every block-width change, the
+/// GPT-3 schedule, and one past 2,048 stages (128-stage blocks).
+const LINEAGE_STAGES: [usize; 13] = [0, 1, 7, 8, 9, 31, 32, 33, 255, 256, 257, 960, 2_100];
+
+/// Stages per block sum for an `n`-stage pool: `max(8, n_pad / 32)`,
+/// capped at `n_pad` (the layout `GenomePool` documents).
+fn block_stages(n: usize) -> usize {
+    let n_pad = n.next_power_of_two();
+    (n_pad / 32).max(8).min(n_pad)
+}
+
+/// Checks genome `idx` of `pool`: its fingerprint and its block-sum
+/// evaluation against the unpacked genes.
+fn check_genome(pool: &GenomePool<'_>, table: &StageTable, idx: usize) -> Result<(), String> {
+    let mut genes = Vec::new();
+    pool.read_genes(idx, &mut genes);
+    let (fast, full) = (pool.evaluate(idx), table.evaluate(&genes));
+    let bits = |e: &npu_dvfs::Evaluation| {
+        [
+            e.time_us.to_bits(),
+            e.aicore_energy_wus.to_bits(),
+            e.soc_energy_wus.to_bits(),
+        ]
+    };
+    prop_assert_eq!(
+        bits(&fast),
+        bits(&full),
+        "genome {idx}: {fast:?} vs {full:?}"
+    );
+    prop_assert_eq!(
+        pool.fp(idx),
+        genome_fingerprint(&genes, table.n_freqs()),
+        "genome {idx} fingerprint"
+    );
+    Ok(())
+}
+
+/// Applies one random pool operation to one of the two pools, drawing
+/// its operands from `rng` within the pools' and table's shape. Returns
+/// the target pool's index and the genomes in it the operation wrote.
+fn apply_random_pool_op(
+    pools: &mut [GenomePool<'_>; 2],
+    rng: &mut SmallRng,
+) -> (usize, Vec<usize>) {
+    let t = rng.gen_range(0..2);
+    let [p0, p1] = pools;
+    let (pool, other) = if t == 0 { (p0, &*p1) } else { (p1, &*p0) };
+    let (n, m, len) = (pool.n_stages(), pool.n_freqs(), pool.len());
+    let written = match rng.gen_range(0..32) {
+        0..=5 => {
+            let genes: Vec<usize> = (0..n).map(|_| rng.gen_range(0..m)).collect();
+            vec![pool.push_genes(&genes)]
+        }
+        6..=11 if !other.is_empty() => {
+            vec![pool.push_copy_from(other, rng.gen_range(0..other.len()))]
+        }
+        12..=15 if len > 0 => vec![pool.push_clone(rng.gen_range(0..len))],
+        16..=23 if len > 0 => {
+            let (a, b) = (rng.gen_range(0..len), rng.gen_range(0..len));
+            let block = block_stages(n);
+            let from = match rng.gen_range(0..4) {
+                0 => 0,
+                1 => n,
+                2 => rng.gen_range(0..=n / block) * block,
+                _ => rng.gen_range(0..=n),
+            };
+            pool.swap_suffix(a, b, from);
+            vec![a, b]
+        }
+        24..=29 if len > 0 && n > 0 => {
+            let (idx, stage) = (rng.gen_range(0..len), rng.gen_range(0..n));
+            let gene = if rng.gen_range(0..3) == 0 {
+                pool.gene(idx, stage) // a no-op write
+            } else {
+                rng.gen_range(0..m)
+            };
+            pool.set_gene(idx, stage, gene);
+            vec![idx]
+        }
+        30 => {
+            pool.truncate(rng.gen_range(0..=len));
+            Vec::new()
+        }
+        31 => {
+            pool.clear();
+            Vec::new()
+        }
+        _ => Vec::new(),
+    };
+    (t, written)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Every pool mutator keeps each genome's block sums coherent with
+    /// its genes, across two pools bound to one table: after a random
+    /// sequence of pushes, cross-pool copies, clones, suffix swaps (cut
+    /// at 0, at n, block-aligned and mid-block), point mutations (no-op
+    /// writes included), truncations and clears, `score_pool` is
+    /// bit-identical to `score(table.evaluate(genes))` for every genome.
+    /// Runs on every stage count in [`LINEAGE_STAGES`], over 1-, 9- and
+    /// 17-point alphabets, thermally coupled and uncoupled, with its own
+    /// operation sequence per table.
+    #[test]
+    fn pool_lineage_keeps_block_sums_coherent(seed in any::<u64>(), len in 16usize..64) {
+        let tables = LINEAGE_STAGES
+            .iter()
+            .flat_map(|&n| [1u32, 9, 17].into_iter().map(move |m| (n, m)))
+            .flat_map(|(n, m)| [false, true].into_iter().map(move |c| (n, m, c)));
+        for (ti, (n, m, coupled)) in tables.enumerate() {
+            let freqs = (0..m).map(|k| FreqMhz::new(1_000 + 50 * k)).collect();
+            let table = seeded_table(0x1_1EA6E ^ n as u64, n, freqs, coupled);
+            let mut pools = [GenomePool::new(&table), GenomePool::new(&table)];
+            let mut rng = SmallRng::seed_from_u64(seed ^ (ti as u64).wrapping_mul(0x9E37_79B9));
+            for _ in 0..len {
+                let (t, written) = apply_random_pool_op(&mut pools, &mut rng);
+                for idx in written {
+                    check_genome(&pools[t], &table, idx)?;
+                }
+            }
+            // One engine per table (a fresh memo costs more than the
+            // sequence): pool 1's copies of pool 0 genomes may be served
+            // from the memo, so every genome's own sums are checked too.
+            let baseline = table.baseline().time_us;
+            let mut engine = EvalEngine::new(&table, baseline, 0.02);
+            for pool in &pools {
+                let got = engine.score_pool(pool).to_vec();
+                let mut genes = Vec::new();
+                for (i, g) in got.iter().enumerate() {
+                    check_genome(pool, &table, i)?;
+                    pool.read_genes(i, &mut genes);
+                    let want = score(&table.evaluate(&genes), baseline, 0.02);
+                    prop_assert_eq!(
+                        g.to_bits(), want.to_bits(),
+                        "n={n} m={m} coupled={coupled} genome {i}: {g} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A copy between pools bound to different tables is refused, even when
+/// the tables are equal in content: block sums are only meaningful
+/// against the table that produced them.
+#[test]
+#[should_panic(expected = "same stage table")]
+fn cross_table_copy_is_refused() {
+    let ladder = || (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
+    let (a, b) = (
+        seeded_table(1, 12, ladder(), false),
+        seeded_table(1, 12, ladder(), false),
+    );
+    let mut src = GenomePool::new(&a);
+    src.push_genes(&[0; 12]);
+    let mut dst = GenomePool::new(&b);
+    let _ = dst.push_copy_from(&src, 0);
 }

@@ -66,9 +66,10 @@ CRITERION_SMOKE=1 cargo bench -p npu-bench --bench simulator
 
 # Validate the ga_eval smoke JSON: the pool path's correctness artifacts
 # are timing-independent and must hold on every machine — pool scores
-# bit-identical to full evaluation at 1/2/8 worker threads, zero heap
-# allocations on a warm single-threaded score_pool pass, and the exact
-# Pareto-DP oracle certifying the GA result with a gap of exactly 0.0.
+# bit-identical to full evaluation on both the clone-chain stream and
+# the GA-lineage replay, zero heap allocations on a warm score_pool
+# pass, and the exact Pareto-DP oracle certifying the GA result with a
+# gap of exactly 0.0.
 ga_fields="full_policies_per_sec incremental_policies_per_sec \
 pool_policies_per_sec pool_bit_identical pool_score_allocs \
 optimality_gap oracle_certified"
@@ -281,5 +282,18 @@ awk -F': ' '/"coalesce_speedup"/ { if ($2 + 0 < 5.0) exit 1 }' BENCH_service.jso
   || { echo "BENCH_service.json: coalescing speedup below 5x" >&2; exit 1; }
 grep -q '"bit_identical": true' BENCH_service.json \
   || { echo "BENCH_service.json: service digest diverged across worker counts" >&2; exit 1; }
+
+echo "==> repository benchmark (perfbench): build, unit tests, 1 s run per workload"
+# perfbench is a standalone package over the public entry points, so
+# nothing else in this script compiles it. Build it with the command
+# BENCHMARK.json declares, run its own tests, and run every workload
+# once briefly: a run exits non-zero when its correctness check fails
+# ("correct": false).
+perfbench=(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --)
+cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
+cargo test --quiet --offline --manifest-path perfbench/Cargo.toml
+for workload in gpt3_optimize service_stream fleet_drift; do
+  "${perfbench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
 
 echo "==> all checks passed"

@@ -8,6 +8,7 @@ use dvfs_repro::power_model::HardwareCalibration;
 use dvfs_repro::prelude::*;
 use dvfs_repro::sim::DriftModel;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const SEED: u64 = 42;
 const THERMAL_TAU_US: f64 = 2_000.0;
@@ -120,6 +121,29 @@ fn fleet_epochs_are_bit_identical_across_worker_counts() {
         assert_eq!(again.transfer_misses, reference.transfer_misses);
         assert_eq!(again.per_device, reference.per_device);
     }
+}
+
+#[test]
+fn observed_fleet_reports_device_sessions_without_perturbing_the_run() {
+    // The controller forwards its observer to every device's optimizer,
+    // so a traced fleet run shows the session and GA layers of its
+    // re-optimizations.
+    let plain = fleet(2).run().unwrap();
+    let metrics = Arc::new(MetricsRegistry::new());
+    let observed = fleet(2)
+        .with_observer(ObserverHandle::from_arc(metrics.clone()))
+        .run()
+        .unwrap();
+    assert_eq!(observed.digest, plain.digest, "observing changed the run");
+    assert_eq!(observed.per_device, plain.per_device);
+    assert!(
+        metrics.counter("event.GaGeneration") > 0,
+        "no GA generations seen"
+    );
+    assert!(
+        metrics.counter("event.PhaseFinished") > 0,
+        "no session phases seen"
+    );
 }
 
 /// One drifting device, the tuned single-swap scenario. Returns the
