@@ -253,7 +253,7 @@ fn measure_eval_modes(table: &StageTable) -> String {
     // Pool fast path over the clone chain: each genome is a clone of
     // the previous one plus 1-3 point mutations, so this stream is made
     // of near-duplicates no GA produces; kept for continuity.
-    let mut pool_engine = EvalEngine::new(table, baseline_time, target);
+    let mut pool_engine = EvalEngine::new(table, baseline_time, target, stream_len);
     let mut pool = GenomePool::with_capacity(table, generation);
     let pool_pps = time_policies_per_sec(stream.len(), || {
         replay_stream_through_pool(
@@ -270,12 +270,13 @@ fn measure_eval_modes(table: &StageTable) -> String {
 
     // The GA's own path: generations bred from their scored parents.
     let lineage_gens = stream_len / generation;
+    let lineage_len = lineage_gens * generation;
     let mut pools = [
         GenomePool::with_capacity(table, generation),
         GenomePool::with_capacity(table, generation),
     ];
-    let mut lineage_engine = EvalEngine::new(table, baseline_time, target);
-    let lineage_pps = time_policies_per_sec(lineage_gens * generation, || {
+    let mut lineage_engine = EvalEngine::new(table, baseline_time, target, lineage_len);
+    let lineage_pps = time_policies_per_sec(lineage_len, || {
         replay_lineage(
             table,
             &mut lineage_engine,
@@ -296,13 +297,13 @@ fn measure_eval_modes(table: &StageTable) -> String {
         .iter()
         .map(|g| score(&table.evaluate(g), baseline_time, target).to_bits())
         .collect();
-    let mut engine = EvalEngine::new(table, baseline_time, target);
+    let mut engine = EvalEngine::new(table, baseline_time, target, stream_len);
     let mut got: Vec<u64> = Vec::with_capacity(stream_len);
     replay_stream_through_pool(table, &mut engine, &mut pool, stream_len, generation, |s| {
         got.extend(s.iter().map(|x| x.to_bits()));
     });
     let mut pool_bit_identical = got == reference;
-    let mut engine = EvalEngine::new(table, baseline_time, target);
+    let mut engine = EvalEngine::new(table, baseline_time, target, lineage_len);
     let mut genes = Vec::new();
     replay_lineage(
         table,
@@ -322,8 +323,9 @@ fn measure_eval_modes(table: &StageTable) -> String {
     // Correctness artifact 2: a warm `score_pool` pass allocates
     // nothing. Warm-up establishes buffer capacities and memoizes one
     // generation; the measured pass scores a *different* (fresh,
-    // unmemoized) generation so the real evaluation path runs.
-    let mut engine = EvalEngine::new(table, baseline_time, target);
+    // unmemoized) generation so the real evaluation path runs. The
+    // engine reserves its memo for exactly those two generations.
+    let mut engine = EvalEngine::new(table, baseline_time, target, 2 * generation);
     fn warm(pool: &mut GenomePool<'_>, generation: usize, salt: usize) {
         let (n, m) = (pool.n_stages(), pool.n_freqs());
         pool.clear();
@@ -469,7 +471,7 @@ fn bench_ga(c: &mut Criterion) {
     group.bench_function("pool_512_policies_fresh_memo", |b| {
         let mut pool = GenomePool::with_capacity(&table, 512);
         b.iter(|| {
-            let mut engine = EvalEngine::new(&table, baseline_time, 0.02);
+            let mut engine = EvalEngine::new(&table, baseline_time, 0.02, 512);
             let mut sum = 0.0;
             replay_stream_through_pool(&table, &mut engine, &mut pool, 512, 512, |s| {
                 sum += s.iter().sum::<f64>();

@@ -1,6 +1,9 @@
 //! Substrate throughput: operators simulated per second by the virtual
 //! device (the reason whole GPT-3 iterations and calibration sweeps are
-//! cheap enough to run in tests).
+//! cheap enough to run in tests), and the thermal warm-up every profile
+//! point starts with (`Device::warm_until_steady`, the paper's "once
+//! stable training is achieved") on the request service's schedules at
+//! the ladder's minimum and maximum frequency.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use npu_sim::{Device, FreqMhz, NpuConfig, RunOptions, SetFreqCmd};
@@ -36,6 +39,25 @@ fn bench_simulator(c: &mut Criterion) {
         let opts = RunOptions::at(FreqMhz::new(1800)).without_records();
         b.iter(|| dev.run(w.schedule(), &opts).expect("run"));
     });
+    group.finish();
+
+    let tau = cfg.thermal_tau_us;
+    let mut group = c.benchmark_group("warm_until_steady");
+    group.sample_size(10);
+    for (name, w) in [
+        ("tiny", models::tiny(&cfg)),
+        ("tanh_loop12", models::tanh_loop(&cfg, 12)),
+    ] {
+        for f in [cfg.freq_table.min(), cfg.freq_table.max()] {
+            group.bench_function(format!("{name}_{}mhz", f.mhz()), |b| {
+                b.iter(|| {
+                    let mut dev = Device::new(cfg.clone());
+                    dev.warm_until_steady(w.schedule(), f, 0.2, 12.0 * tau)
+                        .expect("warm-up")
+                });
+            });
+        }
+    }
     group.finish();
 }
 

@@ -22,8 +22,11 @@
 //! 3. **Redundancy.** Elitism, crossover between similar parents and
 //!    seeded individuals make duplicate genomes common. [`EvalEngine`]
 //!    memoizes score by genome fingerprint — in a bounded, deterministic
-//!    [`FingerprintRing`] rather than an unbounded map — and evaluates
-//!    only first occurrences.
+//!    [`FingerprintRing`] of 2^20 virtual slots rather than an unbounded
+//!    map — and evaluates only first occurrences. The ring stores only
+//!    the slots it fills, in buckets reserved for the genomes the caller
+//!    will score, so a 40 × 60 search sets up a few thousand buckets
+//!    instead of a million slots.
 //! 4. **Flat genomes.** Fingerprints are maintained incrementally by the
 //!    pool (O(1) per mutation instead of an O(n) hash per lookup), and
 //!    all dedup and result buffers are engine-owned and reused, so a
@@ -186,12 +189,15 @@ impl<'t> IncrementalEval<'t> {
     }
 }
 
-/// Slots in the bounded score memo. At ~24 bytes per slot this caps the
-/// memo at a fixed ~24 MB per engine for the life of a search — the old
-/// unbounded `HashMap` grew past 8.9 M entries on a GPT-3-sized run.
+/// Virtual slots in the score memo: a fingerprint's slot is its low 20
+/// bits, so this fixes which genomes evict each other and with it every
+/// hit, miss and evaluation count. Storage grows with the entries (see
+/// [`FingerprintRing`]), so a search stores only the scores it computes;
+/// the old unbounded `HashMap` grew past 8.9 M entries on a GPT-3-sized
+/// run.
 const MEMO_SLOTS: usize = 1 << 20;
 
-/// Initial slots in the within-call dedup ring (regrown if a population
+/// Virtual slots in the within-call dedup ring (regrown if a population
 /// ever exceeds half of it).
 const SEEN_SLOTS: usize = 1 << 12;
 
@@ -205,8 +211,9 @@ const SEEN_SLOTS: usize = 1 << 12;
 /// of the genome sequence.
 ///
 /// Populations arrive as a bit-packed [`GenomePool`] through
-/// [`Self::score_pool`]. All dedup and result buffers are engine-owned:
-/// a warm [`Self::score_pool`] call performs no heap allocation.
+/// [`Self::score_pool`]. All dedup and result buffers are engine-owned,
+/// and the memo reserves buckets for the genomes the caller says it will
+/// score: a warm [`Self::score_pool`] call performs no heap allocation.
 #[derive(Debug)]
 pub struct EvalEngine<'t> {
     table: &'t StageTable,
@@ -226,14 +233,22 @@ pub struct EvalEngine<'t> {
 }
 
 impl<'t> EvalEngine<'t> {
-    /// Creates an engine scoring against `table`.
+    /// Creates an engine scoring against `table` whose memo reserves
+    /// buckets for `genomes` scores — the number of genomes the caller
+    /// will score (the GA passes population × iterations). Scoring more
+    /// stays correct; the memo then grows, up to its fixed virtual size.
     #[must_use]
-    pub fn new(table: &'t StageTable, baseline_time_us: f64, perf_loss_target: f64) -> Self {
+    pub fn new(
+        table: &'t StageTable,
+        baseline_time_us: f64,
+        perf_loss_target: f64,
+        genomes: usize,
+    ) -> Self {
         Self {
             table,
             baseline_time_us,
             perf_loss_target,
-            memo: FingerprintRing::new(MEMO_SLOTS),
+            memo: FingerprintRing::with_reserve(MEMO_SLOTS, genomes),
             seen: FingerprintRing::new(SEEN_SLOTS),
             scores_buf: Vec::new(),
             pending: Vec::new(),
@@ -268,6 +283,13 @@ impl<'t> EvalEngine<'t> {
         self.memo.capacity()
     }
 
+    /// Buckets the score memo has allocated (at most
+    /// [`Self::memo_capacity`]).
+    #[must_use]
+    pub fn memo_buckets(&self) -> usize {
+        self.memo.buckets()
+    }
+
     /// Scores every genome of a pool, returning one score per genome in
     /// index order (a view into an engine-owned buffer, valid until the
     /// next scoring call). Duplicates — within the pool or across
@@ -293,9 +315,10 @@ impl<'t> EvalEngine<'t> {
         // population to their first occurrence, serve memoized genomes,
         // queue the rest.
         if self.seen.capacity() < count.saturating_mul(2) {
-            self.seen = FingerprintRing::new(count * 2);
+            self.seen = FingerprintRing::with_reserve(count * 2, count);
         } else {
             self.seen.clear();
+            self.seen.reserve(count);
         }
         self.scores_buf.clear();
         self.scores_buf.resize(count, 0.0);
@@ -549,7 +572,7 @@ mod tests {
             .iter()
             .map(|g| score(&t.evaluate(g), baseline, 0.02).to_bits())
             .collect();
-        let mut engine = EvalEngine::new(&t, baseline, 0.02);
+        let mut engine = EvalEngine::new(&t, baseline, 0.02, 200);
         let got: Vec<u64> = engine
             .score_pool(&pool)
             .iter()
@@ -563,7 +586,7 @@ mod tests {
     fn engine_memoizes_duplicates() {
         let t = table(4);
         let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02);
+        let mut engine = EvalEngine::new(&t, baseline, 0.02, 5);
         let a = [1, 2, 3, 4];
         let b = [8, 8, 8, 8];
         let mut pool = GenomePool::new(&t);
@@ -592,7 +615,7 @@ mod tests {
         // the previous generation left behind.
         let t = table(9);
         let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02);
+        let mut engine = EvalEngine::new(&t, baseline, 0.02, 600);
         for gen in 0..3_usize {
             let mut pool = GenomePool::new(&t);
             let population: Vec<Vec<usize>> = (0..200)
@@ -614,10 +637,37 @@ mod tests {
     }
 
     #[test]
+    fn a_40_by_60_search_reserves_at_most_8192_buckets_and_never_grows() {
+        let t = table(24);
+        let baseline = t.baseline().time_us;
+        let mut engine = EvalEngine::new(&t, baseline, 0.02, 40 * 60);
+        let reserved = engine.memo_buckets();
+        assert!(reserved <= 8_192, "{reserved} buckets");
+        assert_eq!(engine.memo_capacity(), MEMO_SLOTS);
+        // The memo's worst case: all 2,400 genomes distinct (stages 0-3
+        // spell the genome's index in base 9).
+        let mut pool = GenomePool::new(&t);
+        let mut genes = vec![0_usize; 24];
+        for gen in 0..60 {
+            pool.clear();
+            for i in 0..40 {
+                let k = gen * 40 + i;
+                for (s, g) in genes.iter_mut().enumerate() {
+                    *g = k / 9_usize.pow(s as u32 % 4) % 9;
+                }
+                pool.push_genes(&genes);
+            }
+            let _ = engine.score_pool(&pool);
+            assert_eq!(engine.memo_buckets(), reserved, "generation {gen}");
+        }
+        assert_eq!(engine.unique_scored(), 40 * 60);
+    }
+
+    #[test]
     #[should_panic(expected = "engine's stage table")]
     fn score_pool_rejects_a_pool_bound_to_another_table() {
         let (t, other) = (table(4), table(4));
-        let mut engine = EvalEngine::new(&t, t.baseline().time_us, 0.02);
+        let mut engine = EvalEngine::new(&t, t.baseline().time_us, 0.02, 1);
         let mut pool = GenomePool::new(&other);
         pool.push_genes(&[0, 1, 2, 3]);
         let _ = engine.score_pool(&pool);

@@ -337,7 +337,15 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     // All scoring flows through the engine: memoized (elites and seeded
     // duplicates are evaluated once) and folded from block sums. The RNG
     // stream above/below never depends on scoring internals.
-    let mut engine = EvalEngine::new(table, baseline_time, cfg.perf_loss_target);
+    // The memo reserves buckets for every genome the generations score,
+    // so it never reallocates mid-search.
+    let mut engine = EvalEngine::new(
+        table,
+        baseline_time,
+        cfg.perf_loss_target,
+        cfg.population.saturating_mul(cfg.iterations),
+    );
+    let reserved_buckets = engine.memo_buckets();
     let mut score_trace = Vec::with_capacity(cfg.iterations);
     let mut best_score = f64::NEG_INFINITY;
     let mut prev_memo_hits = 0;
@@ -400,6 +408,11 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
         std::mem::swap(&mut pool, &mut next);
     }
 
+    debug_assert_eq!(
+        engine.memo_buckets(),
+        reserved_buckets,
+        "memo outgrew its reservation"
+    );
     let mut evaluations = engine.scored();
     let mut unique_evaluations = engine.unique_scored();
     let mut best_genes = Vec::with_capacity(n);
@@ -648,6 +661,15 @@ mod tests {
         // can only improve upon.
         assert!(scores.max <= observed.score_trace[119] + 1e-12);
         assert!(scores.max >= observed.score_trace[0]);
+    }
+
+    #[test]
+    fn a_40_by_60_search_stays_within_its_memo_reservation() {
+        // Debug builds assert after the generations that the memo kept
+        // the buckets it reserved for population × iterations genomes.
+        let t = table(12, 12);
+        let cfg = quick_cfg().with_population(40).with_iterations(60);
+        assert_eq!(search(&t, &cfg).score_trace.len(), 60);
     }
 
     #[test]

@@ -4,64 +4,86 @@
 //! `HashMap<u64, f64>`; a GPT-3-sized search touches ~9 million genomes,
 //! so the map grew for the life of the search (hundreds of MB) and every
 //! probe paid a SipHash pass over the key. [`FingerprintRing`] replaces
-//! it with a fixed-capacity, direct-mapped table:
+//! it with a direct-mapped table of `capacity` *virtual* slots:
 //!
-//! * **Bounded** — capacity is fixed at construction (rounded up to a
-//!   power of two); memory never grows afterwards.
+//! * **Bounded** — at most `capacity` live entries (rounded up to a power
+//!   of two at construction).
 //! * **Deterministic** — the slot for a fingerprint is `fp & mask`, and
 //!   an insert simply overwrites whatever occupied the slot. Eviction is
 //!   a pure function of the insertion sequence, so two runs (the engine
 //!   probes and inserts in population-index order) hit and miss
 //!   identically.
-//! * **O(1)** — no hashing beyond the mask, no probing chains, no
-//!   tombstones. A collision between two *different* fingerprints is a
+//! * **Exact** — a collision between two *different* fingerprints is a
 //!   miss (the stored fingerprint is compared in full), never an alias.
 //!
-//! Epoch stamping makes [`FingerprintRing::clear`] O(1): entries written
-//! under an older epoch are invisible, so per-generation scoping costs
-//! one counter bump instead of a table wipe.
+//! Storage holds only the occupied slots: they sit in a power-of-two
+//! bucket array, open-addressed (linear probing) by slot index, that
+//! doubles once it is more than half full. A slot is only ever
+//! overwritten, never removed, so the array needs no tombstones. Once the
+//! array reaches `capacity` buckets it *is* the direct-mapped layout
+//! (bucket = slot) and stops growing. A caller that knows how many
+//! entries it will write reserves their buckets up front
+//! ([`FingerprintRing::with_reserve`]): a short search then pays for the
+//! entries it stores rather than for every virtual slot, and a search
+//! within its budget never reallocates.
 
-/// A direct-mapped fingerprint → value table with overwrite eviction.
+/// A direct-mapped fingerprint → value table with overwrite eviction,
+/// storing only its occupied slots.
 ///
 /// `T` is the memoized value (`f64` scores for the engine's memo,
 /// `u32` population indices for its within-generation dedup pass).
 #[derive(Debug, Clone)]
 pub struct FingerprintRing<T: Copy + Default> {
-    slots: Vec<Slot<T>>,
+    /// Occupied slots, open-addressed by slot index; a power-of-two
+    /// length of at most `mask + 1`.
+    buckets: Vec<Bucket<T>>,
+    /// Virtual slot mask: `capacity - 1`.
     mask: usize,
     len: usize,
-    epoch: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Slot<T: Copy> {
+struct Bucket<T: Copy> {
     fp: u64,
     value: T,
-    epoch: u32,
+    live: bool,
+}
+
+impl<T: Copy + Default> Bucket<T> {
+    fn empty() -> Self {
+        Self {
+            fp: 0,
+            value: T::default(),
+            live: false,
+        }
+    }
 }
 
 impl<T: Copy + Default> FingerprintRing<T> {
-    /// Creates a ring with at least `capacity` slots (rounded up to a
-    /// power of two, minimum 2).
+    /// Creates a ring of at least `capacity` virtual slots (rounded up to
+    /// a power of two, minimum 2). Storage starts at one bucket and grows
+    /// with the entries.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
+        Self::with_reserve(capacity, 0)
+    }
+
+    /// Creates a ring of at least `capacity` virtual slots with buckets
+    /// reserved for `entries` entries: at least twice that many, rounded
+    /// up to a power of two and capped at the capacity. Up to `entries`
+    /// live entries never reallocate.
+    #[must_use]
+    pub fn with_reserve(capacity: usize, entries: usize) -> Self {
+        let mask = capacity.max(2).next_power_of_two() - 1;
         Self {
-            slots: vec![
-                Slot {
-                    fp: 0,
-                    value: T::default(),
-                    epoch: 0,
-                };
-                cap
-            ],
-            mask: cap - 1,
+            buckets: vec![Bucket::empty(); buckets_for(entries, mask)],
+            mask,
             len: 0,
-            epoch: 1,
         }
     }
 
-    /// Number of live entries (inserted this epoch and not overwritten).
+    /// Number of live entries (inserted since the last clear and not
+    /// overwritten by a colliding fingerprint).
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -73,37 +95,42 @@ impl<T: Copy + Default> FingerprintRing<T> {
         self.len == 0
     }
 
-    /// Slot count — the hard bound on [`Self::len`].
+    /// Virtual slot count — the hard bound on [`Self::len`].
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask + 1
     }
 
-    /// Invalidates every entry in O(1) (epoch bump). The rare epoch
-    /// wrap-around falls back to an explicit wipe so stale stamps can
-    /// never be mistaken for live ones.
-    pub fn clear(&mut self) {
-        if self.epoch == u32::MAX {
-            for s in &mut self.slots {
-                s.epoch = 0;
-            }
-            self.epoch = 0;
+    /// Allocated buckets: at most [`Self::capacity`].
+    #[must_use]
+    pub fn buckets(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// Grows the storage so that `entries` live entries fit without
+    /// reallocating. Never shrinks it.
+    pub fn reserve(&mut self, entries: usize) {
+        let want = buckets_for(entries, self.mask);
+        if want > self.buckets.len() {
+            self.rehash(want);
         }
-        self.epoch += 1;
-        self.len = 0;
     }
 
-    /// Looks up a fingerprint; `None` on empty slot, stale epoch, or a
-    /// slot occupied by a different fingerprint.
+    /// Invalidates every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        if self.len > 0 {
+            self.buckets.fill(Bucket::empty());
+            self.len = 0;
+        }
+    }
+
+    /// Looks up a fingerprint; `None` on an empty slot or a slot occupied
+    /// by a different fingerprint.
     #[inline]
     #[must_use]
     pub fn get(&self, fp: u64) -> Option<T> {
-        let s = &self.slots[(fp as usize) & self.mask];
-        if s.epoch == self.epoch && s.fp == fp {
-            Some(s.value)
-        } else {
-            None
-        }
+        let b = &self.buckets[self.find(self.slot(fp))];
+        (b.live && b.fp == fp).then_some(b.value)
     }
 
     /// Inserts (or overwrites) the value for a fingerprint. Whatever
@@ -111,16 +138,59 @@ impl<T: Copy + Default> FingerprintRing<T> {
     /// is evicted deterministically.
     #[inline]
     pub fn insert(&mut self, fp: u64, value: T) {
-        let slot = &mut self.slots[(fp as usize) & self.mask];
-        if slot.epoch != self.epoch {
+        let slot = self.slot(fp);
+        let mut b = self.find(slot);
+        if !self.buckets[b].live {
+            if (self.len + 1) * 2 > self.buckets.len() && self.buckets.len() <= self.mask {
+                self.rehash(self.buckets.len() * 2);
+                b = self.find(slot);
+            }
             self.len += 1;
         }
-        *slot = Slot {
+        self.buckets[b] = Bucket {
             fp,
             value,
-            epoch: self.epoch,
+            live: true,
         };
     }
+
+    fn slot(&self, fp: u64) -> usize {
+        (fp as usize) & self.mask
+    }
+
+    /// The bucket holding `slot`, or the empty bucket that ends its probe
+    /// sequence. Terminates because the array is at most half full below
+    /// full size, and at full size every slot sits in its own bucket.
+    #[inline]
+    fn find(&self, slot: usize) -> usize {
+        let bmask = self.buckets.len() - 1;
+        let mut b = slot & bmask;
+        loop {
+            let e = &self.buckets[b];
+            if !e.live || self.slot(e.fp) == slot {
+                return b;
+            }
+            b = (b + 1) & bmask;
+        }
+    }
+
+    fn rehash(&mut self, buckets: usize) {
+        let old = std::mem::replace(&mut self.buckets, vec![Bucket::empty(); buckets]);
+        for e in old.into_iter().filter(|e| e.live) {
+            let b = self.find(self.slot(e.fp));
+            self.buckets[b] = e;
+        }
+    }
+}
+
+/// Buckets that hold `entries` at no more than half load: `2 · entries`
+/// rounded up to a power of two, between 1 and the capacity `mask + 1`.
+fn buckets_for(entries: usize, mask: usize) -> usize {
+    entries
+        .saturating_mul(2)
+        .max(1)
+        .checked_next_power_of_two()
+        .map_or(mask + 1, |b| b.min(mask + 1))
 }
 
 #[cfg(test)]
@@ -147,6 +217,7 @@ mod tests {
             ring.insert(fp.wrapping_mul(0x9E37_79B9_7F4A_7C15), fp as u32);
         }
         assert!(ring.len() <= ring.capacity());
+        assert_eq!(ring.buckets(), ring.capacity());
     }
 
     #[test]
@@ -165,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_is_cheap_and_complete() {
+    fn clear_is_complete() {
         let mut ring: FingerprintRing<f64> = FingerprintRing::new(16);
         for fp in 0..16u64 {
             ring.insert(fp, fp as f64);
@@ -175,9 +246,28 @@ mod tests {
         for fp in 0..16u64 {
             assert_eq!(ring.get(fp), None);
         }
-        // Reinsert after clear works under the new epoch.
         ring.insert(3, 9.0);
         assert_eq!(ring.get(3), Some(9.0));
         assert_eq!(ring.len(), 1);
+    }
+
+    #[test]
+    fn storage_grows_with_entries_and_honours_the_reservation() {
+        let mut ring: FingerprintRing<f64> = FingerprintRing::with_reserve(1 << 20, 100);
+        assert_eq!(ring.capacity(), 1 << 20);
+        assert_eq!(ring.buckets(), 256);
+        for fp in 0..100u64 {
+            ring.insert(fp.wrapping_mul(0x9E37_79B9_7F4A_7C15), fp as f64);
+        }
+        assert_eq!((ring.len(), ring.buckets()), (100, 256));
+        ring.insert(7, 0.5);
+        assert_eq!(ring.buckets(), 256, "101 entries still fit at half load");
+        for fp in 200..400u64 {
+            ring.insert(fp, 1.0);
+        }
+        assert_eq!(ring.buckets(), 1024);
+        ring.reserve(10);
+        assert_eq!(ring.buckets(), 1024, "reserve never shrinks");
+        assert_eq!(ring.get(7), Some(0.5));
     }
 }

@@ -255,7 +255,7 @@ proptest! {
             pool.push_genes(&genes);
             expected.push(score(&table.evaluate(&genes), baseline, loss));
         }
-        let mut engine = EvalEngine::new(&table, baseline, loss);
+        let mut engine = EvalEngine::new(&table, baseline, loss, pool.len());
         let got = engine.score_pool(&pool);
         prop_assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -789,11 +789,12 @@ proptest! {
                     check_genome(&pools[t], &table, idx)?;
                 }
             }
-            // One engine per table (a fresh memo costs more than the
-            // sequence): pool 1's copies of pool 0 genomes may be served
-            // from the memo, so every genome's own sums are checked too.
+            // One engine per table: pool 1's copies of pool 0 genomes
+            // may be served from the memo, so every genome's own sums are
+            // checked too.
             let baseline = table.baseline().time_us;
-            let mut engine = EvalEngine::new(&table, baseline, 0.02);
+            let genomes = pools.iter().map(GenomePool::len).sum();
+            let mut engine = EvalEngine::new(&table, baseline, 0.02, genomes);
             for pool in &pools {
                 let got = engine.score_pool(pool).to_vec();
                 let mut genes = Vec::new();

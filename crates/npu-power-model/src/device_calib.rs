@@ -160,7 +160,7 @@ pub fn calibrate_device(
     for &f in &opts.idle_freqs {
         dev.reset();
         dev.set_frequency(f)?;
-        let samples = dev.observe_idle(opts.idle_observe_us, opts.idle_observe_us / 30.0);
+        let samples = dev.observe_idle(opts.idle_observe_us, opts.idle_observe_us / 30.0)?;
         let s = summarize(&samples).ok_or(DeviceCalibrationError::EmptyObservation)?;
         ai_pts.push((f, s.mean_aicore_w));
         soc_pts.push((f, s.mean_soc_w));
@@ -172,7 +172,7 @@ pub fn calibrate_device(
     //    with temperature at fixed frequency/voltage.
     dev.reset();
     run_until(dev, test_load, fmax, opts.heat_us)?;
-    let cooldown = dev.observe_idle(opts.cooldown_us, opts.cooldown_sample_us);
+    let cooldown = dev.observe_idle(opts.cooldown_us, opts.cooldown_sample_us)?;
     let v = voltage.volts(fmax);
     let ai_ct: Vec<(f64, f64)> = cooldown.iter().map(|s| (s.temp_c, s.aicore_w)).collect();
     let soc_ct: Vec<(f64, f64)> = cooldown.iter().map(|s| (s.temp_c, s.soc_w)).collect();
@@ -328,6 +328,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DeviceCalibrationError::NoLoads));
+    }
+
+    #[test]
+    fn calibration_rejects_a_cooldown_period_that_never_advances() {
+        let mut dev = Device::new(quiet_cfg());
+        let loads = vec![compute_load(5.0), compute_load(15.0)];
+        for period in [0.0, -5_000.0, f64::NAN] {
+            let opts = CalibrationOptions {
+                cooldown_sample_us: period,
+                ..fast_opts()
+            };
+            let err = calibrate_device(&mut dev, &compute_load(20.0), &loads, &opts).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DeviceCalibrationError::Device(DeviceError::InvalidSamplePeriod(_))
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -5,23 +5,100 @@
 //! power, temperature-dependent leakage, and constant leakage. The uncore
 //! adds an idle floor plus a per-byte memory-transfer energy and its own
 //! temperature-dependent leakage.
+//!
+//! Each formula is written once, in [`PowerConstants`]: the terms that
+//! depend only on the configuration, the core frequency and the uncore
+//! scale are computed when the constants are built, and
+//! [`PowerConstants::aicore`] / [`PowerConstants::uncore`] add the load
+//! and temperature terms. The device builds the constants once per
+//! frequency (and once per operator only while a drift model rewrites
+//! the configuration); the free functions below build them per call.
 
 use crate::config::NpuConfig;
 use crate::freq::FreqMhz;
 
+/// The load- and temperature-independent power terms of one operating
+/// point: a configuration, a core frequency and an uncore idle floor
+/// ([`uncore_idle_floor`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerConstants {
+    ghz: f64,
+    volts: f64,
+    /// `β·f·V² + θ·V` (Eq. (12)).
+    aicore_idle_w: f64,
+    gamma_aicore: f64,
+    /// Uncore idle floor plus `θ_uncore·V`.
+    uncore_static_w: f64,
+    gamma_uncore: f64,
+    hbm_pj_per_byte: f64,
+}
+
+impl PowerConstants {
+    /// The constants of `cfg` at core frequency `f` with the uncore idle
+    /// floor `uncore_floor_w`.
+    #[must_use]
+    pub fn new(cfg: &NpuConfig, f: FreqMhz, uncore_floor_w: f64) -> Self {
+        let volts = cfg.voltage_curve.volts(f);
+        let ghz = f.ghz();
+        Self {
+            ghz,
+            volts,
+            aicore_idle_w: cfg.beta_w_per_ghz_v2 * ghz * volts * volts + cfg.theta_w_per_v * volts,
+            gamma_aicore: cfg.gamma_aicore_w_per_k_v,
+            uncore_static_w: uncore_floor_w + cfg.uncore_theta_w_per_v * volts,
+            gamma_uncore: (cfg.gamma_soc_w_per_k_v - cfg.gamma_aicore_w_per_k_v).max(0.0),
+            hbm_pj_per_byte: cfg.hbm_pj_per_byte,
+        }
+    }
+
+    /// Full AICore power at activity factor `alpha` (W/(GHz·V²)) and
+    /// temperature rise `dt_c` above ambient (Eq. (11)).
+    #[inline]
+    #[must_use]
+    pub fn aicore(&self, alpha: f64, dt_c: f64) -> f64 {
+        alpha * self.ghz * self.volts * self.volts
+            + self.aicore_idle_w
+            + self.gamma_aicore * dt_c * self.volts
+    }
+
+    /// Uncore power at a memory traffic rate of `traffic_bytes_per_us`
+    /// and temperature rise `dt_c`: idle floor + transfer energy + the
+    /// uncore share of temperature-dependent leakage.
+    #[inline]
+    #[must_use]
+    pub fn uncore(&self, traffic_bytes_per_us: f64, dt_c: f64) -> f64 {
+        self.uncore_static_w
+            + self.hbm_pj_per_byte * traffic_bytes_per_us * 1e-6
+            + self.gamma_uncore * dt_c * self.volts
+    }
+}
+
+/// The uncore idle floor with the uncore domain downclocked to `scale`
+/// of its nominal frequency (1.0 = nominal; the paper's Sect. 8.2 future
+/// work). The clock-dynamic share follows `scale^2.5` (frequency × the
+/// squared, roughly linear uncore voltage).
+///
+/// # Panics
+///
+/// Panics (debug) if `scale` is outside `(0, 1]`.
+#[must_use]
+pub fn uncore_idle_floor(cfg: &NpuConfig, scale: f64) -> f64 {
+    debug_assert!(scale > 0.0 && scale <= 1.0);
+    let dyn_frac = cfg.uncore_dynamic_fraction;
+    cfg.uncore_idle_w * ((1.0 - dyn_frac) + dyn_frac * scale.powf(2.5))
+}
+
 /// AICore load-independent power `β·f·V² + θ·V` (Eq. (12)).
 #[must_use]
 pub fn aicore_idle_power(cfg: &NpuConfig, f: FreqMhz) -> f64 {
-    let v = cfg.voltage_curve.volts(f);
-    cfg.beta_w_per_ghz_v2 * f.ghz() * v * v + cfg.theta_w_per_v * v
+    PowerConstants::new(cfg, f, 0.0).aicore_idle_w
 }
 
 /// Full AICore power at activity factor `alpha` (W/(GHz·V²)) and
 /// temperature rise `dt_c` above ambient (Eq. (11)).
 #[must_use]
 pub fn aicore_power(cfg: &NpuConfig, alpha: f64, f: FreqMhz, dt_c: f64) -> f64 {
-    let v = cfg.voltage_curve.volts(f);
-    alpha * f.ghz() * v * v + aicore_idle_power(cfg, f) + cfg.gamma_aicore_w_per_k_v * dt_c * v
+    PowerConstants::new(cfg, f, 0.0).aicore(alpha, dt_c)
 }
 
 /// Uncore power at a memory traffic rate of `traffic_bytes_per_us` and
@@ -33,10 +110,8 @@ pub fn uncore_power(cfg: &NpuConfig, traffic_bytes_per_us: f64, f: FreqMhz, dt_c
 }
 
 /// Uncore power with the uncore domain downclocked to `scale` of its
-/// nominal frequency (1.0 = nominal; the paper's Sect. 8.2 future work).
-/// The clock-dynamic share of the idle floor follows `scale^2.5`
-/// (frequency × the squared, roughly linear uncore voltage); transfer
-/// energy per byte and static leakage are unchanged.
+/// nominal frequency: the idle floor shrinks ([`uncore_idle_floor`]);
+/// transfer energy per byte and static leakage are unchanged.
 ///
 /// # Panics
 ///
@@ -49,14 +124,7 @@ pub fn uncore_power_scaled(
     dt_c: f64,
     scale: f64,
 ) -> f64 {
-    debug_assert!(scale > 0.0 && scale <= 1.0);
-    let v = cfg.voltage_curve.volts(f);
-    let gamma_uncore = (cfg.gamma_soc_w_per_k_v - cfg.gamma_aicore_w_per_k_v).max(0.0);
-    let dyn_frac = cfg.uncore_dynamic_fraction;
-    let idle = cfg.uncore_idle_w * ((1.0 - dyn_frac) + dyn_frac * scale.powf(2.5));
-    idle + cfg.uncore_theta_w_per_v * v
-        + cfg.hbm_pj_per_byte * traffic_bytes_per_us * 1e-6
-        + gamma_uncore * dt_c * v
+    PowerConstants::new(cfg, f, uncore_idle_floor(cfg, scale)).uncore(traffic_bytes_per_us, dt_c)
 }
 
 /// Whole-SoC power: AICore plus uncore (Eq. (16) ground truth).

@@ -283,17 +283,30 @@ awk -F': ' '/"coalesce_speedup"/ { if ($2 + 0 < 5.0) exit 1 }' BENCH_service.jso
 grep -q '"bit_identical": true' BENCH_service.json \
   || { echo "BENCH_service.json: service digest diverged across worker counts" >&2; exit 1; }
 
-echo "==> repository benchmark (perfbench): build, unit tests, 1 s run per workload"
+echo "==> repository benchmark (perfbench): build, unit tests, 1 s run per workload, heap ceilings"
 # perfbench is a standalone package over the public entry points, so
 # nothing else in this script compiles it. Build it with the command
 # BENCHMARK.json declares, run its own tests, and run every workload
 # once briefly: a run exits non-zero when its correctness check fails
 # ("correct": false).
+#
+# Each run must also keep its peak_heap_mb (the last stdout line's
+# metric) under a fixed ceiling. Peak heap counts allocated bytes, not
+# time, and repeats to 0.1 % across runs, so the gate cannot flip on
+# host noise; it catches any per-call cost that stops scaling with the
+# work. (A 2^20-slot GA memo written per search read 33, 49 and 64 MB.)
 perfbench=(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --)
 cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
 cargo test --quiet --offline --manifest-path perfbench/Cargo.toml
+declare -A heap_ceiling_mb=([gpt3_optimize]=24 [service_stream]=8 [fleet_drift]=32)
 for workload in gpt3_optimize service_stream fleet_drift; do
-  "${perfbench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+  result=$("${perfbench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  heap=$(sed -n 's/.*"peak_heap_mb": {"value": \([0-9.]*\),.*/\1/p' <<< "$result")
+  ceiling=${heap_ceiling_mb[$workload]}
+  [ -n "$heap" ] || { echo "$workload: perfbench printed no peak_heap_mb" >&2; exit 1; }
+  awk -v h="$heap" -v c="$ceiling" 'BEGIN { exit !(h <= c) }' \
+    || { echo "$workload: peak_heap_mb $heap above its $ceiling MB ceiling" >&2; exit 1; }
+  echo "    $workload: peak_heap_mb $heap (ceiling $ceiling)"
 done
 
 echo "==> all checks passed"

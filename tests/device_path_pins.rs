@@ -1,0 +1,165 @@
+//! Integration: the device loop's outputs, pinned to recorded values.
+//!
+//! Each case warms a device to its thermal steady state with
+//! `warm_until_steady`, then records one run, on every built-in device
+//! profile. The fingerprint takes the bits of the warm-up's end
+//! temperature and clock, and of every float the recorded run returns:
+//! duration, energies, end temperature, records, telemetry and the
+//! frequency trace. The recorded run follows the warm-up on the same
+//! device, so it also pins the noise stream the warm-up leaves behind.
+//! After a deliberate change of outputs, run with `--nocapture` and copy
+//! the printed table.
+
+use dvfs_repro::core::cache::Fingerprint;
+use dvfs_repro::fault::FaultInjector;
+use dvfs_repro::prelude::*;
+use dvfs_repro::sim::{DeviceHook, HookHandle, OpClass, RunResult, SetFreqCmd};
+use std::sync::{Arc, Mutex};
+
+/// A case's name, its device set-up and run options, and its recorded
+/// fingerprint.
+type Pin = (&'static str, fn(&mut Device, &Schedule) -> RunOptions, u64);
+
+const PINS: [Pin; 6] = [
+    ("plain", plain, 0x4FF3667AD21BC5A3),
+    ("setfreq_mid_op", setfreq_mid_op, 0xE837BA36955CEBA1),
+    ("drift", drift, 0x53805155C8E4FBA5),
+    ("uncore_scale", uncore_scale, 0x0717901E685EABD6),
+    ("telemetry", telemetry, 0x7CDE61A7FD612AAA),
+    ("fault_hook", fault_hook, 0x3A3E230A8EC5982F),
+];
+
+/// The workload: `models::tiny` (compute ops and an idle gap) plus a
+/// communication op with a core-scaled share.
+fn schedule(cfg: &NpuConfig) -> Schedule {
+    let mut s = models::tiny(cfg).schedule().clone();
+    s.push(OpDescriptor::host("AllReduce", OpClass::Communication, 400.0).host_core_scaled(0.3));
+    s
+}
+
+fn mid(dev: &Device) -> FreqMhz {
+    let freqs: Vec<FreqMhz> = dev.config().freq_table.iter().collect();
+    freqs[freqs.len() / 2]
+}
+
+fn plain(dev: &mut Device, _: &Schedule) -> RunOptions {
+    RunOptions::at(dev.config().freq_table.max())
+}
+
+/// Switches down and back up a few times; each switch applies one
+/// SetFreq latency after its trigger op, inside a later op.
+fn setfreq_cmds(dev: &Device, s: &Schedule) -> Vec<SetFreqCmd> {
+    let (lo, hi) = (dev.config().freq_table.min(), dev.config().freq_table.max());
+    (1..s.len())
+        .step_by(3)
+        .enumerate()
+        .map(|(k, after_op)| SetFreqCmd {
+            after_op,
+            target: if k % 2 == 0 { lo } else { hi },
+        })
+        .collect()
+}
+
+fn setfreq_mid_op(dev: &mut Device, s: &Schedule) -> RunOptions {
+    RunOptions::at(dev.config().freq_table.max()).with_setfreq(setfreq_cmds(dev, s))
+}
+
+fn drift(dev: &mut Device, s: &Schedule) -> RunOptions {
+    dev.set_drift(
+        DriftModel::ambient_ramp(3.0, 8.0)
+            .with_gamma_aging(0.2, 0.4)
+            .with_theta_aging(0.1, 0.3),
+    );
+    RunOptions::at(mid(dev)).with_setfreq(setfreq_cmds(dev, s))
+}
+
+fn uncore_scale(dev: &mut Device, _: &Schedule) -> RunOptions {
+    dev.set_uncore_scale(0.7).unwrap();
+    RunOptions::at(mid(dev))
+}
+
+fn telemetry(dev: &mut Device, s: &Schedule) -> RunOptions {
+    RunOptions::at(dev.config().freq_table.min())
+        .with_setfreq(setfreq_cmds(dev, s))
+        .with_telemetry(37.0)
+}
+
+/// A delayed SetFreq, a dropped SetFreq and tampered records.
+fn fault_hook(dev: &mut Device, s: &Schedule) -> RunOptions {
+    let plan = FaultPlan::seeded(3)
+        .drop_setfreq_first(1)
+        .delay_setfreq(700.0)
+        .perturb_records(0.3, 1.5);
+    let hook: Arc<Mutex<dyn DeviceHook>> = Arc::new(Mutex::new(FaultInjector::new(plan)));
+    dev.set_hook(HookHandle::from_arc(hook));
+    RunOptions::at(dev.config().freq_table.max())
+        .with_setfreq(setfreq_cmds(dev, s))
+        .with_telemetry(50.0)
+}
+
+/// Mixes `floats` into `fp` by bit pattern.
+fn push(fp: &mut Fingerprint, floats: &[f64]) {
+    floats.iter().for_each(|&v| fp.push_f64(v));
+}
+
+fn push_run(fp: &mut Fingerprint, r: &RunResult) {
+    push(
+        fp,
+        &[
+            r.duration_us,
+            r.energy_aicore_j,
+            r.energy_soc_j,
+            r.end_temp_c,
+        ],
+    );
+    for rec in &r.records {
+        let q = &rec.ratios;
+        push(
+            fp,
+            &[
+                rec.start_us,
+                rec.dur_us,
+                rec.aicore_w,
+                rec.soc_w,
+                rec.temp_c,
+            ],
+        );
+        push(fp, &[q.cube, q.vector, q.scalar, q.mte1, q.mte2, q.mte3]);
+        push(fp, &[rec.traffic_bytes, f64::from(rec.freq_mhz.mhz())]);
+    }
+    for s in &r.telemetry {
+        push(fp, &[s.t_us, s.aicore_w, s.soc_w, s.temp_c]);
+    }
+    for &(t, f) in &r.freq_trace {
+        push(fp, &[t, f64::from(f.mhz())]);
+    }
+    fp.push_str(&format!(
+        "{} {} {}",
+        r.records.len(),
+        r.telemetry.len(),
+        r.freq_trace.len()
+    ));
+}
+
+#[test]
+fn device_loop_outputs_match_the_recorded_pins() {
+    let mut diverged = Vec::new();
+    for (name, setup, pin) in PINS {
+        let mut fp = Fingerprint::new(name);
+        for profile in profile::builtins() {
+            let cfg = profile.config().clone();
+            let s = schedule(&cfg);
+            let mut dev = Device::with_seed(cfg.clone(), 0x5EED);
+            let opts = setup(&mut dev, &s);
+            let tau = cfg.thermal_tau_us;
+            let warm_c = dev
+                .warm_until_steady(&s, opts.initial_freq, 0.2, 12.0 * tau)
+                .unwrap();
+            push(&mut fp, &[warm_c, dev.clock_us()]);
+            push_run(&mut fp, &dev.run(&s, &opts).unwrap());
+        }
+        println!("    (\"{name}\", {name}, 0x{:016X}),", fp.finish());
+        diverged.extend((fp.finish() != pin).then_some(name));
+    }
+    assert!(diverged.is_empty(), "diverged from the pins: {diverged:?}");
+}
