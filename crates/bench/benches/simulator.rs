@@ -41,7 +41,6 @@ fn bench_simulator(c: &mut Criterion) {
     });
     group.finish();
 
-    let tau = cfg.thermal_tau_us;
     let mut group = c.benchmark_group("warm_until_steady");
     group.sample_size(10);
     for (name, w) in [
@@ -52,8 +51,7 @@ fn bench_simulator(c: &mut Criterion) {
             group.bench_function(format!("{name}_{}mhz", f.mhz()), |b| {
                 b.iter(|| {
                     let mut dev = Device::new(cfg.clone());
-                    dev.warm_until_steady(w.schedule(), f, 0.2, 12.0 * tau)
-                        .expect("warm-up")
+                    dev.warm_until_steady(w.schedule(), f).expect("warm-up")
                 });
             });
         }

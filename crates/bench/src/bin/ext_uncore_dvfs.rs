@@ -21,11 +21,10 @@ use npu_workloads::models;
 fn main() {
     let cfg = NpuConfig::ascend_like();
     let workload = models::gpt3(&cfg);
-    let tau = cfg.thermal_tau_us;
 
     // Baseline: core 1800, uncore nominal.
     let mut dev = Device::new(cfg.clone());
-    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800), 0.2, 12.0 * tau)
+    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800))
         .expect("warm");
     let base = dev
         .run(workload.schedule(), &RunOptions::at(FreqMhz::new(1800)))
@@ -43,7 +42,7 @@ fn main() {
         for &scale in &[1.0f64, 0.9, 0.8, 0.7] {
             let mut d = Device::new(cfg.clone());
             d.set_uncore_scale(scale).expect("scale in range");
-            d.warm_until_steady(workload.schedule(), FreqMhz::new(core), 0.2, 12.0 * tau)
+            d.warm_until_steady(workload.schedule(), FreqMhz::new(core))
                 .expect("warm");
             let run = d
                 .run(workload.schedule(), &RunOptions::at(FreqMhz::new(core)))

@@ -3,6 +3,9 @@
 //! supported frequency until thermal equilibrium; the (P_soc, T) points of
 //! one operator trace one line, and all lines share the `T = T0 + k·P_soc`
 //! slope (Eq. (15)).
+//!
+//! Self-checking: exits non-zero unless the pooled fit recovers the
+//! profile's `T0` within 0.25 °C and its `k` within 1 %.
 
 use npu_bench::all_freqs_mhz;
 use npu_power_model::linear_regression;
@@ -38,8 +41,7 @@ fn main() {
         let mut dev = Device::new(cfg.clone());
         for mhz in all_freqs_mhz().into_iter().step_by(2) {
             let f = FreqMhz::new(mhz);
-            dev.warm_until_steady(&schedule, f, 0.1, 12.0 * cfg.thermal_tau_us)
-                .expect("warm-up");
+            dev.warm_until_steady(&schedule, f).expect("warm-up");
             let run = dev
                 .run(&schedule, &RunOptions::at(f).without_records())
                 .expect("run");
@@ -58,4 +60,10 @@ fn main() {
         "# pooled fit: T = {t0:.2} + {k:.4}·P_soc  (ground truth: T = {} + {}·P_soc)",
         cfg.ambient_c, cfg.k_c_per_w
     );
+    if (t0 - cfg.ambient_c).abs() > 0.25 || (k / cfg.k_c_per_w - 1.0).abs() > 0.01 {
+        eprintln!(
+            "fig10_thermal: the pooled fit misses T0 by more than 0.25 °C or k by more than 1 %"
+        );
+        std::process::exit(1);
+    }
 }

@@ -10,9 +10,8 @@ fn main() {
     let cfg = NpuConfig::ascend_like();
     let workload = models::llama2_inference(&cfg, 32);
     let mut dev = Device::new(cfg.clone());
-    let tau = cfg.thermal_tau_us;
 
-    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800), 0.2, 12.0 * tau)
+    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800))
         .expect("warm");
     let base = dev
         .run(workload.schedule(), &RunOptions::at(FreqMhz::new(1800)))
@@ -36,8 +35,7 @@ fn main() {
     );
     for mhz in [1800u32, 1600, 1400, 1300, 1200, 1000] {
         let f = FreqMhz::new(mhz);
-        dev.warm_until_steady(workload.schedule(), f, 0.2, 12.0 * tau)
-            .expect("warm");
+        dev.warm_until_steady(workload.schedule(), f).expect("warm");
         let run = dev
             .run(workload.schedule(), &RunOptions::at(f))
             .expect("run");

@@ -25,12 +25,11 @@ pub fn steady_profiles(
     workload: &Workload,
     freqs_mhz: &[u32],
 ) -> Vec<FreqProfile> {
-    let tau = dev.config().thermal_tau_us;
     freqs_mhz
         .iter()
         .map(|&mhz| {
             let freq = FreqMhz::new(mhz);
-            dev.warm_until_steady(workload.schedule(), freq, 0.2, 12.0 * tau)
+            dev.warm_until_steady(workload.schedule(), freq)
                 .expect("warm-up run");
             let run = dev
                 .run(workload.schedule(), &RunOptions::at(freq))

@@ -203,8 +203,10 @@ pub fn profile_key(
     build_freqs: &[FreqMhz],
 ) -> u64 {
     // v2: the pass count and the keep-raw flag left the key (profiling
-    // records one pass per frequency).
-    let mut fp = Fingerprint::new("npu-core/profile/v2");
+    // records one pass per frequency). v3: the warm-up solves the thermal
+    // steady state and draws no noise, so the same inputs profile
+    // differently.
+    let mut fp = Fingerprint::new("npu-core/profile/v3");
     push_config(&mut fp, cfg);
     fp.push_u64(device_seed);
     push_schedule(&mut fp, schedule);

@@ -47,25 +47,26 @@ pub fn sweep_profiles(
 ) -> Result<Vec<FreqProfile>, DeviceError> {
     // Each frequency's fork seed depends only on its index, so the
     // assembled sweep cannot observe which worker ran what.
-    let out = par_map_ordered(threads, freqs.len(), |i| {
-        let run = profile_point(&mut dev.fork(i as u64), schedule, freqs[i])?;
-        Ok(FreqProfile {
-            freq: freqs[i],
-            records: run.records,
-        })
+    let runs = par_map_ordered(threads, freqs.len(), |i| {
+        profile_point(&mut dev.fork(i as u64), schedule, freqs[i])
     })
     .into_iter()
     .collect::<Result<Vec<_>, DeviceError>>()?;
-    if obs.enabled() {
-        for profile in &out {
+    Ok(runs
+        .into_iter()
+        .zip(freqs)
+        .map(|(run, &freq)| {
             obs.emit(Event::ProfileRun {
-                freq_mhz: profile.freq.mhz(),
-                ops: profile.records.len(),
-                duration_us: profile.records.iter().map(|r| r.dur_us).sum(),
+                freq_mhz: freq.mhz(),
+                ops: run.records.len(),
+                duration_us: run.duration_us,
             });
-        }
-    }
-    Ok(out)
+            FreqProfile {
+                freq,
+                records: run.records,
+            }
+        })
+        .collect())
 }
 
 /// Profiles one frequency point on `dev`: warm the chip to the thermal
@@ -76,8 +77,7 @@ pub(crate) fn profile_point(
     schedule: &Schedule,
     freq: FreqMhz,
 ) -> Result<RunResult, DeviceError> {
-    let tau = dev.config().thermal_tau_us;
-    let _ = dev.warm_until_steady(schedule, freq, 0.2, 12.0 * tau)?;
+    let _ = dev.warm_until_steady(schedule, freq)?;
     dev.run(schedule, &RunOptions::at(freq))
 }
 
@@ -125,5 +125,38 @@ mod tests {
         // Worker forks are silent: no DeviceRun chatter reaches the
         // coordinator's observer.
         assert_eq!(metrics.counter("event.DeviceRun"), 0);
+    }
+
+    #[test]
+    fn profile_run_reports_the_run_duration() {
+        use npu_obs::Observer;
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Durations(Mutex<Vec<f64>>);
+        impl Observer for Durations {
+            fn on_event(&self, event: &Event) {
+                if let Event::ProfileRun { duration_us, .. } = event {
+                    self.0.lock().unwrap().push(*duration_us);
+                }
+            }
+        }
+
+        let cfg = NpuConfig::ascend_like();
+        let dev = Device::new(cfg.clone());
+        let w = models::tiny(&cfg);
+        let log = Arc::new(Durations::default());
+        let freqs = [FreqMhz::new(1800), FreqMhz::new(1000)];
+        let obs = ObserverHandle::from_arc(log.clone());
+        sweep_profiles(&dev, w.schedule(), &freqs, 2, &obs).unwrap();
+        let runs: Vec<f64> = (0..freqs.len())
+            .map(|i| {
+                let mut fork = dev.fork(i as u64);
+                profile_point(&mut fork, w.schedule(), freqs[i])
+                    .unwrap()
+                    .duration_us
+            })
+            .collect();
+        assert_eq!(*log.0.lock().unwrap(), runs);
     }
 }

@@ -22,6 +22,7 @@ use npu_perf_model::PerfModelStore;
 use npu_power_model::PowerModel;
 use npu_sim::{FreqMhz, FrequencyTable};
 use std::fmt;
+use std::sync::Arc;
 
 /// Predicted outcome of one strategy (one GA individual).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -411,11 +412,12 @@ impl StageTable {
 }
 
 /// A concrete DVFS strategy: one frequency per candidate stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DvfsStrategy {
-    stages: Vec<Stage>,
-    freqs: Vec<FreqMhz>,
-}
+///
+/// The strategy is immutable and shares its stages and frequencies
+/// behind one [`Arc`], so a clone (one per served request) allocates
+/// nothing.
+#[derive(Clone, PartialEq)]
+pub struct DvfsStrategy(Arc<(Vec<Stage>, Vec<FreqMhz>)>);
 
 impl DvfsStrategy {
     /// Creates a strategy; `freqs[i]` applies to `stages[i]`.
@@ -426,31 +428,31 @@ impl DvfsStrategy {
     #[must_use]
     pub fn new(stages: Vec<Stage>, freqs: Vec<FreqMhz>) -> Self {
         assert_eq!(stages.len(), freqs.len(), "one frequency per stage");
-        Self { stages, freqs }
+        Self(Arc::new((stages, freqs)))
     }
 
     /// The stages.
     #[must_use]
     pub fn stages(&self) -> &[Stage] {
-        &self.stages
+        &self.0 .0
     }
 
     /// Per-stage frequencies.
     #[must_use]
     pub fn freqs(&self) -> &[FreqMhz] {
-        &self.freqs
+        &self.0 .1
     }
 
     /// Number of stages.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.stages.len()
+        self.stages().len()
     }
 
     /// Whether the strategy is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+        self.stages().is_empty()
     }
 
     /// Number of `SetFreq` commands needed to execute the strategy from
@@ -459,13 +461,23 @@ impl DvfsStrategy {
     pub fn setfreq_count(&self, initial: FreqMhz) -> usize {
         let mut cur = initial;
         let mut count = 0;
-        for &f in &self.freqs {
+        for &f in self.freqs() {
             if f != cur {
                 count += 1;
                 cur = f;
             }
         }
         count
+    }
+}
+
+/// The text a derived `Debug` on `{ stages, freqs }` would print.
+impl fmt::Debug for DvfsStrategy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DvfsStrategy")
+            .field("stages", &self.stages())
+            .field("freqs", &self.freqs())
+            .finish()
     }
 }
 
@@ -572,5 +584,18 @@ mod tests {
         );
         assert_eq!(s.setfreq_count(FreqMhz::new(1800)), 2); // ->1200, ->1800
         assert_eq!(s.setfreq_count(FreqMhz::new(1200)), 1);
+    }
+
+    #[test]
+    fn clones_share_storage_and_debug_prints_the_fields() {
+        let stages = vec![mk_stage(0.0, 1.0, 0..1, StageKind::Lfc)];
+        let s = DvfsStrategy::new(stages.clone(), vec![FreqMhz::new(1200)]);
+        let c = s.clone();
+        assert!(Arc::ptr_eq(&s.0, &c.0));
+        assert_eq!(c, s);
+        assert_eq!(
+            format!("{s:?}"),
+            format!("DvfsStrategy {{ stages: {stages:?}, freqs: [FreqMhz(1200)] }}")
+        );
     }
 }

@@ -132,6 +132,25 @@ impl NpuConfig {
     pub fn core_st_bw(&self, f_mhz: f64) -> f64 {
         self.st_bytes_per_cycle_per_core * f_mhz * f64::from(self.core_num)
     }
+
+    /// Loop gain of the thermal feedback at the top frequency,
+    /// `k · max(γ_soc, γ_aicore) · V(f_max)`: each degree of temperature
+    /// rise adds `max(γ_soc, γ_aicore) · V` watts of SoC leakage, which
+    /// hold the chip `k` degrees per watt hotter. Voltage never falls
+    /// with frequency, so no ladder point has a larger gain.
+    #[must_use]
+    pub fn thermal_loop_gain(&self) -> f64 {
+        let volts = self.voltage_curve.volts(self.freq_table.max());
+        self.k_c_per_w * self.gamma_soc_w_per_k_v.max(self.gamma_aicore_w_per_k_v) * volts
+    }
+
+    /// Whether every frequency has a thermal steady state (Eq. (15)): the
+    /// [loop gain](Self::thermal_loop_gain) is below 1. At or above 1 the
+    /// leakage outgrows the cooling and the temperature runs away.
+    #[must_use]
+    pub fn has_thermal_steady_state(&self) -> bool {
+        self.thermal_loop_gain() < 1.0
+    }
 }
 
 impl Default for NpuConfig {
@@ -280,8 +299,9 @@ impl NpuConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when a physical quantity is non-positive or a
-    /// noise level is negative.
+    /// Returns [`ConfigError`] when a physical quantity is non-positive, a
+    /// noise level is negative, or the thermal coupling leaves the chip no
+    /// steady state ([`NpuConfig::has_thermal_steady_state`]).
     pub fn build(self) -> Result<NpuConfig, ConfigError> {
         let c = &self.cfg;
         fn pos(v: f64, what: &'static str) -> Result<(), ConfigError> {
@@ -311,6 +331,9 @@ impl NpuConfigBuilder {
         if c.k_c_per_w < 0.0 {
             return Err(ConfigError::Negative("k_c_per_w"));
         }
+        if !c.has_thermal_steady_state() {
+            return Err(ConfigError::ThermalRunaway);
+        }
         Ok(self.cfg)
     }
 }
@@ -328,6 +351,9 @@ pub enum ConfigError {
     NonPositive(&'static str),
     /// A quantity that must be non-negative was negative.
     Negative(&'static str),
+    /// The thermal loop gain is 1 or more, so the temperature runs away
+    /// ([`NpuConfig::has_thermal_steady_state`]).
+    ThermalRunaway,
 }
 
 impl fmt::Display for ConfigError {
@@ -335,6 +361,11 @@ impl fmt::Display for ConfigError {
         match self {
             Self::NonPositive(what) => write!(f, "{what} must be strictly positive"),
             Self::Negative(what) => write!(f, "{what} must be non-negative"),
+            Self::ThermalRunaway => write!(
+                f,
+                "k_c_per_w · max(γ_soc, γ_aicore) · V(f_max) must be below 1, \
+                 or the chip has no thermal steady state"
+            ),
         }
     }
 }
@@ -397,6 +428,22 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_a_coupling_without_steady_state() {
+        // Ascend: k · γ_soc · V(1800) = 0.11 · 0.9 · 0.98 ≈ 0.097.
+        let cfg = NpuConfig::ascend_like();
+        assert!((cfg.thermal_loop_gain() - 0.11 * 0.9 * 0.98).abs() < 1e-12);
+        assert!(cfg.has_thermal_steady_state());
+        for k in [1.2, 1.5, 5.0] {
+            let err = NpuConfig::builder()
+                .thermal_coupling(k)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ConfigError::ThermalRunaway, "k = {k}");
+        }
+        assert!(NpuConfig::builder().thermal_coupling(1.1).build().is_ok());
+    }
+
+    #[test]
     fn builder_overrides_apply() {
         let cfg = NpuConfig::builder()
             .core_num(32)
@@ -435,6 +482,9 @@ mod tests {
             ConfigError::NonPositive("core_num").to_string(),
             "core_num must be strictly positive"
         );
+        assert!(ConfigError::ThermalRunaway
+            .to_string()
+            .contains("no thermal steady state"));
         let _ = FreqMhz::new(1); // keep import used
     }
 }

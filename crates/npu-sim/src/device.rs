@@ -15,8 +15,8 @@
 //! power constants of the current frequency ([`PowerConstants`]) once;
 //! they are rebuilt when a `SetFreq` applies, and per operator only while
 //! a drift model rewrites the configuration.
-//! [`Device::warm_until_steady`] prepares its operators once and runs
-//! every warm-up iteration through the same loop.
+//! [`Device::warm_until_steady`] runs no loop: it solves the thermal
+//! steady state of repeating a schedule in closed form.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,7 +30,7 @@ use crate::operator::{OpClass, OpDescriptor};
 use crate::power::{uncore_idle_floor, PowerConstants};
 use crate::profiler::OpRecord;
 use crate::telemetry::{summarize, TelemetrySample};
-use crate::thermal::ThermalState;
+use crate::thermal::{RiseMap, ThermalState};
 use crate::timeline::CycleModel;
 use npu_obs::{Event, ObserverHandle};
 
@@ -261,6 +261,10 @@ pub enum DeviceError {
     },
     /// A telemetry sampling period is zero, negative or not finite.
     InvalidSamplePeriod(f64),
+    /// The configuration in effect has no thermal steady state: its
+    /// [loop gain](NpuConfig::thermal_loop_gain), carried here, is 1 or
+    /// more.
+    ThermalRunaway(f64),
 }
 
 impl fmt::Display for DeviceError {
@@ -284,6 +288,10 @@ impl fmt::Display for DeviceError {
                     "telemetry sampling period {p} µs must be positive and finite"
                 )
             }
+            Self::ThermalRunaway(gain) => write!(
+                f,
+                "thermal loop gain {gain} is not below 1: the chip has no thermal steady state"
+            ),
         }
     }
 }
@@ -585,50 +593,109 @@ impl Device {
         Ok(samples)
     }
 
-    /// Runs `schedule` repeatedly (without recording) at `freq` until the
-    /// chip temperature drifts by less than `tol_c` per thermal time
-    /// constant, or `max_us` of virtual time has elapsed; returns the
-    /// final temperature. This reproduces the paper's protocol of
-    /// collecting data "once stable training is achieved", when the chip
-    /// is at thermal steady state.
+    /// Brings the chip to the thermal steady state of running `schedule`
+    /// back to back at `freq`, and returns that temperature. This
+    /// reproduces the paper's protocol of collecting data "once stable
+    /// training is achieved" (Eq. (15)).
     ///
-    /// The operators are prepared once and every iteration runs through
-    /// the same loop as [`Device::run`], reusing one result buffer.
+    /// The steady state is solved, not simulated. SoC power is affine in
+    /// the temperature rise (the `γ·ΔT·V` leakage) and each operator's
+    /// thermal step is affine in the temperature, so one noise-free
+    /// iteration of the schedule is an affine map of the rise; the chip
+    /// is set to its fixed point. The clock advances by the whole
+    /// noise-free iterations a simulated warm-up would run: until the
+    /// temperature moves by less than 0.2 °C per thermal time constant,
+    /// and for at most 12 time constants. A drift model is read at the
+    /// clock where the warm-up ends. No noise is drawn, no hook is
+    /// consulted and no event is emitted; the device is left at `freq`.
+    /// A schedule that takes no time leaves the temperature and the clock
+    /// as they are.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError`] if `freq` is unsupported.
+    /// Returns [`DeviceError::UnsupportedFrequency`] if `freq` is off-grid,
+    /// and [`DeviceError::ThermalRunaway`] if the configuration in effect
+    /// at either end of the warm-up has no steady state
+    /// ([`NpuConfig::has_thermal_steady_state`]); the device is then left
+    /// as it was.
     pub fn warm_until_steady(
         &mut self,
         schedule: &Schedule,
         freq: FreqMhz,
-        tol_c: f64,
-        max_us: f64,
     ) -> Result<f64, DeviceError> {
-        let opts = RunOptions::at(freq).without_records();
-        let ops: Vec<PreparedOp> = schedule
-            .ops()
-            .iter()
-            .map(|op| PreparedOp::new(op, &self.cfg, self.uncore_scale, freq))
-            .collect();
-        let mut r = RunResult::default();
-        let start = self.clock_us;
+        if !self.cfg.freq_table.contains(freq) {
+            return Err(DeviceError::UnsupportedFrequency(freq));
+        }
+        self.check_thermal_steady_state()?;
+        let (mut map, iter_us) = self.iteration_map(schedule, freq);
+        if iter_us <= 0.0 {
+            self.freq = freq;
+            return Ok(self.thermal.temp_c());
+        }
+        // The simulated stop rule, on the scalar map: the move per
+        // iteration, extrapolated over one time constant (short
+        // iterations move the temperature only a little each).
         let tau = self.cfg.thermal_tau_us;
+        let mut rise = self.thermal.delta_t(&self.eff);
+        let mut iterations = 0.0;
         loop {
-            let before = self.thermal.temp_c();
-            self.execute(schedule, Some(&ops), &opts, &mut r)?;
-            if r.duration_us <= 0.0 {
-                break; // empty schedule cannot heat the chip
-            }
-            // Drift extrapolated over one thermal time constant: short
-            // iterations only move the temperature a little per run, so a
-            // raw per-run criterion would stop far from equilibrium.
-            let drift_per_tau = (self.thermal.temp_c() - before).abs() * tau / r.duration_us;
-            if drift_per_tau < tol_c || self.clock_us - start >= max_us {
+            let next = map.apply(rise);
+            iterations += 1.0;
+            let drift_per_tau = (next - rise).abs() * tau / iter_us;
+            rise = next;
+            if drift_per_tau < WARM_SETTLED_C_PER_TAU || iterations * iter_us >= WARM_MAX_TAUS * tau
+            {
                 break;
             }
         }
+        let start_us = self.clock_us;
+        self.clock_us += iterations * iter_us;
+        if self.drift.is_some() {
+            self.refresh_drift();
+            if let Err(e) = self.check_thermal_steady_state() {
+                self.clock_us = start_us;
+                self.refresh_drift();
+                return Err(e);
+            }
+            map = self.iteration_map(schedule, freq).0;
+        }
+        self.freq = freq;
+        self.thermal = ThermalState::at_temperature(self.eff.ambient_c + map.fixed_point());
         Ok(self.thermal.temp_c())
+    }
+
+    /// Fails unless the effective configuration has a thermal steady
+    /// state.
+    fn check_thermal_steady_state(&self) -> Result<(), DeviceError> {
+        if self.eff.has_thermal_steady_state() {
+            Ok(())
+        } else {
+            Err(DeviceError::ThermalRunaway(self.eff.thermal_loop_gain()))
+        }
+    }
+
+    /// The map of the temperature rise over one noise-free iteration of
+    /// `schedule` at `freq` under the effective configuration, and the
+    /// iteration's length in µs. Operators that take no time are skipped,
+    /// as the device loop skips them.
+    fn iteration_map(&self, schedule: &Schedule, freq: FreqMhz) -> (RiseMap, f64) {
+        let floor = uncore_idle_floor(&self.eff, self.uncore_scale);
+        let power = PowerConstants::new(&self.eff, freq, floor);
+        let w_per_k = power.soc_w_per_k();
+        let mut map = RiseMap::IDENTITY;
+        let mut iter_us = 0.0;
+        for op in schedule.ops() {
+            let prep = PreparedOp::new(op, &self.cfg, self.uncore_scale, freq);
+            let t = prep.time_us;
+            if t <= 0.0 {
+                continue;
+            }
+            let traffic_rate = prep.traffic_bytes.map_or(0.0, |bytes| bytes / t);
+            let p0 = power.aicore(prep.alpha, 0.0) + power.uncore(traffic_rate, 0.0);
+            map = map.then(RiseMap::step(&self.eff, p0, w_per_k, t));
+            iter_us += t;
+        }
+        (map, iter_us)
     }
 
     /// Executes `schedule` under `options`.
@@ -643,32 +710,6 @@ impl Device {
         schedule: &Schedule,
         options: &RunOptions,
     ) -> Result<RunResult, DeviceError> {
-        let mut result = RunResult::default();
-        self.execute(schedule, None, options, &mut result)?;
-        Ok(result)
-    }
-
-    /// The power constants of the effective configuration at the current
-    /// frequency.
-    fn power_constants(&self, uncore_floor_w: f64) -> PowerConstants {
-        PowerConstants::new(&self.eff, self.freq, uncore_floor_w)
-    }
-
-    /// The device loop: executes `schedule` under `options`, writing into
-    /// `result` (cleared first, so a caller that loops can reuse its
-    /// buffers). `prepared` holds the schedule's prepared operators for a
-    /// caller that runs it many times; a single run passes `None` and
-    /// prepares each operator as the loop reaches it. Either way the loop
-    /// works on its own copy of the operator: reading it through a
-    /// reference made single ResNet-50 runs about 30 % slower per
-    /// operator on x86-64.
-    fn execute(
-        &mut self,
-        schedule: &Schedule,
-        prepared: Option<&[PreparedOp]>,
-        options: &RunOptions,
-        result: &mut RunResult,
-    ) -> Result<(), DeviceError> {
         if !self.cfg.freq_table.contains(options.initial_freq) {
             return Err(DeviceError::UnsupportedFrequency(options.initial_freq));
         }
@@ -693,10 +734,10 @@ impl Device {
         let start_t = self.clock_us;
         let mut pending: VecDeque<(f64, FreqMhz)> = VecDeque::new();
         let mut retries: Vec<RetryEntry> = Vec::new();
-        result.records.clear();
-        result.telemetry.clear();
-        result.freq_trace.clear();
-        result.freq_trace.push((start_t, self.freq));
+        let mut result = RunResult {
+            freq_trace: vec![(start_t, self.freq)],
+            ..RunResult::default()
+        };
         let mut energy_ai_wus = 0.0; // W·µs
         let mut energy_soc_wus = 0.0;
         let mut next_sample = start_t;
@@ -708,10 +749,10 @@ impl Device {
         let mut power = self.power_constants(floor);
 
         for (i, op) in schedule.ops().iter().enumerate() {
-            let prep = match prepared {
-                Some(ops) => ops[i].clone(),
-                None => PreparedOp::new(op, &self.cfg, self.uncore_scale, self.freq),
-            };
+            // Prepared as the loop reaches it: collecting the prepared
+            // operators first made single ResNet-50 runs about 30 % slower
+            // per operator on x86-64.
+            let prep = PreparedOp::new(op, &self.cfg, self.uncore_scale, self.freq);
             // Drift is slow (seconds) next to operators (µs–ms): one
             // refresh per operator keeps the effective config current to
             // well under a drift time constant. Timing stays on the base
@@ -864,7 +905,13 @@ impl Device {
                 });
             }
         }
-        Ok(())
+        Ok(result)
+    }
+
+    /// The power constants of the effective configuration at the current
+    /// frequency.
+    fn power_constants(&self, uncore_floor_w: f64) -> PowerConstants {
+        PowerConstants::new(&self.eff, self.freq, uncore_floor_w)
     }
 
     /// Draws one telemetry sample stamped `t_us` (sensor offsets from the
@@ -1010,9 +1057,9 @@ struct RetryEntry {
 }
 
 /// One operator readied for the device loop: its timing model, its
-/// duration at one frequency, and the load terms of its power. A single
-/// run prepares each operator once; [`Device::warm_until_steady`]
-/// prepares the schedule once for all its iterations.
+/// duration at one frequency, and the load terms of its power. A run
+/// prepares each operator once; [`Device::warm_until_steady`] prepares
+/// each once per map it builds.
 #[derive(Debug, Clone)]
 struct PreparedOp {
     model: CycleModel,
@@ -1051,6 +1098,12 @@ impl PreparedOp {
         }
     }
 }
+
+/// Move of the temperature per thermal time constant, °C, below which a
+/// warm-up counts as settled.
+const WARM_SETTLED_C_PER_TAU: f64 = 0.2;
+/// Longest warm-up, in thermal time constants.
+const WARM_MAX_TAUS: f64 = 12.0;
 
 /// Rejects telemetry sampling periods that would never advance the
 /// sampling clock (zero, negative) or stall it (non-finite).
@@ -1307,6 +1360,65 @@ mod tests {
     }
 
     #[test]
+    fn warm_up_of_an_empty_schedule_changes_nothing() {
+        let mut dev = Device::with_seed(cfg(), 1);
+        let at = FreqMhz::new(1800);
+        dev.run(&small_schedule(), &RunOptions::at(at)).unwrap();
+        let (temp, clock) = (dev.temp_c(), dev.clock_us());
+        assert!(temp > dev.config().ambient_c);
+        let idle = Schedule::new(vec![OpDescriptor::idle_gap(0.0)]);
+        for s in [Schedule::default(), idle] {
+            assert_eq!(dev.warm_until_steady(&s, FreqMhz::new(1000)).unwrap(), temp);
+            assert_eq!((dev.temp_c(), dev.clock_us()), (temp, clock));
+        }
+        assert_eq!(dev.freq(), FreqMhz::new(1000));
+    }
+
+    #[test]
+    fn warm_up_refuses_a_config_without_steady_state() {
+        // Built without the builder, which would refuse it.
+        let runaway = NpuConfig {
+            k_c_per_w: 5.0,
+            ..cfg()
+        };
+        let mut dev = Device::new(runaway.clone());
+        let err = dev
+            .warm_until_steady(&small_schedule(), FreqMhz::new(1000))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DeviceError::ThermalRunaway(runaway.thermal_loop_gain())
+        );
+        assert_eq!((dev.temp_c(), dev.clock_us()), (runaway.ambient_c, 0.0));
+    }
+
+    #[test]
+    fn warm_up_refuses_drift_past_the_stability_line() {
+        // Gain 0.88 at build time; γ aging of up to +50 % lifts it to 1.32
+        // a second into the warm-up.
+        let cfg = NpuConfig::builder().thermal_coupling(1.0).build().unwrap();
+        let aging = DriftModel::none().with_gamma_aging(0.5, 0.5);
+        let mut dev = Device::new(cfg.clone());
+        dev.set_drift(aging);
+        let err = dev
+            .warm_until_steady(&small_schedule(), FreqMhz::new(1800))
+            .unwrap_err();
+        let DeviceError::ThermalRunaway(gain) = err else {
+            unreachable!("wrong error: {err}")
+        };
+        assert!((gain - 1.5 * cfg.thermal_loop_gain()).abs() < 1e-12);
+        // The device is left as it was.
+        assert_eq!((dev.temp_c(), dev.clock_us()), (cfg.ambient_c, 0.0));
+        assert_eq!(dev.effective_config(), &cfg);
+        // Milder aging keeps a steady state, which the warm-up reaches.
+        dev.set_drift(DriftModel::none().with_gamma_aging(0.05, 0.05));
+        let warm = dev
+            .warm_until_steady(&small_schedule(), FreqMhz::new(1800))
+            .unwrap();
+        assert!(warm > cfg.ambient_c && dev.clock_us() > 0.0);
+    }
+
+    #[test]
     fn observe_idle_cools_down() {
         // Fast thermal constant so the load reaches its (hot) equilibrium
         // well above the idle equilibrium within a short run.
@@ -1522,6 +1634,7 @@ mod tests {
                 "out of range",
             ),
             (DeviceError::InvalidSamplePeriod(0.0), "sampling period"),
+            (DeviceError::ThermalRunaway(1.3), "no thermal steady state"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

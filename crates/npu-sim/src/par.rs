@@ -55,7 +55,10 @@ pub fn resolve_threads_with(requested: usize, lookup: impl Fn(&str) -> Option<St
 
 /// Computes `f(0), f(1), …, f(n - 1)` on
 /// `resolve_threads(threads).min(n).max(1)` scoped workers and returns
-/// the results in index order.
+/// the results in index order. One worker is the calling thread itself:
+/// no thread is spawned, so a serial fan-out (a session's profiling
+/// sweep at `threads = 1`) costs no thread start-up or cross-CPU
+/// wake-up.
 ///
 /// Workers pull indices from one shared cursor, so a slow index never
 /// holds up the rest of the queue. Each index runs exactly once. A
@@ -73,6 +76,9 @@ pub fn resolve_threads_with(requested: usize, lookup: impl Fn(&str) -> Option<St
 /// ```
 pub fn par_map_ordered<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = resolve_threads(threads).min(n).max(1);
+    if workers == 1 {
+        return (0..n).map(f).collect();
+    }
     // The cursor hands out indices only; results travel back through
     // `join`, which synchronizes, so `Relaxed` suffices.
     let next = AtomicUsize::new(0);
@@ -131,6 +137,16 @@ mod tests {
         ) {
             let serial: Vec<(usize, u64)> = (0..n).map(mix).collect();
             prop_assert_eq!(par_map_ordered(threads, n, mix), serial);
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        // An explicit single worker, and more workers than indices.
+        for (threads, n) in [(1, 5), (8, 1)] {
+            let ids = par_map_ordered(threads, n, |_| thread::current().id());
+            assert_eq!(ids, vec![caller; n], "threads {threads}, n {n}");
         }
     }
 

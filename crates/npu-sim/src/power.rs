@@ -71,6 +71,13 @@ impl PowerConstants {
             + self.hbm_pj_per_byte * traffic_bytes_per_us * 1e-6
             + self.gamma_uncore * dt_c * self.volts
     }
+
+    /// SoC leakage per degree of temperature rise, W/K: `aicore` plus
+    /// `uncore` is affine in `dt_c` with this slope.
+    #[must_use]
+    pub(crate) fn soc_w_per_k(&self) -> f64 {
+        (self.gamma_aicore + self.gamma_uncore) * self.volts
+    }
 }
 
 /// The uncore idle floor with the uncore domain downclocked to `scale`

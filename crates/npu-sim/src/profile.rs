@@ -183,6 +183,12 @@ pub enum ProfileError {
         /// The absent pipeline.
         name: &'static str,
     },
+    /// The thermal coupling leaves the chip no steady state
+    /// ([`NpuConfig::has_thermal_steady_state`]).
+    ThermalRunaway {
+        /// 1-based source line of `k_c_per_w`.
+        line: usize,
+    },
 }
 
 impl fmt::Display for ProfileError {
@@ -241,6 +247,11 @@ impl fmt::Display for ProfileError {
             Self::MissingPipeline { name } => {
                 write!(f, "missing mandatory pipeline `{name}`")
             }
+            Self::ThermalRunaway { line } => write!(
+                f,
+                "line {line}: `k_c_per_w` · max(γ_soc, γ_aicore) · V(f_max) must be below 1, \
+                 or the chip has no thermal steady state"
+            ),
         }
     }
 }
@@ -990,6 +1001,9 @@ impl DeviceProfile {
             temp_noise_sd_c: temp_sd,
             profile_fp: 0,
         };
+        if !config.has_thermal_steady_state() {
+            return Err(ProfileError::ThermalRunaway { line: k_line });
+        }
 
         let mut profile = Self {
             name,
@@ -1389,6 +1403,22 @@ mod tests {
             }
             other => unreachable!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn rejects_a_thermal_coupling_without_steady_state() {
+        let text = mutate_ascend("k_c_per_w = 0.11", "k_c_per_w = 1.5");
+        let line = text
+            .lines()
+            .position(|l| l.starts_with("k_c_per_w"))
+            .unwrap()
+            + 1;
+        assert_eq!(parse_err(&text), ProfileError::ThermalRunaway { line });
+        assert!(parse_err(&text)
+            .to_string()
+            .starts_with(&format!("line {line}: ")));
+        let text = mutate_ascend("k_c_per_w = 0.11", "k_c_per_w = 1.1");
+        assert!(DeviceProfile::parse(&text).is_ok());
     }
 
     #[test]

@@ -71,6 +71,60 @@ impl ThermalState {
     }
 }
 
+/// The map [`ThermalState::advance`] applies to the temperature rise
+/// `ΔT` when the SoC power is affine in it (the `γ·ΔT·V` leakage of
+/// Eq. (11)) and non-negative: `ΔT ↦ ΔT + relax · (fixed_point − ΔT)`.
+/// Steps compose with [`RiseMap::then`], so one map describes a whole
+/// schedule iteration. `relax` (`1 − a` of the affine form `a·ΔT + b`)
+/// is carried directly: it is small for short steps, and `1 − a` would
+/// lose its digits to cancellation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RiseMap {
+    /// Fraction of the gap to the fixed point that the map closes.
+    relax: f64,
+    /// `b` of the affine form, °C.
+    offset_c: f64,
+}
+
+impl RiseMap {
+    /// The map that changes nothing.
+    pub const IDENTITY: Self = Self {
+        relax: 0.0,
+        offset_c: 0.0,
+    };
+
+    /// One step of `dt_us` under SoC power `p0_w + w_per_k · ΔT`.
+    pub fn step(cfg: &NpuConfig, p0_w: f64, w_per_k: f64, dt_us: f64) -> Self {
+        // ΔT' = k·P·(1 − d) + ΔT·d with d = e^(−dt/τ): the RC step of
+        // `advance`, measured from ambient.
+        let heat = -(-dt_us / cfg.thermal_tau_us).exp_m1();
+        Self {
+            relax: heat * (1.0 - cfg.k_c_per_w * w_per_k),
+            offset_c: heat * cfg.k_c_per_w * p0_w,
+        }
+    }
+
+    /// This map followed by `next`.
+    #[must_use]
+    pub fn then(self, next: Self) -> Self {
+        Self {
+            relax: self.relax + next.relax - self.relax * next.relax,
+            offset_c: (1.0 - next.relax) * self.offset_c + next.offset_c,
+        }
+    }
+
+    /// The image of the rise `dt_c`.
+    pub fn apply(self, dt_c: f64) -> f64 {
+        (1.0 - self.relax) * dt_c + self.offset_c
+    }
+
+    /// The rise the map leaves unchanged, `b / (1 − a)`: the steady state
+    /// of repeating it. Meaningful only when `relax > 0`.
+    pub fn fixed_point(self) -> f64 {
+        self.offset_c / self.relax
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +225,27 @@ mod tests {
         let mut th = ThermalState::at_temperature(70.0);
         th.advance(&cfg, -100.0, 10.0 * cfg.thermal_tau_us);
         assert!((th.temp_c() - cfg.ambient_c).abs() < 0.01);
+    }
+
+    #[test]
+    fn rise_map_matches_advance_and_composes() {
+        let cfg = cfg();
+        let (p0, w) = (250.0, 0.9);
+        let power = |t: &ThermalState| p0 + w * t.delta_t(&cfg);
+        let mut th = ThermalState::at_temperature(55.0);
+        let mut map = RiseMap::IDENTITY;
+        for dt in [300.0, 4_000.0, 2.5e6] {
+            let step = RiseMap::step(&cfg, p0, w, dt);
+            let before = th.delta_t(&cfg);
+            th.advance(&cfg, power(&th), dt);
+            assert!((step.apply(before) - th.delta_t(&cfg)).abs() < 1e-9);
+            map = map.then(step);
+        }
+        assert!((map.apply(15.0) - th.delta_t(&cfg)).abs() < 1e-9);
+        // The fixed point is the equilibrium of its own power.
+        let rise = map.fixed_point();
+        assert!((rise - cfg.k_c_per_w * (p0 + w * rise)).abs() < 1e-9);
+        assert_eq!(RiseMap::IDENTITY.then(map), map);
     }
 
     #[test]

@@ -18,8 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut dev = Device::new(cfg.clone());
-    let tau = cfg.thermal_tau_us;
-    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800), 0.2, 12.0 * tau)?;
+    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800))?;
     let base = dev.run(workload.schedule(), &RunOptions::at(FreqMhz::new(1800)))?;
 
     println!(
@@ -28,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for mhz in [1800u32, 1500, 1300, 1000] {
         let f = FreqMhz::new(mhz);
-        dev.warm_until_steady(workload.schedule(), f, 0.2, 12.0 * tau)?;
+        dev.warm_until_steady(workload.schedule(), f)?;
         let run = dev.run(workload.schedule(), &RunOptions::at(f))?;
         println!(
             "{:<8} {:>10.2} {:>8.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",

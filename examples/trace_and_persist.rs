@@ -49,8 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut dev = Device::new(cfg.clone());
-    let tau = cfg.thermal_tau_us;
-    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800), 0.2, 12.0 * tau)?;
+    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800))?;
     let baseline = dev.run(workload.schedule(), &RunOptions::at(FreqMhz::new(1800)))?;
     let exec = execute_strategy(
         &mut dev,

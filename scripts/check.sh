@@ -39,6 +39,13 @@ echo "==> quickstart smoke on two device profiles (ascend default + v100-class)"
 cargo run --quiet --release --example quickstart > /dev/null
 NPU_PROFILE=v100-class cargo run --quiet --release --example quickstart > /dev/null
 
+echo "==> paper bins that warm the device to its thermal steady state"
+# fig10_thermal is self-checking: it exits non-zero unless its pooled
+# fit recovers the profile's T0 within 0.25 °C and k within 1 %.
+for bin in fig10_thermal table2_power_error sect84_inference; do
+  cargo run --quiet --release -p npu-bench --bin "$bin" > /dev/null
+done
+
 echo "==> observability example smoke (OBS_SMOKE=1, events to /dev/null)"
 OBS_SMOKE=1 cargo run --quiet --example observe_pipeline > /dev/null
 

@@ -17,10 +17,10 @@ type Pin = (&'static str, fn(&mut Fingerprint), u64);
 
 const PINS: [Pin; 5] = [
     ("calibration", calibration, 0x650EEE7E1C763EEC),
-    ("cold_warm_session", cold_warm_session, 0xDD9B8E665AF02AB2),
-    ("hooked_session", hooked_session, 0xC36B00858918301D),
-    ("serve_ladder", serve_ladder, 0x5EE84D8576711141),
-    ("faulted_fleet", faulted_fleet, 0xC274B8713726789F),
+    ("cold_warm_session", cold_warm_session, 0x7D6DCDD79BC8282A),
+    ("hooked_session", hooked_session, 0xABB5F483BDFA78E3),
+    ("serve_ladder", serve_ladder, 0x21EDF331553C516A),
+    ("faulted_fleet", faulted_fleet, 0xA6F0C1388337947D),
 ];
 
 /// Records every `ProfileRun` duration and counts the profile phases.

@@ -1,14 +1,15 @@
 //! Integration: the device loop's outputs, pinned to recorded values.
 //!
-//! Each case warms a device to its thermal steady state with
-//! `warm_until_steady`, then records one run, on every built-in device
-//! profile. The fingerprint takes the bits of the warm-up's end
-//! temperature and clock, and of every float the recorded run returns:
+//! Each case records one run on every built-in device profile, twice:
+//! on a device warmed to its thermal steady state with
+//! `warm_until_steady`, and on a cold device with no warm-up. The
+//! fingerprint takes the bits of every float the recorded run returns:
 //! duration, energies, end temperature, records, telemetry and the
-//! frequency trace. The recorded run follows the warm-up on the same
-//! device, so it also pins the noise stream the warm-up leaves behind.
-//! After a deliberate change of outputs, run with `--nocapture` and copy
-//! the printed table.
+//! frequency trace; the warmed column also takes the warm-up's end
+//! temperature and clock. The cold column pins the device loop alone, so
+//! a change to the warm-up moves only the warmed column. After a
+//! deliberate change of outputs, run with `--nocapture` and copy the
+//! printed table.
 
 use dvfs_repro::core::cache::Fingerprint;
 use dvfs_repro::fault::FaultInjector;
@@ -16,17 +17,40 @@ use dvfs_repro::prelude::*;
 use dvfs_repro::sim::{DeviceHook, HookHandle, OpClass, RunResult, SetFreqCmd};
 use std::sync::{Arc, Mutex};
 
-/// A case's name, its device set-up and run options, and its recorded
-/// fingerprint.
-type Pin = (&'static str, fn(&mut Device, &Schedule) -> RunOptions, u64);
+/// A case's device set-up and run options.
+type Setup = fn(&mut Device, &Schedule) -> RunOptions;
+
+/// A case's name, its set-up, and its recorded fingerprints: warmed,
+/// then cold.
+type Pin = (&'static str, Setup, u64, u64);
 
 const PINS: [Pin; 6] = [
-    ("plain", plain, 0x4FF3667AD21BC5A3),
-    ("setfreq_mid_op", setfreq_mid_op, 0xE837BA36955CEBA1),
-    ("drift", drift, 0x53805155C8E4FBA5),
-    ("uncore_scale", uncore_scale, 0x0717901E685EABD6),
-    ("telemetry", telemetry, 0x7CDE61A7FD612AAA),
-    ("fault_hook", fault_hook, 0x3A3E230A8EC5982F),
+    ("plain", plain, 0xBF76893B45886301, 0xEE2253BAFCC74596),
+    (
+        "setfreq_mid_op",
+        setfreq_mid_op,
+        0x3B8AE08E1CB58FB5,
+        0x1F4EDF0A92A9FFA3,
+    ),
+    ("drift", drift, 0x32E329D9E56C43C0, 0x538C546F8937EB09),
+    (
+        "uncore_scale",
+        uncore_scale,
+        0xD9742F3567F24DFE,
+        0xAE45FEE6013944A3,
+    ),
+    (
+        "telemetry",
+        telemetry,
+        0x7FBF523BA405EF3D,
+        0x6C4C6CA338D1412D,
+    ),
+    (
+        "fault_hook",
+        fault_hook,
+        0x9130DE5652297ED2,
+        0x172F15D888DF2FAF,
+    ),
 ];
 
 /// The workload: `models::tiny` (compute ops and an idle gap) plus a
@@ -141,25 +165,45 @@ fn push_run(fp: &mut Fingerprint, r: &RunResult) {
     ));
 }
 
-#[test]
-fn device_loop_outputs_match_the_recorded_pins() {
-    let mut diverged = Vec::new();
-    for (name, setup, pin) in PINS {
-        let mut fp = Fingerprint::new(name);
-        for profile in profile::builtins() {
-            let cfg = profile.config().clone();
-            let s = schedule(&cfg);
-            let mut dev = Device::with_seed(cfg.clone(), 0x5EED);
-            let opts = setup(&mut dev, &s);
-            let tau = cfg.thermal_tau_us;
-            let warm_c = dev
-                .warm_until_steady(&s, opts.initial_freq, 0.2, 12.0 * tau)
-                .unwrap();
+/// The case's fingerprint over every built-in profile, with or without
+/// a warm-up before the recorded run.
+fn fingerprint(name: &str, setup: Setup, warm: bool) -> u64 {
+    let mut fp = Fingerprint::new(name);
+    for profile in profile::builtins() {
+        let cfg = profile.config().clone();
+        let s = schedule(&cfg);
+        let mut dev = Device::with_seed(cfg.clone(), 0x5EED);
+        let opts = setup(&mut dev, &s);
+        if warm {
+            let warm_c = dev.warm_until_steady(&s, opts.initial_freq).unwrap();
             push(&mut fp, &[warm_c, dev.clock_us()]);
-            push_run(&mut fp, &dev.run(&s, &opts).unwrap());
         }
-        println!("    (\"{name}\", {name}, 0x{:016X}),", fp.finish());
-        diverged.extend((fp.finish() != pin).then_some(name));
+        push_run(&mut fp, &dev.run(&s, &opts).unwrap());
+    }
+    fp.finish()
+}
+
+/// Compares one column of the table, printing the whole table.
+fn check_column(warm: bool) {
+    let mut diverged = Vec::new();
+    for (name, setup, warm_pin, cold_pin) in PINS {
+        let (w, c) = (
+            fingerprint(name, setup, true),
+            fingerprint(name, setup, false),
+        );
+        println!("    (\"{name}\", {name}, 0x{w:016X}, 0x{c:016X}),");
+        let (got, pin) = if warm { (w, warm_pin) } else { (c, cold_pin) };
+        diverged.extend((got != pin).then_some(name));
     }
     assert!(diverged.is_empty(), "diverged from the pins: {diverged:?}");
+}
+
+#[test]
+fn device_loop_outputs_match_the_recorded_pins() {
+    check_column(true);
+}
+
+#[test]
+fn cold_device_runs_match_the_recorded_pins() {
+    check_column(false);
 }

@@ -16,9 +16,7 @@ fn baseline_profile(workload: &Workload, cfg: &NpuConfig) -> (Device, Vec<npu_si
     // same pipeline runs on every builtin profile.
     let top = cfg.freq_table.max();
     let mut dev = Device::new(cfg.clone());
-    let tau = dev.config().thermal_tau_us;
-    dev.warm_until_steady(workload.schedule(), top, 0.2, 12.0 * tau)
-        .unwrap();
+    dev.warm_until_steady(workload.schedule(), top).unwrap();
     let run = dev.run(workload.schedule(), &RunOptions::at(top)).unwrap();
     (dev, run.records)
 }

@@ -7,8 +7,7 @@ use npu_perf_model::{prediction_errors, ErrorStats, SHORT_OP_CUTOFF_US};
 fn profiles_for(workload: &Workload, freqs: &[u32], cfg: &NpuConfig) -> Vec<FreqProfile> {
     let mut dev = Device::new(cfg.clone());
     // Warm-up to steady-state temperature, as the paper does.
-    let tau = dev.config().thermal_tau_us;
-    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800), 0.2, 12.0 * tau)
+    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800))
         .unwrap();
     freqs
         .iter()

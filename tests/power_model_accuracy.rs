@@ -33,15 +33,13 @@ fn calibrated_device(cfg: &NpuConfig) -> (Device, npu_power_model::HardwareCalib
 }
 
 fn profiles(dev: &mut Device, workload: &Workload, freqs: &[u32]) -> Vec<FreqProfile> {
-    let tau = dev.config().thermal_tau_us;
     freqs
         .iter()
         .map(|&mhz| {
             let freq = FreqMhz::new(mhz);
             // Equilibrate at each frequency before recording (the paper's
             // "stable training" protocol).
-            dev.warm_until_steady(workload.schedule(), freq, 0.2, 12.0 * tau)
-                .unwrap();
+            dev.warm_until_steady(workload.schedule(), freq).unwrap();
             let run = dev.run(workload.schedule(), &RunOptions::at(freq)).unwrap();
             FreqProfile {
                 freq,

@@ -259,6 +259,15 @@ proptest! {
     ) {
         let name = format!("dev-{name_seed}");
         let (ladder, knee) = ladder_knee;
+        // Only a thermal loop gain k·max(γ_soc, γ_aicore)·V(f_max) below 1
+        // is valid: rescale the drawn k (0–10) to a share (0–0.99) of the
+        // largest k the drawn γ and top-frequency voltage allow.
+        let v_max = floats.bv + floats.sl * f64::from(ladder[ladder.len() - 1] - knee);
+        let k_max = 1.0 / (floats.ga.max(floats.gs) * v_max);
+        let floats = ProfileFloats {
+            k: floats.k / 10.0 * 0.99 * k_max,
+            ..floats
+        };
         let text = render(&name, count, &ladder, knee, &pipelines, &floats);
         let first = DeviceProfile::parse(&text).expect("generated profile must be valid");
         let canonical = first.to_toml();

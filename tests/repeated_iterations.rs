@@ -21,8 +21,7 @@ fn one_policy_serves_many_iterations() {
 
     // Fresh steady-state device; profile once for trigger placement.
     let mut dev = Device::new(cfg.clone());
-    let tau = cfg.thermal_tau_us;
-    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800), 0.2, 12.0 * tau)
+    dev.warm_until_steady(workload.schedule(), FreqMhz::new(1800))
         .unwrap();
     let baseline = dev
         .run(workload.schedule(), &RunOptions::at(FreqMhz::new(1800)))
