@@ -95,11 +95,10 @@ fn controller(
         ambient_range_c: 1.0,
         drift_frac: 0.0,
     };
-    let mut opts = OptimizerConfig::default()
+    let opts = OptimizerConfig::default()
         .with_threads(1)
         .with_loss_target(0.50)
         .with_fai_us(100.0);
-    opts.ga = opts.ga.with_population(30).with_iterations(40);
     let serve = ServeOptions {
         detector: DriftDetectorConfig {
             window: 4,
@@ -110,7 +109,6 @@ fn controller(
         },
         ladder_freqs: vec![FreqMhz::new(1000), FreqMhz::new(1400)],
         max_swaps: 1,
-        warm_ga_iterations: Some(12),
         ..ServeOptions::default()
     };
     let mut c = FleetController::new(cfg, serve_workload(12))

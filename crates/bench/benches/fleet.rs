@@ -4,12 +4,12 @@
 //! Serves the same fleet twice through a [`FleetController`]:
 //!
 //! * **warm** — cross-device strategy transfer on: a device whose drift
-//!   detector fires warm-starts its GA from the nearest in-cluster
-//!   neighbor's published strategy, re-profiles a minimal two-point
-//!   ladder and runs a reduced GA budget;
+//!   detector fires re-profiles a minimal two-point ladder and scores
+//!   the nearest in-cluster neighbor's published strategy as one more
+//!   candidate next to the exact search's answer;
 //! * **cold** — transfer off, every re-optimization re-profiles the
-//!   full frequency ladder and runs the full GA budget from oracle
-//!   seeds, against a fresh cache.
+//!   full frequency ladder and runs the exact search alone, against a
+//!   fresh cache.
 //!
 //! Both passes run one identical, saturated swap schedule (the drift
 //! detector's threshold is near zero and drift is always present, so
@@ -35,7 +35,7 @@ const FLEET_SEED: u64 = 42;
 /// Mixed request stream: compute-bound ops (whose energy optimum moves
 /// when leakage drifts — the tuned serve_drift scenario) interleaved
 /// with memory-bound ops of varying intensity, so classification splits
-/// the schedule into a wide stage table and the GA genome has real
+/// the schedule into a wide stage table and the strategy has real
 /// width.
 fn serve_workload(n: usize) -> Workload {
     Workload::new(
@@ -93,12 +93,11 @@ fn controller(devices: usize, epochs: usize, workers: usize, warm: bool) -> Flee
     // A 25 µs frequency-adjustment interval keeps per-op stages (the
     // default 5 ms FAI would merge this request stream into one stage
     // and collapse the genome to a single gene).
-    let mut opts = OptimizerConfig::default()
+    let opts = OptimizerConfig::default()
         .with_threads(1)
         .with_loss_target(0.50)
         .with_fai_us(25.0)
         .with_build_freqs(grid);
-    opts.ga = opts.ga.with_population(60).with_iterations(240);
     let serve = ServeOptions {
         detector: DriftDetectorConfig {
             window: 4,
@@ -115,18 +114,17 @@ fn controller(devices: usize, epochs: usize, workers: usize, warm: bool) -> Flee
             cooldown_windows: 2,
             temp_scale_c: 10.0,
         },
-        // Warm path: minimal two-point re-profile + reduced GA budget.
-        // Cold path: empty ladder = re-profile the optimizer's full
-        // build grid, full GA budget.
+        // Warm path: minimal two-point re-profile, transferred strategy
+        // scored as a candidate. Cold path: empty ladder = re-profile the
+        // optimizer's full build grid.
         ladder_freqs: if warm {
             vec![FreqMhz::new(1000), FreqMhz::new(1400)]
         } else {
             Vec::new()
         },
-        warm_ga_iterations: if warm { Some(4) } else { None },
         // Trust the transferred strategy's neighborhood: no full-grid
         // escalation on the warm path (the two-point refit is enough to
-        // re-anchor the model the warm GA polishes).
+        // re-anchor the model the re-search scores it on).
         fit_error_escalation: if warm { f64::INFINITY } else { 0.1 },
         max_swaps: 1,
         ..ServeOptions::default()
@@ -174,7 +172,7 @@ fn main() {
         "re-optimizations after epoch 0 must warm-start from the board"
     );
 
-    // Cold pass: transfer off, full ladder and GA budget, fresh cache.
+    // Cold pass: transfer off, full re-profile ladder, fresh cache.
     let (cold, cold_secs) = timed(&controller(devices, epochs, 0, false));
     assert!(cold.swaps > 0, "cold fleet must re-optimize too");
 

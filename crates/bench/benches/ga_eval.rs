@@ -363,7 +363,9 @@ fn measure_eval_modes(table: &StageTable) -> String {
 
     // End-to-end GA throughput (evaluations/sec including selection,
     // crossover, mutation and refinement).
-    let cfg = GaConfig::default().with_iterations(if smoke { 2 } else { 50 });
+    let cfg = GaConfig::default()
+        .with_iterations(if smoke { 2 } else { 50 })
+        .with_oracle_seeds(8);
     let start = Instant::now();
     let outcome = search(table, &cfg);
     let ga_secs = start.elapsed().as_secs_f64();
@@ -484,7 +486,7 @@ fn bench_ga(c: &mut Criterion) {
     let mut group = c.benchmark_group("ga_search");
     group.sample_size(10);
     group.bench_function("gpt3_pop200_iters50", |b| {
-        let cfg = GaConfig::default().with_iterations(50);
+        let cfg = GaConfig::default().with_iterations(50).with_oracle_seeds(8);
         b.iter(|| search(&table, &cfg));
     });
     group.finish();

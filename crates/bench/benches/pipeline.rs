@@ -53,14 +53,12 @@ fn batch(cfg: &NpuConfig, smoke: bool) -> Vec<Workload> {
 }
 
 fn opts(smoke: bool) -> OptimizerConfig {
-    let mut o = OptimizerConfig::default();
+    let o = OptimizerConfig::default();
     if smoke {
-        o = o.with_fai_us(100.0);
-        o.ga = o.ga.with_population(30).with_iterations(40);
+        o.with_fai_us(100.0)
     } else {
-        o.ga = o.ga.with_population(200).with_iterations(600);
+        o
     }
-    o
 }
 
 /// One batch service: a session per workload on a fresh device of

@@ -34,9 +34,7 @@ struct Level {
 }
 
 fn opts() -> OptimizerConfig {
-    let mut o = OptimizerConfig::default().with_fai_us(100.0);
-    o.ga = o.ga.with_population(40).with_iterations(60);
-    o
+    OptimizerConfig::default().with_fai_us(100.0)
 }
 
 fn catalog(cfg: &NpuConfig) -> Vec<Workload> {

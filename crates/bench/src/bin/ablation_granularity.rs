@@ -77,7 +77,12 @@ fn main() {
         );
     }
 
-    let ga = search(&table, &GaConfig::default().with_loss_target(target));
+    let ga = search(
+        &table,
+        &GaConfig::default()
+            .with_loss_target(target)
+            .with_oracle_seeds(8),
+    );
     report(
         "operator-level (this work)",
         &ga.strategy,

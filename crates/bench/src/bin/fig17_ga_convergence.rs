@@ -28,10 +28,13 @@ fn main() {
         table.n_freqs()
     );
 
+    // Generation 0 carries 8 rungs of the Lagrangian ladder, as the GA
+    // has seeded schedules of this size since the oracle seeding landed.
+    let seeded = GaConfig::default().with_oracle_seeds(8);
     let targets = [0.02, 0.04, 0.06, 0.08, 0.10];
     let mut traces = Vec::new();
     for &t in &targets {
-        let ga = GaConfig::default().with_loss_target(t);
+        let ga = seeded.clone().with_loss_target(t);
         let start = Instant::now();
         let out = search(&table, &ga);
         let wall = start.elapsed();
@@ -67,10 +70,10 @@ fn main() {
     }
 
     // Prior-individual ablation at the 2 % target.
-    let with_prior = search(&table, &GaConfig::default());
+    let with_prior = search(&table, &seeded);
     let no_prior = GaConfig {
         include_prior: false,
-        ..GaConfig::default()
+        ..seeded
     };
     let without = search(&table, &no_prior);
     println!("\n# prior-individual ablation (2% target):");

@@ -41,7 +41,7 @@ fn main() {
     let (perf, power) = build_models(&cfg, &profiles, FitFunction::Quadratic);
     let table = StageTable::build(&pre, &perf, &power, &cfg.freq_table).expect("table");
     let t0 = Instant::now();
-    let mb = search(&table, &GaConfig::default());
+    let mb = search(&table, &GaConfig::default().with_oracle_seeds(8));
     let mb_wall = t0.elapsed();
     let mb_exec = execute_strategy(
         &mut dev,

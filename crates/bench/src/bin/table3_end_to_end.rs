@@ -4,6 +4,12 @@
 //! ResNet-152 at the 2 % target, with the paper's reference numbers
 //! alongside. Uses the measured offline calibration (not the oracle) —
 //! this is the full production flow of Fig. 1.
+//!
+//! Exits non-zero when any row's *planned* loss — the searched
+//! strategy's predicted time T against the stage table's baseline B,
+//! T/B − 1 — exceeds the search's own budget 1/(1−ℓ) − 1 (the bound
+//! T ≤ B/(1−ℓ) that Eq. 17 rewards). The measured loss is reported, not
+//! gated.
 
 use npu_core::{EnergyOptimizer, OptimizerConfig};
 use npu_sim::NpuConfig;
@@ -111,9 +117,22 @@ fn main() {
         "SetFreq"
     );
     let mut summary = Vec::new();
+    let mut over_budget = Vec::new();
     for (workload, target, paper) in rows {
         let opts = OptimizerConfig::default().with_loss_target(target);
-        let r = optimizer.optimize(&workload, &opts).expect("optimize");
+        let mut session = optimizer.session(&workload, &opts);
+        let r = session.report().expect("optimize");
+        let planned_base = session.stage_table().expect("search ran").baseline();
+        // The bound as the score checks it: B/T ≥ 1 − ℓ.
+        if planned_base.time_us / r.predicted.time_us < 1.0 - target {
+            over_budget.push(format!(
+                "{} at {:.0}%: planned loss {:.4}% over the budget {:.4}%",
+                r.workload,
+                100.0 * target,
+                100.0 * (r.predicted.time_us / planned_base.time_us - 1.0),
+                100.0 * (1.0 / (1.0 - target) - 1.0)
+            ));
+        }
         println!(
             "{:<10} {:>5.0}% | {:>9.4} {:>9.4} {:>7.2} | {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2} | {:>8}",
             r.workload,
@@ -147,4 +166,11 @@ fn main() {
         100.0 * avg(|r| r.2)
     );
     println!("# paper averages: loss 1.76%, SoC reduction 4.95%, AICore reduction 13.44%");
+    if !over_budget.is_empty() {
+        for row in &over_budget {
+            eprintln!("planned loss over budget: {row}");
+        }
+        std::process::exit(1);
+    }
+    println!("# every row's planned loss T/B - 1 is within its budget 1/(1-l) - 1");
 }

@@ -1,7 +1,7 @@
 //! Content-addressed artifact cache for the optimization pipeline.
 //!
 //! Every expensive artifact the pipeline produces — frequency-sweep
-//! profiles, fitted performance/power models, GA search outcomes — is a
+//! profiles, fitted performance/power models, search outcomes — is a
 //! deterministic function of its inputs: the device configuration and
 //! noise seed, the workload schedule, and the stage's own options.
 //! [`ArtifactCache`] exploits that by keying each artifact on a
@@ -20,11 +20,11 @@
 //! - **model key** ← profile key + fitting function + robust-fit flag
 //!   (set once a session's `refit_models` has run) + the eight
 //!   calibration parameters.
-//! - **search key** ← model key + the effective FAI + every
-//!   [`GaConfig`] field *except* `threads` (worker counts never change
-//!   GA results, so they must not fragment the cache) — including the
-//!   warm-start transfer seeds, so a fleet-transferred search never
-//!   aliases a cold one.
+//! - **search key** ← model key + the effective FAI + the two
+//!   [`GaConfig`] fields the session's search reads: the loss target and
+//!   the warm-start transfer seeds, so a fleet-transferred search never
+//!   aliases a cold one. The GA's own settings change nothing a session
+//!   computes, so they must not fragment the cache.
 //! - **fleet strategy key** ← the owning device's configuration + noise
 //!   seed + strategy generation; the publication address a
 //!   `FleetController` uses to share one device's active strategy with
@@ -245,9 +245,10 @@ pub fn model_key(
     fp.finish()
 }
 
-/// Cache key for the GA search: the model key + effective FAI + every
-/// [`GaConfig`] field except `threads` (worker counts change wall time,
-/// never outcomes — they must not fragment the cache).
+/// Cache key for the serving search: the model key + effective FAI +
+/// the two [`GaConfig`] fields [`npu_dvfs::serving_search`] reads, the
+/// loss target and the warm seeds. The GA's own settings change nothing
+/// a session computes, so they must not fragment the cache.
 #[must_use]
 pub fn search_key(model_key: u64, fai_us: f64, ga: &GaConfig) -> u64 {
     // v2: the oracle-seeding fields joined GaConfig (they change the
@@ -255,20 +256,13 @@ pub fn search_key(model_key: u64, fai_us: f64, ga: &GaConfig) -> u64 {
     // v3: warm-start transfer seeds joined GaConfig — a warm-seeded
     // search must never alias the cold one (or a differently-seeded
     // one) under the same key.
-    let mut fp = Fingerprint::new("npu-core/search/v3");
+    // v4: sessions run the exact solver instead of the GA, so the
+    // strategy under a key changed wherever the solver beats the GA,
+    // and only the loss target and the warm seeds are hashed.
+    let mut fp = Fingerprint::new("npu-core/search/v4");
     fp.push_u64(model_key);
     fp.push_f64(fai_us);
-    fp.push_usize(ga.population);
-    fp.push_usize(ga.iterations);
-    fp.push_f64(ga.mutation_rate);
-    fp.push_f64(ga.crossover_rate);
     fp.push_f64(ga.perf_loss_target);
-    fp.push_bool(ga.include_prior);
-    fp.push_u64(u64::from(ga.lfc_prior.mhz()));
-    fp.push_u64(u64::from(ga.hfc_prior.mhz()));
-    fp.push_u64(ga.seed);
-    fp.push_usize(ga.oracle_seeds);
-    fp.push_usize(ga.oracle_auto_stages);
     fp.push_usize(ga.warm_seeds.len());
     for seed in &ga.warm_seeds {
         fp.push_usize(seed.len());
@@ -320,7 +314,7 @@ pub struct ModelArtifact {
 /// The search stage's output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchArtifact {
-    /// The GA outcome: winning strategy, predicted evaluation, trace.
+    /// The search outcome: winning strategy, predicted evaluation, trace.
     pub outcome: GaOutcome,
 }
 

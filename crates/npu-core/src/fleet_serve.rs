@@ -25,9 +25,9 @@
 //! 3. **Transfer** — before the next epoch, each device is armed with
 //!    its nearest *healthy* in-cluster neighbor's published strategy
 //!    ([`ServeRuntime::arm_warm_seeds`]). If the device's drift
-//!    detector fires that epoch, its GA starts from the transferred
-//!    strategy (and optionally a reduced iteration budget) instead of a
-//!    cold oracle-seeded search — [`npu_obs::Event::TransferHit`]. A
+//!    detector fires that epoch, its re-search scores the transferred
+//!    strategy as one more candidate next to the exact solver's answer
+//!    and keeps it if it scores higher — [`npu_obs::Event::TransferHit`]. A
 //!    re-optimization with nothing transferable falls back to the cold
 //!    path — [`npu_obs::Event::TransferMiss`]. A corrupt cached
 //!    artifact is rejected, not armed.
@@ -633,7 +633,7 @@ impl FleetController {
     /// Attaches a structured-event observer. The controller emits
     /// transfer, health and epoch events at epoch barriers, in device
     /// order. Every device's optimizer reports through the same
-    /// observer, so its sessions, GA generations and device runs show
+    /// observer, so its sessions, searches and device runs show
     /// too; those events interleave across workers in schedule order.
     /// Observing never changes the run.
     #[must_use]
@@ -1182,7 +1182,7 @@ impl FleetController {
             }
         }
         // The fallback guardrail's latency SLA is baseline-anchored, but
-        // an energy-optimal strategy legitimately trades up to the GA's
+        // an energy-optimal strategy legitimately trades up to the search's
         // allowed performance loss against the baseline — widen the
         // slack accordingly, or no strategy searched under a loss target
         // could ever pass probation.

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! profile workload ──> build perf model ──┐
-//!        │                                ├──> GA strategy search ──> execute ──> report
+//!        │                                ├──> strategy search ──> execute ──> report
 //!        └──────────> build power model ──┘
 //! ```
 //!

@@ -1,6 +1,6 @@
 //! The end-to-end energy optimizer (paper Fig. 1): profile → build
-//! performance and power models → classify/preprocess → GA search →
-//! execute the strategy → compare against baseline.
+//! performance and power models → classify/preprocess → strategy search
+//! → execute the strategy → compare against baseline.
 
 use crate::report::OptimizationReport;
 use crate::serve::ConfigError;
@@ -27,7 +27,11 @@ pub struct OptimizerConfig {
     pub fit: FitFunction,
     /// Frequency-adjustment interval for candidate merging, µs.
     pub fai_us: f64,
-    /// Genetic-algorithm settings.
+    /// Search settings. A session runs [`npu_dvfs::serving_search`],
+    /// which reads two fields: `perf_loss_target` and `warm_seeds`. The
+    /// other fields configure [`npu_dvfs::search`], the paper's GA, for
+    /// callers that run it on a stage table directly;
+    /// [`Self::validate`] still checks them.
     pub ga: GaConfig,
     /// Worker threads for the parallel profiling sweep (`0` =
     /// auto-detect via [`npu_sim::par::resolve_threads`], which honours the
@@ -87,20 +91,10 @@ impl OptimizerConfig {
 
     /// Sets the worker count for the profiling sweep (`0` =
     /// auto-detect), chainable. Thread count changes wall time only,
-    /// never the outcome. The GA search itself runs on the calling
-    /// thread.
+    /// never the outcome. The search itself runs on the calling thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets an explicit oracle seed count for the GA's first generation
-    /// (see [`npu_dvfs::GaConfig::oracle_seeds`]; `0` restores the
-    /// stage-count-gated automatic rule), chainable.
-    #[must_use]
-    pub fn with_oracle_seeds(mut self, seeds: usize) -> Self {
-        self.ga.oracle_seeds = seeds;
         self
     }
 
@@ -339,7 +333,7 @@ impl EnergyOptimizer {
 
     /// Attaches a structured-event observer to the optimizer and its
     /// device: every pipeline layer — device runs, `SetFreq` applies,
-    /// model fits, GA generations, phase boundaries — reports through it.
+    /// model fits, search results, phase boundaries — reports through it.
     pub fn set_observer(&mut self, obs: ObserverHandle) {
         self.dev.set_observer(obs);
     }
@@ -381,7 +375,7 @@ impl EnergyOptimizer {
         Ok(report)
     }
 
-    /// Like [`Self::optimize`] but also returns the raw GA outcome
+    /// Like [`Self::optimize`] but also returns the raw search outcome
     /// (used by experiments that inspect the search itself).
     ///
     /// # Errors
@@ -413,9 +407,7 @@ mod tests {
     }
 
     fn quick_opts() -> OptimizerConfig {
-        let mut o = OptimizerConfig::default().with_fai_us(100.0);
-        o.ga = o.ga.with_population(40).with_iterations(60);
-        o
+        OptimizerConfig::default().with_fai_us(100.0)
     }
 
     #[test]

@@ -48,13 +48,14 @@ pub struct OptimizationReport {
     pub baseline: MeasuredIteration,
     /// Measured iteration under the generated DVFS strategy.
     pub optimized: MeasuredIteration,
-    /// The GA's model-predicted evaluation of the chosen strategy.
+    /// The model-predicted evaluation of the chosen strategy.
     pub predicted: Evaluation,
     /// Number of frequency-candidate stages after preprocessing.
     pub stage_count: usize,
     /// `SetFreq` commands dispatched per iteration.
     pub setfreq_count: usize,
-    /// Best-score trace of the GA search (paper Fig. 17).
+    /// Best-score trace of the search: `[best_score]` from a session's
+    /// exact search (a GA's per-generation trace is paper Fig. 17).
     pub ga_trace: Vec<f64>,
 }
 

@@ -18,8 +18,10 @@
 //! 2. **robust re-fit** — [`OptimizationSession::refit_models`] through
 //!    the MAD-cut fitter, escalating to a wider re-profile
 //!    ([`OptimizationSession::refresh_profile`]) if the fit stays poor;
-//! 3. **cached re-search** — the GA re-runs against the refreshed
-//!    models through the shared [`ArtifactCache`]; because the snapshot
+//! 3. **cached re-search** — the session's exact search
+//!    ([`npu_dvfs::serving_search`]) re-runs against the refreshed
+//!    models through the shared [`ArtifactCache`], scoring any armed
+//!    transfer seeds next to the solver's answer; because the snapshot
 //!    configuration and refreshed calibration are part of every cache
 //!    key, stale artifacts can never alias the refreshed ones.
 //!
@@ -30,8 +32,8 @@
 //! stops attempting re-optimization.
 //!
 //! Everything is deterministic: shadow devices derive their seeds from
-//! the live device's fork stream, the GA is a pure function of its seed, and
-//! no wall-clock time enters any decision — two runs of the same serve
+//! the live device's fork stream, the search is a pure function of its
+//! table and seeds, and no wall-clock time enters any decision — two runs of the same serve
 //! loop are bit-identical at any worker thread count.
 
 use crate::cache::ArtifactCache;
@@ -247,13 +249,15 @@ pub struct ServeOptions {
     pub fit_error_escalation: f64,
     /// Guardrailed execution used after a ladder failure.
     pub fallback: ResilientOptions,
-    /// GA iteration budget when a re-optimization runs with armed warm
-    /// seeds ([`ServeRuntime::arm_warm_seeds`]): a transferred strategy
-    /// already sits near the optimum, so the search can afford a much
-    /// shorter refinement. `None` (the default) keeps the full budget.
+    /// Unused: it set the GA's iteration budget for warm-seeded
+    /// re-optimizations, and sessions no longer run the GA (armed seeds
+    /// are scored as candidates instead; see
+    /// [`ServeRuntime::arm_warm_seeds`]).
+    #[deprecated(note = "sessions run the exact search; this field is ignored")]
     pub warm_ga_iterations: Option<usize>,
 }
 
+#[allow(deprecated)] // fills the ignored `warm_ga_iterations`
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
@@ -539,7 +543,7 @@ impl<'a> ServeBuilder<'a> {
         }
     }
 
-    /// Sets the optimizer configuration (profiling, fitting, GA).
+    /// Sets the optimizer configuration (profiling, fitting, search).
     #[must_use]
     pub fn with_config(mut self, opts: OptimizerConfig) -> Self {
         self.opts = opts;
@@ -656,11 +660,10 @@ impl<'a> ServeRuntime<'a> {
 
     /// Arms externally supplied warm-start strategies (e.g. a fleet
     /// neighbor's cached strategy) for the *next* re-optimization: they
-    /// are injected into the GA's first generation via
-    /// [`npu_dvfs::GaConfig`]'s warm seeds and, when
-    /// [`ServeOptions::warm_ga_iterations`] is set, the search runs with
-    /// that reduced budget. Consumed by the next ladder run, whether it
-    /// succeeds or not; re-arm per re-optimization.
+    /// become [`npu_dvfs::GaConfig`]'s warm seeds, which the search
+    /// scores as one candidate each next to the exact solver's answer.
+    /// Consumed by the next ladder run, whether it succeeds or not;
+    /// re-arm per re-optimization.
     pub fn arm_warm_seeds(&mut self, seeds: Vec<Vec<FreqMhz>>) {
         self.pending_seeds = seeds;
     }
@@ -684,7 +687,7 @@ impl<'a> ServeRuntime<'a> {
         self.state.as_ref().map_or(0, |s| s.served)
     }
 
-    /// The GA outcome behind the currently active strategy (the initial
+    /// The search outcome behind the currently active strategy (the initial
     /// search, or the latest successful re-optimization). `None` until
     /// the first window initializes the loop.
     #[must_use]
@@ -955,7 +958,7 @@ impl<'a> ServeRuntime<'a> {
     /// The staged response ladder, on a shadow device frozen at the live
     /// device's drifted configuration. Returns the re-optimized strategy
     /// with its (freshly measured) baseline records, prediction and the
-    /// GA outcome behind it.
+    /// search outcome behind it.
     fn reoptimize(
         &mut self,
         swap_index: u64,
@@ -977,16 +980,13 @@ impl<'a> ServeRuntime<'a> {
         if !self.serve.ladder_freqs.is_empty() {
             ladder_cfg.build_freqs = self.serve.ladder_freqs.clone();
         }
-        // Armed transfer seeds ride into the GA's first generation (and
-        // into the search cache key — a warm search never aliases a cold
-        // one). They are one-shot: consumed here whether the ladder
-        // succeeds or fails.
+        // Armed transfer seeds are scored as candidates next to the
+        // solver's answer (and enter the search cache key — a warm search
+        // never aliases a cold one). They are one-shot: consumed here
+        // whether the ladder succeeds or fails.
         let seeds = std::mem::take(&mut self.pending_seeds);
         if !seeds.is_empty() {
             ladder_cfg.ga.warm_seeds = seeds;
-            if let Some(iters) = self.serve.warm_ga_iterations {
-                ladder_cfg.ga.iterations = iters;
-            }
         }
         let full_freqs = self.opts.build_freqs.clone();
         let escalation = self.serve.fit_error_escalation;

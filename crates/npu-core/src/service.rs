@@ -501,7 +501,7 @@ enum SimKind {
 enum SimVerdict {
     Done { completion_us: f64, kind: SimKind },
     QueueFull { depth: usize },
-    Shed { waited_us: f64, budget_us: f64 },
+    Shed { waited_us: f64 },
 }
 
 /// The discrete-event admission simulation. Virtual servers are modeled
@@ -617,10 +617,7 @@ impl<'a> AdmissionSim<'a> {
             let start = free_at.max(req.arrival_us);
             let waited = start - req.arrival_us;
             if waited > req.budget_us {
-                self.verdicts[i] = Some(SimVerdict::Shed {
-                    waited_us: waited,
-                    budget_us: req.budget_us,
-                });
+                self.verdicts[i] = Some(SimVerdict::Shed { waited_us: waited });
                 if self.obs.enabled() {
                     self.obs.emit(Event::RequestRejected {
                         request: i as u64,
@@ -759,7 +756,7 @@ impl OptService {
 
         // Assemble dispositions in arrival order.
         let mut dispositions = Vec::with_capacity(load.len());
-        let mut latencies: Vec<f64> = Vec::new();
+        let mut latencies: Vec<f64> = Vec::with_capacity(load.len());
         let mut metrics = ServiceMetrics {
             submitted: load.len() as u64,
             admitted: 0,
@@ -784,15 +781,14 @@ impl OptService {
                         waited_us: 0.0,
                     });
                 }
-                SimVerdict::Shed {
-                    waited_us,
-                    budget_us,
-                } => {
+                SimVerdict::Shed { waited_us } => {
                     metrics.admitted += 1;
                     metrics.shed += 1;
                     dispositions.push(Disposition::Rejected {
                         request: i as u64,
-                        reason: RejectReason::Shedding { budget_us },
+                        reason: RejectReason::Shedding {
+                            budget_us: req.budget_us,
+                        },
                         waited_us,
                     });
                 }
@@ -1012,9 +1008,7 @@ mod tests {
     use super::*;
 
     fn quick_opts() -> OptimizerConfig {
-        let mut o = OptimizerConfig::default().with_fai_us(100.0);
-        o.ga = o.ga.with_population(16).with_iterations(10);
-        o
+        OptimizerConfig::default().with_fai_us(100.0)
     }
 
     fn catalog(cfg: &NpuConfig) -> Vec<Workload> {

@@ -5,9 +5,10 @@
 //! `profile → build_models → search → execute → report`. Each stage runs
 //! at most once, automatically running any predecessors it needs, and
 //! leaves its artifact inspectable on the session — the frequency
-//! profiles, fitted models, preprocessed stages, GA outcome and executed
-//! run. The one-call `optimize()` wrapper drives this exact path, so the
-//! staged and monolithic APIs are byte-identical in their results.
+//! profiles, fitted models, preprocessed stages, search outcome and
+//! executed run. The one-call `optimize()` wrapper drives this exact
+//! path, so the staged and monolithic APIs are byte-identical in their
+//! results.
 //!
 //! Every stage brackets itself with [`Event::PhaseStarted`] /
 //! [`Event::PhaseFinished`] on the optimizer's observer, which is how
@@ -21,7 +22,7 @@ use crate::cache::{
 use crate::optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 use crate::report::{MeasuredIteration, OptimizationReport};
 use crate::sweep::{profile_point, sweep_profiles};
-use npu_dvfs::{preprocess::preprocess, search_observed, GaOutcome, Preprocessed, StageTable};
+use npu_dvfs::{preprocess::preprocess, serving_search, GaOutcome, Preprocessed, StageTable};
 use npu_exec::{execute_strategy, ExecutionOutcome, ExecutorOptions};
 use npu_obs::{Event, ObserverHandle, Phase};
 use npu_perf_model::{FreqProfile, PerfModelStore};
@@ -37,8 +38,8 @@ const MAD_K: f64 = 3.5;
 ///
 /// Obtain one via [`EnergyOptimizer::session`]. Stages chain lazily:
 /// calling [`Self::report`] on a fresh session runs everything, while
-/// calling [`Self::search`] first lets the caller inspect the GA outcome
-/// (or the stage table) before deciding to execute.
+/// calling [`Self::search`] first lets the caller inspect the search
+/// outcome (or the stage table) before deciding to execute.
 ///
 /// # Examples
 ///
@@ -377,8 +378,10 @@ impl<'a> OptimizationSession<'a> {
     }
 
     /// Stage 3 — preprocesses the baseline profile into stages and runs
-    /// the GA search over the stage table (running earlier stages first
-    /// if needed).
+    /// [`serving_search`] over the stage table (running earlier stages
+    /// first if needed): the exact solver's answer or a higher-scoring
+    /// warm seed from [`npu_dvfs::GaConfig::warm_seeds`], polished by
+    /// coordinate ascent unless the solver certified its answer.
     ///
     /// # Errors
     ///
@@ -408,7 +411,9 @@ impl<'a> OptimizationSession<'a> {
                         s.power.as_ref().expect("model stage ran"),
                         &s.opt.dev.config().freq_table,
                     )?;
-                    let outcome = search_observed(&table, &s.opts.ga, &s.obs);
+                    let ga = &s.opts.ga;
+                    let outcome =
+                        serving_search(&table, ga.perf_loss_target, &ga.warm_seeds, &s.obs);
                     built = Some((pre, table));
                     Ok(SearchArtifact { outcome })
                 })?;
@@ -604,7 +609,7 @@ impl<'a> OptimizationSession<'a> {
         self.table.as_ref()
     }
 
-    /// The GA outcome, if [`Self::search`] has run.
+    /// The search outcome, if [`Self::search`] has run.
     #[must_use]
     pub fn ga_outcome(&self) -> Option<&GaOutcome> {
         self.outcome.as_ref()
@@ -616,7 +621,7 @@ impl<'a> OptimizationSession<'a> {
         self.execution.as_ref()
     }
 
-    /// Consumes the session, returning the GA outcome if the search
+    /// Consumes the session, returning the search outcome if the search
     /// stage ran.
     #[must_use]
     pub fn into_ga_outcome(self) -> Option<GaOutcome> {

@@ -17,10 +17,14 @@
 //! pure function of the genome, so the search returns a bit-identical
 //! [`GaOutcome`] for a given seed.
 //!
-//! On large schedules the first generation is additionally seeded from
-//! the [`crate::exact`] Lagrangian ladder (see
-//! [`GaConfig::oracle_seeds`]): near-optimal rungs of the relaxed
-//! per-stage problem that point mutation alone could not rediscover.
+//! The first generation can additionally be seeded from the
+//! [`crate::exact`] Lagrangian ladder (see [`GaConfig::oracle_seeds`]):
+//! near-optimal rungs of the relaxed per-stage problem that point
+//! mutation alone could not rediscover.
+//!
+//! The serving paths (sessions, serve, fleet and service) do not run
+//! this GA: they call [`crate::exact::serving_search`]. The GA stays for
+//! the paper's figures, which call [`search`] directly.
 
 use crate::engine::{EvalEngine, IncrementalEval, RouletteWheel};
 use crate::exact;
@@ -55,30 +59,27 @@ pub struct GaConfig {
     /// RNG seed (the search is deterministic given the seed).
     pub seed: u64,
     /// Oracle seed individuals injected into the first generation from
-    /// the [`crate::exact::lagrangian_seeds`] ladder. `0` applies the
-    /// automatic rule: seed 8 individuals when the schedule has at
-    /// least [`Self::oracle_auto_stages`] stages, none otherwise.
-    /// Seeding consumes no RNG draws itself, but it reduces the number
-    /// of random first-generation individuals, so turning it on (or the
-    /// automatic rule tripping) changes the search trajectory — which
-    /// is why the automatic threshold leaves small schedules untouched.
+    /// the [`crate::exact::lagrangian_seeds`] ladder; `0` (the default)
+    /// seeds none, at any stage count. Seeding consumes no RNG draws
+    /// itself, but it reduces the number of random first-generation
+    /// individuals, so turning it on changes the search trajectory.
     pub oracle_seeds: usize,
-    /// Stage-count threshold for automatic oracle seeding (see
-    /// [`Self::oracle_seeds`]). `usize::MAX` disables the automatic
-    /// rule entirely.
-    pub oracle_auto_stages: usize,
-    /// Externally supplied warm-start strategies injected into the first
-    /// generation — e.g. a fleet neighbor's cached strategy transferred
-    /// across devices. Each seed is a per-stage frequency vector; it is
-    /// mapped onto the table's frequency grid (nearest point at or above
-    /// each requested frequency) and, when its length differs from the
-    /// table's stage count, stretched/compressed by proportional index,
-    /// so a strategy searched on a device with a different stage split
-    /// still lands as a sensible starting individual. Like oracle seeds,
-    /// injection consumes no RNG draws itself but displaces random
-    /// first-generation individuals, so arming seeds changes the search
-    /// trajectory (and must be part of any content-addressed cache key).
-    /// Empty (the default) leaves the trajectory untouched.
+    /// Externally supplied warm-start strategies — e.g. a fleet
+    /// neighbor's cached strategy transferred across devices. Each seed
+    /// is a per-stage frequency vector; it is mapped onto the table's
+    /// frequency grid (nearest point at or above each requested
+    /// frequency) and, when its length differs from the table's stage
+    /// count, stretched/compressed by proportional index, so a strategy
+    /// searched on a device with a different stage split still lands as
+    /// a sensible candidate. The GA injects them into its first
+    /// generation: like oracle seeds, injection consumes no RNG draws
+    /// itself but displaces random first-generation individuals, so
+    /// arming seeds changes the search trajectory. The serving search
+    /// ([`crate::exact::serving_search`]) scores each one as a candidate
+    /// next to the exact solver's answer. Either way seeds change
+    /// results, so they belong in any content-addressed cache key.
+    /// Empty seeds are skipped; an empty list (the default) changes
+    /// nothing.
     pub warm_seeds: Vec<Vec<FreqMhz>>,
 }
 
@@ -95,7 +96,6 @@ impl Default for GaConfig {
             hfc_prior: FreqMhz::new(1800),
             seed: 0x6A_5EED,
             oracle_seeds: 0,
-            oracle_auto_stages: 256,
             warm_seeds: Vec::new(),
         }
     }
@@ -131,34 +131,12 @@ impl GaConfig {
         self
     }
 
-    /// Sets the automatic oracle-seeding stage threshold, chainable.
-    #[must_use]
-    pub fn with_oracle_auto_stages(mut self, stages: usize) -> Self {
-        self.oracle_auto_stages = stages;
-        self
-    }
-
     /// Sets the externally supplied warm-start seed strategies (see
     /// [`Self::warm_seeds`]), chainable.
     #[must_use]
     pub fn with_warm_seeds(mut self, seeds: Vec<Vec<FreqMhz>>) -> Self {
         self.warm_seeds = seeds;
         self
-    }
-
-    /// Oracle seeds that will actually be injected for an `n_stages`
-    /// schedule — a pure function of the config and the stage count, so
-    /// search results stay a deterministic function of `(table, config)`
-    /// (which keeps content-addressed caching sound).
-    #[must_use]
-    pub fn effective_oracle_seeds(&self, n_stages: usize) -> usize {
-        if self.oracle_seeds > 0 {
-            self.oracle_seeds
-        } else if n_stages >= self.oracle_auto_stages {
-            8
-        } else {
-            0
-        }
     }
 }
 
@@ -254,20 +232,13 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     // First generation: baseline + prior (+ oracle) + random (paper
     // Sect. 6.3.1), built directly into the bit-packed arena.
     let max_gene = m - 1;
-    let gene_of = |f: FreqMhz| -> usize {
-        table
-            .freqs()
-            .iter()
-            .position(|&g| g >= f)
-            .unwrap_or(max_gene)
-    };
     let mut pool = GenomePool::with_capacity(table, cfg.population + 1);
     let mut next = GenomePool::with_capacity(table, cfg.population + 1);
     let mut genes_buf: Vec<usize> = vec![max_gene; n];
     pool.push_genes(&genes_buf); // baseline individual
     if cfg.include_prior {
-        let lfc = gene_of(cfg.lfc_prior);
-        let hfc = gene_of(cfg.hfc_prior);
+        let lfc = table.gene_at_or_above(cfg.lfc_prior);
+        let hfc = table.gene_at_or_above(cfg.hfc_prior);
         genes_buf.clear();
         genes_buf.extend(table.stages().iter().map(|s| match s.kind {
             StageKind::Lfc => lfc,
@@ -303,9 +274,8 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     // Oracle seeds: best rungs of the Lagrangian ladder. Injected before
     // the random fill and drawing nothing from the RNG, so with the
     // (default) count of zero the trajectory is untouched.
-    let oracle_k = cfg.effective_oracle_seeds(n);
-    if oracle_k > 0 {
-        for seed in exact::lagrangian_seeds(table, cfg.perf_loss_target, oracle_k) {
+    if cfg.oracle_seeds > 0 {
+        for seed in exact::lagrangian_seeds(table, cfg.perf_loss_target, cfg.oracle_seeds) {
             if pool.len() + 1 >= cfg.population {
                 break;
             }
@@ -324,8 +294,7 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
         if pool.len() + 1 >= cfg.population {
             break;
         }
-        genes_buf.clear();
-        genes_buf.extend((0..n).map(|i| gene_of(seed[i * seed.len() / n])));
+        table.map_freqs(seed, &mut genes_buf);
         pool.push_genes(&genes_buf);
     }
     while pool.len() < cfg.population {
@@ -723,16 +692,26 @@ mod tests {
     }
 
     #[test]
-    fn oracle_auto_rule_gates_on_stage_count() {
-        let cfg = GaConfig::default();
-        assert_eq!(cfg.effective_oracle_seeds(10), 0);
-        assert_eq!(cfg.effective_oracle_seeds(255), 0);
-        assert_eq!(cfg.effective_oracle_seeds(256), 8);
-        assert_eq!(cfg.effective_oracle_seeds(960), 8);
-        let explicit = GaConfig::default().with_oracle_seeds(3);
-        assert_eq!(explicit.effective_oracle_seeds(10), 3);
-        let disabled = GaConfig::default().with_oracle_auto_stages(usize::MAX);
-        assert_eq!(disabled.effective_oracle_seeds(1_000_000), 0);
+    fn zero_oracle_seeds_seed_nothing_at_any_stage_count() {
+        // Without the priors, a population of three starts as the
+        // all-max baseline, the best ladder rung when one oracle seed is
+        // asked for, and random genomes. Random genomes miss the budget
+        // and score below the baseline, which meets it; the best rung
+        // beats the baseline. So the first trace entry (generation 0,
+        // before refinement) shows whether the ladder was seeded.
+        for (n_mem, n_cpu) in [(4, 4), (128, 127), (128, 128), (480, 480)] {
+            let t = table(n_mem, n_cpu);
+            let mut cfg = GaConfig::default().with_population(3).with_iterations(2);
+            cfg.include_prior = false;
+            let baseline = t.baseline();
+            let base_score = score(&baseline, baseline.time_us, cfg.perf_loss_target);
+            let best_rung = exact::lagrangian_seeds(&t, cfg.perf_loss_target, 1)[0].score;
+            assert!(best_rung > base_score, "{} stages", t.n_stages());
+            let cold = search(&t, &cfg);
+            assert_eq!(cold.score_trace[0], base_score, "{} stages", t.n_stages());
+            let seeded = search(&t, &cfg.clone().with_oracle_seeds(1));
+            assert_eq!(seeded.score_trace[0], best_rung, "{} stages", t.n_stages());
+        }
     }
 
     #[test]

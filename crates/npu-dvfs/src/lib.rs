@@ -29,8 +29,11 @@
 //! * [`exact`] — the per-stage separable oracle: a Pareto-frontier
 //!   dynamic program that certifies the true Eq. (17) optimum on
 //!   thermally-uncoupled tables (bit-identical to [`StageTable`]
-//!   evaluation), plus the Lagrangian-relaxation ladder that seeds the
-//!   GA population on large schedules.
+//!   evaluation), plus the Lagrangian-relaxation ladder that can seed
+//!   the GA population;
+//! * [`serving_search`] — the search the serving paths run: the exact
+//!   solver's answer or a higher-scoring warm-start seed, as a
+//!   [`GaOutcome`]. The GA stays for the paper's figures.
 //!
 //! # Example
 //!
@@ -61,7 +64,7 @@ mod strategy;
 pub use baseline::{phase_level, program_level, BaselineOutcome};
 pub use classify::{Bottleneck, Sensitivity};
 pub use engine::{EvalEngine, IncrementalEval, RouletteWheel};
-pub use exact::{ExactConfig, ExactOutcome, LagrangianSeed};
+pub use exact::{serving_search, ExactConfig, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
 pub use memo::FingerprintRing;
 pub use persist::{read_strategy, write_strategy, StrategyParseError, STRATEGY_HEADER};

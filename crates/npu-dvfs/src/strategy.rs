@@ -297,6 +297,26 @@ impl StageTable {
         self.freqs.len()
     }
 
+    /// The gene of the lowest table frequency at or above `f`; the top
+    /// gene when `f` lies above the ladder.
+    pub(crate) fn gene_at_or_above(&self, f: FreqMhz) -> usize {
+        self.freqs
+            .iter()
+            .position(|&g| g >= f)
+            .unwrap_or(self.freqs.len().saturating_sub(1))
+    }
+
+    /// Maps a strategy's per-stage frequencies onto this table, into
+    /// `genes`: each frequency through [`Self::gene_at_or_above`], and a
+    /// strategy of another length stretched or compressed by proportional
+    /// stage index, so one searched under a different stage split still
+    /// lands. `freqs` must not be empty.
+    pub(crate) fn map_freqs(&self, freqs: &[FreqMhz], genes: &mut Vec<usize>) {
+        let n = self.n_stages();
+        genes.clear();
+        genes.extend((0..n).map(|i| self.gene_at_or_above(freqs[i * freqs.len() / n])));
+    }
+
     /// The `(time, aicore_e, soc_e, volt·time)` contribution of one
     /// `(stage, gene)` cell.
     ///

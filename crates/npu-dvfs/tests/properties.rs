@@ -5,9 +5,11 @@
 use proptest::prelude::*;
 
 use npu_dvfs::{
-    exact, genome_fingerprint, preprocess::preprocess, score, search, EvalEngine, GaConfig,
-    GenomePool, IncrementalEval, Stage, StageKind, StageTable, ThermalCoupling,
+    exact, genome_fingerprint, preprocess::preprocess, score, search, serving_search, EvalEngine,
+    Evaluation, GaConfig, GenomePool, IncrementalEval, Stage, StageKind, StageTable,
+    ThermalCoupling,
 };
+use npu_obs::ObserverHandle;
 use npu_sim::{FreqMhz, OpClass, OpRecord, PipelineRatios, Scenario};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -307,6 +309,97 @@ proptest! {
         );
     }
 
+    /// The serving search, on coupled and uncoupled tables with random
+    /// warm seeds (empty, off the ladder, of any length) plus the
+    /// uncoupled table's certified optimum as a strong seed: its result
+    /// scores at least as high as every Lagrangian rung and every mapped
+    /// seed, meets the budget T ≤ B/(1−ℓ) whenever any of those
+    /// candidates does, no single-gene move from it scores higher without
+    /// leaving that budget, and it reports a `best_eval` bit-identical to
+    /// a full evaluation of its genes.
+    #[test]
+    fn serving_search_dominates_every_candidate(
+        table in arb_table(),
+        coupling in (any::<bool>(), 0.0f64..0.1, 0.0f64..0.15),
+        loss in 0.0f64..0.3,
+        raw_seeds in prop::collection::vec(prop::collection::vec(900u32..2_000, 0..30), 0..4),
+    ) {
+        let (coupled, gamma_aicore, k_c_per_w) = coupling;
+        let mut seeds: Vec<Vec<FreqMhz>> = raw_seeds
+            .iter()
+            .map(|s| s.iter().map(|&mhz| FreqMhz::new(mhz)).collect())
+            .collect();
+        let optimum = exact::solve(&table, &exact::ExactConfig::default().with_loss_target(loss));
+        if optimum.certified {
+            seeds.push(optimum.genes.iter().map(|&g| table.freqs()[g]).collect());
+        }
+        let table = if coupled {
+            let volts = (0..table.n_freqs()).map(|k| 0.70 + 0.03 * k as f64).collect();
+            let coupling = ThermalCoupling { gamma_aicore, gamma_soc: 0.1, k_c_per_w };
+            table.with_thermal_coupling(coupling, volts)
+        } else {
+            table
+        };
+        let out = serving_search(&table, loss, &seeds, &ObserverHandle::null());
+
+        let (n, m) = (table.n_stages(), table.n_freqs());
+        let baseline = table.baseline().time_us;
+        let meets = |e: &Evaluation| baseline / e.time_us >= 1.0 - loss;
+        // Candidates: every rung, and each non-empty seed mapped by
+        // proportional index onto the lowest frequency at or above it.
+        let mut candidates: Vec<Evaluation> = exact::lagrangian_seeds(&table, loss, usize::MAX)
+            .into_iter()
+            .map(|rung| rung.eval)
+            .collect();
+        for seed in seeds.iter().filter(|s| !s.is_empty()) {
+            let genes: Vec<usize> = (0..n)
+                .map(|i| {
+                    let f = seed[i * seed.len() / n];
+                    table.freqs().iter().position(|&g| g >= f).unwrap_or(m - 1)
+                })
+                .collect();
+            candidates.push(table.evaluate(&genes));
+        }
+        for c in &candidates {
+            let s = score(c, baseline, loss);
+            prop_assert!(out.best_score >= s, "served {} below candidate {s}", out.best_score);
+        }
+        if candidates.iter().any(meets) {
+            prop_assert!(meets(&out.best_eval), "served {:?} misses the budget", out.best_eval);
+        }
+
+        let genes: Vec<usize> = out
+            .strategy
+            .freqs()
+            .iter()
+            .map(|f| table.freqs().iter().position(|g| g == f).unwrap())
+            .collect();
+        let inc = IncrementalEval::new(&table, &genes);
+        for s in 0..n {
+            for g in 0..m {
+                let moved = inc.probe(s, g);
+                prop_assert!(
+                    score(&moved, baseline, loss) <= out.best_score
+                        || (meets(&out.best_eval) && !meets(&moved)),
+                    "stage {s} to gene {g} scores higher"
+                );
+            }
+        }
+        let full = table.evaluate(&genes);
+        prop_assert_eq!(full.time_us.to_bits(), out.best_eval.time_us.to_bits());
+        prop_assert_eq!(
+            full.aicore_energy_wus.to_bits(),
+            out.best_eval.aicore_energy_wus.to_bits()
+        );
+        prop_assert_eq!(full.soc_energy_wus.to_bits(), out.best_eval.soc_energy_wus.to_bits());
+        prop_assert_eq!(out.best_score.to_bits(), score(&full, baseline, loss).to_bits());
+        prop_assert_eq!(out.score_trace, vec![out.best_score]);
+        // The candidates, plus the ascent's probes on an uncertified answer.
+        let scored = 1 + seeds.iter().filter(|s| !s.is_empty()).count();
+        prop_assert!(out.evaluations >= scored);
+        prop_assert_eq!(out.evaluations, out.unique_evaluations);
+    }
+
     /// Score doubles exactly at the performance bound and decreases with
     /// power.
     #[test]
@@ -341,10 +434,9 @@ fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
     })
 }
 
-/// A deterministic 300-stage, thermally coupled memory/compute mix:
-/// past the GA's automatic oracle-seeding threshold (256 stages), so an
-/// auto-configured `search` runs the Lagrangian ladder on it. Stage
-/// shapes come from a fixed SplitMix64 stream.
+/// A deterministic 300-stage, thermally coupled memory/compute mix, the
+/// size of table the ladder is pinned on. Stage shapes come from a fixed
+/// SplitMix64 stream.
 fn coupled_300_stage_table() -> StageTable {
     let ladder = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
     seeded_table(0x0DD5_EED5, 300, ladder, true)
@@ -385,11 +477,11 @@ fn seeded_table(seed: u64, n: usize, freqs: Vec<FreqMhz>, coupled: bool) -> Stag
     )
 }
 
-/// Pins the Lagrangian ladder on a table large enough for automatic
-/// oracle seeding: every rung's genes and evaluation/score bits, in
-/// order. Any change to the sweep or the budget repair shows here.
+/// Pins the Lagrangian ladder on a 300-stage table: every rung's genes
+/// and evaluation/score bits, in order. Any change to the sweep or the
+/// budget repair shows here.
 #[test]
-fn lagrangian_ladder_is_pinned_at_the_auto_threshold() {
+fn lagrangian_ladder_is_pinned_on_300_stages() {
     let table = coupled_300_stage_table();
     let seeds = exact::lagrangian_seeds(&table, 0.02, 64);
     let digest = fingerprint(seeds.iter().flat_map(|s| {
@@ -407,14 +499,16 @@ fn lagrangian_ladder_is_pinned_at_the_auto_threshold() {
     );
 }
 
-/// Pins a short GA search that trips the automatic oracle rule (300
-/// stages ≥ 256): the winning strategy, its evaluation and score bits,
-/// the per-generation trace and both evaluation counts.
+/// Pins a short GA search seeded with 8 ladder rungs on 300 stages: the
+/// winning strategy, its evaluation and score bits, the per-generation
+/// trace and both evaluation counts.
 #[test]
-fn auto_oracle_seeded_search_is_pinned() {
+fn oracle_seeded_search_is_pinned() {
     let table = coupled_300_stage_table();
-    let cfg = GaConfig::default().with_population(40).with_iterations(20);
-    assert_eq!(cfg.effective_oracle_seeds(table.n_stages()), 8);
+    let cfg = GaConfig::default()
+        .with_population(40)
+        .with_iterations(20)
+        .with_oracle_seeds(8);
     let out = search(&table, &cfg);
     let digest = fingerprint(
         out.strategy

@@ -17,7 +17,7 @@ pub enum Phase {
     Profile,
     /// Fitting the performance and power models.
     BuildModels,
-    /// Preprocessing + genetic-algorithm strategy search.
+    /// Preprocessing + strategy search.
     Search,
     /// Executing the chosen strategy on the device.
     Execute,
@@ -134,8 +134,9 @@ events! {
     /// Every layer of the stack emits through the same enum so a single sink
     /// sees the whole closed loop: device runs and `SetFreq` applies
     /// (`npu-sim`), calibration fits (`npu-power-model`), model fits
-    /// (`npu-perf-model`), per-generation GA statistics (`npu-dvfs`),
-    /// measured iterations (`npu-exec`) and phase boundaries (`npu-core`).
+    /// (`npu-perf-model`), per-generation GA statistics and serving-search
+    /// results (`npu-dvfs`), measured iterations (`npu-exec`) and phase
+    /// boundaries (`npu-core`).
     #[derive(Debug, Clone, PartialEq)]
     #[non_exhaustive]
     pub enum Event {
@@ -184,6 +185,18 @@ events! {
             best_score: f64,
             /// Individuals served from the evaluation memo this generation.
             memo_hits: usize,
+        },
+        /// The serving search picked a strategy: the exact solver's answer
+        /// or a higher-scoring warm-seed candidate.
+        SearchSolved {
+            /// Stages in the searched table.
+            stages: usize,
+            /// Candidates scored: the solver's answer plus each warm seed.
+            candidates: usize,
+            /// Whether the solver's answer is a certified optimum.
+            certified: bool,
+            /// Score of the returned strategy.
+            best_score: f64,
         },
         /// A `SetFreq` request took effect on the device.
         SetFreqIssued {
@@ -565,6 +578,16 @@ mod tests {
                     memo_hits: 12,
                 },
                 "{\"event\":\"GaGeneration\",\"iter\":3,\"best_score\":0.5,\"memo_hits\":12}",
+            ),
+            (
+                Event::SearchSolved {
+                    stages: 960,
+                    candidates: 2,
+                    certified: false,
+                    best_score: 0.25,
+                },
+                "{\"event\":\"SearchSolved\",\"stages\":960,\"candidates\":2,\
+                 \"certified\":false,\"best_score\":0.25}",
             ),
             (
                 Event::PhaseStarted {

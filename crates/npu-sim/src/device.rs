@@ -734,8 +734,17 @@ impl Device {
         let start_t = self.clock_us;
         let mut pending: VecDeque<(f64, FreqMhz)> = VecDeque::new();
         let mut retries: Vec<RetryEntry> = Vec::new();
+        // One record per operator: reserved up front, so a profile holds
+        // exactly what it records instead of the slack a doubling `Vec`
+        // leaves.
+        let records = if options.collect_records {
+            Vec::with_capacity(schedule.len())
+        } else {
+            Vec::new()
+        };
         let mut result = RunResult {
             freq_trace: vec![(start_t, self.freq)],
+            records,
             ..RunResult::default()
         };
         let mut energy_ai_wus = 0.0; // W·µs
@@ -1162,6 +1171,25 @@ mod tests {
 
     fn small_schedule() -> Schedule {
         Schedule::new(vec![mem_op("Gelu"), compute_op("MatMul"), mem_op("Add")])
+    }
+
+    #[test]
+    fn run_records_hold_no_spare_capacity() {
+        // Three records: a doubling `Vec` would carry a fourth slot.
+        let mut dev = Device::new(cfg());
+        let r = dev
+            .run(&small_schedule(), &RunOptions::at(FreqMhz::new(1800)))
+            .unwrap();
+        assert_eq!(r.records.len(), 3);
+        assert_eq!(r.records.capacity(), r.records.len());
+        let opts = RunOptions::at(FreqMhz::new(1800)).without_records();
+        assert_eq!(
+            dev.run(&small_schedule(), &opts)
+                .unwrap()
+                .records
+                .capacity(),
+            0
+        );
     }
 
     #[test]

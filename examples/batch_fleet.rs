@@ -51,8 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         models::tanh_loop(&cfg, 12),
     ];
 
-    let mut opts = OptimizerConfig::default().with_fai_us(200.0);
-    opts.ga = opts.ga.with_population(60).with_iterations(120);
+    let opts = OptimizerConfig::default().with_fai_us(200.0);
     let cache = ArtifactCache::new();
 
     let t = Instant::now();

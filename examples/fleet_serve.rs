@@ -76,7 +76,6 @@ fn controller(fleet_seed: u64, workers: usize) -> FleetController {
         },
         ladder_freqs: vec![FreqMhz::new(1000), FreqMhz::new(1400)],
         max_swaps: 1,
-        warm_ga_iterations: Some(12),
         ..ServeOptions::default()
     };
     FleetController::new(cfg, serve_workload(12))

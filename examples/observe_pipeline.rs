@@ -11,22 +11,17 @@
 //!
 //! ```sh
 //! jq -r .event events.jsonl | sort | uniq -c          # event census
-//! jq 'select(.event == "GaGeneration") | .best_score' events.jsonl
+//! jq 'select(.event == "SearchSolved") | .best_score' events.jsonl
 //! jq 'select(.event == "SetFreqIssued")' events.jsonl # the SetFreq stream
 //! jq 'select(.event == "PhaseFinished")' events.jsonl # phase wall times
 //! jq -s 'map(select(.event == "ProfileRun")) | length' events.jsonl
 //! ```
-//!
-//! Set `OBS_SMOKE=1` to shrink the GA so the example finishes in a couple
-//! of seconds (used by `scripts/check.sh`).
 
 use dvfs_repro::obs::Tee;
 use dvfs_repro::prelude::*;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::var_os("OBS_SMOKE").is_some();
-
     // Three observers share one event stream: machine-readable JSON lines
     // on stdout, a phase/count summary, and a metrics registry.
     let summary = Arc::new(SummarySink::new());
@@ -47,12 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // phase is one-time noise, the optimization loop is what we watch.
     let mut optimizer = EnergyOptimizer::calibrated(cfg)?.with_observer(obs);
 
-    let mut opts = OptimizerConfig::default().with_fai_us(30.0);
-    opts.ga = if smoke {
-        GaConfig::default().with_population(16).with_iterations(20)
-    } else {
-        GaConfig::default().with_population(60).with_iterations(150)
-    };
+    let opts = OptimizerConfig::default().with_fai_us(30.0);
 
     // Drive the staged API explicitly; each stage emits PhaseStarted /
     // PhaseFinished plus its own typed events, and exposes its artifact.
@@ -66,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("profiled {n_profiles} frequencies; perf model worst-case fit error {fit_err:.4}");
     let outcome = session.search()?;
     eprintln!(
-        "GA: best score {:.4} after {} evaluations",
+        "search: best score {:.4} over {} candidates",
         outcome.best_score, outcome.evaluations
     );
     let report = session.report()?;

@@ -59,8 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // loss. `for_device` derives the model-build frequencies from the
     // profile's own ladder — required off-Ascend, where the historical
     // 1000/1800 MHz defaults may not exist on the grid.
-    let mut opts = OptimizerConfig::for_device(&cfg).with_fai_us(30.0);
-    opts.ga = GaConfig::default().with_population(60).with_iterations(150);
+    let opts = OptimizerConfig::for_device(&cfg).with_fai_us(30.0);
     let report = optimizer.optimize(&workload, &opts)?;
     println!("{report}");
     Ok(())

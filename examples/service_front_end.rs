@@ -28,8 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         models::softmax_loop(&cfg, 8),
     ];
 
-    let mut opts = OptimizerConfig::default().with_fai_us(100.0);
-    opts.ga = opts.ga.with_population(40).with_iterations(60);
+    let opts = OptimizerConfig::default().with_fai_us(100.0);
 
     let load = generate_load(
         &catalog,

@@ -17,8 +17,8 @@ type Pin = (&'static str, fn(&mut Fingerprint), u64);
 
 const PINS: [Pin; 5] = [
     ("calibration", calibration, 0x650EEE7E1C763EEC),
-    ("cold_warm_session", cold_warm_session, 0x7D6DCDD79BC8282A),
-    ("hooked_session", hooked_session, 0xABB5F483BDFA78E3),
+    ("cold_warm_session", cold_warm_session, 0x501AED5D76E53566),
+    ("hooked_session", hooked_session, 0x87809A4A75B425CC),
     ("serve_ladder", serve_ladder, 0x21EDF331553C516A),
     ("faulted_fleet", faulted_fleet, 0xA6F0C1388337947D),
 ];
@@ -49,11 +49,9 @@ fn fast_cfg() -> NpuConfig {
 }
 
 fn quick_opts() -> OptimizerConfig {
-    let mut o = OptimizerConfig::default()
+    OptimizerConfig::default()
         .with_threads(1)
-        .with_fai_us(100.0);
-    o.ga = o.ga.with_population(30).with_iterations(40);
-    o
+        .with_fai_us(100.0)
 }
 
 /// Mixes `floats` into `fp` by bit pattern.

@@ -3,21 +3,12 @@
 
 use dvfs_repro::prelude::*;
 
-fn reduced_ga() -> GaConfig {
-    // The paper's 200×600 search is exercised by the benchmark harness;
-    // integration tests use a smaller, still-converging search.
-    GaConfig::default().with_population(60).with_iterations(150)
-}
-
 #[test]
 fn calibrated_optimizer_saves_power_on_bert() {
     let cfg = NpuConfig::ascend_like();
     let workload = models::bert(&cfg);
     let mut optimizer = EnergyOptimizer::calibrated(cfg).expect("calibration succeeds");
-    let opts = OptimizerConfig {
-        ga: reduced_ga(),
-        ..OptimizerConfig::default()
-    };
+    let opts = OptimizerConfig::default();
     let report = optimizer
         .optimize(&workload, &opts)
         .expect("optimization succeeds");
@@ -51,16 +42,8 @@ fn looser_targets_trade_more_performance_for_more_savings() {
     let cfg = NpuConfig::ascend_like();
     let workload = models::vit_base(&cfg);
     let mut optimizer = EnergyOptimizer::calibrated(cfg).expect("calibration succeeds");
-    let tight = OptimizerConfig {
-        ga: reduced_ga(),
-        ..OptimizerConfig::default()
-    }
-    .with_loss_target(0.02);
-    let loose = OptimizerConfig {
-        ga: reduced_ga(),
-        ..OptimizerConfig::default()
-    }
-    .with_loss_target(0.10);
+    let tight = OptimizerConfig::default().with_loss_target(0.02);
+    let loose = OptimizerConfig::default().with_loss_target(0.10);
     let r_tight = optimizer.optimize(&workload, &tight).unwrap();
     let r_loose = optimizer.optimize(&workload, &loose).unwrap();
     // Predicted (model-side) savings must be monotone in the target;
@@ -90,10 +73,6 @@ fn full_loop_runs_and_reproduces_on_every_builtin_profile() {
             let mut optimizer =
                 EnergyOptimizer::calibrated(cfg.clone()).expect("calibration succeeds");
             let opts = OptimizerConfig::for_device(&cfg).with_fai_us(100.0);
-            let opts = OptimizerConfig {
-                ga: GaConfig::default().with_population(30).with_iterations(40),
-                ..opts
-            };
             optimizer
                 .optimize(&workload, &opts)
                 .expect("optimization succeeds")
@@ -138,11 +117,7 @@ fn reports_are_reproducible_for_identical_seeds() {
     let workload = models::tiny(&cfg);
     let run = || {
         let mut optimizer = EnergyOptimizer::calibrated(cfg.clone()).unwrap();
-        let opts = OptimizerConfig {
-            ga: GaConfig::default().with_population(30).with_iterations(40),
-            ..OptimizerConfig::default()
-        }
-        .with_fai_us(100.0);
+        let opts = OptimizerConfig::default().with_fai_us(100.0);
         optimizer.optimize(&workload, &opts).unwrap()
     };
     let a = run();

@@ -4,11 +4,12 @@
 //! fingerprint clustering is invariant to device listing order.
 
 use dvfs_repro::core::fleet_serve::{calibration_fingerprint, calibration_vector};
+use dvfs_repro::obs::Tee;
 use dvfs_repro::power_model::HardwareCalibration;
 use dvfs_repro::prelude::*;
 use dvfs_repro::sim::DriftModel;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 42;
 const THERMAL_TAU_US: f64 = 2_000.0;
@@ -63,7 +64,6 @@ fn serve_options() -> ServeOptions {
         detector: detector(),
         ladder_freqs: vec![FreqMhz::new(1000), FreqMhz::new(1400)],
         max_swaps: 1,
-        warm_ga_iterations: Some(12),
         ..ServeOptions::default()
     }
 }
@@ -123,31 +123,64 @@ fn fleet_epochs_are_bit_identical_across_worker_counts() {
     }
 }
 
+/// Search-stage runs of every session in a fleet run: how many ran,
+/// how many the shared cache served, and the `SearchSolved` and
+/// `GaGeneration` events they emitted.
+#[derive(Debug, Default)]
+struct SearchCensus(Mutex<SearchCounts>);
+
+#[derive(Debug, Default, Clone, Copy)]
+struct SearchCounts {
+    stages: usize,
+    cache_hits: usize,
+    solved: usize,
+    ga_generations: usize,
+}
+
+impl Observer for SearchCensus {
+    fn on_event(&self, event: &Event) {
+        let mut c = self.0.lock().unwrap();
+        match event {
+            Event::PhaseFinished { phase, .. } if *phase == Phase::Search => c.stages += 1,
+            Event::CacheHit { kind } if kind == "search" => c.cache_hits += 1,
+            Event::SearchSolved { .. } => c.solved += 1,
+            Event::GaGeneration { .. } => c.ga_generations += 1,
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn observed_fleet_reports_device_sessions_without_perturbing_the_run() {
     // The controller forwards its observer to every device's optimizer,
-    // so a traced fleet run shows the session and GA layers of its
+    // so a traced fleet run shows the session and search layers of its
     // re-optimizations.
     let plain = fleet(2).run().unwrap();
     let metrics = Arc::new(MetricsRegistry::new());
+    let census = Arc::new(SearchCensus::default());
     let observed = fleet(2)
-        .with_observer(ObserverHandle::from_arc(metrics.clone()))
+        .with_observer(ObserverHandle::new(Tee::new(vec![
+            ObserverHandle::from_arc(metrics.clone()),
+            ObserverHandle::from_arc(census.clone()),
+        ])))
         .run()
         .unwrap();
     assert_eq!(observed.digest, plain.digest, "observing changed the run");
     assert_eq!(observed.per_device, plain.per_device);
     assert!(
-        metrics.counter("event.GaGeneration") > 0,
-        "no GA generations seen"
-    );
-    assert!(
         metrics.counter("event.PhaseFinished") > 0,
         "no session phases seen"
     );
+    // Exactly one SearchSolved per search stage the cache did not serve,
+    // and no session runs the GA.
+    let c = *census.0.lock().unwrap();
+    assert!(c.solved > 0, "no searches seen: {c:?}");
+    assert_eq!(c.solved, c.stages - c.cache_hits, "{c:?}");
+    assert_eq!(c.ga_generations, 0, "{c:?}");
 }
 
 /// One drifting device, the tuned single-swap scenario. Returns the
-/// re-optimization's GA outcome.
+/// re-optimization's search outcome.
 fn reopt_outcome(warm_seeds: Option<Vec<Vec<FreqMhz>>>) -> GaOutcome {
     let cfg = base_cfg();
     let calib = HardwareCalibration::ground_truth(&cfg);
@@ -162,9 +195,6 @@ fn reopt_outcome(warm_seeds: Option<Vec<Vec<FreqMhz>>>) -> GaOutcome {
         detector: detector(),
         ladder_freqs: vec![FreqMhz::new(1000), FreqMhz::new(1400)],
         max_swaps: 1,
-        // Full GA budget on both sides: this test isolates the effect of
-        // the seeds themselves.
-        warm_ga_iterations: None,
         ..ServeOptions::default()
     };
     let mut rt = ServeRuntime::builder(&mut optimizer, &workload)
@@ -250,7 +280,6 @@ fn rung_fleet(fleet_seed: u64, plan: Option<FleetFaultPlan>) -> FleetController 
         detector: detector(),
         ladder_freqs: vec![FreqMhz::new(1000), FreqMhz::new(1400)],
         max_swaps: 1,
-        warm_ga_iterations: Some(12),
         // A generous latency SLA keeps the guardrail out of the verdict:
         // the rung each device lands on is decided by what the fault
         // does to its applies, not by running slower than baseline.

@@ -210,9 +210,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 fn small_opts() -> OptimizerConfig {
-    let mut opts = OptimizerConfig::default().with_fai_us(30.0);
-    opts.ga = GaConfig::default().with_population(16).with_iterations(20);
-    opts
+    OptimizerConfig::default().with_fai_us(30.0)
 }
 
 #[test]
@@ -303,8 +301,13 @@ fn staged_session_streams_valid_json_for_every_phase() {
                     "finished phase carries a wall time: {line:?}"
                 );
             }
-            "GaGeneration" => {
-                assert!(matches!(value.get("best_score"), Some(Json::Num(s)) if *s > 0.0));
+            "SearchSolved" => {
+                // The event carries the score the search returned.
+                assert!(matches!(value.get("best_score"), Some(Json::Num(s)) if *s == best_score));
+                assert!(matches!(value.get("stages"), Some(Json::Num(n)) if *n >= 1.0));
+                // No warm seeds: the solver's answer is the only candidate.
+                assert!(matches!(value.get("candidates"), Some(Json::Num(n)) if *n == 1.0));
+                assert!(matches!(value.get("certified"), Some(Json::Bool(_))));
             }
             "SetFreqIssued" => {
                 assert!(matches!(value.get("freq_mhz"), Some(Json::Num(f)) if *f >= 1000.0));
@@ -319,8 +322,15 @@ fn staged_session_streams_valid_json_for_every_phase() {
     assert_eq!(phases_started, expected, "phase open order");
     assert_eq!(phases_finished, expected, "phase close order");
 
-    assert!(census["GaGeneration"] >= 1, "census: {census:?}");
-    assert_eq!(census["GaGeneration"], 20);
+    // One SearchSolved per search-stage run, and sessions run no GA.
+    let searches = phases_finished.iter().filter(|p| *p == "search").count();
+    assert_eq!(searches, 1);
+    assert_eq!(
+        census.get("SearchSolved"),
+        Some(&searches),
+        "census: {census:?}"
+    );
+    assert!(!census.contains_key("GaGeneration"), "census: {census:?}");
     assert!(census["SetFreqIssued"] >= 1, "census: {census:?}");
     assert_eq!(census["SetFreqIssued"], setfreq_count);
     assert_eq!(census["ProfileRun"], 2);

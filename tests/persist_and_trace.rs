@@ -12,10 +12,7 @@ fn strategy_round_trips_and_executes_identically() {
     let workload = models::vit_base(&cfg);
     let calib = npu_power_model::HardwareCalibration::ground_truth(&cfg);
     let mut optimizer = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
-    let opts = OptimizerConfig {
-        ga: GaConfig::default().with_population(40).with_iterations(60),
-        ..OptimizerConfig::default()
-    };
+    let opts = OptimizerConfig::default();
     let (_, outcome) = optimizer.optimize_with_outcome(&workload, &opts).unwrap();
 
     // Serialize and reload.

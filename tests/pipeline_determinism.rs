@@ -17,9 +17,7 @@ use proptest::prelude::*;
 fn quick_opts(cfg: &NpuConfig) -> OptimizerConfig {
     // `for_device` derives the build frequencies from the profile's own
     // ladder (identical to the historical defaults on Ascend).
-    let mut o = OptimizerConfig::for_device(cfg).with_fai_us(100.0);
-    o.ga = o.ga.with_population(30).with_iterations(40);
-    o
+    OptimizerConfig::for_device(cfg).with_fai_us(100.0)
 }
 
 #[test]

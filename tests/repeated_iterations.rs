@@ -13,10 +13,7 @@ fn one_policy_serves_many_iterations() {
     let workload = models::vit_base(&cfg);
     let calib = npu_power_model::HardwareCalibration::ground_truth(&cfg);
     let mut optimizer = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
-    let opts = OptimizerConfig {
-        ga: GaConfig::default().with_population(60).with_iterations(120),
-        ..OptimizerConfig::default()
-    };
+    let opts = OptimizerConfig::default();
     let (report, outcome) = optimizer.optimize_with_outcome(&workload, &opts).unwrap();
 
     // Fresh steady-state device; profile once for trigger placement.

@@ -11,9 +11,7 @@ use dvfs_repro::prelude::*;
 use std::sync::{Arc, Mutex};
 
 fn quick_opts() -> OptimizerConfig {
-    let mut o = OptimizerConfig::default().with_fai_us(100.0);
-    o.ga = o.ga.with_population(16).with_iterations(10);
-    o
+    OptimizerConfig::default().with_fai_us(100.0)
 }
 
 fn catalog(cfg: &NpuConfig) -> Vec<Workload> {
