@@ -6,16 +6,16 @@
 //!
 //! Besides the criterion groups, this bench self-times the evaluation
 //! paths over an identical clone-chain genome stream — full
-//! re-evaluation, incremental re-evaluation, and the memoized engine
-//! over the bit-packed genome pool — plus the engine over a GA-lineage
-//! replay (each generation bred from the last by cross-pool copy,
-//! suffix swap and point mutation, the path the GA runs), and writes
-//! the measured policies/sec to `BENCH_ga_eval.json` at the workspace
-//! root so CI and EXPERIMENTS.md can consume the numbers without
-//! scraping bench output. Alongside throughput it records three
+//! re-evaluation, incremental re-evaluation, and block-sum scoring over
+//! the genome pool ([`GenomePool::evaluate`]) — plus pool scoring over a
+//! GA-lineage replay (each generation bred from the last by cross-pool
+//! copy, suffix swap and point mutation, the path the GA runs), and
+//! writes the measured policies/sec to `BENCH_ga_eval.json` at the
+//! workspace root so CI and EXPERIMENTS.md can consume the numbers
+//! without scraping bench output. Alongside throughput it records three
 //! correctness artifacts the check script gates on: pool scores on both
 //! streams are bit-identical to the reference full evaluation, a warm
-//! `score_pool` pass performs zero heap allocations (counted by a
+//! pool-scoring pass performs zero heap allocations (counted by a
 //! wrapping global allocator), and the exact Pareto-DP oracle certifies
 //! the GA's result on a small schedule with an optimality gap of
 //! exactly `0.0`.
@@ -23,8 +23,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use npu_bench::{build_models, steady_profiles};
 use npu_dvfs::{
-    exact, preprocess::preprocess, score, search, EvalEngine, GaConfig, GenomePool,
-    IncrementalEval, Stage, StageKind, StageTable,
+    exact, preprocess::preprocess, score, search, GaConfig, GenomePool, IncrementalEval, Stage,
+    StageKind, StageTable,
 };
 use npu_perf_model::FitFunction;
 use npu_sim::{Device, FreqMhz, NpuConfig};
@@ -113,6 +113,17 @@ fn certified_table(n_mem: usize, n_cpu: usize) -> StageTable {
 
 const LCG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The loss target every scoring path here runs at.
+const TARGET: f64 = 0.02;
+
+/// Scores every genome of `pool` into `scores` (cleared first) by
+/// folding its inherited block sums, in index order: the pass the GA
+/// runs on each generation. With a warm buffer it allocates nothing.
+fn score_pool(pool: &GenomePool<'_>, baseline_time: f64, scores: &mut Vec<f64>) {
+    scores.clear();
+    scores.extend((0..pool.len()).map(|i| score(&pool.evaluate(i), baseline_time, TARGET)));
+}
+
 fn lcg_step(state: &mut u64) -> usize {
     *state = state
         .wrapping_mul(6364136223846793005)
@@ -141,17 +152,18 @@ fn genome_stream(table: &StageTable, len: usize) -> Vec<Vec<usize>> {
 /// Replays the [`genome_stream`] LCG directly into a [`GenomePool`]
 /// arena: clone the previous genome inside the pool, apply the point
 /// mutations via [`GenomePool::set_gene`]. Scores every generation
-/// through `engine.score_pool`. Writing through `on_scores` lets the
-/// caller collect or sum without allocating on the hot path.
+/// through [`score_pool`] into `scores`. Writing through `on_scores`
+/// lets the caller collect or sum without allocating on the hot path.
 fn replay_stream_through_pool(
     table: &StageTable,
-    engine: &mut EvalEngine<'_>,
     pool: &mut GenomePool<'_>,
+    scores: &mut Vec<f64>,
     len: usize,
     generation: usize,
     mut on_scores: impl FnMut(&[f64]),
 ) {
     let (n, m) = (table.n_stages(), table.n_freqs());
+    let baseline_time = table.baseline().time_us;
     let mut state = LCG_SEED;
     let mut carry = vec![m - 1; n];
     let mut scored = 0;
@@ -169,7 +181,8 @@ fn replay_stream_through_pool(
             pool.set_gene(idx, s, g);
         }
         if pool.len() == generation || scored + pool.len() == len {
-            on_scores(engine.score_pool(pool));
+            score_pool(pool, baseline_time, scores);
+            on_scores(scores);
             scored += pool.len();
             pool.clear();
         }
@@ -180,17 +193,18 @@ fn replay_stream_through_pool(
 /// generation bred from the previous scored one — LCG-drawn parents
 /// copied across pools, each pair crossed over by a suffix swap at an
 /// LCG cut, and each child given one point mutation. Scores every
-/// generation through `engine.score_pool` and hands the pool and its
-/// scores to `on_scores`.
+/// generation through [`score_pool`] into `scores` and hands the pool
+/// and its scores to `on_scores`.
 fn replay_lineage<'t>(
     table: &'t StageTable,
-    engine: &mut EvalEngine<'t>,
     pools: &mut [GenomePool<'t>; 2],
+    scores: &mut Vec<f64>,
     generations: usize,
     population: usize,
     mut on_scores: impl FnMut(&GenomePool<'t>, &[f64]),
 ) {
     let (n, m) = (table.n_stages(), table.n_freqs());
+    let baseline_time = table.baseline().time_us;
     let mut state = LCG_SEED;
     let [cur, next] = pools;
     let (mut cur, mut next) = (cur, next);
@@ -201,7 +215,8 @@ fn replay_lineage<'t>(
         cur.push_genes(&genes);
     }
     for _ in 0..generations {
-        on_scores(cur, engine.score_pool(cur));
+        score_pool(cur, baseline_time, scores);
+        on_scores(cur, scores);
         next.clear();
         while next.len() < population {
             let ca = next.push_copy_from(cur, lcg_step(&mut state) % population);
@@ -231,7 +246,7 @@ fn measure_eval_modes(table: &StageTable) -> String {
     let generation = 200;
     let stream = genome_stream(table, stream_len);
     let baseline_time = table.baseline().time_us;
-    let target = 0.02;
+    let target = TARGET;
 
     // Full pass: what every individual cost before the engine.
     let mut sink = 0.0_f64;
@@ -253,19 +268,12 @@ fn measure_eval_modes(table: &StageTable) -> String {
     // Pool fast path over the clone chain: each genome is a clone of
     // the previous one plus 1-3 point mutations, so this stream is made
     // of near-duplicates no GA produces; kept for continuity.
-    let mut pool_engine = EvalEngine::new(table, baseline_time, target, stream_len);
     let mut pool = GenomePool::with_capacity(table, generation);
+    let mut scores = Vec::with_capacity(generation);
     let pool_pps = time_policies_per_sec(stream.len(), || {
-        replay_stream_through_pool(
-            table,
-            &mut pool_engine,
-            &mut pool,
-            stream_len,
-            generation,
-            |s| {
-                sink += s.iter().sum::<f64>();
-            },
-        );
+        replay_stream_through_pool(table, &mut pool, &mut scores, stream_len, generation, |s| {
+            sink += s.iter().sum::<f64>();
+        });
     });
 
     // The GA's own path: generations bred from their scored parents.
@@ -275,12 +283,11 @@ fn measure_eval_modes(table: &StageTable) -> String {
         GenomePool::with_capacity(table, generation),
         GenomePool::with_capacity(table, generation),
     ];
-    let mut lineage_engine = EvalEngine::new(table, baseline_time, target, lineage_len);
     let lineage_pps = time_policies_per_sec(lineage_len, || {
         replay_lineage(
             table,
-            &mut lineage_engine,
             &mut pools,
+            &mut scores,
             lineage_gens,
             generation,
             |_, s| {
@@ -291,24 +298,21 @@ fn measure_eval_modes(table: &StageTable) -> String {
     criterion::black_box(sink);
 
     // Correctness artifact 1: pool scores on both streams are
-    // bit-identical to the full reference evaluation (fresh engines, so
-    // nothing is served from a timed run's memo).
+    // bit-identical to the full reference evaluation.
     let reference: Vec<u64> = stream
         .iter()
         .map(|g| score(&table.evaluate(g), baseline_time, target).to_bits())
         .collect();
-    let mut engine = EvalEngine::new(table, baseline_time, target, stream_len);
     let mut got: Vec<u64> = Vec::with_capacity(stream_len);
-    replay_stream_through_pool(table, &mut engine, &mut pool, stream_len, generation, |s| {
+    replay_stream_through_pool(table, &mut pool, &mut scores, stream_len, generation, |s| {
         got.extend(s.iter().map(|x| x.to_bits()));
     });
     let mut pool_bit_identical = got == reference;
-    let mut engine = EvalEngine::new(table, baseline_time, target, lineage_len);
     let mut genes = Vec::new();
     replay_lineage(
         table,
-        &mut engine,
         &mut pools,
+        &mut scores,
         lineage_gens,
         generation,
         |pool, s| {
@@ -320,12 +324,10 @@ fn measure_eval_modes(table: &StageTable) -> String {
         },
     );
 
-    // Correctness artifact 2: a warm `score_pool` pass allocates
-    // nothing. Warm-up establishes buffer capacities and memoizes one
-    // generation; the measured pass scores a *different* (fresh,
-    // unmemoized) generation so the real evaluation path runs. The
-    // engine reserves its memo for exactly those two generations.
-    let mut engine = EvalEngine::new(table, baseline_time, target, 2 * generation);
+    // Correctness artifact 2: a warm pool-scoring pass allocates
+    // nothing. Warm-up establishes buffer capacities on one generation;
+    // the measured pass scores a *different* generation.
+    let mut scores = Vec::new();
     fn warm(pool: &mut GenomePool<'_>, generation: usize, salt: usize) {
         let (n, m) = (pool.n_stages(), pool.n_freqs());
         pool.clear();
@@ -337,10 +339,12 @@ fn measure_eval_modes(table: &StageTable) -> String {
         }
     }
     warm(&mut pool, generation, 0);
-    sink += engine.score_pool(&pool).iter().sum::<f64>();
+    score_pool(&pool, baseline_time, &mut scores);
+    sink += scores.iter().sum::<f64>();
     warm(&mut pool, generation, 1);
     let before = ALLOCS.load(Ordering::Relaxed);
-    sink += engine.score_pool(&pool).iter().sum::<f64>();
+    score_pool(&pool, baseline_time, &mut scores);
+    sink += scores.iter().sum::<f64>();
     let pool_score_allocs = ALLOCS.load(Ordering::Relaxed) - before;
     criterion::black_box(sink);
 
@@ -404,7 +408,6 @@ fn measure_eval_modes(table: &StageTable) -> String {
             "  \"optimality_gap\": {:?},\n",
             "  \"oracle_certified\": {},\n",
             "  \"ga_search_evaluations\": {},\n",
-            "  \"ga_search_unique_evaluations\": {},\n",
             "  \"ga_search_secs\": {:.3},\n",
             "  \"ga_search_policies_per_sec\": {:.1},\n",
             "  \"ga_search_24_stages_secs\": {:.4}\n",
@@ -423,7 +426,6 @@ fn measure_eval_modes(table: &StageTable) -> String {
         optimality_gap,
         oracle.certified,
         outcome.evaluations,
-        outcome.unique_evaluations,
         ga_secs,
         outcome.evaluations as f64 / ga_secs,
         fleet_secs[2],
@@ -470,12 +472,12 @@ fn bench_ga(c: &mut Criterion) {
                 .sum::<f64>()
         });
     });
-    group.bench_function("pool_512_policies_fresh_memo", |b| {
+    group.bench_function("pool_512_policies", |b| {
         let mut pool = GenomePool::with_capacity(&table, 512);
+        let mut scores = Vec::with_capacity(512);
         b.iter(|| {
-            let mut engine = EvalEngine::new(&table, baseline_time, 0.02, 512);
             let mut sum = 0.0;
-            replay_stream_through_pool(&table, &mut engine, &mut pool, 512, 512, |s| {
+            replay_stream_through_pool(&table, &mut pool, &mut scores, 512, 512, |s| {
                 sum += s.iter().sum::<f64>();
             });
             sum

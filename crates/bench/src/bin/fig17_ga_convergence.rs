@@ -47,12 +47,10 @@ fn main() {
             .unwrap_or(out.score_trace.len());
         println!(
             "# target {:>4.0}%: best score {:.5e}, converged @ iter {conv}, \
-             {} evals ({} unique, {:.1}% memoized) in {wall:?}",
+             {} evals in {wall:?}",
             100.0 * t,
             out.best_score,
             out.evaluations,
-            out.unique_evaluations,
-            100.0 * (1.0 - out.unique_evaluations as f64 / out.evaluations.max(1) as f64),
         );
         traces.push(out.score_trace);
     }

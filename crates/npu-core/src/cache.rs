@@ -17,14 +17,13 @@
 //!   and the voltage at each of them included), the device noise seed,
 //!   every descriptor field of every schedule operator, and the build
 //!   frequencies in profiling order.
-//! - **model key** ← profile key + fitting function + robust-fit flag
-//!   (set once a session's `refit_models` has run) + the eight
+//! - **model key** ← profile key + fitting function + the eight
 //!   calibration parameters.
 //! - **search key** ← model key + the effective FAI + the two
-//!   [`GaConfig`] fields the session's search reads: the loss target and
-//!   the warm-start transfer seeds, so a fleet-transferred search never
-//!   aliases a cold one. The GA's own settings change nothing a session
-//!   computes, so they must not fragment the cache.
+//!   [`OptimizerConfig`] inputs the session's search reads: the loss
+//!   target and the warm-start transfer seeds, so a fleet-transferred
+//!   search never aliases a cold one. The GA's own settings change
+//!   nothing a session computes, so they must not fragment the cache.
 //! - **fleet strategy key** ← the owning device's configuration + noise
 //!   seed + strategy generation; the publication address a
 //!   `FleetController` uses to share one device's active strategy with
@@ -39,8 +38,9 @@
 //! fits are pure and cheap to recompute from cached profiles, which
 //! carry all the simulation cost.
 
+use crate::optimizer::OptimizerConfig;
 use crate::report::MeasuredIteration;
-use npu_dvfs::{DvfsStrategy, Evaluation, GaConfig, GaOutcome, Stage, StageKind};
+use npu_dvfs::{DvfsStrategy, Evaluation, GaOutcome, Stage, StageKind};
 use npu_obs::{Event, ObserverHandle};
 use npu_perf_model::{FitFunction, FreqProfile, PerfModelStore};
 use npu_power_model::{HardwareCalibration, PowerModel};
@@ -220,16 +220,11 @@ pub fn profile_key(
 /// Cache key for the fitted models: the profile key + fitting options +
 /// the calibration parameters the power model is built from.
 #[must_use]
-pub fn model_key(
-    profile_key: u64,
-    fit: FitFunction,
-    robust_fit: bool,
-    calib: &HardwareCalibration,
-) -> u64 {
-    let mut fp = Fingerprint::new("npu-core/model/v1");
+pub fn model_key(profile_key: u64, fit: FitFunction, calib: &HardwareCalibration) -> u64 {
+    // v2: the robust-fit flag left the key (every fit is the plain one).
+    let mut fp = Fingerprint::new("npu-core/model/v2");
     fp.push_u64(profile_key);
     fp.push_str(&format!("{fit:?}"));
-    fp.push_bool(robust_fit);
     for v in [
         calib.aicore_idle.beta,
         calib.aicore_idle.theta,
@@ -246,11 +241,12 @@ pub fn model_key(
 }
 
 /// Cache key for the serving search: the model key + effective FAI +
-/// the two [`GaConfig`] fields [`npu_dvfs::serving_search`] reads, the
-/// loss target and the warm seeds. The GA's own settings change nothing
-/// a session computes, so they must not fragment the cache.
+/// the two [`OptimizerConfig`] inputs [`npu_dvfs::serving_search`]
+/// reads, the loss target and the warm seeds. The GA's own settings
+/// change nothing a session computes, so they must not fragment the
+/// cache.
 #[must_use]
-pub fn search_key(model_key: u64, fai_us: f64, ga: &GaConfig) -> u64 {
+pub fn search_key(model_key: u64, fai_us: f64, opts: &OptimizerConfig) -> u64 {
     // v2: the oracle-seeding fields joined GaConfig (they change the
     // first generation, hence the whole trajectory).
     // v3: warm-start transfer seeds joined GaConfig — a warm-seeded
@@ -262,9 +258,9 @@ pub fn search_key(model_key: u64, fai_us: f64, ga: &GaConfig) -> u64 {
     let mut fp = Fingerprint::new("npu-core/search/v4");
     fp.push_u64(model_key);
     fp.push_f64(fai_us);
-    fp.push_f64(ga.perf_loss_target);
-    fp.push_usize(ga.warm_seeds.len());
-    for seed in &ga.warm_seeds {
+    fp.push_f64(opts.ga.perf_loss_target);
+    fp.push_usize(opts.warm_seeds.len());
+    for seed in &opts.warm_seeds {
         fp.push_usize(seed.len());
         for &f in seed {
             fp.push_u64(u64::from(f.mhz()));
@@ -680,7 +676,8 @@ impl SearchArtifact {
     pub fn to_text(&self) -> String {
         let o = &self.outcome;
         let mut out = String::new();
-        out.push_str("npu-core-cache search v1\n");
+        // v2: the unique-evaluation count left `evals`.
+        out.push_str("npu-core-cache search v2\n");
         let _ = writeln!(
             out,
             "eval {} {} {}",
@@ -694,7 +691,7 @@ impl SearchArtifact {
             let _ = write!(out, " {}", F64Text(v));
         }
         out.push('\n');
-        let _ = writeln!(out, "evals {} {}", o.evaluations, o.unique_evaluations);
+        let _ = writeln!(out, "evals {}", o.evaluations);
         let _ = writeln!(out, "stages {}", o.strategy.len());
         for (stage, freq) in o.strategy.stages().iter().zip(o.strategy.freqs()) {
             let kind = match stage.kind {
@@ -722,7 +719,7 @@ impl SearchArtifact {
     pub fn from_text(text: &str) -> Result<Self, ArtifactParseError> {
         let mut lines = Lines::new(text);
         let header = lines.next()?;
-        if header != "npu-core-cache search v1" {
+        if header != "npu-core-cache search v2" {
             return Err(parse_err(1, format!("bad header `{header}`")));
         }
         let [t, a, s] = lines.fields::<3>("eval")?;
@@ -749,9 +746,8 @@ impl SearchArtifact {
                 format!("trace count {n_trace} != {} values", score_trace.len()),
             ));
         }
-        let [evals, unique] = lines.fields::<2>("evals")?;
+        let [evals] = lines.fields::<1>("evals")?;
         let evaluations: usize = lines.uint(evals)?;
-        let unique_evaluations: usize = lines.uint(unique)?;
         let [n_stages] = lines.fields::<1>("stages")?;
         let n_stages: usize = lines.uint(n_stages)?;
         let mut stages = Vec::new();
@@ -783,7 +779,6 @@ impl SearchArtifact {
                 best_score,
                 score_trace,
                 evaluations,
-                unique_evaluations,
             },
         })
     }

@@ -169,21 +169,22 @@ pub fn cluster_by_fingerprint(fps: &[[i64; CALIB_DIMS]]) -> Vec<usize> {
     labels
 }
 
-/// Squared distance in calibration space, with the ambient component
-/// normalized by its quantization step so all six axes weigh
-/// comparably.
-fn calibration_distance(
-    a: &[f64; CALIB_DIMS],
-    b: &[f64; CALIB_DIMS],
-    coeff_quant: f64,
-    ambient_quant_c: f64,
-) -> f64 {
+/// Fingerprint bucket width of the five fractional calibration
+/// coefficients.
+const COEFF_QUANT: f64 = 0.05;
+
+/// Fingerprint bucket width of the ambient offset, °C.
+const AMBIENT_QUANT_C: f64 = 3.0;
+
+/// Squared distance in calibration space, each axis normalized by its
+/// fingerprint bucket width so all six weigh comparably.
+fn calibration_distance(a: &[f64; CALIB_DIMS], b: &[f64; CALIB_DIMS]) -> f64 {
     let mut d = 0.0;
     for i in 0..CALIB_DIMS {
         let q = if i == CALIB_DIMS - 1 {
-            ambient_quant_c.max(f64::MIN_POSITIVE)
+            AMBIENT_QUANT_C
         } else {
-            coeff_quant.max(f64::MIN_POSITIVE)
+            COEFF_QUANT
         };
         let diff = (a[i] - b[i]) / q;
         d += diff * diff;
@@ -517,8 +518,6 @@ pub struct FleetController {
     serve: ServeOptions,
     cache: ArtifactCache,
     obs: ObserverHandle,
-    coeff_quant: f64,
-    ambient_quant_c: f64,
     transfer: bool,
     health: HealthPolicy,
     fault_plan: Option<FleetFaultPlan>,
@@ -546,8 +545,6 @@ impl FleetController {
             serve: ServeOptions::default(),
             cache: ArtifactCache::new(),
             obs: ObserverHandle::null(),
-            coeff_quant: 0.05,
-            ambient_quant_c: 3.0,
             transfer: true,
             health: HealthPolicy::default(),
             fault_plan: None,
@@ -642,15 +639,6 @@ impl FleetController {
         self
     }
 
-    /// Sets the fingerprint quantization: coefficient bucket width
-    /// (fractional) and ambient bucket width (°C).
-    #[must_use]
-    pub fn with_quantization(mut self, coeff_quant: f64, ambient_quant_c: f64) -> Self {
-        self.coeff_quant = coeff_quant;
-        self.ambient_quant_c = ambient_quant_c;
-        self
-    }
-
     /// Enables or disables cross-device strategy transfer (off = every
     /// re-optimization runs the cold oracle-seeded search; the
     /// comparison baseline the fleet bench measures against).
@@ -712,14 +700,6 @@ impl FleetController {
                 field: "fleet.health.probation_iterations",
             });
         }
-        for (field, value) in [
-            ("fleet.coeff_quant", self.coeff_quant),
-            ("fleet.ambient_quant_c", self.ambient_quant_c),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(ConfigError::BadThreshold { field, value });
-            }
-        }
         Ok(())
     }
 
@@ -768,8 +748,8 @@ impl FleetController {
             vectors.push(calibration_vector(&self.base, &cfg));
             fps.push(calibration_fingerprint(
                 &vectors[i],
-                self.coeff_quant,
-                self.ambient_quant_c,
+                COEFF_QUANT,
+                AMBIENT_QUANT_C,
             ));
             slots.push(Mutex::new(DeviceSlot {
                 cfg,
@@ -831,18 +811,8 @@ impl FleetController {
                     })
                     .collect();
                 candidates.sort_by(|&a, &b| {
-                    let da = calibration_distance(
-                        &vectors[i],
-                        &vectors[a],
-                        self.coeff_quant,
-                        self.ambient_quant_c,
-                    );
-                    let db = calibration_distance(
-                        &vectors[i],
-                        &vectors[b],
-                        self.coeff_quant,
-                        self.ambient_quant_c,
-                    );
+                    let da = calibration_distance(&vectors[i], &vectors[a]);
+                    let db = calibration_distance(&vectors[i], &vectors[b]);
                     da.total_cmp(&db).then(a.cmp(&b))
                 });
                 for j in candidates {
@@ -1390,10 +1360,7 @@ mod tests {
         let me = [0.0; CALIB_DIMS];
         let near = [0.01, 0.0, 0.0, 0.0, 0.0, 0.5];
         let far = [0.04, 0.01, 0.0, 0.0, 0.0, 2.0];
-        assert!(
-            calibration_distance(&me, &near, 0.05, 3.0)
-                < calibration_distance(&me, &far, 0.05, 3.0)
-        );
+        assert!(calibration_distance(&me, &near) < calibration_distance(&me, &far));
     }
 
     #[test]
@@ -1466,7 +1433,6 @@ mod tests {
             best_score: 1.0,
             score_trace: Vec::new(),
             evaluations: 1,
-            unique_evaluations: 1,
         };
         assert!(strategy_is_sound(&outcome, &allowed));
 
@@ -1505,23 +1471,14 @@ mod tests {
         );
         assert_eq!(
             err(
-                FleetController::new(cfg.clone(), workload.clone()).with_health_policy(
-                    HealthPolicy {
-                        quarantine_after: 0,
-                        ..HealthPolicy::default()
-                    }
-                )
+                FleetController::new(cfg, workload).with_health_policy(HealthPolicy {
+                    quarantine_after: 0,
+                    ..HealthPolicy::default()
+                })
             ),
             ConfigError::ZeroCount {
                 field: "fleet.health.quarantine_after"
             }
         );
-        assert!(matches!(
-            err(FleetController::new(cfg, workload).with_quantization(f64::NAN, 3.0)),
-            ConfigError::BadThreshold {
-                field: "fleet.coeff_quant",
-                ..
-            }
-        ));
     }
 }

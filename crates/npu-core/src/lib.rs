@@ -45,8 +45,8 @@ pub use serve::{
     ServeIteration, ServeOptions, ServeOutcome, ServeRuntime,
 };
 pub use service::{
-    generate_load, CostModel, Disposition, LoadSpec, OptRequest, OptResponse, OptService,
-    Provenance, RejectReason, ServiceBuilder, ServiceMetrics, ServiceOutcome,
+    generate_load, Disposition, LoadSpec, OptRequest, OptResponse, OptService, Provenance,
+    RejectReason, ServiceBuilder, ServiceMetrics, ServiceOutcome,
 };
 pub use session::OptimizationSession;
 pub use sweep::sweep_profiles;

@@ -28,11 +28,19 @@ pub struct OptimizerConfig {
     /// Frequency-adjustment interval for candidate merging, µs.
     pub fai_us: f64,
     /// Search settings. A session runs [`npu_dvfs::serving_search`],
-    /// which reads two fields: `perf_loss_target` and `warm_seeds`. The
-    /// other fields configure [`npu_dvfs::search`], the paper's GA, for
-    /// callers that run it on a stage table directly;
-    /// [`Self::validate`] still checks them.
+    /// which reads one field: `perf_loss_target`. The other fields
+    /// configure [`npu_dvfs::search`], the paper's GA, for callers that
+    /// run it on a stage table directly; [`Self::validate`] still checks
+    /// them.
     pub ga: GaConfig,
+    /// Externally supplied warm-start strategies — e.g. a fleet
+    /// neighbour's cached strategy transferred across devices. The
+    /// session's search scores each one as a candidate next to the exact
+    /// solver's answer ([`npu_dvfs::serving_search`] says how a seed of
+    /// another stage count maps onto the table). Seeds change results,
+    /// so they enter the search cache key. Empty seeds are skipped; an
+    /// empty list (the default) changes nothing.
+    pub warm_seeds: Vec<Vec<FreqMhz>>,
     /// Worker threads for the parallel profiling sweep (`0` =
     /// auto-detect via [`npu_sim::par::resolve_threads`], which honours the
     /// `NPU_THREADS` override). Thread count changes wall time only,
@@ -68,6 +76,7 @@ impl Default for OptimizerConfig {
             fit: FitFunction::Quadratic,
             fai_us: 5_000.0,
             ga: GaConfig::default(),
+            warm_seeds: Vec::new(),
             threads: 0,
             planned_latency_us: None,
         }

@@ -15,9 +15,10 @@
 //! 1. **minimal re-profile** — sweep only a small frequency subset on a
 //!    device frozen at the drifted configuration
 //!    ([`npu_sim::Device::drifted_config`]);
-//! 2. **robust re-fit** — [`OptimizationSession::refit_models`] through
-//!    the MAD-cut fitter, escalating to a wider re-profile
-//!    ([`OptimizationSession::refresh_profile`]) if the fit stays poor;
+//! 2. **fit check** — fit the models to the fresh profiles
+//!    ([`crate::OptimizationSession::build_models`]), measure the fit
+//!    error, and widen the re-profile
+//!    ([`crate::OptimizationSession::refresh_profile`]) when it is poor;
 //! 3. **cached re-search** — the session's exact search
 //!    ([`npu_dvfs::serving_search`]) re-runs against the refreshed
 //!    models through the shared [`ArtifactCache`], scoring any armed
@@ -39,7 +40,6 @@
 use crate::cache::ArtifactCache;
 use crate::optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 use crate::report::MeasuredIteration;
-use crate::session::OptimizationSession;
 use npu_dvfs::{DvfsStrategy, GaOutcome};
 use npu_exec::{
     execute_resilient, execute_strategy, Degradation, ExecutorOptions, ResilientOptions,
@@ -243,9 +243,9 @@ pub struct ServeOptions {
     /// Re-optimizations allowed over the whole run (0 = detect-only:
     /// drift events are emitted but the strategy is never swapped).
     pub max_swaps: usize,
-    /// If the robust re-fit's maximum relative residual exceeds this,
+    /// If the ladder's fit has a maximum relative residual above this,
     /// the ladder escalates: it re-profiles the remaining build
-    /// frequencies before re-fitting again.
+    /// frequencies, and the search fits the models again.
     pub fit_error_escalation: f64,
     /// Guardrailed execution used after a ladder failure.
     pub fallback: ResilientOptions,
@@ -660,8 +660,9 @@ impl<'a> ServeRuntime<'a> {
 
     /// Arms externally supplied warm-start strategies (e.g. a fleet
     /// neighbor's cached strategy) for the *next* re-optimization: they
-    /// become [`npu_dvfs::GaConfig`]'s warm seeds, which the search
-    /// scores as one candidate each next to the exact solver's answer.
+    /// become the session's [`OptimizerConfig::warm_seeds`], which the
+    /// search scores as one candidate each next to the exact solver's
+    /// answer.
     /// Consumed by the next ladder run, whether it succeeds or not;
     /// re-arm per re-optimization.
     pub fn arm_warm_seeds(&mut self, seeds: Vec<Vec<FreqMhz>>) {
@@ -986,7 +987,7 @@ impl<'a> ServeRuntime<'a> {
         // whether the ladder succeeds or fails.
         let seeds = std::mem::take(&mut self.pending_seeds);
         if !seeds.is_empty() {
-            ladder_cfg.ga.warm_seeds = seeds;
+            ladder_cfg.warm_seeds = seeds;
         }
         let full_freqs = self.opts.build_freqs.clone();
         let escalation = self.serve.fit_error_escalation;
@@ -996,9 +997,13 @@ impl<'a> ServeRuntime<'a> {
         // Rung 1: minimal re-profile (the session sweeps only the ladder
         // subset, plus the device maximum).
         session.profile()?;
-        // Rung 2: robust re-fit; escalate to the remaining build
-        // frequencies if the MAD-cut fit still misses badly.
-        let fit_err = Self::refit_error(&mut session)?;
+        // Rung 2: measure the fit error; escalate to the remaining build
+        // frequencies if the fit misses badly.
+        session.build_models()?;
+        let fit_err = match (session.perf_model(), session.profiles()) {
+            (Some(perf), Some(profiles)) => perf.max_fit_error(profiles),
+            _ => 0.0,
+        };
         if fit_err > escalation {
             let extra: Vec<FreqMhz> = full_freqs
                 .iter()
@@ -1007,10 +1012,10 @@ impl<'a> ServeRuntime<'a> {
                 .collect();
             if !extra.is_empty() {
                 session.refresh_profile(&extra)?;
-                let _ = Self::refit_error(&mut session)?;
             }
         }
-        // Rung 3: re-search through the shared cache.
+        // Rung 3: re-search through the shared cache (fitting the
+        // models to a widened profile first).
         let outcome = session.search()?.clone();
         let strategy = outcome.strategy.clone();
         let eval = outcome.best_eval;
@@ -1026,16 +1031,6 @@ impl<'a> ServeRuntime<'a> {
             ActivePrediction::from_eval(&eval, shadow.calibration()),
             outcome,
         ))
-    }
-
-    /// Robust re-fit, returning the perf model's worst relative residual
-    /// against the session's current profiles.
-    fn refit_error(session: &mut OptimizationSession<'_>) -> Result<f64, OptimizeError> {
-        session.refit_models()?;
-        Ok(match (session.perf_model(), session.profiles()) {
-            (Some(perf), Some(profiles)) => perf.max_fit_error(profiles),
-            _ => 0.0,
-        })
     }
 }
 

@@ -166,34 +166,21 @@ pub enum Disposition {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Virtual-time cost model for the admission simulation: what a cold
-/// session and a warm cache hit cost on the request timeline. These are
-/// modeling knobs (they shape queueing, shedding and coalescing), not
-/// measurements — the real sessions run afterwards at wall-clock speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Fixed virtual cost of a cold session (profile + fit + search), µs.
-    pub cold_base_us: f64,
-    /// Additional virtual cold cost per workload operator, µs.
-    pub cold_per_op_us: f64,
-    /// Virtual cost of serving a warm identity from the cache, µs.
-    pub warm_us: f64,
-}
+// Virtual-time costs of the admission simulation: what a cold session
+// and a warm cache hit cost on the request timeline. These are modeling
+// constants (they shape queueing, shedding and coalescing), not
+// measurements — the real sessions run afterwards at wall-clock speed.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            cold_base_us: 20_000.0,
-            cold_per_op_us: 40.0,
-            warm_us: 60.0,
-        }
-    }
-}
+/// Fixed virtual cost of a cold session (profile + fit + search), µs.
+const COLD_BASE_US: f64 = 20_000.0;
+/// Additional virtual cold cost per workload operator, µs.
+const COLD_PER_OP_US: f64 = 40.0;
+/// Virtual cost of serving a warm identity from the cache, µs.
+const WARM_US: f64 = 60.0;
 
-impl CostModel {
-    fn cold_us(&self, workload: &Workload) -> f64 {
-        self.cold_base_us + self.cold_per_op_us * workload.op_count() as f64
-    }
+/// Virtual cost of a cold session over `workload`, µs.
+fn cold_us(workload: &Workload) -> f64 {
+    COLD_BASE_US + COLD_PER_OP_US * workload.op_count() as f64
 }
 
 /// Builder for an [`OptService`], consistent with the `with_*` style of
@@ -210,7 +197,6 @@ pub struct ServiceBuilder {
     virtual_servers: usize,
     coalescing: bool,
     isolated_sessions: bool,
-    cost: CostModel,
 }
 
 impl ServiceBuilder {
@@ -231,7 +217,6 @@ impl ServiceBuilder {
             virtual_servers: 8,
             coalescing: true,
             isolated_sessions: false,
-            cost: CostModel::default(),
         }
     }
 
@@ -312,21 +297,13 @@ impl ServiceBuilder {
         self
     }
 
-    /// Overrides the virtual-time cost model.
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Validates the configuration, then assembles the service.
     ///
     /// # Errors
     ///
     /// Any [`OptimizerConfig::validate`] error;
     /// [`ConfigError::ZeroCount`] for a zero queue capacity or zero
-    /// virtual servers; [`ConfigError::BadThreshold`] for a non-finite or
-    /// negative cost-model entry.
+    /// virtual servers.
     pub fn try_build(self) -> Result<OptService, ConfigError> {
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroCount {
@@ -339,15 +316,6 @@ impl ServiceBuilder {
             });
         }
         self.opts.validate()?;
-        for (field, value) in [
-            ("service.cost.cold_base_us", self.cost.cold_base_us),
-            ("service.cost.cold_per_op_us", self.cost.cold_per_op_us),
-            ("service.cost.warm_us", self.cost.warm_us),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(ConfigError::BadThreshold { field, value });
-            }
-        }
         let calib = self
             .calib
             .unwrap_or_else(|| HardwareCalibration::ground_truth(&self.cfg));
@@ -362,7 +330,6 @@ impl ServiceBuilder {
             virtual_servers: self.virtual_servers,
             coalescing: self.coalescing,
             isolated_sessions: self.isolated_sessions,
-            cost: self.cost,
         })
     }
 }
@@ -401,7 +368,6 @@ pub struct OptService {
     virtual_servers: usize,
     coalescing: bool,
     isolated_sessions: bool,
-    cost: CostModel,
 }
 
 /// Aggregate counters and latency percentiles for one [`OptService::run`].
@@ -510,7 +476,6 @@ enum SimVerdict {
 struct AdmissionSim<'a> {
     requests: &'a [OptRequest],
     obs: &'a ObserverHandle,
-    cost: &'a CostModel,
     coalescing: bool,
     isolated: bool,
     capacity: usize,
@@ -528,7 +493,6 @@ impl<'a> AdmissionSim<'a> {
     fn new(
         requests: &'a [OptRequest],
         obs: &'a ObserverHandle,
-        cost: &'a CostModel,
         coalescing: bool,
         isolated: bool,
         capacity: usize,
@@ -537,7 +501,6 @@ impl<'a> AdmissionSim<'a> {
         Self {
             requests,
             obs,
-            cost,
             coalescing,
             isolated,
             capacity,
@@ -636,7 +599,7 @@ impl<'a> AdmissionSim<'a> {
                 }
             }
             let (completion, kind) = if !self.isolated && self.done_at.contains_key(&identity) {
-                (start + self.cost.warm_us, SimKind::Warm)
+                (start + WARM_US, SimKind::Warm)
             } else if self.coalescing && !self.isolated {
                 match self.inflight.get(&identity) {
                     Some(&(completion, leader)) => {
@@ -652,13 +615,13 @@ impl<'a> AdmissionSim<'a> {
                         (completion, SimKind::Follow)
                     }
                     None => {
-                        let completion = start + self.cost.cold_us(&req.workload);
+                        let completion = start + cold_us(&req.workload);
                         self.inflight.insert(identity, (completion, i as u64));
                         (completion, SimKind::Lead)
                     }
                 }
             } else {
-                let completion = start + self.cost.cold_us(&req.workload);
+                let completion = start + cold_us(&req.workload);
                 if !self.isolated {
                     self.inflight
                         .entry(identity)
@@ -723,7 +686,6 @@ impl OptService {
         let verdicts = AdmissionSim::new(
             load,
             &self.obs,
-            &self.cost,
             self.coalescing,
             self.isolated_sessions,
             self.queue_capacity,
@@ -1081,20 +1043,6 @@ mod tests {
                 field: "service.virtual_servers"
             }
         );
-        let err = OptService::builder(cfg.clone())
-            .with_cost_model(CostModel {
-                warm_us: f64::NAN,
-                ..CostModel::default()
-            })
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ConfigError::BadThreshold {
-                field: "service.cost.warm_us",
-                value,
-            } if value.is_nan()
-        ));
         assert!(OptService::builder(cfg)
             .with_config(quick_opts())
             .try_build()

@@ -30,10 +30,6 @@ use npu_power_model::PowerModel;
 use npu_sim::FreqMhz;
 use std::time::Instant;
 
-/// MAD cut for the robust fit path (the conventional robust z-score
-/// threshold).
-const MAD_K: f64 = 3.5;
-
 /// A staged run of the optimization pipeline over one workload.
 ///
 /// Obtain one via [`EnergyOptimizer::session`]. Stages chain lazily:
@@ -68,9 +64,6 @@ pub struct OptimizationSession<'a> {
     cache: Option<ArtifactCache>,
     profile_cache_key: Option<u64>,
     model_cache_key: Option<u64>,
-    /// Whether the model stage fits through the MAD-cut robust fitter;
-    /// set by [`Self::refit_models`].
-    robust_fit: bool,
     profiles: Option<Vec<FreqProfile>>,
     baseline: Option<MeasuredIteration>,
     perf: Option<PerfModelStore>,
@@ -96,7 +89,6 @@ impl<'a> OptimizationSession<'a> {
             cache: None,
             profile_cache_key: None,
             model_cache_key: None,
-            robust_fit: false,
             profiles: None,
             baseline: None,
             perf: None,
@@ -341,7 +333,7 @@ impl<'a> OptimizationSession<'a> {
             self.phase(Phase::BuildModels, |s| {
                 let key = s
                     .profile_cache_key
-                    .map(|pk| model_key(pk, s.opts.fit, s.robust_fit, &s.opt.calib));
+                    .map(|pk| model_key(pk, s.opts.fit, &s.opt.calib));
                 s.model_cache_key = key;
                 let models = s.cached(key, || s.fit_models())?;
                 s.perf = Some(models.perf);
@@ -359,19 +351,7 @@ impl<'a> OptimizationSession<'a> {
     /// power model from the session's profiles.
     fn fit_models(&self) -> Result<ModelArtifact, OptimizeError> {
         let profiles = self.profiles.as_ref().expect("profile stage ran");
-        let perf = if self.robust_fit {
-            let store = PerfModelStore::build_robust(profiles, self.opts.fit, MAD_K)?;
-            if self.obs.enabled() {
-                self.obs.emit(Event::ModelFitted {
-                    func: self.opts.fit.to_string(),
-                    ops: store.len(),
-                    max_err: store.max_fit_error(profiles),
-                });
-            }
-            store
-        } else {
-            PerfModelStore::build_observed(profiles, self.opts.fit, &self.obs)?
-        };
+        let perf = PerfModelStore::build_observed(profiles, self.opts.fit, &self.obs)?;
         let voltage = self.opt.dev.config().voltage_curve;
         let power = PowerModel::build(self.opt.calib, voltage, profiles)?;
         Ok(ModelArtifact { perf, power })
@@ -380,7 +360,7 @@ impl<'a> OptimizationSession<'a> {
     /// Stage 3 — preprocesses the baseline profile into stages and runs
     /// [`serving_search`] over the stage table (running earlier stages
     /// first if needed): the exact solver's answer or a higher-scoring
-    /// warm seed from [`npu_dvfs::GaConfig::warm_seeds`], polished by
+    /// warm seed from [`OptimizerConfig::warm_seeds`], polished by
     /// coordinate ascent unless the solver certified its answer.
     ///
     /// # Errors
@@ -395,7 +375,7 @@ impl<'a> OptimizationSession<'a> {
                 // latency — switches requested closer together than the
                 // latency cannot land where planned.
                 let fai = s.opts.fai_us.max(s.opt.dev.config().setfreq_latency_us);
-                let key = s.model_cache_key.map(|mk| search_key(mk, fai, &s.opts.ga));
+                let key = s.model_cache_key.map(|mk| search_key(mk, fai, &s.opts));
                 let baseline_records = &s.profiles.as_ref().expect("profile stage ran")[0].records;
                 // A session that runs the search keeps its preprocessed
                 // stages and stage table; one served from the cache
@@ -411,9 +391,12 @@ impl<'a> OptimizationSession<'a> {
                         s.power.as_ref().expect("model stage ran"),
                         &s.opt.dev.config().freq_table,
                     )?;
-                    let ga = &s.opts.ga;
-                    let outcome =
-                        serving_search(&table, ga.perf_loss_target, &ga.warm_seeds, &s.obs);
+                    let outcome = serving_search(
+                        &table,
+                        s.opts.ga.perf_loss_target,
+                        &s.opts.warm_seeds,
+                        &s.obs,
+                    );
                     built = Some((pre, table));
                     Ok(SearchArtifact { outcome })
                 })?;
@@ -540,24 +523,6 @@ impl<'a> OptimizationSession<'a> {
             s.invalidate_models();
             Ok(())
         })
-    }
-
-    /// Re-fits the performance/power models from the current profiles
-    /// through the robust (MAD-cut) fitter — the second rung of the
-    /// drift-response ladder, so that samples straddling a drift
-    /// transition are down-weighted. The session keeps fitting robustly
-    /// from then on. Search and execution state is invalidated and
-    /// recomputes lazily. The artifact cache stays sound: the robust
-    /// flag is part of the model cache key.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimizeError`] if profiling or a model build fails.
-    pub fn refit_models(&mut self) -> Result<(&PerfModelStore, &PowerModel), OptimizeError> {
-        self.profile()?;
-        self.robust_fit = true;
-        self.invalidate_models();
-        self.build_models()
     }
 
     /// Drops every artifact derived from the profiles so the model,

@@ -1,8 +1,8 @@
-//! Incremental strategy-evaluation engine for the GA search.
+//! Incremental evaluation and roulette selection for the GA search.
 //!
 //! Scoring dominates GA wall time: the paper's configuration evaluates
 //! 200 individuals × 600 generations, and every candidate move of the
-//! memetic refinement is another evaluation. Four observations make the
+//! memetic refinement is another evaluation. Two observations make the
 //! hot loop cheap without changing any result:
 //!
 //! 1. **Incrementality.** An evaluation is a sum of per-stage cells plus
@@ -15,34 +15,23 @@
 //!    pass after any sequence of gene flips (`x + 0.0` is exact, and
 //!    both paths perform the identical `left + right` additions).
 //! 2. **Lineage.** A GA child is a copy of one parent with another
-//!    parent's suffix and at most one point mutation. [`GenomePool`]
-//!    keeps each genome's sums for aligned blocks of that same tree and
-//!    carries them from parent to child, so [`EvalEngine`] scores a
-//!    genome by folding at most 32 block sums to the root.
-//! 3. **Redundancy.** Elitism, crossover between similar parents and
-//!    seeded individuals make duplicate genomes common. [`EvalEngine`]
-//!    memoizes score by genome fingerprint — in a bounded, deterministic
-//!    [`FingerprintRing`] of 2^20 virtual slots rather than an unbounded
-//!    map — and evaluates only first occurrences. The ring stores only
-//!    the slots it fills, in buckets reserved for the genomes the caller
-//!    will score, so a 40 × 60 search sets up a few thousand buckets
-//!    instead of a million slots.
-//! 4. **Flat genomes.** Fingerprints are maintained incrementally by the
-//!    pool (O(1) per mutation instead of an O(n) hash per lookup), and
-//!    all dedup and result buffers are engine-owned and reused, so a
-//!    warm scoring pass allocates nothing.
+//!    parent's suffix and at most one point mutation.
+//!    [`crate::GenomePool`] keeps each genome's sums for aligned blocks
+//!    of that same tree and carries them from parent to child, so the GA
+//!    scores a genome by folding at most 32 block sums to the root
+//!    ([`crate::GenomePool::evaluate`]).
 //!
-//! Scoring is a pure function of the genome and runs on the caller's
-//! thread: once a score is a fold of block sums, a second worker costs
-//! more to spawn than it saves.
+//! Scoring is a pure function of the genome, and the GA folds every
+//! genome of a generation on the caller's thread. At a few dozen
+//! additions per score, nothing in front of the fold pays for itself: a
+//! score memo that served 29 % of Fig. 17's generation scorings saved no
+//! measurable wall time, and a second worker costs more to spawn than it
+//! saves.
 //!
 //! [`RouletteWheel`] replaces the O(population) linear selection scan
 //! with a prefix-sum + binary-search sampler over pre-normalized
 //! cumulative weights.
 
-use crate::ga::score;
-use crate::memo::FingerprintRing;
-use crate::pool::GenomePool;
 use crate::strategy::{Evaluation, StageTable, Sums};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -186,170 +175,6 @@ impl<'t> IncrementalEval<'t> {
             idx /= 2;
         }
         self.table.finish_sums(acc)
-    }
-}
-
-/// Virtual slots in the score memo: a fingerprint's slot is its low 20
-/// bits, so this fixes which genomes evict each other and with it every
-/// hit, miss and evaluation count. Storage grows with the entries (see
-/// [`FingerprintRing`]), so a search stores only the scores it computes;
-/// the old unbounded `HashMap` grew past 8.9 M entries on a GPT-3-sized
-/// run.
-const MEMO_SLOTS: usize = 1 << 20;
-
-/// Virtual slots in the within-call dedup ring (regrown if a population
-/// ever exceeds half of it).
-const SEEN_SLOTS: usize = 1 << 12;
-
-/// Population scorer: memoized, from block sums.
-///
-/// Scores are a pure function of the genome (given the table, baseline
-/// time and loss target fixed at construction), and duplicate genomes
-/// are served from a bounded memo without re-evaluation. Duplicate
-/// detection and memo updates run in population-index order, so the
-/// memo's (bounded, deterministic) eviction sequence is a pure function
-/// of the genome sequence.
-///
-/// Populations arrive as a bit-packed [`GenomePool`] through
-/// [`Self::score_pool`]. All dedup and result buffers are engine-owned,
-/// and the memo reserves buckets for the genomes the caller says it will
-/// score: a warm [`Self::score_pool`] call performs no heap allocation.
-#[derive(Debug)]
-pub struct EvalEngine<'t> {
-    table: &'t StageTable,
-    baseline_time_us: f64,
-    perf_loss_target: f64,
-    /// Bounded fingerprint → score memo (deterministic eviction).
-    memo: FingerprintRing<f64>,
-    /// Within-call dedup: fingerprint → first population index.
-    seen: FingerprintRing<u32>,
-    scores_buf: Vec<f64>,
-    /// Population indices needing evaluation this call.
-    pending: Vec<u32>,
-    /// `(dst, src)` within-population duplicate copies.
-    copy_from: Vec<(u32, u32)>,
-    scored: usize,
-    unique_scored: usize,
-}
-
-impl<'t> EvalEngine<'t> {
-    /// Creates an engine scoring against `table` whose memo reserves
-    /// buckets for `genomes` scores — the number of genomes the caller
-    /// will score (the GA passes population × iterations). Scoring more
-    /// stays correct; the memo then grows, up to its fixed virtual size.
-    #[must_use]
-    pub fn new(
-        table: &'t StageTable,
-        baseline_time_us: f64,
-        perf_loss_target: f64,
-        genomes: usize,
-    ) -> Self {
-        Self {
-            table,
-            baseline_time_us,
-            perf_loss_target,
-            memo: FingerprintRing::with_reserve(MEMO_SLOTS, genomes),
-            seen: FingerprintRing::new(SEEN_SLOTS),
-            scores_buf: Vec::new(),
-            pending: Vec::new(),
-            copy_from: Vec::new(),
-            scored: 0,
-            unique_scored: 0,
-        }
-    }
-
-    /// Individuals scored so far, memo hits included.
-    #[must_use]
-    pub fn scored(&self) -> usize {
-        self.scored
-    }
-
-    /// Individuals actually evaluated (memo misses).
-    #[must_use]
-    pub fn unique_scored(&self) -> usize {
-        self.unique_scored
-    }
-
-    /// Live entries in the score memo (bounded by
-    /// [`Self::memo_capacity`]).
-    #[must_use]
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Hard bound on the score memo's entry count.
-    #[must_use]
-    pub fn memo_capacity(&self) -> usize {
-        self.memo.capacity()
-    }
-
-    /// Buckets the score memo has allocated (at most
-    /// [`Self::memo_capacity`]).
-    #[must_use]
-    pub fn memo_buckets(&self) -> usize {
-        self.memo.buckets()
-    }
-
-    /// Scores every genome of a pool, returning one score per genome in
-    /// index order (a view into an engine-owned buffer, valid until the
-    /// next scoring call). Duplicates — within the pool or across
-    /// earlier calls — are evaluated once; the rest are evaluated from
-    /// their block sums ([`GenomePool::evaluate`]) in index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is bound to a different table than the engine
-    /// (compared by address).
-    #[must_use]
-    pub fn score_pool(&mut self, pool: &GenomePool<'_>) -> &[f64] {
-        assert!(
-            std::ptr::eq(pool.table(), self.table),
-            "genome pool must be bound to the engine's stage table"
-        );
-        let (bt, lt) = (self.baseline_time_us, self.perf_loss_target);
-        let count = pool.len();
-        debug_assert!(count <= u32::MAX as usize, "population exceeds u32 indices");
-        self.scored += count;
-
-        // Dedup pass, in index order: resolve duplicates within this
-        // population to their first occurrence, serve memoized genomes,
-        // queue the rest.
-        if self.seen.capacity() < count.saturating_mul(2) {
-            self.seen = FingerprintRing::with_reserve(count * 2, count);
-        } else {
-            self.seen.clear();
-            self.seen.reserve(count);
-        }
-        self.scores_buf.clear();
-        self.scores_buf.resize(count, 0.0);
-        self.pending.clear();
-        self.copy_from.clear();
-        for (i, slot) in self.scores_buf.iter_mut().enumerate() {
-            let fp = pool.fp(i);
-            if let Some(j) = self.seen.get(fp) {
-                self.copy_from.push((i as u32, j));
-            } else if let Some(s) = self.memo.get(fp) {
-                self.seen.insert(fp, i as u32);
-                *slot = s;
-            } else {
-                self.seen.insert(fp, i as u32);
-                self.pending.push(i as u32);
-            }
-        }
-        self.unique_scored += self.pending.len();
-
-        // Evaluate the pending genomes. Memo writes follow in index
-        // order after the whole dedup pass, so eviction is a pure
-        // function of the genome sequence.
-        for &i in &self.pending {
-            let s = score(&pool.evaluate(i as usize), bt, lt);
-            self.scores_buf[i as usize] = s;
-            self.memo.insert(pool.fp(i as usize), s);
-        }
-        for &(dst, src) in &self.copy_from {
-            self.scores_buf[dst as usize] = self.scores_buf[src as usize];
-        }
-        &self.scores_buf
     }
 }
 
@@ -549,128 +374,6 @@ mod tests {
         let t = table(0);
         let inc = IncrementalEval::new(&t, &[]);
         assert_bit_identical(&inc.eval(), &t.evaluate(&[]));
-    }
-
-    #[test]
-    fn pool_scores_bit_match_direct_evaluation() {
-        let t = table(11);
-        let baseline = t.baseline().time_us;
-        // Stages 0-2 spell `i` in base 9, so all 200 genomes are
-        // distinct and every one is pending.
-        let population: Vec<Vec<usize>> = (0..200_usize)
-            .map(|i| {
-                (0..11_u32)
-                    .map(|s| (i / 9_usize.pow(s % 3) + s as usize) % t.n_freqs())
-                    .collect()
-            })
-            .collect();
-        let mut pool = GenomePool::new(&t);
-        for g in &population {
-            pool.push_genes(g);
-        }
-        let expect: Vec<u64> = population
-            .iter()
-            .map(|g| score(&t.evaluate(g), baseline, 0.02).to_bits())
-            .collect();
-        let mut engine = EvalEngine::new(&t, baseline, 0.02, 200);
-        let got: Vec<u64> = engine
-            .score_pool(&pool)
-            .iter()
-            .map(|s| s.to_bits())
-            .collect();
-        assert_eq!(got, expect);
-        assert_eq!(engine.unique_scored(), population.len());
-    }
-
-    #[test]
-    fn engine_memoizes_duplicates() {
-        let t = table(4);
-        let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02, 5);
-        let a = [1, 2, 3, 4];
-        let b = [8, 8, 8, 8];
-        let mut pool = GenomePool::new(&t);
-        for g in [&a, &b, &a, &a] {
-            pool.push_genes(g);
-        }
-        let scores = engine.score_pool(&pool).to_vec();
-        assert_eq!(engine.scored(), 4);
-        assert_eq!(engine.unique_scored(), 2);
-        assert_eq!(engine.memo_len(), 2);
-        assert!(engine.memo_len() <= engine.memo_capacity());
-        assert_eq!(scores[0].to_bits(), scores[2].to_bits());
-        assert_eq!(scores[0].to_bits(), scores[3].to_bits());
-        // A later generation repeating a genome is served from the memo.
-        pool.clear();
-        pool.push_genes(&a);
-        let again = engine.score_pool(&pool)[0];
-        assert_eq!(engine.unique_scored(), 2);
-        assert_eq!(again.to_bits(), scores[0].to_bits());
-    }
-
-    #[test]
-    fn engine_reuse_is_stable_across_generations() {
-        // Successive generations reuse the engine's buffers and memo;
-        // scores must stay identical to direct evaluation no matter what
-        // the previous generation left behind.
-        let t = table(9);
-        let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02, 600);
-        for gen in 0..3_usize {
-            let mut pool = GenomePool::new(&t);
-            let population: Vec<Vec<usize>> = (0..200)
-                .map(|i| {
-                    (0..9)
-                        .map(|s| (gen * 31 + i * 7 + s * 3) % t.n_freqs())
-                        .collect()
-                })
-                .collect();
-            for g in &population {
-                pool.push_genes(g);
-            }
-            let got = engine.score_pool(&pool).to_vec();
-            for (g, s) in population.iter().zip(&got) {
-                let direct = score(&t.evaluate(g), baseline, 0.02);
-                assert_eq!(s.to_bits(), direct.to_bits(), "gen {gen}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_40_by_60_search_reserves_at_most_8192_buckets_and_never_grows() {
-        let t = table(24);
-        let baseline = t.baseline().time_us;
-        let mut engine = EvalEngine::new(&t, baseline, 0.02, 40 * 60);
-        let reserved = engine.memo_buckets();
-        assert!(reserved <= 8_192, "{reserved} buckets");
-        assert_eq!(engine.memo_capacity(), MEMO_SLOTS);
-        // The memo's worst case: all 2,400 genomes distinct (stages 0-3
-        // spell the genome's index in base 9).
-        let mut pool = GenomePool::new(&t);
-        let mut genes = vec![0_usize; 24];
-        for gen in 0..60 {
-            pool.clear();
-            for i in 0..40 {
-                let k = gen * 40 + i;
-                for (s, g) in genes.iter_mut().enumerate() {
-                    *g = k / 9_usize.pow(s as u32 % 4) % 9;
-                }
-                pool.push_genes(&genes);
-            }
-            let _ = engine.score_pool(&pool);
-            assert_eq!(engine.memo_buckets(), reserved, "generation {gen}");
-        }
-        assert_eq!(engine.unique_scored(), 40 * 60);
-    }
-
-    #[test]
-    #[should_panic(expected = "engine's stage table")]
-    fn score_pool_rejects_a_pool_bound_to_another_table() {
-        let (t, other) = (table(4), table(4));
-        let mut engine = EvalEngine::new(&t, t.baseline().time_us, 0.02, 1);
-        let mut pool = GenomePool::new(&other);
-        pool.push_genes(&[0, 1, 2, 3]);
-        let _ = engine.score_pool(&pool);
     }
 
     #[test]

@@ -359,9 +359,13 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
 }
 
 /// The search behind every serving path: [`solve`] at `loss`, then
-/// each non-empty warm seed mapped onto the table (the same mapping the
-/// GA's warm seeds take: see [`crate::GaConfig::warm_seeds`]) and scored
-/// as one more candidate. The highest-scoring candidate wins; a seed
+/// each non-empty warm seed — a per-stage frequency vector, e.g. a fleet
+/// neighbour's strategy transferred across devices — mapped onto the
+/// table and scored as one more candidate. A seed maps each frequency to
+/// the nearest grid point at or above it and, when its length differs
+/// from the table's stage count, stretches or compresses by proportional
+/// stage index, so a strategy searched under another stage split still
+/// lands. The highest-scoring candidate wins; a seed
 /// must score strictly higher to displace the solver's answer. Unless
 /// the solver certified its answer, coordinate ascent then climbs from
 /// the winner to a coordinate-wise optimum, inside the bound
@@ -369,7 +373,7 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
 /// [`Event::SearchSolved`].
 ///
 /// The outcome reads like a GA's: `score_trace` is `[best_score]`, and
-/// both evaluation counts are the candidates plus the ascent's probes.
+/// `evaluations` counts the candidates plus the ascent's probes.
 /// `best_eval` is bit-identical to [`StageTable::evaluate`] of the
 /// returned strategy's genes.
 ///
@@ -419,7 +423,6 @@ pub fn serving_search(
         best_score,
         score_trace: vec![best_score],
         evaluations: candidates + probes,
-        unique_evaluations: candidates + probes,
     }
 }
 
@@ -862,7 +865,6 @@ mod tests {
         assert_eq!(cold.best_score.to_bits(), solved.score.to_bits());
         assert_eq!(cold.best_eval, solved.eval);
         assert_eq!(cold.score_trace, vec![cold.best_score]);
-        assert_eq!(cold.evaluations, cold.unique_evaluations);
 
         // A seed that only ties keeps the solver's answer; an empty seed
         // is skipped.
@@ -901,6 +903,42 @@ mod tests {
         assert_eq!(seeded.strategy.freqs(), &[lo, lo], "one gene stretched");
         assert!(seeded.best_score > unbounded.best_score);
         assert_eq!(seeded.best_eval, t.evaluate(&[0, 0]));
+    }
+
+    #[test]
+    fn warm_seeds_with_mismatched_stage_counts_are_stretched() {
+        // A seed searched on a device whose profile split into a
+        // different stage count maps by proportional index: its own
+        // mapped evaluation bounds the served score from below.
+        let coupling = ThermalCoupling {
+            gamma_aicore: 0.05,
+            gamma_soc: 0.1,
+            k_c_per_w: 0.08,
+        };
+        let t = table(4, 4).with_thermal_coupling(coupling, vec![0.9; 9]); // 8 stages
+        let obs = ObserverHandle::null();
+        // A 4-gene seed (half the stages): low for the memory half, max
+        // for the compute half.
+        let lo = t.freqs()[0];
+        let hi = *t.freqs().last().unwrap();
+        let seed = vec![lo, lo, hi, hi];
+        let n = t.n_stages();
+        let mapped: Vec<usize> = (0..n)
+            .map(|i| {
+                let f = seed[i * seed.len() / n];
+                t.freqs().iter().position(|&g| g >= f).unwrap()
+            })
+            .collect();
+        let mut genes = Vec::new();
+        t.map_freqs(&seed, &mut genes);
+        assert_eq!(genes, mapped);
+        let seed_score = score(&t.evaluate(&mapped), t.baseline().time_us, 0.02);
+        let warm = serving_search(&t, 0.02, &[seed], &obs);
+        assert!(warm.best_score >= seed_score);
+        // Empty seeds are skipped and change nothing.
+        let cold = serving_search(&t, 0.02, &[], &obs);
+        let noop = serving_search(&t, 0.02, &[Vec::new()], &obs);
+        assert_eq!(cold, noop, "empty warm seed must not perturb the search");
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! (roulette) selection, last-`k` suffix crossover, and single-gene
 //! mutation, with the best individual carried over unchanged.
 //!
-//! Generations live in a bit-packed [`GenomePool`] arena (two pools,
-//! swapped per generation). Children are built inside the arena by
-//! copy, suffix swap and point mutation, which carry each parent's
-//! evaluation-tree block sums over to the child, and
-//! [`crate::EvalEngine`] scores them from those sums, memoized. The hot
-//! loop performs no per-individual heap allocation, and scoring is a
-//! pure function of the genome, so the search returns a bit-identical
-//! [`GaOutcome`] for a given seed.
+//! Generations live in a [`GenomePool`] arena (two pools, swapped per
+//! generation). Children are built inside the arena by copy, suffix swap
+//! and point mutation, which carry each parent's evaluation-tree block
+//! sums over to the child, and every genome of a generation is scored by
+//! folding those sums ([`GenomePool::evaluate`]) on the calling thread.
+//! The hot loop performs no per-individual heap allocation, and scoring
+//! is a pure function of the genome, so the search returns a
+//! bit-identical [`GaOutcome`] for a given seed.
 //!
 //! The first generation can additionally be seeded from the
 //! [`crate::exact`] Lagrangian ladder (see [`GaConfig::oracle_seeds`]):
@@ -26,7 +26,7 @@
 //! this GA: they call [`crate::exact::serving_search`]. The GA stays for
 //! the paper's figures, which call [`search`] directly.
 
-use crate::engine::{EvalEngine, IncrementalEval, RouletteWheel};
+use crate::engine::{IncrementalEval, RouletteWheel};
 use crate::exact;
 use crate::pool::GenomePool;
 use crate::preprocess::StageKind;
@@ -64,23 +64,6 @@ pub struct GaConfig {
     /// itself, but it reduces the number of random first-generation
     /// individuals, so turning it on changes the search trajectory.
     pub oracle_seeds: usize,
-    /// Externally supplied warm-start strategies — e.g. a fleet
-    /// neighbor's cached strategy transferred across devices. Each seed
-    /// is a per-stage frequency vector; it is mapped onto the table's
-    /// frequency grid (nearest point at or above each requested
-    /// frequency) and, when its length differs from the table's stage
-    /// count, stretched/compressed by proportional index, so a strategy
-    /// searched on a device with a different stage split still lands as
-    /// a sensible candidate. The GA injects them into its first
-    /// generation: like oracle seeds, injection consumes no RNG draws
-    /// itself but displaces random first-generation individuals, so
-    /// arming seeds changes the search trajectory. The serving search
-    /// ([`crate::exact::serving_search`]) scores each one as a candidate
-    /// next to the exact solver's answer. Either way seeds change
-    /// results, so they belong in any content-addressed cache key.
-    /// Empty seeds are skipped; an empty list (the default) changes
-    /// nothing.
-    pub warm_seeds: Vec<Vec<FreqMhz>>,
 }
 
 impl Default for GaConfig {
@@ -96,7 +79,6 @@ impl Default for GaConfig {
             hfc_prior: FreqMhz::new(1800),
             seed: 0x6A_5EED,
             oracle_seeds: 0,
-            warm_seeds: Vec::new(),
         }
     }
 }
@@ -130,14 +112,6 @@ impl GaConfig {
         self.oracle_seeds = seeds;
         self
     }
-
-    /// Sets the externally supplied warm-start seed strategies (see
-    /// [`Self::warm_seeds`]), chainable.
-    #[must_use]
-    pub fn with_warm_seeds(mut self, seeds: Vec<Vec<FreqMhz>>) -> Self {
-        self.warm_seeds = seeds;
-        self
-    }
 }
 
 /// Result of a GA search.
@@ -151,12 +125,8 @@ pub struct GaOutcome {
     pub best_score: f64,
     /// Best score after each generation (paper Fig. 17).
     pub score_trace: Vec<f64>,
-    /// Total individuals scored (GA generations, memo hits included,
-    /// plus refinement probes).
+    /// Total individuals scored (GA generations plus refinement probes).
     pub evaluations: usize,
-    /// Evaluations actually computed — [`Self::evaluations`] minus the
-    /// duplicates the engine served from its genome memo.
-    pub unique_evaluations: usize,
 }
 
 /// Scores one evaluation per Eq. (17): `Score = (Per/Per_base)² / Power`,
@@ -200,10 +170,9 @@ pub fn search(table: &StageTable, cfg: &GaConfig) -> GaOutcome {
 }
 
 /// Like [`search`], additionally emitting one [`Event::GaGeneration`] per
-/// generation through `obs` (generation index, best score so far, and the
-/// memo hits the evaluation engine served that generation). The search
-/// trajectory is untouched: with a disabled handle the outcome is
-/// bit-identical to [`search`].
+/// generation through `obs` (generation index and best score so far;
+/// `memo_hits` is always 0). The search trajectory is untouched: with a
+/// disabled handle the outcome is bit-identical to [`search`].
 ///
 /// # Panics
 ///
@@ -225,12 +194,11 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             best_score: 0.0,
             score_trace: Vec::new(),
             evaluations: 0,
-            unique_evaluations: 0,
         };
     }
 
     // First generation: baseline + prior (+ oracle) + random (paper
-    // Sect. 6.3.1), built directly into the bit-packed arena.
+    // Sect. 6.3.1), built directly into the arena.
     let max_gene = m - 1;
     let mut pool = GenomePool::with_capacity(table, cfg.population + 1);
     let mut next = GenomePool::with_capacity(table, cfg.population + 1);
@@ -282,45 +250,26 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             pool.push_genes(&seed.genes);
         }
     }
-    // Warm-start seeds: externally supplied strategies (cross-device
-    // transfer). Mapped by proportional stage index so seeds from a
-    // device whose profile split into a different stage count still
-    // apply; like the oracle block above, this draws nothing from the
-    // RNG, so an empty list leaves the trajectory untouched.
-    for seed in &cfg.warm_seeds {
-        if seed.is_empty() {
-            continue;
-        }
-        if pool.len() + 1 >= cfg.population {
-            break;
-        }
-        table.map_freqs(seed, &mut genes_buf);
-        pool.push_genes(&genes_buf);
-    }
     while pool.len() < cfg.population {
         genes_buf.clear();
         genes_buf.extend((0..n).map(|_| rng.gen_range(0..m)));
         pool.push_genes(&genes_buf);
     }
 
-    // All scoring flows through the engine: memoized (elites and seeded
-    // duplicates are evaluated once) and folded from block sums. The RNG
-    // stream above/below never depends on scoring internals.
-    // The memo reserves buckets for every genome the generations score,
-    // so it never reallocates mid-search.
-    let mut engine = EvalEngine::new(
-        table,
-        baseline_time,
-        cfg.perf_loss_target,
-        cfg.population.saturating_mul(cfg.iterations),
-    );
-    let reserved_buckets = engine.memo_buckets();
+    // Every genome is scored by folding its inherited block sums, in
+    // index order, into one reused buffer. The RNG stream above/below
+    // never depends on scoring internals.
+    let mut scores = Vec::with_capacity(cfg.population);
     let mut score_trace = Vec::with_capacity(cfg.iterations);
     let mut best_score = f64::NEG_INFINITY;
-    let mut prev_memo_hits = 0;
+    let mut evaluations = 0;
 
     for iter in 0..cfg.iterations {
-        let scores = engine.score_pool(&pool);
+        scores.clear();
+        scores.extend(
+            (0..pool.len()).map(|i| score(&pool.evaluate(i), baseline_time, cfg.perf_loss_target)),
+        );
+        evaluations += scores.len();
         // The population is never empty; the fallback keeps this
         // panic-free without perturbing any reachable trajectory.
         let (gen_best_idx, gen_best) = scores
@@ -344,15 +293,13 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
         // prefix-sum wheel (O(log n) per draw). Children are copied,
         // crossed and mutated inside the arena — no per-individual
         // allocation.
-        let wheel = RouletteWheel::new(scores);
+        let wheel = RouletteWheel::new(&scores);
         if obs.enabled() {
-            let memo_hits = engine.scored() - engine.unique_scored();
             obs.emit(Event::GaGeneration {
                 iter,
                 best_score,
-                memo_hits: memo_hits - prev_memo_hits,
+                memo_hits: 0,
             });
-            prev_memo_hits = memo_hits;
         }
         next.clear();
         next.push_copy_from(&pool, elite); // elitism
@@ -377,13 +324,6 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
         std::mem::swap(&mut pool, &mut next);
     }
 
-    debug_assert_eq!(
-        engine.memo_buckets(),
-        reserved_buckets,
-        "memo outgrew its reservation"
-    );
-    let mut evaluations = engine.scored();
-    let mut unique_evaluations = engine.unique_scored();
     let mut best_genes = Vec::with_capacity(n);
     pool.read_genes(0, &mut best_genes);
 
@@ -459,7 +399,6 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     let (genes_a, eval_a) = refine(&best_genes, &mut probes);
     let (genes_b, eval_b) = refine(&vec![max_gene; n], &mut probes);
     evaluations += probes;
-    unique_evaluations += probes;
     let score_a = score(&eval_a, baseline_time, cfg.perf_loss_target);
     let score_b = score(&eval_b, baseline_time, cfg.perf_loss_target);
     // The GA's own best stays a candidate: when it sits over budget the
@@ -487,7 +426,6 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
         best_score,
         score_trace,
         evaluations,
-        unique_evaluations,
     }
 }
 
@@ -617,42 +555,14 @@ mod tests {
         let observed = search_observed(&t, &quick_cfg(), &obs);
         assert_eq!(silent, observed, "observer must not change the search");
         assert_eq!(metrics.counter("event.GaGeneration"), 120);
-        // The per-generation memo-hit deltas add up to the search totals.
-        assert_eq!(
-            metrics.counter("ga.memo_hits") as usize,
-            // Refinement probes are all unique, so GA-phase hits are the
-            // difference of the outcome's totals.
-            observed.evaluations - observed.unique_evaluations
-        );
+        // Every genome is folded from its block sums; nothing is memoized.
+        assert_eq!(metrics.counter("ga.memo_hits"), 0);
         let scores = metrics.histogram("ga.best_score").unwrap();
         assert_eq!(scores.count, 120);
         // Events carry the pre-refinement trace, which the memetic pass
         // can only improve upon.
         assert!(scores.max <= observed.score_trace[119] + 1e-12);
         assert!(scores.max >= observed.score_trace[0]);
-    }
-
-    #[test]
-    fn a_40_by_60_search_stays_within_its_memo_reservation() {
-        // Debug builds assert after the generations that the memo kept
-        // the buckets it reserved for population × iterations genomes.
-        let t = table(12, 12);
-        let cfg = quick_cfg().with_population(40).with_iterations(60);
-        assert_eq!(search(&t, &cfg).score_trace.len(), 60);
-    }
-
-    #[test]
-    fn memo_skips_duplicate_individuals() {
-        // Elitism alone guarantees duplicates across generations, so the
-        // engine must evaluate strictly fewer genomes than it scores.
-        let t = table(3, 3);
-        let out = search(&t, &quick_cfg());
-        assert!(
-            out.unique_evaluations < out.evaluations,
-            "expected memo hits: {} unique of {}",
-            out.unique_evaluations,
-            out.evaluations
-        );
     }
 
     #[test]
@@ -712,65 +622,6 @@ mod tests {
             let seeded = search(&t, &cfg.clone().with_oracle_seeds(1));
             assert_eq!(seeded.score_trace[0], best_rung, "{} stages", t.n_stages());
         }
-    }
-
-    #[test]
-    fn warm_seeding_with_a_known_strategy_never_scores_below_cold_start() {
-        // Transferring the cold search's own winning strategy back in as
-        // a warm seed models the best case of cross-device transfer (an
-        // identical twin). Elitism puts the seed in generation 0 and the
-        // refinement is monotone from the best individual, so the warm
-        // outcome can never score below the cold one.
-        let t = table(6, 6);
-        let short = quick_cfg().with_iterations(10);
-        let cold = search(&t, &short);
-        let warm = search(
-            &t,
-            &short
-                .clone()
-                .with_warm_seeds(vec![cold.strategy.freqs().to_vec()]),
-        );
-        assert!(
-            warm.best_score >= cold.best_score,
-            "warm {} < cold {}",
-            warm.best_score,
-            cold.best_score
-        );
-        // The seed is already in generation 0, so the first trace entry
-        // must be at least its own score.
-        assert!(warm.score_trace[0] >= cold.best_score);
-    }
-
-    #[test]
-    fn warm_seeds_with_mismatched_stage_counts_are_stretched() {
-        // A seed searched on a device whose profile split into a
-        // different stage count maps by proportional index: its own
-        // mapped evaluation bounds generation 0 from below.
-        let t = table(4, 4); // 8 stages
-        let short = quick_cfg().with_iterations(5);
-        // A 4-gene seed (half the stages): low for the memory half,
-        // max for the compute half.
-        let lo = t.freqs()[0];
-        let hi = *t.freqs().last().unwrap();
-        let seed = vec![lo, lo, hi, hi];
-        let warm = search(&t, &short.clone().with_warm_seeds(vec![seed.clone()]));
-        let n = t.n_stages();
-        let mapped: Vec<usize> = (0..n)
-            .map(|i| {
-                let f = seed[i * seed.len() / n];
-                t.freqs().iter().position(|&g| g >= f).unwrap()
-            })
-            .collect();
-        let seed_score = score(
-            &t.evaluate(&mapped),
-            t.baseline().time_us,
-            short.perf_loss_target,
-        );
-        assert!(warm.score_trace[0] >= seed_score);
-        // Empty seeds are skipped and change nothing.
-        let cold = search(&t, &short);
-        let noop = search(&t, &short.clone().with_warm_seeds(vec![Vec::new()]));
-        assert_eq!(cold, noop, "empty warm seed must not perturb the search");
     }
 
     #[test]

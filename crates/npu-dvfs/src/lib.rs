@@ -14,18 +14,16 @@
 //!   individuals, Eq. (17) scoring with a doubled score when the
 //!   performance bound is met, roulette selection, last-`k` crossover and
 //!   point mutation;
-//! * [`EvalEngine`] / [`IncrementalEval`] / [`RouletteWheel`] — the
-//!   evaluation engine behind [`search`]: memoized (bounded,
-//!   deterministically evicting [`FingerprintRing`]) and incremental
-//!   (O(changed genes · log stages) per re-score, bit-identical to a
-//!   full pass);
-//! * [`GenomePool`] — the bit-packed structure-of-arrays genome arena
-//!   the GA generations live in, bound to its [`StageTable`]: 4 bits per
-//!   gene for the paper's 9-level frequency ladder, one contiguous
-//!   buffer reused across generations, O(1) incrementally-maintained
-//!   fingerprints, and per-genome block sums of the evaluation tree that
-//!   children inherit from their parents, so scoring a child folds at
-//!   most 32 sums instead of re-summing every stage;
+//! * [`IncrementalEval`] / [`RouletteWheel`] — incremental evaluation
+//!   for the GA's memetic refinement (O(changed genes · log stages) per
+//!   re-score, bit-identical to a full pass) and its O(log n) roulette
+//!   selection;
+//! * [`GenomePool`] — the structure-of-arrays genome arena the GA
+//!   generations live in, bound to its [`StageTable`]: one byte per
+//!   gene, one contiguous buffer reused across generations, and
+//!   per-genome block sums of the evaluation tree that children inherit
+//!   from their parents, so scoring a child folds at most 32 sums
+//!   instead of re-summing every stage;
 //! * [`exact`] — the per-stage separable oracle: a Pareto-frontier
 //!   dynamic program that certifies the true Eq. (17) optimum on
 //!   thermally-uncoupled tables (bit-identical to [`StageTable`]
@@ -55,7 +53,6 @@ pub mod classify;
 mod engine;
 pub mod exact;
 mod ga;
-mod memo;
 pub mod persist;
 mod pool;
 pub mod preprocess;
@@ -63,11 +60,10 @@ mod strategy;
 
 pub use baseline::{phase_level, program_level, BaselineOutcome};
 pub use classify::{Bottleneck, Sensitivity};
-pub use engine::{EvalEngine, IncrementalEval, RouletteWheel};
+pub use engine::{IncrementalEval, RouletteWheel};
 pub use exact::{serving_search, ExactConfig, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
-pub use memo::FingerprintRing;
 pub use persist::{read_strategy, write_strategy, StrategyParseError, STRATEGY_HEADER};
-pub use pool::{genome_fingerprint, GenomePool};
+pub use pool::GenomePool;
 pub use preprocess::{Preprocessed, Stage, StageKind};
 pub use strategy::{DvfsStrategy, Evaluation, StageTable, TableError, ThermalCoupling};

@@ -1,24 +1,17 @@
 //! Flat, allocation-free genome storage for the GA hot path.
 //!
 //! A GA generation used to live as `Vec<Vec<usize>>`: one heap
-//! allocation per individual, 8 bytes per gene, and a full O(n) pass
-//! (fingerprint + evaluation) per score. [`GenomePool`] replaces that
-//! with a struct-of-arrays arena bound to the [`StageTable`] its genomes
-//! are scored against:
+//! allocation per individual, 8 bytes per gene, and a full O(n) pass per
+//! score. [`GenomePool`] replaces that with a struct-of-arrays arena
+//! bound to the [`StageTable`] its genomes are scored against:
 //!
-//! * **Bit-packed genes.** A gene indexes one of at most 256 frequency
-//!   points, so it fits in 4 bits (≤16 points — the paper's ladder has
-//!   9) or 8 bits. A GPT-3-sized genome (960 stages) is 60 `u64` words
-//!   instead of 7.7 KB of `usize`s.
-//! * **One contiguous buffer.** Genome `i` occupies
-//!   `words[i*W .. (i+1)*W]`. Building the next generation reuses the
+//! * **One byte per gene.** A gene indexes one of at most 256 frequency
+//!   points, so genome `i` is the byte run `genes[i*n .. (i+1)*n]`. A
+//!   GPT-3-sized genome (960 stages) is 960 bytes instead of 7.7 KB of
+//!   `usize`s.
+//! * **One contiguous buffer.** Building the next generation reuses the
 //!   arena via [`GenomePool::clear`] — after warm-up, a generation
 //!   allocates nothing.
-//! * **Incremental fingerprints.** Every genome carries a 64-bit
-//!   fingerprint maintained as `base ^ XOR_w contrib(w, word_w)`, so a
-//!   single-gene mutation updates the fingerprint in O(1) (XOR the old
-//!   word's contribution out, the new one in) instead of re-hashing all
-//!   n genes.
 //! * **Block sums.** Every genome also keeps the [`Sums`] of its aligned
 //!   power-of-two blocks of the evaluation tree: `max(8, n_pad / 32)`
 //!   stages per block (`n_pad` = stage count rounded up to a power of
@@ -31,9 +24,6 @@
 //!   re-reduces only the cut block, a point mutation re-reduces its one
 //!   block. A GA child therefore scores in a few dozen additions instead
 //!   of a pass over every stage.
-//!
-//! [`genome_fingerprint`] computes the identical fingerprint for an
-//! unpacked `&[usize]` genome.
 
 use crate::strategy::{Evaluation, StageTable, Sums};
 
@@ -44,133 +34,34 @@ const MIN_BLOCK_STAGES: usize = 8;
 /// Most blocks per genome (the fold's fixed-size stack buffer).
 const MAX_BLOCKS: usize = 32;
 
-/// How genes map onto `u64` words and evaluation-tree blocks for a given
-/// table shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PackLayout {
-    n_stages: usize,
-    n_freqs: usize,
-    /// Bits per gene: 4 when the alphabet fits a nibble, else 8.
-    gene_bits: u32,
-    genes_per_word: usize,
-    words_per_genome: usize,
-    gene_mask: u64,
-    /// Stages per block sum (a power of two).
-    block_stages: usize,
-    /// Blocks per genome: `n_pad / block_stages`, at most [`MAX_BLOCKS`].
-    n_blocks: usize,
+/// Stages per block and blocks per genome for an `n_stages` schedule:
+/// `max(8, n_pad / 32)` stages (capped at `n_pad`, a power of two) and
+/// `n_pad / block_stages` blocks, at most [`MAX_BLOCKS`].
+fn block_layout(n_stages: usize) -> (usize, usize) {
+    let n_pad = n_stages.next_power_of_two(); // 0 -> 1
+    let block_stages = (n_pad / MAX_BLOCKS).max(MIN_BLOCK_STAGES).min(n_pad);
+    (block_stages, n_pad / block_stages)
 }
 
-impl PackLayout {
-    fn new(n_stages: usize, n_freqs: usize) -> Self {
-        assert!(
-            (1..=256).contains(&n_freqs),
-            "gene alphabet must fit one byte: {n_freqs} frequency points"
-        );
-        let gene_bits: u32 = if n_freqs <= 16 { 4 } else { 8 };
-        let genes_per_word = (64 / gene_bits) as usize;
-        let n_pad = n_stages.next_power_of_two(); // 0 -> 1
-        let block_stages = (n_pad / MAX_BLOCKS).max(MIN_BLOCK_STAGES).min(n_pad);
-        Self {
-            n_stages,
-            n_freqs,
-            gene_bits,
-            genes_per_word,
-            words_per_genome: n_stages.div_ceil(genes_per_word),
-            gene_mask: (1u64 << gene_bits) - 1,
-            block_stages,
-            n_blocks: n_pad / block_stages,
-        }
-    }
-
-    #[inline]
-    fn word_and_shift(&self, stage: usize) -> (usize, u32) {
-        debug_assert!(stage < self.n_stages);
-        (
-            stage / self.genes_per_word,
-            (stage % self.genes_per_word) as u32 * self.gene_bits,
-        )
-    }
-}
-
-/// splitmix64 finalizer: the one mixing primitive behind every genome
-/// fingerprint in this module.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-const FP_SEED: u64 = 0xA076_1D64_78BD_642F;
-const FP_WORD_SALT: u64 = 0x2545_F491_4F6C_DD1D;
-
-/// Length-dependent fingerprint base: two genomes of different stage
-/// counts can never collide through word contributions alone.
-#[inline]
-fn fp_base(n_stages: usize) -> u64 {
-    mix(FP_SEED ^ n_stages as u64)
-}
-
-/// Position-salted contribution of one packed word. XORing contributions
-/// makes the whole-genome fingerprint incrementally updatable: changing
-/// word `w` from `a` to `b` is `fp ^= contrib(w, a) ^ contrib(w, b)`.
-#[inline]
-fn word_contrib(word_idx: usize, word: u64) -> u64 {
-    mix(word ^ mix(word_idx as u64 ^ FP_WORD_SALT))
-}
-
-/// Fingerprint of an unpacked genome, identical to the fingerprint a
-/// [`GenomePool`] over an `n_freqs`-point table maintains for these
-/// genes.
-///
-/// # Panics
-///
-/// Panics if `n_freqs` is outside `1..=256` or a gene is out of range.
-#[must_use]
-pub fn genome_fingerprint(genes: &[usize], n_freqs: usize) -> u64 {
-    let layout = PackLayout::new(genes.len(), n_freqs);
-    let mut fp = fp_base(genes.len());
-    for (w, chunk) in genes.chunks(layout.genes_per_word).enumerate() {
-        fp ^= word_contrib(w, pack_word(&layout, chunk));
-    }
-    fp
-}
-
-/// Packs up to `genes_per_word` genes into one word (low lanes first).
-#[inline]
-fn pack_word(layout: &PackLayout, chunk: &[usize]) -> u64 {
-    let mut word = 0u64;
-    for (k, &g) in chunk.iter().enumerate() {
-        assert!(
-            g < layout.n_freqs,
-            "gene {g} out of range ({} frequency points)",
-            layout.n_freqs
-        );
-        word |= (g as u64) << (k as u32 * layout.gene_bits);
-    }
-    word
-}
-
-/// A flat arena of bit-packed genomes with per-genome fingerprints and
+/// A flat arena of one-byte-per-gene genomes with per-genome
 /// evaluation-tree block sums, bound to one [`StageTable`].
 ///
-/// All genomes share one `Vec<u64>`; [`Self::clear`] keeps the buffers
+/// All genomes share one `Vec<u8>`; [`Self::clear`] keeps the buffers
 /// for the next generation, so a warmed pool never allocates.
 #[derive(Debug, Clone)]
 pub struct GenomePool<'t> {
     table: &'t StageTable,
-    layout: PackLayout,
-    /// Genome `i` is `words[i*W .. (i+1)*W]`, `W = words_per_genome`.
-    words: Vec<u64>,
-    /// One fingerprint per genome, maintained incrementally.
-    fps: Vec<u64>,
+    /// Stages per block sum (a power of two).
+    block_stages: usize,
+    /// Blocks per genome, at least 1 (so it also counts the genomes of
+    /// an empty schedule).
+    n_blocks: usize,
+    /// Genome `i` is `genes[i*n .. (i+1)*n]`, `n = n_stages`.
+    genes: Vec<u8>,
     /// Genome `i`'s block sums are `blocks[i*B .. (i+1)*B]`,
     /// `B = n_blocks`; block `b` covers stages
     /// `[b * block_stages, (b + 1) * block_stages)`.
     blocks: Vec<Sums>,
-    base_fp: u64,
 }
 
 impl<'t> GenomePool<'t> {
@@ -188,87 +79,76 @@ impl<'t> GenomePool<'t> {
     /// [`Self::new`] with space pre-reserved for `genomes` individuals.
     #[must_use]
     pub fn with_capacity(table: &'t StageTable, genomes: usize) -> Self {
-        let layout = PackLayout::new(table.n_stages(), table.n_freqs());
+        let n_freqs = table.n_freqs();
+        assert!(
+            (1..=256).contains(&n_freqs),
+            "gene alphabet must fit one byte: {n_freqs} frequency points"
+        );
+        let (block_stages, n_blocks) = block_layout(table.n_stages());
         Self {
             table,
-            layout,
-            words: Vec::with_capacity(genomes * layout.words_per_genome),
-            fps: Vec::with_capacity(genomes),
-            blocks: Vec::with_capacity(genomes * layout.n_blocks),
-            base_fp: fp_base(layout.n_stages),
+            block_stages,
+            n_blocks,
+            genes: Vec::with_capacity(genomes * table.n_stages()),
+            blocks: Vec::with_capacity(genomes * n_blocks),
         }
-    }
-
-    /// The table this pool's genomes are scored against.
-    pub(crate) fn table(&self) -> &'t StageTable {
-        self.table
     }
 
     /// Genes per genome.
     #[must_use]
     pub fn n_stages(&self) -> usize {
-        self.layout.n_stages
+        self.table.n_stages()
     }
 
     /// Alphabet size.
     #[must_use]
     pub fn n_freqs(&self) -> usize {
-        self.layout.n_freqs
+        self.table.n_freqs()
     }
 
     /// Number of genomes currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.fps.len()
+        self.blocks.len() / self.n_blocks
     }
 
     /// Whether the pool holds no genomes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.fps.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Drops all genomes, keeping the allocations for reuse.
     pub fn clear(&mut self) {
-        self.words.clear();
-        self.fps.clear();
+        self.genes.clear();
         self.blocks.clear();
     }
 
     /// Drops genomes past index `len` (no-op when already shorter).
     pub fn truncate(&mut self, len: usize) {
-        if len < self.fps.len() {
-            self.fps.truncate(len);
-            self.words.truncate(len * self.layout.words_per_genome);
-            self.blocks.truncate(len * self.layout.n_blocks);
-        }
+        self.genes.truncate(len * self.n_stages());
+        self.blocks.truncate(len * self.n_blocks);
     }
 
-    /// Appends a genome from unpacked genes; returns its index.
+    /// Appends a genome from its genes; returns its index.
     ///
     /// # Panics
     ///
     /// Panics if the gene count disagrees or a gene is out of range.
     pub fn push_genes(&mut self, genes: &[usize]) -> usize {
-        assert_eq!(
-            genes.len(),
-            self.layout.n_stages,
-            "gene count must match stages"
-        );
-        let mut fp = self.base_fp;
-        for (w, chunk) in genes.chunks(self.layout.genes_per_word).enumerate() {
-            let word = pack_word(&self.layout, chunk);
-            self.words.push(word);
-            fp ^= word_contrib(w, word);
+        assert_eq!(genes.len(), self.n_stages(), "gene count must match stages");
+        let m = self.n_freqs();
+        for &g in genes {
+            assert!(g < m, "gene {g} out of range ({m} frequency points)");
+            self.genes.push(g as u8);
         }
-        self.fps.push(fp);
-        let width = self.layout.block_stages;
+        let width = self.block_stages;
         let mut genes = genes.iter().copied();
-        for b in 0..self.layout.n_blocks {
+        for b in 0..self.n_blocks {
             let sums = self.table.reduce(b * width, width, &mut genes);
             self.blocks.push(sums);
         }
-        self.fps.len() - 1
+        self.len() - 1
     }
 
     /// Appends a copy of genome `src` from `other`, block sums included;
@@ -283,10 +163,9 @@ impl<'t> GenomePool<'t> {
             std::ptr::eq(self.table, other.table),
             "pools must be bound to the same stage table"
         );
-        self.words.extend_from_slice(other.words_of(src));
         self.blocks.extend_from_slice(other.blocks_of(src));
-        self.fps.push(other.fps[src]);
-        self.fps.len() - 1
+        self.genes.extend_from_slice(other.genes_of(src));
+        self.len() - 1
     }
 
     /// Appends a copy of this pool's own genome `src`; returns the index.
@@ -295,83 +174,57 @@ impl<'t> GenomePool<'t> {
     ///
     /// Panics if `src` is out of range.
     pub fn push_clone(&mut self, src: usize) -> usize {
-        assert!(src < self.fps.len(), "genome {src} out of range");
-        let (w, b) = (self.layout.words_per_genome, self.layout.n_blocks);
-        self.words.extend_from_within(src * w..(src + 1) * w);
+        assert!(src < self.len(), "genome {src} out of range");
+        let (n, b) = (self.n_stages(), self.n_blocks);
+        self.genes.extend_from_within(src * n..(src + 1) * n);
         self.blocks.extend_from_within(src * b..(src + 1) * b);
-        self.fps.push(self.fps[src]);
-        self.fps.len() - 1
+        self.len() - 1
     }
 
     /// Reads one gene.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` or `stage` is out of range.
     #[must_use]
     pub fn gene(&self, idx: usize, stage: usize) -> usize {
-        let (w, shift) = self.layout.word_and_shift(stage);
-        ((self.words[idx * self.layout.words_per_genome + w] >> shift) & self.layout.gene_mask)
-            as usize
+        usize::from(self.genes_of(idx)[stage])
     }
 
-    /// Sets one gene, updating the genome's fingerprint in O(1) and
-    /// re-reducing the one block that holds the stage.
+    /// Sets one gene, re-reducing the one block that holds the stage.
     ///
     /// # Panics
     ///
     /// Panics if `idx`, `stage` or `gene` is out of range.
     pub fn set_gene(&mut self, idx: usize, stage: usize, gene: usize) {
-        assert!(
-            gene < self.layout.n_freqs,
-            "gene {gene} out of range ({} frequency points)",
-            self.layout.n_freqs
-        );
-        let (w, shift) = self.layout.word_and_shift(stage);
-        let slot = idx * self.layout.words_per_genome + w;
-        let old = self.words[slot];
-        let new = (old & !(self.layout.gene_mask << shift)) | ((gene as u64) << shift);
-        if new != old {
-            self.words[slot] = new;
-            self.fps[idx] ^= word_contrib(w, old) ^ word_contrib(w, new);
-            self.reduce_block(idx, stage / self.layout.block_stages);
+        let m = self.n_freqs();
+        assert!(gene < m, "gene {gene} out of range ({m} frequency points)");
+        let n = self.n_stages();
+        let slot = &mut self.genes[idx * n..(idx + 1) * n][stage];
+        if usize::from(*slot) != gene {
+            *slot = gene as u8;
+            self.reduce_block(idx, stage / self.block_stages);
         }
     }
 
     /// Swaps the gene suffix `[from_stage, n_stages)` between genomes
-    /// `a` and `b` — the GA's last-`k` crossover — word-at-a-time, with
-    /// O(changed words) fingerprint updates. The whole blocks past the
-    /// cut swap their sums; only the block the cut falls inside is
+    /// `a` and `b` — the GA's last-`k` crossover. The whole blocks past
+    /// the cut swap their sums; only the block the cut falls inside is
     /// re-reduced, once per genome.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range or `from_stage > n_stages`.
     pub fn swap_suffix(&mut self, a: usize, b: usize, from_stage: usize) {
-        assert!(from_stage <= self.layout.n_stages, "suffix start past end");
-        if a == b || from_stage == self.layout.n_stages {
+        let n = self.n_stages();
+        assert!(from_stage <= n, "suffix start past end");
+        if a == b || from_stage == n {
             return;
         }
-        let wpg = self.layout.words_per_genome;
-        let (wb, off) = (
-            from_stage / self.layout.genes_per_word,
-            from_stage % self.layout.genes_per_word,
-        );
-        for w in wb..wpg {
-            let (ia, ib) = (a * wpg + w, b * wpg + w);
-            let (va, vb) = (self.words[ia], self.words[ib]);
-            // Boundary word: only lanes at or above `off` swap.
-            let keep_mask = if w == wb && off > 0 {
-                (1u64 << (off as u32 * self.layout.gene_bits)) - 1
-            } else {
-                0
-            };
-            let na = (va & keep_mask) | (vb & !keep_mask);
-            let nb = (vb & keep_mask) | (va & !keep_mask);
-            if na != va {
-                self.words[ia] = na;
-                self.words[ib] = nb;
-                self.fps[a] ^= word_contrib(w, va) ^ word_contrib(w, na);
-                self.fps[b] ^= word_contrib(w, vb) ^ word_contrib(w, nb);
-            }
-        }
-        let (width, nb) = (self.layout.block_stages, self.layout.n_blocks);
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (head, tail) = self.genes.split_at_mut(hi * n);
+        head[lo * n + from_stage..(lo + 1) * n].swap_with_slice(&mut tail[from_stage..n]);
+        let (width, nb) = (self.block_stages, self.n_blocks);
         let cut = from_stage / width;
         let mid_block = !from_stage.is_multiple_of(width);
         for blk in cut + usize::from(mid_block)..nb {
@@ -383,22 +236,15 @@ impl<'t> GenomePool<'t> {
         }
     }
 
-    /// Unpacks genome `idx` into `out` (cleared first).
+    /// Reads genome `idx`'s genes into `out` (cleared first).
     pub fn read_genes(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(self.genes_from(idx, 0));
-    }
-
-    /// The genome's 64-bit fingerprint (identical to
-    /// [`genome_fingerprint`] of its unpacked genes).
-    #[must_use]
-    pub fn fp(&self, idx: usize) -> u64 {
-        self.fps[idx]
+        out.extend(self.genes_of(idx).iter().map(|&g| usize::from(g)));
     }
 
     /// Evaluates genome `idx` by folding its block sums to the root of
     /// the evaluation tree. Bit-identical to `table.evaluate(&genes)` of
-    /// the unpacked genome.
+    /// the genome's genes.
     ///
     /// # Panics
     ///
@@ -406,40 +252,37 @@ impl<'t> GenomePool<'t> {
     #[must_use]
     pub fn evaluate(&self, idx: usize) -> Evaluation {
         let mut acc = [Sums::ZERO; MAX_BLOCKS];
-        let blocks = &mut acc[..self.layout.n_blocks];
+        let blocks = &mut acc[..self.n_blocks];
         blocks.copy_from_slice(self.blocks_of(idx));
         self.table.finish_sums(Sums::fold(blocks))
     }
 
-    /// The packed words of genome `idx`.
-    fn words_of(&self, idx: usize) -> &[u64] {
-        let w = self.layout.words_per_genome;
-        &self.words[idx * w..(idx + 1) * w]
+    /// The genes of genome `idx`.
+    fn genes_of(&self, idx: usize) -> &[u8] {
+        let n = self.n_stages();
+        &self.genes[idx * n..(idx + 1) * n]
     }
 
     /// The block sums of genome `idx`.
     fn blocks_of(&self, idx: usize) -> &[Sums] {
-        let b = self.layout.n_blocks;
+        let b = self.n_blocks;
         &self.blocks[idx * b..(idx + 1) * b]
     }
 
-    /// The genes of genome `idx` from stage `from` on, in order.
-    fn genes_from(&self, idx: usize, from: usize) -> impl Iterator<Item = usize> + '_ {
-        (from..self.layout.n_stages).map(move |s| self.gene(idx, s))
-    }
-
-    /// Re-reduces block `blk` of genome `idx` from its packed genes.
+    /// Re-reduces block `blk` of genome `idx` from its genes.
     fn reduce_block(&mut self, idx: usize, blk: usize) {
-        let width = self.layout.block_stages;
+        let width = self.block_stages;
         let lo = blk * width;
-        let sums = self.table.reduce(lo, width, &mut self.genes_from(idx, lo));
-        self.blocks[idx * self.layout.n_blocks + blk] = sums;
+        let mut genes = self.genes_of(idx)[lo..].iter().map(|&g| usize::from(g));
+        let sums = self.table.reduce(lo, width, &mut genes);
+        self.blocks[idx * self.n_blocks + blk] = sums;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ga::score;
     use crate::preprocess::{Stage, StageKind};
     use npu_sim::FreqMhz;
 
@@ -496,18 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_layout_picks_nibbles_for_small_alphabets() {
-        let nib = PackLayout::new(37, 9);
-        assert_eq!(nib.gene_bits, 4);
-        assert_eq!(nib.genes_per_word, 16);
-        assert_eq!(nib.words_per_genome, 3);
-        let byte = PackLayout::new(37, 17);
-        assert_eq!(byte.gene_bits, 8);
-        assert_eq!(byte.genes_per_word, 8);
-        assert_eq!(byte.words_per_genome, 5);
-    }
-
-    #[test]
     fn block_layout_keeps_at_most_32_blocks_of_at_least_8_stages() {
         for (n, block_stages, n_blocks) in [
             (0, 1, 1),
@@ -519,21 +350,17 @@ mod tests {
             (960, 32, 32),
             (2_049, 128, 32),
         ] {
-            let l = PackLayout::new(n, 9);
-            assert_eq!(
-                (l.block_stages, l.n_blocks),
-                (block_stages, n_blocks),
-                "n = {n}"
-            );
+            assert_eq!(block_layout(n), (block_stages, n_blocks), "n = {n}");
         }
     }
 
     #[test]
     fn push_and_read_round_trip() {
-        for m in [2, 9, 16, 17, 200] {
+        for m in [2, 9, 16, 17, 200, 256] {
             let t = table(21, m);
             let mut pool = GenomePool::new(&t);
-            let g = genome(21, m, 1);
+            let mut g = genome(21, m, 1);
+            g[20] = m - 1; // the alphabet's top gene fits its byte
             let idx = pool.push_genes(&g);
             let mut out = Vec::new();
             pool.read_genes(idx, &mut out);
@@ -545,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_and_sums_track_every_mutation_path() {
+    fn sums_track_every_mutation_path() {
         let m = 9;
         let t = table(33, m);
         let mut pool = GenomePool::new(&t);
@@ -555,23 +382,13 @@ mod tests {
         pool.set_gene(b, 0, 3);
         pool.set_gene(b, 17, 8);
         pool.set_gene(b, 32, 1);
-        pool.set_gene(b, 32, 1); // no-op keeps fp and sums coherent
+        pool.set_gene(b, 32, 1); // a no-op write keeps the sums coherent
         pool.swap_suffix(b, c, 13);
         pool.swap_suffix(a, c, 32);
         pool.swap_suffix(a, b, 8); // block-aligned cut
-        let mut out = Vec::new();
         for idx in [a, b, c] {
-            pool.read_genes(idx, &mut out);
-            assert_eq!(
-                pool.fp(idx),
-                genome_fingerprint(&out, m),
-                "genome {idx} fingerprint drifted from its genes"
-            );
             assert_evaluates_like_full(&pool, &t, idx);
         }
-        // Distinct genomes get distinct fingerprints here.
-        assert_ne!(pool.fp(a), pool.fp(b));
-        assert_ne!(pool.fp(b), pool.fp(c));
     }
 
     #[test]
@@ -587,8 +404,9 @@ mod tests {
             let mut pool = GenomePool::new(&t);
             let ga = genome(n, m, 1);
             let gb = genome(n, m, 2);
-            let a = pool.push_genes(&ga);
+            // The later genome first: the swap must not depend on order.
             let b = pool.push_genes(&gb);
+            let a = pool.push_genes(&ga);
             pool.swap_suffix(a, b, from);
             for s in 0..n {
                 let (wa, wb) = if s < from {
@@ -617,7 +435,6 @@ mod tests {
         next.push_copy_from(&cur, 0);
         next.push_copy_from(&cur, 0);
         assert_eq!(next.len(), 3);
-        assert_eq!(next.fp(0), cur.fp(1));
         next.truncate(1);
         assert_eq!(next.len(), 1);
         let mut out = Vec::new();
@@ -627,7 +444,8 @@ mod tests {
         next.clear();
         assert!(next.is_empty());
         next.push_genes(&g0);
-        assert_eq!(next.fp(0), cur.fp(0));
+        next.read_genes(0, &mut out);
+        assert_eq!(out, g0);
         assert_evaluates_like_full(&next, &t, 0);
     }
 
@@ -646,12 +464,38 @@ mod tests {
     }
 
     #[test]
+    fn pool_scores_bit_match_direct_evaluation() {
+        let t = table(11, 9);
+        let baseline = t.baseline().time_us;
+        // Stages 0-2 spell `i` in base 9, so all 200 genomes are distinct.
+        let population: Vec<Vec<usize>> = (0..200_usize)
+            .map(|i| {
+                (0..11_u32)
+                    .map(|s| (i / 9_usize.pow(s % 3) + s as usize) % t.n_freqs())
+                    .collect()
+            })
+            .collect();
+        let mut pool = GenomePool::new(&t);
+        for g in &population {
+            pool.push_genes(g);
+        }
+        for (i, g) in population.iter().enumerate() {
+            let want = score(&t.evaluate(g), baseline, 0.02);
+            let got = score(&pool.evaluate(i), baseline, 0.02);
+            assert_eq!(got.to_bits(), want.to_bits(), "genome {i}");
+        }
+    }
+
+    #[test]
     fn empty_genomes_are_supported() {
         let t = table(0, 9);
         let mut pool = GenomePool::new(&t);
         let idx = pool.push_genes(&[]);
-        assert_eq!(pool.fp(idx), genome_fingerprint(&[], 9));
+        assert_eq!((idx, pool.len()), (0, 1));
         assert_evaluates_like_full(&pool, &t, idx);
+        assert_eq!(pool.push_clone(idx), 1);
+        pool.truncate(1);
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]

@@ -183,7 +183,9 @@ events! {
             iter: usize,
             /// Best score seen so far (the score-trace value).
             best_score: f64,
-            /// Individuals served from the evaluation memo this generation.
+            /// Always 0: the GA scores every genome from its block sums
+            /// and has kept no score memo since the memo was removed. The
+            /// field stays because external tracers match it by name.
             memo_hits: usize,
         },
         /// The serving search picked a strategy: the exact solver's answer

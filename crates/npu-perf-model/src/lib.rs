@@ -43,7 +43,6 @@ pub mod eval;
 mod fitting;
 mod model;
 pub mod pwl;
-pub mod robust;
 
 pub use eval::{
     error_cdf, holdout_frequencies, prediction_curve, prediction_errors, ErrorStats,
@@ -51,4 +50,3 @@ pub use eval::{
 };
 pub use fitting::{fit, FitError, FitFunction, FitParams};
 pub use model::{BuildError, FreqProfile, PerfModel, PerfModelStore};
-pub use robust::fit_samples_robust;

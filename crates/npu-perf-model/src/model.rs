@@ -193,66 +193,6 @@ impl PerfModelStore {
         Ok(Self { kind, models })
     }
 
-    /// Like [`PerfModelStore::build`] but tolerant of profiler timing
-    /// outliers: `profiles` may contain several entries per frequency
-    /// (one per profiling pass), and per operator the repeated samples
-    /// collapse to their per-frequency median after a `mad_k`-MAD
-    /// outlier cut ([`crate::fit_samples_robust`]). Frequency-insensitive
-    /// operators fall back to the median (not mean) observed duration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] on empty/mismatched profiles or a fit
-    /// failure.
-    pub fn build_robust(
-        profiles: &[FreqProfile],
-        kind: FitFunction,
-        mad_k: f64,
-    ) -> Result<Self, BuildError> {
-        let first = profiles.first().ok_or(BuildError::NoProfiles)?;
-        let n = first.records.len();
-        for p in profiles {
-            if p.records.len() != n {
-                return Err(BuildError::MismatchedProfiles {
-                    expected: n,
-                    got: p.records.len(),
-                });
-            }
-        }
-        let mut models = Vec::with_capacity(n);
-        for i in 0..n {
-            let rec = &first.records[i];
-            let durs: Vec<f64> = profiles.iter().map(|p| p.records[i].dur_us).collect();
-            let fallback = crate::robust::median(&durs).unwrap_or(rec.dur_us);
-            let op_kind = match rec.class {
-                OpClass::Compute => Some(kind),
-                OpClass::Communication => Some(FitFunction::StallConstant),
-                OpClass::AiCpu | OpClass::Idle => None,
-            };
-            let params = match op_kind {
-                Some(k) => {
-                    let samples: Vec<(f64, f64)> = profiles
-                        .iter()
-                        .map(|p| (p.freq.as_f64(), p.records[i].dur_us.max(1e-9)))
-                        .collect();
-                    let robust = crate::robust::fit_samples_robust(&samples, mad_k);
-                    Some(fit(k, &robust).map_err(|source| BuildError::Fit {
-                        op_index: i,
-                        source,
-                    })?)
-                }
-                None => None,
-            };
-            models.push(PerfModel {
-                name: rec.name.clone(),
-                class: rec.class,
-                params,
-                fallback_us: fallback,
-            });
-        }
-        Ok(Self { kind, models })
-    }
-
     /// Like [`PerfModelStore::build`], additionally emitting one
     /// [`Event::ModelFitted`] (function family, op count, worst relative
     /// fit error against the build profiles) through `obs`.
@@ -442,35 +382,6 @@ mod tests {
                 .unwrap();
         assert_eq!(silent, store);
         assert_eq!(metrics.counter("event.ModelFitted"), 1);
-    }
-
-    #[test]
-    fn build_robust_survives_one_stretched_pass() {
-        let cfg = NpuConfig::builder().noise(0.0, 0.0, 0.0).build().unwrap();
-        let w = models::tiny(&cfg);
-        // Three passes per frequency, one of them with an 8× profiler
-        // outlier on every operator.
-        let mut passes = Vec::new();
-        for _ in 0..3 {
-            passes.extend(profiles_for(&w, &[1000, 1800], &cfg));
-        }
-        for rec in &mut passes[2].records {
-            rec.dur_us *= 8.0;
-        }
-        let robust = PerfModelStore::build_robust(&passes, FitFunction::Quadratic, 3.5).unwrap();
-        let clean = PerfModelStore::build(
-            &profiles_for(&w, &[1000, 1800], &cfg),
-            FitFunction::Quadratic,
-        )
-        .unwrap();
-        for i in 0..clean.len() {
-            let r = robust.predict_time_us(i, FreqMhz::new(1400));
-            let c = clean.predict_time_us(i, FreqMhz::new(1400));
-            assert!(
-                (r - c).abs() <= 0.02 * c.max(1.0),
-                "op {i}: robust {r} vs clean {c}"
-            );
-        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ CRITERION_SMOKE=1 cargo bench -p npu-bench --bench simulator
 # Validate the ga_eval smoke JSON: the pool path's correctness artifacts
 # are timing-independent and must hold on every machine — pool scores
 # bit-identical to full evaluation on both the clone-chain stream and
-# the GA-lineage replay, zero heap allocations on a warm score_pool
+# the GA-lineage replay, zero heap allocations on a warm pool-scoring
 # pass, and the exact Pareto-DP oracle certifying the GA result with a
 # gap of exactly 0.0.
 ga_fields="full_policies_per_sec incremental_policies_per_sec \
@@ -90,7 +90,7 @@ done
 grep -q '"pool_bit_identical": true' BENCH_ga_eval.smoke.json \
   || { echo "pool scores diverged from full evaluation" >&2; exit 1; }
 grep -q '"pool_score_allocs": 0,' BENCH_ga_eval.smoke.json \
-  || { echo "warm score_pool pass allocated on the heap" >&2; exit 1; }
+  || { echo "warm pool-scoring pass allocated on the heap" >&2; exit 1; }
 grep -q '"optimality_gap": 0.0,' BENCH_ga_eval.smoke.json \
   || { echo "GA missed the certified optimum (gap != 0.0)" >&2; exit 1; }
 grep -q '"oracle_certified": true' BENCH_ga_eval.smoke.json \

@@ -59,13 +59,12 @@ pub use npu_workloads as workloads;
 pub mod prelude {
     pub use npu_core::{
         degradation_rank, generate_load, sweep_profiles, ArtifactCache, CacheError,
-        CacheFlightStats, CacheStats, ConfigError, CostModel, DeviceHealth, DeviceHealthReport,
-        Disposition, DriftDetector, DriftDetectorConfig, DriftSignal, EnergyOptimizer,
-        FleetController, FleetError, FleetOutcome, FlightRole, FlightStats, HealthPolicy, LoadSpec,
-        OptRequest, OptResponse, OptService, OptimizationReport, OptimizationSession,
-        OptimizerConfig, Provenance, RejectReason, ServeBuilder, ServeIteration, ServeOptions,
-        ServeOutcome, ServeRuntime, ServiceBuilder, ServiceMetrics, ServiceOutcome,
-        SingleFlightError,
+        CacheFlightStats, CacheStats, ConfigError, DeviceHealth, DeviceHealthReport, Disposition,
+        DriftDetector, DriftDetectorConfig, DriftSignal, EnergyOptimizer, FleetController,
+        FleetError, FleetOutcome, FlightRole, FlightStats, HealthPolicy, LoadSpec, OptRequest,
+        OptResponse, OptService, OptimizationReport, OptimizationSession, OptimizerConfig,
+        Provenance, RejectReason, ServeBuilder, ServeIteration, ServeOptions, ServeOutcome,
+        ServeRuntime, ServiceBuilder, ServiceMetrics, ServiceOutcome, SingleFlightError,
     };
     pub use npu_dvfs::{DvfsStrategy, GaConfig, GaOutcome, StageTable};
     pub use npu_exec::{

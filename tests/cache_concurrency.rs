@@ -46,7 +46,6 @@ fn search_artifact(key: u64) -> SearchArtifact {
             best_score: x,
             score_trace: vec![x, x + 1.0],
             evaluations: key as usize % 997,
-            unique_evaluations: key as usize % 991,
         },
     }
 }

@@ -210,7 +210,6 @@ prop_compose! {
         eval in prop::collection::vec(1.0e-3f64..1.0e9, 4),
         trace in prop::collection::vec(0.0f64..1.0e3, 0..20),
         evals in 0usize..100_000,
-        unique in 0usize..100_000,
     ) -> SearchArtifact {
         use dvfs_repro::dvfs::{Stage, StageKind};
         let mut stages = Vec::new();
@@ -235,7 +234,6 @@ prop_compose! {
                 best_score: eval[3],
                 score_trace: trace,
                 evaluations: evals,
-                unique_evaluations: unique,
             },
         }
     }
@@ -389,7 +387,6 @@ proptest! {
                 best_score: vals[3],
                 score_trace: trace,
                 evaluations: 10,
-                unique_evaluations: 5,
             },
         };
         let decoded = SearchArtifact::from_text(&artifact.to_text()).unwrap();
@@ -560,7 +557,7 @@ fn garbage_persisted_search_is_corrupt_while_absence_stays_a_plain_miss() {
 
     // A stage count no file can back fails at end of file as well,
     // instead of sizing (or aborting on) an allocation.
-    let head = "npu-core-cache search v1\neval 1 2 3\nscore 0\ntrace 0\nevals 1 1\n";
+    let head = "npu-core-cache search v2\neval 1 2 3\nscore 0\ntrace 0\nevals 1\n";
     for count in ["18446744073709551615", "1000000000000000"] {
         std::fs::write(&path, format!("{head}stages {count}\n")).unwrap();
         let cache = ArtifactCache::persistent(&dir).unwrap();
