@@ -14,9 +14,10 @@
 //! isolation is total. The chaos fleet is re-run at 2 and 8 workers and
 //! its digest must not move. Results go to `BENCH_chaos.json` at the
 //! workspace root (`CRITERION_SMOKE=1` → a smaller fleet and
-//! `BENCH_chaos.smoke.json`; scripts/check.sh gates on both, across
-//! two fault seeds via `CHAOS_SEED`).
+//! `BENCH_chaos.smoke.json`; `bench_gate chaos` checks both, and
+//! scripts/check.sh runs it across two fault seeds via `CHAOS_SEED`).
 
+use npu_bench::report::{self, Report};
 use npu_core::{
     DeviceHealth, DriftDetectorConfig, FleetController, FleetOutcome, HealthPolicy,
     OptimizerConfig, ServeOptions,
@@ -139,7 +140,7 @@ fn timed(c: &FleetController) -> (FleetOutcome, f64) {
 }
 
 fn main() {
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = report::smoke();
     let seed = std::env::var("CHAOS_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -208,62 +209,27 @@ fn main() {
     } else {
         chaos.recoveries as f64 / chaos.quarantines as f64
     };
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"chaos\",\n",
-            "  \"smoke\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"devices\": {},\n",
-            "  \"epochs\": {},\n",
-            "  \"faulted_devices\": {},\n",
-            "  \"completed\": true,\n",
-            "  \"clean_secs\": {:.3},\n",
-            "  \"chaos_secs\": {:.3},\n",
-            "  \"quarantines\": {},\n",
-            "  \"recoveries\": {},\n",
-            "  \"evictions\": {},\n",
-            "  \"transfer_rejections\": {},\n",
-            "  \"survival_rate\": {:.3},\n",
-            "  \"quarantine_rate\": {:.3},\n",
-            "  \"recovery_rate\": {:.3},\n",
-            "  \"healthy_devices\": {},\n",
-            "  \"healthy_stable\": {},\n",
-            "  \"healthy_digest_stable\": {},\n",
-            "  \"digest\": \"{:016x}\",\n",
-            "  \"clean_digest\": \"{:016x}\",\n",
-            "  \"bit_identical\": {}\n",
-            "}}\n"
-        ),
-        smoke,
-        seed,
-        devices,
-        epochs,
-        faulted.len(),
-        clean_secs,
-        chaos_secs,
-        chaos.quarantines,
-        chaos.recoveries,
-        chaos.evictions,
-        chaos.transfer_rejections,
-        survival_rate,
-        quarantine_rate,
-        recovery_rate,
-        healthy_total,
-        healthy_stable,
-        healthy_digest_stable,
-        chaos.digest,
-        clean.digest,
-        bit_identical,
-    );
-    let file = if smoke {
-        "BENCH_chaos.smoke.json"
-    } else {
-        "BENCH_chaos.json"
-    };
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-    print!("{json}");
+    Report::new("chaos")
+        .field("smoke", smoke)
+        .field("seed", seed)
+        .field("devices", devices)
+        .field("epochs", epochs)
+        .field("faulted_devices", faulted.len())
+        .field("completed", true)
+        .fixed("clean_secs", clean_secs, 3)
+        .fixed("chaos_secs", chaos_secs, 3)
+        .field("quarantines", chaos.quarantines)
+        .field("recoveries", chaos.recoveries)
+        .field("evictions", chaos.evictions)
+        .field("transfer_rejections", chaos.transfer_rejections)
+        .fixed("survival_rate", survival_rate, 3)
+        .fixed("quarantine_rate", quarantine_rate, 3)
+        .fixed("recovery_rate", recovery_rate, 3)
+        .field("healthy_devices", healthy_total)
+        .field("healthy_stable", healthy_stable)
+        .field("healthy_digest_stable", healthy_digest_stable)
+        .field("digest", format!("{:016x}", chaos.digest))
+        .field("clean_digest", format!("{:016x}", clean.digest))
+        .field("bit_identical", bit_identical)
+        .write(smoke);
 }

@@ -15,16 +15,17 @@
 //! detector's threshold is near zero and drift is always present, so
 //! every device re-optimizes every epoch, capped by `max_swaps`): the
 //! end-to-end `warm_secs`/`cold_secs` walls therefore compare the same
-//! amount of work and the warm pass must win outright — `check.sh`
-//! gates `warm_secs <= cold_secs` on the full run. Both passes also
+//! amount of work and the warm pass must win outright — `bench_gate`
+//! checks `warm_secs <= cold_secs` on the full run. Both passes also
 //! measure the wall-clock spent *inside re-optimization* (summed per
 //! device, so the number is worker-count-independent) —
 //! `reopt_speedup` is the per-swap ratio. The warm fleet also re-runs
 //! at 1, 2 and 8 workers on fresh caches and asserts the fleet digest
 //! is bit-identical. Results go to `BENCH_fleet.json` at the workspace
 //! root (`CRITERION_SMOKE=1` → a small fleet and
-//! `BENCH_fleet.smoke.json`; scripts/check.sh gates on both).
+//! `BENCH_fleet.smoke.json`; `bench_gate fleet` checks both).
 
+use npu_bench::report::{self, Report};
 use npu_core::{DriftDetectorConfig, FleetController, FleetOutcome, OptimizerConfig, ServeOptions};
 use npu_sim::{ConfigSpread, DriftModel, FreqMhz, NpuConfig, OpDescriptor, Scenario, Schedule};
 use npu_workloads::Workload;
@@ -149,7 +150,7 @@ fn timed(c: &FleetController) -> (FleetOutcome, f64) {
 }
 
 fn main() {
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = report::smoke();
     let (devices, epochs) = if smoke { (8, 2) } else { (64, 3) };
 
     // Untimed warmup: first-touch costs (allocator, page cache, lazy
@@ -209,63 +210,27 @@ fn main() {
         "fleet must be bit-identical at 1/2/8 workers"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fleet\",\n",
-            "  \"smoke\": {},\n",
-            "  \"devices\": {},\n",
-            "  \"epochs\": {},\n",
-            "  \"workers\": {},\n",
-            "  \"clusters\": {},\n",
-            "  \"warm_secs\": {:.3},\n",
-            "  \"cold_secs\": {:.3},\n",
-            "  \"devices_per_sec\": {:.3},\n",
-            "  \"fleet_swaps\": {},\n",
-            "  \"cold_swaps\": {},\n",
-            "  \"transfer_hits\": {},\n",
-            "  \"transfer_misses\": {},\n",
-            "  \"transfer_hit_rate\": {:.3},\n",
-            "  \"cache_hit_rate\": {:.3},\n",
-            "  \"warm_reopt_wall_s\": {:.3},\n",
-            "  \"cold_reopt_wall_s\": {:.3},\n",
-            "  \"warm_reopt_per_swap_ms\": {:.3},\n",
-            "  \"cold_reopt_per_swap_ms\": {:.3},\n",
-            "  \"reopt_speedup\": {:.2},\n",
-            "  \"digest\": \"{:016x}\",\n",
-            "  \"bit_identical\": {}\n",
-            "}}\n"
-        ),
-        smoke,
-        devices,
-        epochs,
-        npu_sim::par::resolve_threads(0).min(devices),
-        warm.clusters,
-        warm_secs,
-        cold_secs,
-        (devices * epochs) as f64 / warm_secs,
-        warm.swaps,
-        cold.swaps,
-        warm.transfer_hits,
-        warm.transfer_misses,
-        warm.transfer_hit_rate(),
-        cache_hit_rate,
-        warm.reopt_wall_s,
-        cold.reopt_wall_s,
-        warm_per_swap * 1e3,
-        cold_per_swap * 1e3,
-        reopt_speedup,
-        warm.digest,
-        bit_identical,
-    );
-    let file = if smoke {
-        "BENCH_fleet.smoke.json"
-    } else {
-        "BENCH_fleet.json"
-    };
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-    print!("{json}");
+    Report::new("fleet")
+        .field("smoke", smoke)
+        .field("devices", devices)
+        .field("epochs", epochs)
+        .field("workers", npu_sim::par::resolve_threads(0).min(devices))
+        .field("clusters", warm.clusters)
+        .fixed("warm_secs", warm_secs, 3)
+        .fixed("cold_secs", cold_secs, 3)
+        .fixed("devices_per_sec", (devices * epochs) as f64 / warm_secs, 3)
+        .field("fleet_swaps", warm.swaps)
+        .field("cold_swaps", cold.swaps)
+        .field("transfer_hits", warm.transfer_hits)
+        .field("transfer_misses", warm.transfer_misses)
+        .fixed("transfer_hit_rate", warm.transfer_hit_rate(), 3)
+        .fixed("cache_hit_rate", cache_hit_rate, 3)
+        .fixed("warm_reopt_wall_s", warm.reopt_wall_s, 3)
+        .fixed("cold_reopt_wall_s", cold.reopt_wall_s, 3)
+        .fixed("warm_reopt_per_swap_ms", warm_per_swap * 1e3, 3)
+        .fixed("cold_reopt_per_swap_ms", cold_per_swap * 1e3, 3)
+        .fixed("reopt_speedup", reopt_speedup, 2)
+        .field("digest", format!("{:016x}", warm.digest))
+        .field("bit_identical", bit_identical)
+        .write(smoke);
 }

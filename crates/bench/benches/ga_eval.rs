@@ -13,7 +13,7 @@
 //! writes the measured policies/sec to `BENCH_ga_eval.json` at the
 //! workspace root so CI and EXPERIMENTS.md can consume the numbers
 //! without scraping bench output. Alongside throughput it records three
-//! correctness artifacts the check script gates on: pool scores on both
+//! correctness artifacts that `bench_gate` checks: pool scores on both
 //! streams are bit-identical to the reference full evaluation, a warm
 //! pool-scoring pass performs zero heap allocations (counted by a
 //! wrapping global allocator), and the exact Pareto-DP oracle certifies
@@ -21,6 +21,7 @@
 //! exactly `0.0`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use npu_bench::report::{self, Report, Value};
 use npu_bench::{build_models, steady_profiles};
 use npu_dvfs::{
     exact, preprocess::preprocess, score, search, GaConfig, GenomePool, IncrementalEval, Stage,
@@ -239,9 +240,9 @@ fn time_policies_per_sec(total_policies: usize, f: impl FnOnce()) -> f64 {
     total_policies as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Self-timed comparison of the evaluation paths; returns JSON.
-fn measure_eval_modes(table: &StageTable) -> String {
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
+/// Self-timed comparison of the evaluation paths.
+fn measure_eval_modes(table: &StageTable) -> Report {
+    let smoke = report::smoke();
     let stream_len = if smoke { 600 } else { 20_000 };
     let generation = 200;
     let stream = genome_stream(table, stream_len);
@@ -352,10 +353,7 @@ fn measure_eval_modes(table: &StageTable) -> String {
     // the exact Pareto-DP oracle certifies the true Eq. (17) optimum and
     // the GA (with its memetic refinement) reaches it exactly.
     let small = certified_table(6, 6);
-    let oracle = exact::solve(
-        &small,
-        &exact::ExactConfig::default().with_loss_target(target),
-    );
+    let oracle = exact::solve(&small, target);
     let small_ga = search(
         &small,
         &GaConfig::default()
@@ -390,46 +388,27 @@ fn measure_eval_modes(table: &StageTable) -> String {
         .collect();
     fleet_secs.sort_by(f64::total_cmp);
 
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"ga_eval\",\n",
-            "  \"workload\": \"gpt3\",\n",
-            "  \"n_stages\": {},\n",
-            "  \"n_freqs\": {},\n",
-            "  \"stream_len\": {},\n",
-            "  \"full_policies_per_sec\": {:.1},\n",
-            "  \"incremental_policies_per_sec\": {:.1},\n",
-            "  \"pool_policies_per_sec\": {:.1},\n",
-            "  \"lineage_policies_per_sec\": {:.1},\n",
-            "  \"incremental_speedup\": {:.2},\n",
-            "  \"pool_bit_identical\": {},\n",
-            "  \"pool_score_allocs\": {},\n",
-            "  \"optimality_gap\": {:?},\n",
-            "  \"oracle_certified\": {},\n",
-            "  \"ga_search_evaluations\": {},\n",
-            "  \"ga_search_secs\": {:.3},\n",
-            "  \"ga_search_policies_per_sec\": {:.1},\n",
-            "  \"ga_search_24_stages_secs\": {:.4}\n",
-            "}}\n"
-        ),
-        table.n_stages(),
-        table.n_freqs(),
-        stream_len,
-        full,
-        incremental,
-        pool_pps,
-        lineage_pps,
-        incremental / full,
-        pool_bit_identical,
-        pool_score_allocs,
-        optimality_gap,
-        oracle.certified,
-        outcome.evaluations,
-        ga_secs,
-        outcome.evaluations as f64 / ga_secs,
-        fleet_secs[2],
-    )
+    let ga_policies_per_sec = outcome.evaluations as f64 / ga_secs;
+    let mut report = Report::new("ga_eval");
+    report
+        .field("workload", "gpt3".to_owned())
+        .field("n_stages", table.n_stages())
+        .field("n_freqs", table.n_freqs())
+        .field("stream_len", stream_len)
+        .fixed("full_policies_per_sec", full, 1)
+        .fixed("incremental_policies_per_sec", incremental, 1)
+        .fixed("pool_policies_per_sec", pool_pps, 1)
+        .fixed("lineage_policies_per_sec", lineage_pps, 1)
+        .fixed("incremental_speedup", incremental / full, 2)
+        .field("pool_bit_identical", pool_bit_identical)
+        .field("pool_score_allocs", pool_score_allocs)
+        .field("optimality_gap", Value::Exact(optimality_gap))
+        .field("oracle_certified", oracle.certified)
+        .field("ga_search_evaluations", outcome.evaluations)
+        .fixed("ga_search_secs", ga_secs, 3)
+        .fixed("ga_search_policies_per_sec", ga_policies_per_sec, 1)
+        .fixed("ga_search_24_stages_secs", fleet_secs[2], 4);
+    report
 }
 
 fn bench_ga(c: &mut Criterion) {
@@ -494,22 +473,9 @@ fn bench_ga(c: &mut Criterion) {
     group.finish();
 
     // Machine-readable summary at the workspace root. Smoke runs write a
-    // sibling `.smoke.json` (validated then removed by scripts/check.sh)
-    // and leave the checked-in full-run measurement untouched.
-    let json = measure_eval_modes(&table);
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
-    let path = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_ga_eval.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ga_eval.json")
-    };
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-    print!("{json}");
+    // sibling `.smoke.json` (checked by `bench_gate ga_eval`, then removed
+    // by scripts/check.sh) and leave the checked-in full run untouched.
+    measure_eval_modes(&table).write(report::smoke());
 }
 
 criterion_group!(benches, bench_ga);

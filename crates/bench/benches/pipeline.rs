@@ -19,9 +19,9 @@
 //!
 //! `CRITERION_SMOKE=1` runs a tiny batch and writes
 //! `BENCH_pipeline.smoke.json` instead, leaving the checked-in
-//! full-run measurement untouched (scripts/check.sh validates the
-//! smoke file).
+//! full-run measurement untouched (`bench_gate pipeline` checks both).
 
+use npu_bench::report::{self, Report};
 use npu_core::{ArtifactCache, EnergyOptimizer, OptimizationReport, OptimizerConfig};
 use npu_power_model::HardwareCalibration;
 use npu_sim::par::{par_map_ordered, resolve_threads};
@@ -86,7 +86,7 @@ fn timed(
 }
 
 fn main() {
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = report::smoke();
     let cfg = NpuConfig::ascend_like();
     let calib = HardwareCalibration::ground_truth(&cfg);
     let batch = batch(&cfg, smoke);
@@ -138,55 +138,31 @@ fn main() {
     );
     let pipeline_epoch_secs = parallel_secs + warm_epoch_secs;
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"pipeline\",\n",
-            "  \"smoke\": {},\n",
-            "  \"workloads\": {},\n",
-            "  \"workers\": {},\n",
-            "  \"epoch_batches\": {},\n",
-            "  \"cold_serial_secs\": {:.3},\n",
-            "  \"cold_parallel_secs\": {:.3},\n",
-            "  \"warm_cache_secs\": {:.4},\n",
-            "  \"cold_serial_sessions_per_sec\": {:.3},\n",
-            "  \"cold_parallel_sessions_per_sec\": {:.3},\n",
-            "  \"warm_cache_sessions_per_sec\": {:.3},\n",
-            "  \"baseline_epoch_secs\": {:.3},\n",
-            "  \"pipeline_epoch_secs\": {:.3},\n",
-            "  \"speedup_cold_parallel\": {:.2},\n",
-            "  \"speedup_warm_cache\": {:.2},\n",
-            "  \"speedup_end_to_end\": {:.2},\n",
-            "  \"warm_second_pass_misses\": {},\n",
-            "  \"bit_identical\": {}\n",
-            "}}\n"
-        ),
-        smoke,
-        n,
-        workers,
-        EPOCH_BATCHES,
-        serial_secs,
-        parallel_secs,
-        warm_secs,
-        n as f64 / serial_secs,
-        n as f64 / parallel_secs,
-        n as f64 / warm_secs,
-        serial_epoch_secs,
-        pipeline_epoch_secs,
-        serial_secs / parallel_secs,
-        serial_secs / warm_secs,
-        serial_epoch_secs / pipeline_epoch_secs,
-        warm_stats.misses(),
-        true, // asserted above, per pass
-    );
-    let file = if smoke {
-        "BENCH_pipeline.smoke.json"
-    } else {
-        "BENCH_pipeline.json"
-    };
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-    print!("{json}");
+    Report::new("pipeline")
+        .field("smoke", smoke)
+        .field("workloads", n)
+        .field("workers", workers)
+        .field("epoch_batches", EPOCH_BATCHES)
+        .fixed("cold_serial_secs", serial_secs, 3)
+        .fixed("cold_parallel_secs", parallel_secs, 3)
+        .fixed("warm_cache_secs", warm_secs, 4)
+        .fixed("cold_serial_sessions_per_sec", n as f64 / serial_secs, 3)
+        .fixed(
+            "cold_parallel_sessions_per_sec",
+            n as f64 / parallel_secs,
+            3,
+        )
+        .fixed("warm_cache_sessions_per_sec", n as f64 / warm_secs, 3)
+        .fixed("baseline_epoch_secs", serial_epoch_secs, 3)
+        .fixed("pipeline_epoch_secs", pipeline_epoch_secs, 3)
+        .fixed("speedup_cold_parallel", serial_secs / parallel_secs, 2)
+        .fixed("speedup_warm_cache", serial_secs / warm_secs, 2)
+        .fixed(
+            "speedup_end_to_end",
+            serial_epoch_secs / pipeline_epoch_secs,
+            2,
+        )
+        .field("warm_second_pass_misses", warm_stats.misses())
+        .field("bit_identical", true) // asserted above, per pass
+        .write(smoke);
 }

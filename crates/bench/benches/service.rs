@@ -21,8 +21,9 @@
 //! 1/2/8 workers asserting the full response digest is bit-identical.
 //! Results go to `BENCH_service.json` at the workspace root
 //! (`CRITERION_SMOKE=1` → smaller streams and
-//! `BENCH_service.smoke.json`; scripts/check.sh gates on both).
+//! `BENCH_service.smoke.json`; `bench_gate service` checks both).
 
+use npu_bench::report::{self, Report};
 use npu_core::service::{generate_load, LoadSpec, OptService, ServiceOutcome};
 use npu_core::OptimizerConfig;
 use npu_sim::NpuConfig;
@@ -65,7 +66,7 @@ fn rates(outcome: &ServiceOutcome) -> (f64, f64) {
 }
 
 fn main() {
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = report::smoke();
     let seed = std::env::var("SERVICE_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -128,7 +129,11 @@ fn main() {
         ))
         .expect("warmup");
 
-    let mut fields = String::new();
+    let mut report = Report::new("service");
+    report
+        .field("smoke", smoke)
+        .field("seed", seed)
+        .field("workers", npu_sim::par::resolve_threads(0));
     let mut dup_heavy = None;
     for level in &levels {
         let load = generate_load(&catalog, &level.spec);
@@ -142,27 +147,16 @@ fn main() {
             level.name
         );
         assert!(m.completed > 0, "{}: nothing completed", level.name);
-        fields.push_str(&format!(
-            concat!(
-                "  \"submitted_{n}\": {},\n",
-                "  \"completed_{n}\": {},\n",
-                "  \"coalesce_rate_{n}\": {:.4},\n",
-                "  \"shed_rate_{n}\": {:.4},\n",
-                "  \"p50_us_{n}\": {:.1},\n",
-                "  \"p99_us_{n}\": {:.1},\n",
-                "  \"sessions_{n}\": {},\n",
-                "  \"sessions_per_sec_{n}\": {:.1},\n",
-            ),
-            m.submitted,
-            m.completed,
-            coalesce_rate,
-            shed_rate,
-            m.p50_latency_us,
-            m.p99_latency_us,
-            m.sessions,
-            served_per_sec,
-            n = level.name,
-        ));
+        let n = level.name;
+        report
+            .field(format!("submitted_{n}"), m.submitted)
+            .field(format!("completed_{n}"), m.completed)
+            .fixed(format!("coalesce_rate_{n}"), coalesce_rate, 4)
+            .fixed(format!("shed_rate_{n}"), shed_rate, 4)
+            .fixed(format!("p50_us_{n}"), m.p50_latency_us, 1)
+            .fixed(format!("p99_us_{n}"), m.p99_latency_us, 1)
+            .field(format!("sessions_{n}"), m.sessions)
+            .fixed(format!("sessions_per_sec_{n}"), served_per_sec, 1);
         if level.name == "dup_heavy" {
             if !smoke {
                 assert!(
@@ -231,39 +225,11 @@ fn main() {
         "service must be bit-identical at 1/2/8 workers"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"service\",\n",
-            "  \"smoke\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"workers\": {},\n",
-            "{}",
-            "  \"baseline_requests\": {},\n",
-            "  \"baseline_sessions_per_sec\": {:.1},\n",
-            "  \"coalesce_speedup\": {:.2},\n",
-            "  \"digest\": \"{:016x}\",\n",
-            "  \"bit_identical\": {}\n",
-            "}}\n"
-        ),
-        smoke,
-        seed,
-        npu_sim::par::resolve_threads(0),
-        fields,
-        baseline_requests,
-        baseline_served_per_sec,
-        coalesce_speedup,
-        reference.digest(),
-        bit_identical,
-    );
-    let file = if smoke {
-        "BENCH_service.smoke.json"
-    } else {
-        "BENCH_service.json"
-    };
-    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-    print!("{json}");
+    report
+        .field("baseline_requests", baseline_requests)
+        .fixed("baseline_sessions_per_sec", baseline_served_per_sec, 1)
+        .fixed("coalesce_speedup", coalesce_speedup, 2)
+        .field("digest", format!("{:016x}", reference.digest()))
+        .field("bit_identical", bit_identical)
+        .write(smoke);
 }

@@ -9,7 +9,7 @@
 //! accounting and reports what each achieves.
 
 use npu_bench::{build_models, steady_profiles};
-use npu_core::{model_free_search, ModelFreeConfig};
+use npu_core::model_free_search;
 use npu_dvfs::{preprocess::preprocess, search, GaConfig, StageTable};
 use npu_exec::{execute_strategy, ExecutorOptions};
 use npu_perf_model::FitFunction;
@@ -65,16 +65,12 @@ fn main() {
 
     // Model-free with the paper's 5-minute budget, and with 12x more.
     for (label, minutes) in [("5 min", 5.0), ("60 min", 60.0)] {
-        let mf_cfg = ModelFreeConfig {
-            budget_virtual_us: minutes * 60.0e6,
-            ..ModelFreeConfig::default()
-        };
         let mf = model_free_search(
             &mut dev,
             workload.schedule(),
             baseline_records,
             &pre,
-            &mf_cfg,
+            minutes * 60.0e6,
         )
         .expect("model-free search");
         println!(

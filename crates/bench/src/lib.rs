@@ -3,10 +3,12 @@
 //! One binary per paper table/figure (see `src/bin/`) plus Criterion
 //! benchmarks for the paper's timing claims (Sect. 4.3 fitting cost,
 //! Sect. 8.1 policy-evaluation throughput). This library holds the shared
-//! plumbing: steady-state profiling, model construction, and small
-//! printing helpers.
+//! plumbing: steady-state profiling, model construction, small printing
+//! helpers, and the [`report`] every `BENCH_*.json` bench writes.
 
 #![warn(missing_docs)]
+
+pub mod report;
 
 use npu_perf_model::{FitFunction, FreqProfile, PerfModelStore};
 use npu_power_model::{HardwareCalibration, PowerModel};

@@ -37,7 +37,7 @@ pub use fleet_serve::{
     calibration_fingerprint, calibration_vector, cluster_by_fingerprint, DeviceHealth,
     DeviceHealthReport, FleetController, FleetError, FleetOutcome, HealthPolicy,
 };
-pub use model_free::{model_free_search, ModelFreeConfig, ModelFreeOutcome};
+pub use model_free::{model_free_search, ModelFreeOutcome};
 pub use optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 pub use report::{MeasuredIteration, OptimizationReport};
 pub use serve::{

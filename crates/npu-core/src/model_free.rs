@@ -17,37 +17,16 @@ use npu_sim::{Device, FreqMhz, OpRecord, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of the model-free search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelFreeConfig {
-    /// Individuals per generation (small — evaluations are expensive).
-    pub population: usize,
-    /// Per-individual mutation probability.
-    pub mutation_rate: f64,
-    /// Per-pair crossover probability.
-    pub crossover_rate: f64,
-    /// Allowed relative performance loss.
-    pub perf_loss_target: f64,
-    /// Total *virtual* device time the search may spend executing
-    /// candidate strategies, µs. This is the resource the paper counts:
-    /// each evaluation costs one training iteration of it.
-    pub budget_virtual_us: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ModelFreeConfig {
-    fn default() -> Self {
-        Self {
-            population: 10,
-            mutation_rate: 0.3,
-            crossover_rate: 0.9,
-            perf_loss_target: 0.02,
-            budget_virtual_us: 300.0e6, // five minutes, as in Sect. 8.1
-            seed: 0xF0_F0,
-        }
-    }
-}
+/// Individuals per generation (small — evaluations are expensive).
+const POPULATION: usize = 10;
+/// Per-individual mutation probability.
+const MUTATION_RATE: f64 = 0.3;
+/// Per-pair crossover probability.
+const CROSSOVER_RATE: f64 = 0.9;
+/// Allowed relative performance loss.
+const PERF_LOSS_TARGET: f64 = 0.02;
+/// RNG seed.
+const SEED: u64 = 0xF0_F0;
 
 /// Result of a model-free search.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,30 +45,28 @@ pub struct ModelFreeOutcome {
 
 /// Runs the model-free genetic search: same operators as the model-based
 /// GA, but every individual is scored by executing it on `dev` and
-/// measuring iteration time and AICore power.
+/// measuring iteration time and AICore power. `budget_virtual_us` is the
+/// total *virtual* device time the search may spend executing candidate
+/// strategies — the resource the paper counts: each evaluation costs one
+/// training iteration of it (Sect. 8.1 grants five minutes, `300.0e6`).
 ///
 /// # Errors
 ///
 /// Returns [`ExecError`] if a strategy execution fails.
-///
-/// # Panics
-///
-/// Panics if `cfg.population < 2`.
 pub fn model_free_search(
     dev: &mut Device,
     schedule: &Schedule,
     baseline_records: &[OpRecord],
     pre: &Preprocessed,
-    cfg: &ModelFreeConfig,
+    budget_virtual_us: f64,
 ) -> Result<ModelFreeOutcome, ExecError> {
-    assert!(cfg.population >= 2, "population must be at least 2");
     let stages = pre.stages().to_vec();
     let n = stages.len();
     let freqs: Vec<FreqMhz> = dev.config().freq_table.iter().collect();
     let m = freqs.len();
     let max_gene = m - 1;
     let baseline_time: f64 = baseline_records.iter().map(|r| r.dur_us).sum();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut rng = SmallRng::seed_from_u64(SEED);
 
     let mut outcome = ModelFreeOutcome {
         strategy: DvfsStrategy::new(stages.clone(), vec![freqs[max_gene]; n]),
@@ -117,7 +94,7 @@ pub fn model_free_search(
             })
             .collect(),
     );
-    while population.len() < cfg.population {
+    while population.len() < POPULATION {
         population.push((0..n).map(|_| rng.gen_range(0..m)).collect());
     }
 
@@ -125,7 +102,7 @@ pub fn model_free_search(
         // Score the generation by executing each individual.
         let mut scores = Vec::with_capacity(population.len());
         for genes in &population {
-            if outcome.virtual_cost_us >= cfg.budget_virtual_us {
+            if outcome.virtual_cost_us >= budget_virtual_us {
                 break 'outer;
             }
             let strategy =
@@ -144,7 +121,7 @@ pub fn model_free_search(
                 aicore_energy_wus: exec.result.energy_aicore_j * 1e6,
                 soc_energy_wus: exec.result.energy_soc_j * 1e6,
             };
-            let s = score(&eval, baseline_time, cfg.perf_loss_target);
+            let s = score(&eval, baseline_time, PERF_LOSS_TARGET);
             if s > outcome.best_score {
                 outcome.best_score = s;
                 outcome.best_eval = eval;
@@ -164,7 +141,7 @@ pub fn model_free_search(
             }
             wheel.sample(rng)
         };
-        let mut next = Vec::with_capacity(cfg.population);
+        let mut next = Vec::with_capacity(POPULATION);
         // Elitism on the best-so-far genes.
         next.push(
             outcome
@@ -174,24 +151,24 @@ pub fn model_free_search(
                 .map(|f| freqs.iter().position(|g| g == f).expect("grid freq"))
                 .collect::<Vec<usize>>(),
         );
-        while next.len() < cfg.population {
+        while next.len() < POPULATION {
             let pa = population[pick(&mut rng)].clone();
             let pb = population[pick(&mut rng)].clone();
             let (mut ca, mut cb) = (pa, pb);
-            if rng.gen::<f64>() < cfg.crossover_rate && n > 1 {
+            if rng.gen::<f64>() < CROSSOVER_RATE && n > 1 {
                 let k = rng.gen_range(1..n);
                 for i in n - k..n {
                     std::mem::swap(&mut ca[i], &mut cb[i]);
                 }
             }
             for child in [&mut ca, &mut cb] {
-                if rng.gen::<f64>() < cfg.mutation_rate {
+                if rng.gen::<f64>() < MUTATION_RATE {
                     let j = rng.gen_range(0..n);
                     child[j] = rng.gen_range(0..m);
                 }
             }
             next.push(ca);
-            if next.len() < cfg.population {
+            if next.len() < POPULATION {
                 next.push(cb);
             }
         }
@@ -216,11 +193,8 @@ mod tests {
             .run(w.schedule(), &RunOptions::at(FreqMhz::new(1800)))
             .unwrap();
         let pre = preprocess(&base.records, 100.0);
-        let mf_cfg = ModelFreeConfig {
-            budget_virtual_us: 30_000.0, // ~30 iterations of the tiny workload
-            ..ModelFreeConfig::default()
-        };
-        let out = model_free_search(&mut dev, w.schedule(), &base.records, &pre, &mf_cfg).unwrap();
+        let budget = 30_000.0; // ~30 iterations of the tiny workload
+        let out = model_free_search(&mut dev, w.schedule(), &base.records, &pre, budget).unwrap();
         assert!(out.evaluations > 0);
         // One evaluation may straddle the budget edge, no more.
         assert!(out.virtual_cost_us <= 30_000.0 + 2.0 * base.duration_us);
@@ -237,11 +211,8 @@ mod tests {
             .run(w.schedule(), &RunOptions::at(FreqMhz::new(1800)))
             .unwrap();
         let pre = preprocess(&base.records, 500.0);
-        let mf_cfg = ModelFreeConfig {
-            budget_virtual_us: 400.0 * base.duration_us,
-            ..ModelFreeConfig::default()
-        };
-        let out = model_free_search(&mut dev, w.schedule(), &base.records, &pre, &mf_cfg).unwrap();
+        let budget = 400.0 * base.duration_us;
+        let out = model_free_search(&mut dev, w.schedule(), &base.records, &pre, budget).unwrap();
         let base_power = base.avg_aicore_w();
         assert!(
             out.best_eval.aicore_w() < base_power,
@@ -256,14 +227,7 @@ mod tests {
         let cfg = NpuConfig::ascend_like();
         let mut dev = Device::new(cfg.clone());
         let pre = preprocess(&[], 100.0);
-        let out = model_free_search(
-            &mut dev,
-            &Schedule::default(),
-            &[],
-            &pre,
-            &ModelFreeConfig::default(),
-        )
-        .unwrap();
+        let out = model_free_search(&mut dev, &Schedule::default(), &[], &pre, 300.0e6).unwrap();
         assert_eq!(out.evaluations, 0);
         assert!(out.strategy.is_empty());
     }

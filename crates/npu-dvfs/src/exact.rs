@@ -27,7 +27,7 @@
 //! The result is **certified** (a true global optimum) when the thermal
 //! fix point cannot perturb the scored quantities — `k_c_per_w ≤ 0`
 //! (synthetic tables) or `γ_aicore = 0` — and the frontier stays within
-//! the configured caps. Otherwise [`solve`] falls back to evaluating the
+//! its size caps. Otherwise [`solve`] falls back to evaluating the
 //! [`lagrangian_seeds`] candidates through the real evaluation path and
 //! reports `certified = false`.
 //!
@@ -58,41 +58,18 @@ use crate::strategy::{DvfsStrategy, Evaluation, StageTable};
 use npu_obs::{Event, ObserverHandle};
 use npu_sim::FreqMhz;
 
-/// Configuration for [`solve`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExactConfig {
-    /// Allowed relative performance loss (the GA's `perf_loss_target`).
-    pub perf_loss_target: f64,
-    /// Abort certification when any node's pruned frontier exceeds this.
-    pub max_frontier: usize,
-    /// Abort certification once the merges would enumerate more
-    /// candidate pairs than this, summed over the whole tree. The pairs
-    /// are what the attempt pays for, so this bounds what an attempt
-    /// that cannot certify wastes before the Lagrangian fallback.
-    pub max_merge_pairs: usize,
-}
+/// The DP abandons certification when any node's pruned frontier
+/// exceeds this.
+const MAX_FRONTIER: usize = 1 << 16;
 
-impl Default for ExactConfig {
-    fn default() -> Self {
-        Self {
-            perf_loss_target: 0.02,
-            max_frontier: 1 << 16,
-            // Random 2–9-stage tables certify within 84k pairs in 99.95 %
-            // of cases; real uncoupled tables (BERT, ResNet, GPT-3) never
-            // certify, and at this cap give up in about 1 ms.
-            max_merge_pairs: 100_000,
-        }
-    }
-}
-
-impl ExactConfig {
-    /// Sets the loss target, chainable.
-    #[must_use]
-    pub fn with_loss_target(mut self, target: f64) -> Self {
-        self.perf_loss_target = target;
-        self
-    }
-}
+/// The DP abandons certification once its merges would enumerate more
+/// candidate pairs than this, summed over the whole tree. The pairs are
+/// what an attempt pays for, so this bounds what an attempt that cannot
+/// certify wastes before the Lagrangian fallback. Random 2–9-stage
+/// tables certify within 84k pairs in 99.95 % of cases; real uncoupled
+/// tables (BERT, ResNet, GPT-3) never certify, and at this cap give up in
+/// about 1 ms.
+const MAX_MERGE_PAIRS: usize = 100_000;
 
 /// Result of [`solve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -105,9 +82,6 @@ pub struct ExactOutcome {
     pub score: f64,
     /// Whether the result is a certified global optimum.
     pub certified: bool,
-    /// Largest per-node frontier the DP retained (0 when the DP was
-    /// skipped).
-    pub peak_frontier: usize,
 }
 
 /// One rung of the Lagrangian ladder: a candidate genome with its
@@ -169,24 +143,11 @@ fn prune(points: &mut Vec<Point>) {
     points.truncate(kept);
 }
 
-/// What one DP attempt has spent so far: the largest frontier it kept
-/// and the candidate pairs its merges enumerated.
-#[derive(Debug, Default)]
-struct Spend {
-    peak: usize,
-    pairs: usize,
-}
-
 /// Builds the frontier tree over leaf range `[lo, lo + width)` (width a
-/// power of two; out-of-range leaves are zero padding). Returns `None`
-/// when a cap is exceeded.
-fn build(
-    table: &StageTable,
-    lo: usize,
-    width: usize,
-    cfg: &ExactConfig,
-    spend: &mut Spend,
-) -> Option<Node> {
+/// power of two; out-of-range leaves are zero padding), adding the
+/// candidate pairs its merges enumerate to `pairs`. Returns `None` when a
+/// cap is exceeded.
+fn build(table: &StageTable, lo: usize, width: usize, pairs: &mut usize) -> Option<Node> {
     if width == 1 {
         let n = table.n_stages();
         if lo >= n {
@@ -213,7 +174,6 @@ fn build(
             })
             .collect();
         prune(&mut frontier);
-        spend.peak = spend.peak.max(frontier.len());
         return Some(Node {
             frontier,
             children: None,
@@ -221,14 +181,13 @@ fn build(
         });
     }
     let half = width / 2;
-    let left = build(table, lo, half, cfg, spend)?;
-    let right = build(table, lo + half, half, cfg, spend)?;
-    let pairs = left.frontier.len().checked_mul(right.frontier.len())?;
-    spend.pairs = spend
-        .pairs
-        .checked_add(pairs)
-        .filter(|&total| total <= cfg.max_merge_pairs)?;
-    let mut frontier = Vec::with_capacity(pairs);
+    let left = build(table, lo, half, pairs)?;
+    let right = build(table, lo + half, half, pairs)?;
+    let merge_pairs = left.frontier.len().checked_mul(right.frontier.len())?;
+    *pairs = pairs
+        .checked_add(merge_pairs)
+        .filter(|&total| total <= MAX_MERGE_PAIRS)?;
+    let mut frontier = Vec::with_capacity(merge_pairs);
     for (li, lp) in left.frontier.iter().enumerate() {
         for (ri, rp) in right.frontier.iter().enumerate() {
             // The exact additions Sums::add performs for these fields,
@@ -242,10 +201,9 @@ fn build(
         }
     }
     prune(&mut frontier);
-    if frontier.len() > cfg.max_frontier {
+    if frontier.len() > MAX_FRONTIER {
         return None;
     }
-    spend.peak = spend.peak.max(frontier.len());
     Some(Node {
         frontier,
         children: Some(Box::new((left, right))),
@@ -274,15 +232,15 @@ fn thermal_affects_score(table: &StageTable) -> bool {
     c.k_c_per_w > 0.0 && c.gamma_aicore != 0.0
 }
 
-/// Finds the exact Eq. (17) optimum when certifiable, the best
-/// Lagrangian candidate otherwise. See the module docs for the
-/// certification conditions.
+/// Finds the exact Eq. (17) optimum at loss target `loss` (the GA's
+/// `perf_loss_target`) when certifiable, the best Lagrangian candidate
+/// otherwise. See the module docs for the certification conditions.
 ///
 /// # Panics
 ///
 /// Panics if the table has no frequency points.
 #[must_use]
-pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
+pub fn solve(table: &StageTable, loss: f64) -> ExactOutcome {
     let n = table.n_stages();
     assert!(table.n_freqs() >= 1, "table must have frequency points");
     let baseline_time = table.baseline().time_us;
@@ -292,13 +250,11 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
             eval: table.evaluate(&[]),
             score: 0.0,
             certified: true,
-            peak_frontier: 0,
         };
     }
 
     if !thermal_affects_score(table) {
-        let mut spend = Spend::default();
-        if let Some(root) = build(table, 0, n.next_power_of_two(), cfg, &mut spend) {
+        if let Some(root) = build(table, 0, n.next_power_of_two(), &mut 0) {
             // Score every frontier point directly from its (T, EA) sums:
             // with the fix point inert for scoring, these are exactly the
             // evaluation's time and AICore energy.
@@ -312,7 +268,7 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
                         aicore_energy_wus: p.ea,
                         soc_energy_wus: 0.0,
                     };
-                    (i, score(&e, baseline_time, cfg.perf_loss_target))
+                    (i, score(&e, baseline_time, loss))
                 })
                 .max_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap_or((0, 0.0));
@@ -328,21 +284,20 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
                 genes,
                 eval,
                 certified: true,
-                peak_frontier: spend.peak,
             };
         }
     }
 
     // Uncertified fallback: best Lagrangian candidate through the real
     // evaluation path (thermal fix point included).
-    let seeds = lagrangian_seeds(table, cfg.perf_loss_target, 64);
+    let seeds = lagrangian_seeds(table, loss, 64);
     let best = seeds
         .into_iter()
         .max_by(|a, b| a.score.total_cmp(&b.score))
         .unwrap_or_else(|| {
             let genes = vec![table.n_freqs() - 1; n];
             let eval = table.evaluate(&genes);
-            let s = score(&eval, baseline_time, cfg.perf_loss_target);
+            let s = score(&eval, baseline_time, loss);
             LagrangianSeed {
                 genes,
                 eval,
@@ -354,7 +309,6 @@ pub fn solve(table: &StageTable, cfg: &ExactConfig) -> ExactOutcome {
         eval: best.eval,
         score: best.score,
         certified: false,
-        peak_frontier: 0,
     }
 }
 
@@ -387,7 +341,7 @@ pub fn serving_search(
     warm_seeds: &[Vec<FreqMhz>],
     obs: &ObserverHandle,
 ) -> GaOutcome {
-    let solved = solve(table, &ExactConfig::default().with_loss_target(loss));
+    let solved = solve(table, loss);
     let baseline_time = table.baseline().time_us;
     let (mut genes, mut eval, mut best_score) = (solved.genes, solved.eval, solved.score);
     let mut candidates = 1;
@@ -701,8 +655,7 @@ mod tests {
         // 4 stages × 9 freqs = 6561 genomes: brute force is feasible, so
         // verify the DP really is exact.
         let t = table(2, 2);
-        let cfg = ExactConfig::default();
-        let out = solve(&t, &cfg);
+        let out = solve(&t, 0.02);
         assert!(out.certified);
         let baseline = t.baseline().time_us;
         let mut best = f64::NEG_INFINITY;
@@ -714,7 +667,7 @@ mod tests {
                 *g = c % m;
                 c /= m;
             }
-            let s = score(&t.evaluate(&genes), baseline, cfg.perf_loss_target);
+            let s = score(&t.evaluate(&genes), baseline, 0.02);
             if s > best {
                 best = s;
             }
@@ -731,25 +684,18 @@ mod tests {
     #[test]
     fn reported_score_is_achieved_bit_exactly() {
         let t = table(3, 3);
-        let cfg = ExactConfig::default();
-        let out = solve(&t, &cfg);
+        let out = solve(&t, 0.02);
         assert!(out.certified);
-        let achieved = score(
-            &t.evaluate(&out.genes),
-            t.baseline().time_us,
-            cfg.perf_loss_target,
-        );
+        let achieved = score(&t.evaluate(&out.genes), t.baseline().time_us, 0.02);
         assert_eq!(achieved.to_bits(), out.score.to_bits());
         assert_eq!(out.eval, t.evaluate(&out.genes));
-        assert!(out.peak_frontier >= 1);
     }
 
     #[test]
     fn oracle_matches_or_beats_the_ga() {
         for (nm, nc) in [(2, 2), (3, 3), (4, 2)] {
             let t = table(nm, nc);
-            let cfg = ExactConfig::default();
-            let exact = solve(&t, &cfg);
+            let exact = solve(&t, 0.02);
             let ga = search(
                 &t,
                 &GaConfig::default().with_population(40).with_iterations(60),
@@ -775,7 +721,7 @@ mod tests {
             },
             volts,
         );
-        let out = solve(&t, &ExactConfig::default());
+        let out = solve(&t, 0.02);
         assert!(!out.certified);
         // The fallback result is still internally consistent.
         let achieved = score(&t.evaluate(&out.genes), t.baseline().time_us, 0.02);
@@ -795,7 +741,7 @@ mod tests {
             },
             volts,
         );
-        let out = solve(&t, &ExactConfig::default());
+        let out = solve(&t, 0.02);
         assert!(out.certified);
         let achieved = score(&t.evaluate(&out.genes), t.baseline().time_us, 0.02);
         assert_eq!(achieved.to_bits(), out.score.to_bits());
@@ -845,7 +791,7 @@ mod tests {
                 .with_iterations(2)
                 .with_oracle_seeds(8);
             assert_eq!(search(&t, &cfg).strategy.len(), t.n_stages());
-            let out = solve(&coupled, &ExactConfig::default().with_loss_target(loss));
+            let out = solve(&coupled, loss);
             assert!(!out.certified);
             assert_eq!(out.genes, all_max, "no rungs: the all-max fallback");
         }
@@ -860,7 +806,7 @@ mod tests {
         };
         let t = table(3, 3).with_thermal_coupling(coupling, vec![0.9; 9]);
         let obs = ObserverHandle::null();
-        let solved = solve(&t, &ExactConfig::default());
+        let solved = solve(&t, 0.02);
         let cold = serving_search(&t, 0.02, &[], &obs);
         assert_eq!(cold.best_score.to_bits(), solved.score.to_bits());
         assert_eq!(cold.best_eval, solved.eval);
@@ -945,7 +891,7 @@ mod tests {
     fn empty_table_is_trivially_certified() {
         let t = StageTable::from_parts(vec![FreqMhz::new(1800)], vec![], vec![], vec![], vec![])
             .unwrap();
-        let out = solve(&t, &ExactConfig::default());
+        let out = solve(&t, 0.02);
         assert!(out.certified);
         assert!(out.genes.is_empty());
         assert_eq!(out.score, 0.0);

@@ -36,26 +36,27 @@ use npu_sim::FreqMhz;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Per-individual mutation probability (the paper's 0.15).
+const MUTATION_RATE: f64 = 0.15;
+/// Per-pair crossover probability.
+const CROSSOVER_RATE: f64 = 0.9;
+/// The prior individual's frequency for LFC stages, MHz.
+const LFC_PRIOR_MHZ: u32 = 1600;
+/// The prior individual's frequency for HFC stages, MHz.
+const HFC_PRIOR_MHZ: u32 = 1800;
+
 /// GA hyper-parameters. Defaults mirror the paper's evaluation
-/// (population 200, mutation 0.15, 600 iterations, 2 % loss target).
+/// (population 200, 600 iterations, 2 % loss target; mutation rate 0.15).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaConfig {
     /// Individuals per generation.
     pub population: usize,
     /// Generations to run.
     pub iterations: usize,
-    /// Per-individual mutation probability.
-    pub mutation_rate: f64,
-    /// Per-pair crossover probability.
-    pub crossover_rate: f64,
     /// Allowed relative performance loss (e.g. `0.02` for 2 %).
     pub perf_loss_target: f64,
     /// Whether to seed the population with the LFC/HFC prior individual.
     pub include_prior: bool,
-    /// Prior frequency for LFC stages.
-    pub lfc_prior: FreqMhz,
-    /// Prior frequency for HFC stages.
-    pub hfc_prior: FreqMhz,
     /// RNG seed (the search is deterministic given the seed).
     pub seed: u64,
     /// Oracle seed individuals injected into the first generation from
@@ -71,12 +72,8 @@ impl Default for GaConfig {
         Self {
             population: 200,
             iterations: 600,
-            mutation_rate: 0.15,
-            crossover_rate: 0.9,
             perf_loss_target: 0.02,
             include_prior: true,
-            lfc_prior: FreqMhz::new(1600),
-            hfc_prior: FreqMhz::new(1800),
             seed: 0x6A_5EED,
             oracle_seeds: 0,
         }
@@ -205,8 +202,8 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
     let mut genes_buf: Vec<usize> = vec![max_gene; n];
     pool.push_genes(&genes_buf); // baseline individual
     if cfg.include_prior {
-        let lfc = table.gene_at_or_above(cfg.lfc_prior);
-        let hfc = table.gene_at_or_above(cfg.hfc_prior);
+        let lfc = table.gene_at_or_above(FreqMhz::new(LFC_PRIOR_MHZ));
+        let hfc = table.gene_at_or_above(FreqMhz::new(HFC_PRIOR_MHZ));
         genes_buf.clear();
         genes_buf.extend(table.stages().iter().map(|s| match s.kind {
             StageKind::Lfc => lfc,
@@ -308,13 +305,13 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
             let pb = wheel.sample(&mut rng);
             let ca = next.push_copy_from(&pool, pa);
             let cb = next.push_copy_from(&pool, pb);
-            if rng.gen::<f64>() < cfg.crossover_rate && n > 1 {
+            if rng.gen::<f64>() < CROSSOVER_RATE && n > 1 {
                 // Swap the last k genes (paper Sect. 6.3.3).
                 let k = rng.gen_range(1..n);
                 next.swap_suffix(ca, cb, n - k);
             }
             for child in [ca, cb] {
-                if rng.gen::<f64>() < cfg.mutation_rate {
+                if rng.gen::<f64>() < MUTATION_RATE {
                     let j = rng.gen_range(0..n);
                     next.set_gene(child, j, rng.gen_range(0..m));
                 }

@@ -61,7 +61,7 @@ mod strategy;
 pub use baseline::{phase_level, program_level, BaselineOutcome};
 pub use classify::{Bottleneck, Sensitivity};
 pub use engine::{IncrementalEval, RouletteWheel};
-pub use exact::{serving_search, ExactConfig, ExactOutcome, LagrangianSeed};
+pub use exact::{serving_search, ExactOutcome, LagrangianSeed};
 pub use ga::{score, search, search_observed, GaConfig, GaOutcome};
 pub use persist::{read_strategy, write_strategy, StrategyParseError, STRATEGY_HEADER};
 pub use pool::GenomePool;

@@ -273,7 +273,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let loss = 0.02;
-        let out = exact::solve(&table, &exact::ExactConfig::default().with_loss_target(loss));
+        let out = exact::solve(&table, loss);
         prop_assert!(out.certified, "uncoupled table must certify");
         let achieved = score(&table.evaluate(&out.genes), table.baseline().time_us, loss);
         prop_assert_eq!(achieved.to_bits(), out.score.to_bits());
@@ -327,7 +327,7 @@ proptest! {
             .iter()
             .map(|s| s.iter().map(|&mhz| FreqMhz::new(mhz)).collect())
             .collect();
-        let optimum = exact::solve(&table, &exact::ExactConfig::default().with_loss_target(loss));
+        let optimum = exact::solve(&table, loss);
         if optimum.certified {
             seeds.push(optimum.genes.iter().map(|&g| table.freqs()[g]).collect());
         }
