@@ -24,9 +24,10 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use npu_bench::report::{self, Report, Value};
 use npu_bench::{build_models, steady_profiles};
 use npu_dvfs::{
-    exact, preprocess::preprocess, score, search, GaConfig, GenomePool, IncrementalEval, Stage,
-    StageKind, StageTable,
+    exact, preprocess::preprocess, score, search, serving_search, GaConfig, GenomePool,
+    IncrementalEval, Stage, StageKind, StageTable, ThermalCoupling,
 };
+use npu_obs::ObserverHandle;
 use npu_perf_model::FitFunction;
 use npu_sim::{Device, FreqMhz, NpuConfig};
 use npu_workloads::models;
@@ -110,6 +111,19 @@ fn certified_table(n_mem: usize, n_cpu: usize) -> StageTable {
         es.push(srow);
     }
     StageTable::from_parts(freqs, stages, time, ea, es).expect("consistent shapes")
+}
+
+/// [`certified_table`] with the thermal fix point on, so the exact
+/// solver cannot certify it and serves the Lagrangian ladder's best rung
+/// (the path every calibrated device's table takes).
+fn coupled_table(n_mem: usize, n_cpu: usize) -> StageTable {
+    let coupling = ThermalCoupling {
+        gamma_aicore: 0.05,
+        gamma_soc: 0.1,
+        k_c_per_w: 0.08,
+    };
+    let volts = (0..9).map(|k| 0.70 + 0.03 * f64::from(k)).collect();
+    certified_table(n_mem, n_cpu).with_thermal_coupling(coupling, volts)
 }
 
 const LCG_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -462,6 +476,23 @@ fn bench_ga(c: &mut Criterion) {
             sum
         });
     });
+    group.finish();
+
+    // The serving path's search on a coupled table: the Lagrangian
+    // ladder alone, and `serving_search` (the ladder's best rung plus
+    // coordinate ascent), on GPT-3 and on a 48-stage fleet-sized table.
+    let fleet = coupled_table(24, 24);
+    let null = ObserverHandle::null();
+    let mut group = c.benchmark_group("serving_search");
+    group.sample_size(10);
+    for (name, t) in [("gpt3", &table), ("48_stages", &fleet)] {
+        group.bench_function(format!("lagrangian_seeds_{name}"), |b| {
+            b.iter(|| exact::lagrangian_seeds(t, TARGET, 64));
+        });
+        group.bench_function(format!("serving_search_{name}"), |b| {
+            b.iter(|| serving_search(t, TARGET, &[], &null));
+        });
+    }
     group.finish();
 
     let mut group = c.benchmark_group("ga_search");

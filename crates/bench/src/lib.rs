@@ -86,12 +86,6 @@ pub fn all_freqs_mhz() -> Vec<u32> {
     (10..=18).map(|k| k * 100).collect()
 }
 
-/// Formats a percentage with sign.
-#[must_use]
-pub fn pct(x: f64) -> String {
-    format!("{:+.2}%", 100.0 * x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +117,5 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(all_freqs_mhz().len(), 9);
-        assert_eq!(pct(0.1234), "+12.34%");
     }
 }

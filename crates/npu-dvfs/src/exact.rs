@@ -57,6 +57,8 @@ use crate::ga::{score, GaOutcome};
 use crate::strategy::{DvfsStrategy, Evaluation, StageTable};
 use npu_obs::{Event, ObserverHandle};
 use npu_sim::FreqMhz;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 /// The DP abandons certification when any node's pruned frontier
 /// exceeds this.
@@ -445,11 +447,13 @@ fn ascend(
 /// ratio. The greedy choice therefore follows one fixed order per rung:
 /// ratio descending, ties to the lowest stage index, and a NaN ratio
 /// (only non-finite cells produce one) taken as soon as it belongs to
-/// the lowest-index candidate left. Each rung sorts its candidates once
-/// and walks them in that order, checking the budget on an
-/// [`IncrementalEval`] — one sort per rung plus O(log n) per upgraded
-/// stage, and bit-identical to rescanning every stage and re-evaluating
-/// the whole table after each upgrade.
+/// the lowest-index candidate left. The call ranks every `(stage, gene)`
+/// upgrade once; an over-budget rung marks the upgrades its genes hold
+/// and takes them in rank order, checking the budget on the time sums
+/// alone (the thermal fix point never changes time). That is O(n) per
+/// repaired rung plus O(log n) per upgraded stage, and bit-identical to
+/// rescanning every stage and re-evaluating the whole table after each
+/// upgrade. Each distinct rung is evaluated once.
 ///
 /// # Panics
 ///
@@ -464,17 +468,71 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
     }
     let baseline_time = table.baseline().time_us;
     let budget = baseline_time / (1.0 - loss);
+    let sweep = lambda_sweep(table);
+    let mut repair = Repair::rank(table);
 
-    // Candidate multipliers: every pairwise slope of every stage's
-    // option set (where trading time for energy is possible), plus the
-    // endpoints. Subsampled evenly when the schedule is large.
+    // Distinct rungs, keyed by their genes big-endian in just enough
+    // bytes per gene for the alphabet, so key order is gene order.
+    let width = (usize::BITS - (m - 1).leading_zeros()).div_ceil(8).max(1) as usize;
+    let mut rungs: BTreeMap<Box<[u8]>, (Evaluation, f64)> = BTreeMap::new();
+    let mut key = vec![0u8; n * width];
+    let mut genes = vec![0usize; n];
+    let mut tree = TimeTree::new(n);
+    for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
+        for (s, (g, leaf)) in genes.iter_mut().zip(tree.leaves_mut()).enumerate() {
+            let (time, ea) = table.rows(s);
+            *g = if lambda == f64::MAX {
+                argmin(time.iter().copied())
+            } else {
+                argmin(ea.iter().zip(time).map(|(e, t)| e + lambda * t))
+            };
+            *leaf = time[*g];
+        }
+        tree.rebuild();
+        repair.walk(table, &mut genes, &mut tree, budget);
+        for (bytes, &g) in key.chunks_exact_mut(width).zip(&genes) {
+            for (shift, byte) in bytes.iter_mut().rev().enumerate() {
+                *byte = (g >> (8 * shift)) as u8;
+            }
+        }
+        if !rungs.contains_key(key.as_slice()) {
+            let eval = table.evaluate(&genes);
+            let rung = (eval, score(&eval, baseline_time, loss));
+            rungs.insert(key.as_slice().into(), rung);
+        }
+    }
+    // Free the ranking before the seeds' genes are allocated.
+    drop(repair);
+    // The map yields rungs in gene order, so a stable sort by score
+    // breaks ties toward the lower genome.
+    let mut best: Vec<_> = rungs.into_iter().collect();
+    best.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
+    best.truncate(max_seeds);
+    best.into_iter()
+        .map(|(key, (eval, score))| LagrangianSeed {
+            genes: key
+                .chunks(width)
+                .map(|bytes| bytes.iter().fold(0, |g, &b| g << 8 | usize::from(b)))
+                .collect(),
+            eval,
+            score,
+        })
+        .collect()
+}
+
+/// Candidate multipliers for the sweep: every same-sign pairwise slope
+/// `Δe/Δt` of every stage's option set (where trading time for energy
+/// is possible) plus λ = 0, distinct and ascending, subsampled evenly
+/// (both endpoints kept) when there are more than 192.
+fn lambda_sweep(table: &StageTable) -> Vec<f64> {
+    const MAX_LAMBDAS: usize = 192;
+    let m = table.n_freqs();
     let mut lambdas = vec![0.0_f64];
-    for s in 0..n {
+    for s in 0..table.n_stages() {
+        let (time, ea) = table.rows(s);
         for a in 0..m {
-            let ca = table.cell(s, a);
             for b in (a + 1)..m {
-                let cb = table.cell(s, b);
-                let (dt, de) = (ca.time - cb.time, cb.ea - ca.ea);
+                let (dt, de) = (time[a] - time[b], ea[b] - ea[a]);
                 // Same-sign slopes only: either direction of a genuine
                 // time/energy trade yields a positive multiplier.
                 if (dt > 0.0 && de > 0.0) || (dt < 0.0 && de < 0.0) {
@@ -484,123 +542,232 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
         }
     }
     lambdas.retain(|l| l.is_finite() && *l >= 0.0);
-    lambdas.sort_by(f64::total_cmp);
+    // `total_cmp`'s order, sorted as integers (twice as fast as sorting
+    // the floats). Equal keys have equal bits, so an unstable sort
+    // leaves the same list.
+    let mut keys: Vec<i64> = lambdas.into_iter().map(total_key).collect();
+    keys.sort_unstable();
+    let mut lambdas: Vec<f64> = keys.into_iter().map(from_total_key).collect();
     lambdas.dedup();
-    const MAX_LAMBDAS: usize = 192;
-    let sweep: Vec<f64> = if lambdas.len() <= MAX_LAMBDAS {
-        lambdas
-    } else {
-        // Even subsample keeping both endpoints.
-        (0..MAX_LAMBDAS)
-            .map(|k| lambdas[k * (lambdas.len() - 1) / (MAX_LAMBDAS - 1)])
-            .collect()
-    };
+    if lambdas.len() <= MAX_LAMBDAS {
+        return lambdas;
+    }
+    (0..MAX_LAMBDAS)
+        .map(|k| lambdas[k * (lambdas.len() - 1) / (MAX_LAMBDAS - 1)])
+        .collect()
+}
 
-    // Per-stage minimum-time gene, for budget repair.
-    let min_time_gene: Vec<usize> = (0..n)
-        .map(|s| {
-            (0..m)
-                .min_by(|&a, &b| table.cell(s, a).time.total_cmp(&table.cell(s, b).time))
-                .unwrap_or(m - 1)
-        })
-        .collect();
+/// The integer whose order is `f64::total_cmp`'s: the bits, with the
+/// magnitude bits of a negative value flipped. The map is its own
+/// inverse (see [`from_total_key`]).
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
 
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out: Vec<LagrangianSeed> = Vec::new();
-    let mut genes = vec![0usize; n];
-    let mut inc = IncrementalEval::new(table, &genes);
-    let over_budget = |inc: &IncrementalEval| inc.eval().time_us > budget;
-    for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
-        for (s, g) in genes.iter_mut().enumerate() {
-            *g = (0..m)
-                .min_by(|&a, &b| {
-                    let ca = table.cell(s, a);
-                    let cb = table.cell(s, b);
-                    let va = if lambda == f64::MAX {
-                        ca.time
-                    } else {
-                        ca.ea + lambda * ca.time
-                    };
-                    let vb = if lambda == f64::MAX {
-                        cb.time
-                    } else {
-                        cb.ea + lambda * cb.time
-                    };
-                    va.total_cmp(&vb)
-                })
-                .unwrap_or(m - 1);
+/// The float whose [`total_key`] is `key`.
+fn from_total_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// The index of the first minimum under `f64::total_cmp`, as `min_by`
+/// picks it; 0 when `values` is empty. Each value's [`total_key`] is
+/// computed once.
+fn argmin(values: impl Iterator<Item = f64>) -> usize {
+    let mut best = (0, i64::MAX);
+    for (i, v) in values.enumerate() {
+        let key = total_key(v);
+        if key < best.1 {
+            best = (i, key);
         }
-        inc.assign(&genes);
-        // Budget repair: walk over-budget rungs back toward speed, best
-        // time-saved-per-energy ratio first. A NaN total ends it.
-        if over_budget(&inc) {
-            for s in repair_order(table, &genes, &min_time_gene) {
-                genes[s] = min_time_gene[s];
-                inc.set_gene(s, genes[s]);
-                if !over_budget(&inc) {
-                    break;
+    }
+    best.0
+}
+
+/// What upgrading one `(stage, gene)` cell to the stage's minimum-time
+/// gene is to the budget repair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Upgrade {
+    /// Not a candidate: the gene is the minimum-time one, or the upgrade
+    /// saves no time.
+    Excluded,
+    /// A candidate with a non-NaN ratio, at this position of
+    /// [`Repair::ranked`].
+    Ranked(u32),
+    /// A candidate whose ratio is NaN.
+    Nan,
+}
+
+/// The budget repair's ranking of every `(stage, gene)` upgrade, built
+/// once per call (see [`lagrangian_seeds`]).
+///
+/// A candidate is a cell off its stage's minimum-time gene whose
+/// upgrade saves time (or whose saving is NaN); its ratio is `saved /
+/// max(cost, 1e-12)`, which is never negative. Of a rung's candidates
+/// left, the greedy pick is the lowest-index one when its ratio is NaN,
+/// else the highest non-NaN ratio with ties to the lowest index.
+#[derive(Debug)]
+struct Repair {
+    /// Per-stage minimum-time gene.
+    fast: Vec<usize>,
+    /// The stage of every ranked upgrade: ratio descending, ties to the
+    /// lowest stage.
+    ranked: Vec<u32>,
+    /// Stage-major [`Upgrade`] of every cell.
+    kind: Vec<Upgrade>,
+    /// One bit per [`Self::ranked`] upgrade, set while the rung being
+    /// repaired holds its gene.
+    held: Vec<u64>,
+}
+
+impl Repair {
+    fn rank(table: &StageTable) -> Self {
+        let (n, m) = (table.n_stages(), table.n_freqs());
+        let fast: Vec<usize> = (0..n)
+            .map(|s| argmin(table.rows(s).0.iter().copied()))
+            .collect();
+        let mut kind = vec![Upgrade::Excluded; n * m];
+        let mut upgrades = Vec::with_capacity(n * (m - 1));
+        for (s, &f) in fast.iter().enumerate() {
+            let (time, ea) = table.rows(s);
+            for g in (0..m).filter(|&g| g != f) {
+                let saved = time[g] - time[f];
+                if saved <= 0.0 {
+                    continue;
+                }
+                let ratio = saved / (ea[f] - ea[g]).max(1e-12);
+                if ratio.is_nan() {
+                    kind[s * m + g] = Upgrade::Nan;
+                } else {
+                    upgrades.push((Reverse(total_key(ratio)), s * m + g));
                 }
             }
         }
-        if seen.insert(genes.clone()) {
-            let eval = inc.eval();
-            out.push(LagrangianSeed {
-                genes: genes.clone(),
-                eval,
-                score: score(&eval, baseline_time, loss),
-            });
+        // Ratio descending; cells are stage-major, so cell order breaks
+        // ratio ties toward the lowest stage.
+        upgrades.sort_unstable();
+        let ranked = upgrades
+            .iter()
+            .enumerate()
+            .map(|(r, &(_, cell))| {
+                kind[cell] = Upgrade::Ranked(r as u32);
+                (cell / m) as u32
+            })
+            .collect();
+        Self {
+            fast,
+            ranked,
+            kind,
+            held: vec![0; upgrades.len().div_ceil(64)],
         }
     }
-    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.genes.cmp(&b.genes)));
-    out.truncate(max_seeds);
-    out
+
+    /// Upgrades the rung `genes` (whose times `tree` sums) in greedy
+    /// order while its total time exceeds `budget` and a candidate is
+    /// left. A NaN total never exceeds it.
+    fn walk(&mut self, table: &StageTable, genes: &mut [usize], tree: &mut TimeTree, budget: f64) {
+        let over = |tree: &TimeTree| tree.total() > budget;
+        if !over(tree) {
+            return;
+        }
+        let m = table.n_freqs();
+        self.held.fill(0);
+        let mut nans = 0;
+        for (s, &g) in genes.iter().enumerate() {
+            match self.kind[s * m + g] {
+                Upgrade::Ranked(r) => self.held[r as usize / 64] |= 1 << (r % 64),
+                Upgrade::Nan => nans += 1,
+                Upgrade::Excluded => {}
+            }
+        }
+        // No candidate is left below stage `lowest` (advanced only while
+        // a NaN candidate is left: only then does the lowest-index
+        // candidate matter), and no held ranked upgrade before word
+        // `word` of `held`.
+        let (mut lowest, mut word) = (0, 0);
+        while over(tree) {
+            let kind = |s: usize| self.kind[s * m + genes[s]];
+            if nans > 0 {
+                while kind(lowest) == Upgrade::Excluded {
+                    lowest += 1;
+                }
+            }
+            let s = if nans > 0 && kind(lowest) == Upgrade::Nan {
+                nans -= 1;
+                lowest
+            } else {
+                while word < self.held.len() && self.held[word] == 0 {
+                    word += 1;
+                }
+                let Some(bits) = self.held.get_mut(word) else {
+                    break;
+                };
+                let r = word * 64 + bits.trailing_zeros() as usize;
+                *bits &= *bits - 1;
+                self.ranked[r] as usize
+            };
+            genes[s] = self.fast[s];
+            tree.set(s, table.rows(s).0[genes[s]]);
+        }
+    }
 }
 
-/// The stages an over-budget rung upgrades to their minimum-time gene,
-/// in the order the greedy repair takes them (see [`lagrangian_seeds`]).
-///
-/// A candidate is a stage off its minimum-time gene whose upgrade saves
-/// time (or whose saving is NaN); its ratio is `saved / max(cost,
-/// 1e-12)`, which is never negative. Of the candidates left, the greedy
-/// pick is the lowest-index one when its ratio is NaN, else the highest
-/// non-NaN ratio with ties to the lowest index. Picks never change the
-/// remaining ratios, so the whole sequence follows from one sort.
-fn repair_order(table: &StageTable, genes: &[usize], min_time_gene: &[usize]) -> Vec<usize> {
-    let mut ranked: Vec<(f64, usize)> = Vec::new();
-    let mut nan_stages: Vec<usize> = Vec::new();
-    for (s, (&g, &fast)) in genes.iter().zip(min_time_gene).enumerate() {
-        if g == fast {
-            continue;
-        }
-        let cur = table.cell(s, g);
-        let nxt = table.cell(s, fast);
-        let saved = cur.time - nxt.time;
-        if saved <= 0.0 {
-            continue;
-        }
-        let ratio = saved / (nxt.ea - cur.ea).max(1e-12);
-        if ratio.is_nan() {
-            nan_stages.push(s);
-        } else {
-            ranked.push((ratio, s));
+/// The time component of the evaluation tree: per-stage times summed
+/// over the same heap-ordered pairwise tree, with the same `left +
+/// right` additions, that [`IncrementalEval`] keeps (leaves padded with
+/// zeros to a power of two), so its total is bit-identical to the
+/// `time_us` of [`StageTable::evaluate`].
+#[derive(Debug)]
+struct TimeTree {
+    n: usize,
+    n_pad: usize,
+    /// Root at index 1, leaf `i` at `n_pad + i`.
+    nodes: Vec<f64>,
+}
+
+impl TimeTree {
+    fn new(n: usize) -> Self {
+        let n_pad = n.next_power_of_two();
+        Self {
+            n,
+            n_pad,
+            nodes: vec![0.0; 2 * n_pad],
         }
     }
-    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    // lowest[k]: the lowest stage index among ranked[k..].
-    let mut lowest = vec![usize::MAX; ranked.len() + 1];
-    for k in (0..ranked.len()).rev() {
-        lowest[k] = lowest[k + 1].min(ranked[k].1);
+
+    /// The stages' times, to be followed by [`Self::rebuild`].
+    fn leaves_mut(&mut self) -> &mut [f64] {
+        &mut self.nodes[self.n_pad..self.n_pad + self.n]
     }
-    let mut nans = nan_stages.into_iter().peekable();
-    let mut order = Vec::with_capacity(ranked.len() + nans.len());
-    for (k, &(_, s)) in ranked.iter().enumerate() {
-        while let Some(nan) = nans.next_if(|&q| q < lowest[k]) {
-            order.push(nan);
+
+    /// Recomputes every sum from the leaves.
+    fn rebuild(&mut self) {
+        for i in (1..self.n_pad).rev() {
+            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1];
         }
-        order.push(s);
     }
-    order.extend(nans);
-    order
+
+    /// Sets one stage's time, updating its O(log n) ancestors.
+    fn set(&mut self, stage: usize, time: f64) {
+        let mut idx = self.n_pad + stage;
+        let mut acc = time;
+        self.nodes[idx] = acc;
+        while idx > 1 {
+            let sibling = self.nodes[idx ^ 1];
+            let (left, right) = if idx.is_multiple_of(2) {
+                (acc, sibling)
+            } else {
+                (sibling, acc)
+            };
+            acc = left + right;
+            idx /= 2;
+            self.nodes[idx] = acc;
+        }
+    }
+
+    fn total(&self) -> f64 {
+        self.nodes[1]
+    }
 }
 
 #[cfg(test)]

@@ -338,6 +338,20 @@ impl StageTable {
         }
     }
 
+    /// One stage's predicted times and temperature-independent AICore
+    /// energies, one entry per gene: the `time` and `ea` that
+    /// [`Self::cell`] reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range.
+    #[inline]
+    pub(crate) fn rows(&self, stage: usize) -> (&[f64], &[f64]) {
+        let m = self.freqs.len();
+        let cells = stage * m..(stage + 1) * m;
+        (&self.time_us[cells.clone()], &self.aicore_e[cells])
+    }
+
     /// The thermal coupling applied by [`Self::finish_sums`] (lets the
     /// exact solver decide whether the fix point can affect a score).
     pub(crate) fn coupling(&self) -> ThermalCoupling {

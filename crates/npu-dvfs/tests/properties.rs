@@ -397,6 +397,33 @@ proptest! {
         prop_assert!(out.evaluations >= scored);
     }
 
+    /// On a thermally coupled table `solve` answers with the ladder rung
+    /// that scores highest (the last of equal scores, as `max_by` picks),
+    /// genes and evaluation bits included.
+    #[test]
+    fn coupled_solve_returns_the_best_ladder_rung(
+        table in arb_table(),
+        gamma_aicore in 0.01f64..0.1,
+        k_c_per_w in 0.01f64..0.15,
+        loss in 0.0f64..0.3,
+    ) {
+        let volts = (0..table.n_freqs()).map(|k| 0.70 + 0.03 * k as f64).collect();
+        let coupling = ThermalCoupling { gamma_aicore, gamma_soc: 0.1, k_c_per_w };
+        let table = table.with_thermal_coupling(coupling, volts);
+        let out = exact::solve(&table, loss);
+        let best = exact::lagrangian_seeds(&table, loss, 64)
+            .into_iter()
+            .max_by(|a, b| a.score.total_cmp(&b.score))
+            .expect("a loss target below 1 yields rungs");
+        prop_assert!(!out.certified);
+        prop_assert_eq!(&out.genes, &best.genes);
+        let bits = |e: &Evaluation| {
+            [e.time_us, e.aicore_energy_wus, e.soc_energy_wus].map(f64::to_bits)
+        };
+        prop_assert_eq!(bits(&out.eval), bits(&best.eval));
+        prop_assert_eq!(out.score.to_bits(), best.score.to_bits());
+    }
+
     /// Score doubles exactly at the performance bound and decreases with
     /// power.
     #[test]
@@ -474,24 +501,43 @@ fn seeded_table(seed: u64, n: usize, freqs: Vec<FreqMhz>, coupled: bool) -> Stag
     )
 }
 
-/// Pins the Lagrangian ladder on a 300-stage table: every rung's genes
-/// and evaluation/score bits, in order. Any change to the sweep or the
-/// budget repair shows here.
-#[test]
-fn lagrangian_ladder_is_pinned_on_300_stages() {
-    let table = coupled_300_stage_table();
-    let seeds = exact::lagrangian_seeds(&table, 0.02, 64);
-    let digest = fingerprint(seeds.iter().flat_map(|s| {
+/// Every rung's genes and evaluation/score bits, in order.
+fn ladder_digest(seeds: &[exact::LagrangianSeed]) -> u64 {
+    fingerprint(seeds.iter().flat_map(|s| {
         s.genes.iter().map(|&g| g as u64).chain([
             s.eval.time_us.to_bits(),
             s.eval.aicore_energy_wus.to_bits(),
             s.eval.soc_energy_wus.to_bits(),
             s.score.to_bits(),
         ])
-    }));
+    }))
+}
+
+/// Pins the Lagrangian ladder on a 300-stage table. Any change to the
+/// sweep or the budget repair shows here.
+#[test]
+fn lagrangian_ladder_is_pinned_on_300_stages() {
+    let table = coupled_300_stage_table();
+    let seeds = exact::lagrangian_seeds(&table, 0.02, 64);
+    let digest = ladder_digest(&seeds);
     assert_eq!(
         (seeds.len(), digest),
         (64, 0x2943_ba35_ef94_0189),
+        "ladder digest {digest:#018x}"
+    );
+}
+
+/// Pins the ladder at GPT-3's stage count, which pads the pairwise tree
+/// to 1,024 leaves.
+#[test]
+fn lagrangian_ladder_is_pinned_on_960_stages() {
+    let ladder = (10..=18).map(|k| FreqMhz::new(k * 100)).collect();
+    let table = seeded_table(0x0960_5EED, 960, ladder, true);
+    let seeds = exact::lagrangian_seeds(&table, 0.02, 64);
+    let digest = ladder_digest(&seeds);
+    assert_eq!(
+        (seeds.len(), digest),
+        (64, 0x02de_2505_563f_6c12),
         "ladder digest {digest:#018x}"
     );
 }
@@ -540,7 +586,7 @@ struct LadderCase {
 /// bit set, which `total_cmp` orders below every other value).
 const SPECIALS: [f64; 4] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
 
-/// Up to 40 stages × 8 frequencies of cells whose time is not monotone
+/// Up to 40 stages × 9 frequencies of cells whose time is not monotone
 /// in frequency. `quantized` draws time and energy from small integer
 /// multiples, so many stages share an upgrade ratio. With `specials`,
 /// one cell in 50 has a non-finite time or energy, and about one stage
@@ -550,8 +596,8 @@ const SPECIALS: [f64; 4] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NA
 fn arb_ladder_case() -> impl Strategy<Value = LadderCase> {
     (
         1usize..41,
-        1usize..9,
-        prop::collection::vec((1u32..17, 1u32..17, 0.5f64..2.0, 0u32..400), 40 * 8),
+        1usize..10,
+        prop::collection::vec((1u32..17, 1u32..17, 0.5f64..2.0, 0u32..400), 40 * 9),
         prop::collection::vec(0u32..16, 40),
         (any::<bool>(), any::<bool>(), any::<bool>()),
     )
@@ -573,7 +619,7 @@ fn arb_ladder_case() -> impl Strategy<Value = LadderCase> {
                     },
                 });
                 let (mut trow, mut arow) = (Vec::new(), Vec::new());
-                for &(kt, ke, jitter, special) in &cells[s * 8..s * 8 + m] {
+                for &(kt, ke, jitter, special) in &cells[s * 9..s * 9 + m] {
                     let (mut t, mut e) = if quantized {
                         (100.0 * f64::from(kt), 50.0 * f64::from(ke))
                     } else {
