@@ -13,10 +13,10 @@
 //! Key derivation (invalidation is implicit — any input change changes
 //! the key):
 //!
-//! - **profile key** ← every [`NpuConfig`] field (frequency table points
-//!   and the voltage at each of them included), the device noise seed,
-//!   every descriptor field of every schedule operator, and the build
-//!   frequencies in profiling order.
+//! - **profile key** ← every [`NpuConfig`] field (the frequency ladder
+//!   and the voltage curve's base, knee and slope included), the device
+//!   noise seed, every descriptor field of every schedule operator, and
+//!   the build frequencies in profiling order.
 //! - **model key** ← profile key + fitting function + the eight
 //!   calibration parameters.
 //! - **search key** ← model key + the effective FAI + the two
@@ -40,7 +40,8 @@
 
 use crate::optimizer::OptimizerConfig;
 use crate::report::MeasuredIteration;
-use npu_dvfs::{DvfsStrategy, Evaluation, GaOutcome, Stage, StageKind};
+use npu_dvfs::persist::check_stage;
+use npu_dvfs::{DvfsStrategy, Evaluation, GaOutcome, Stage, StageKind, StrategyParseError};
 use npu_obs::{Event, ObserverHandle};
 use npu_perf_model::{FitFunction, FreqProfile, PerfModelStore};
 use npu_power_model::{HardwareCalibration, PowerModel};
@@ -129,41 +130,18 @@ fn push_config(fp: &mut Fingerprint, cfg: &NpuConfig) {
     // two profiles were numerically identical field-for-field.
     fp.push_u64(cfg.profile_fp);
     fp.push_u64(u64::from(cfg.core_num));
-    for v in [
-        cfg.ld_bytes_per_cycle_per_core,
-        cfg.st_bytes_per_cycle_per_core,
-        cfg.l2_bw_bytes_per_us,
-        cfg.hbm_bw_bytes_per_us,
-        cfg.mem_overhead_us,
-        cfg.beta_w_per_ghz_v2,
-        cfg.theta_w_per_v,
-        cfg.gamma_aicore_w_per_k_v,
-        cfg.gamma_soc_w_per_k_v,
-        cfg.uncore_idle_w,
-        cfg.uncore_theta_w_per_v,
-        cfg.hbm_pj_per_byte,
-        cfg.uncore_dynamic_fraction,
-        cfg.uncore_min_scale,
-        cfg.ambient_c,
-        cfg.k_c_per_w,
-        cfg.thermal_tau_us,
-        cfg.setfreq_latency_us,
-        cfg.exec_noise_sd,
-        cfg.power_noise_sd,
-        cfg.temp_noise_sd_c,
-    ] {
+    for (_, v) in cfg.float_fields() {
         fp.push_f64(v);
     }
     let points = cfg.freq_table.points();
     fp.push_usize(points.len());
     for &f in points {
         fp.push_u64(u64::from(f.mhz()));
-        // The curve has no public coefficient accessors; sampling it at
-        // every operating point (plus knee/base) pins it just as hard.
-        fp.push_f64(cfg.voltage_curve.volts(f));
     }
-    fp.push_u64(u64::from(cfg.voltage_curve.knee().mhz()));
-    fp.push_f64(cfg.voltage_curve.base_volts());
+    let curve = &cfg.voltage_curve;
+    fp.push_f64(curve.base_volts());
+    fp.push_u64(u64::from(curve.knee().mhz()));
+    fp.push_f64(curve.slope_v_per_mhz());
 }
 
 fn push_schedule(fp: &mut Fingerprint, schedule: &Schedule) {
@@ -205,8 +183,10 @@ pub fn profile_key(
     // v2: the pass count and the keep-raw flag left the key (profiling
     // records one pass per frequency). v3: the warm-up solves the thermal
     // steady state and draws no noise, so the same inputs profile
-    // differently.
-    let mut fp = Fingerprint::new("npu-core/profile/v3");
+    // differently. v4: the float fields are hashed in profile order and
+    // the voltage curve by its coefficients, not by its value at every
+    // ladder point.
+    let mut fp = Fingerprint::new("npu-core/profile/v4");
     push_config(&mut fp, cfg);
     fp.push_u64(device_seed);
     push_schedule(&mut fp, schedule);
@@ -277,7 +257,8 @@ pub fn search_key(model_key: u64, fai_us: f64, opts: &OptimizerConfig) -> u64 {
 /// exact published strategy or misses.
 #[must_use]
 pub fn fleet_strategy_key(cfg: &NpuConfig, device_seed: u64, generation: usize) -> u64 {
-    let mut fp = Fingerprint::new("npu-core/fleet-strategy/v1");
+    // v2: `push_config` changed as in `profile_key` v4.
+    let mut fp = Fingerprint::new("npu-core/fleet-strategy/v2");
     push_config(&mut fp, cfg);
     fp.push_u64(device_seed);
     fp.push_usize(generation);
@@ -504,6 +485,13 @@ impl<'a> Lines<'a> {
         s.parse()
             .map_err(|_| parse_err(self.line_no, format!("bad integer `{s}`")))
     }
+
+    fn freq(&self, s: &str) -> Result<FreqMhz, ArtifactParseError> {
+        match self.uint(s)? {
+            0 => Err(parse_err(self.line_no, "frequency must be positive")),
+            mhz => Ok(FreqMhz::new(mhz)),
+        }
+    }
 }
 
 fn write_profiles(out: &mut String, profiles: &[FreqProfile]) {
@@ -541,7 +529,7 @@ fn write_profiles(out: &mut String, profiles: &[FreqProfile]) {
 
 fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseError> {
     let [mhz, n_recs] = lines.fields::<2>("freq")?;
-    let freq = FreqMhz::new(lines.uint(mhz)?);
+    let freq = lines.freq(mhz)?;
     let n_recs: usize = lines.uint(n_recs)?;
     // Never size a vector from a decoded count: a corrupt count must
     // fail at end of file, not abort on allocation.
@@ -559,7 +547,7 @@ fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseEr
         let scenario = parse_scenario(field("scenario")?, lines.line_no)?;
         let start_us = lines.f64(field("start_us")?)?;
         let dur_us = lines.f64(field("dur_us")?)?;
-        let freq_mhz = FreqMhz::new(lines.uint(field("freq_mhz")?)?);
+        let freq_mhz = lines.freq(field("freq_mhz")?)?;
         let cube = lines.f64(field("cube")?)?;
         let vector = lines.f64(field("vector")?)?;
         let scalar = lines.f64(field("scalar")?)?;
@@ -645,7 +633,8 @@ impl ProfileArtifact {
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactParseError`] on any malformed line.
+    /// Returns [`ArtifactParseError`] on any malformed line, a zero
+    /// frequency included.
     pub fn from_text(text: &str) -> Result<Self, ArtifactParseError> {
         let mut lines = Lines::new(text);
         let header = lines.next()?;
@@ -715,7 +704,8 @@ impl SearchArtifact {
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactParseError`] on any malformed line.
+    /// Returns [`ArtifactParseError`] on any malformed line, including a
+    /// stage line [`check_stage`] rejects.
     pub fn from_text(text: &str) -> Result<Self, ArtifactParseError> {
         let mut lines = Lines::new(text);
         let header = lines.next()?;
@@ -764,13 +754,22 @@ impl SearchArtifact {
                     ))
                 }
             };
-            stages.push(Stage {
+            let stage = Stage {
                 start_us: lines.f64(start)?,
                 dur_us: lines.f64(dur)?,
                 op_range: lines.uint::<usize>(op_start)?..lines.uint::<usize>(op_end)?,
                 kind,
-            });
-            freqs.push(FreqMhz::new(lines.uint(mhz)?));
+            };
+            let line = lines.line_no;
+            let freq = check_stage(stages.last(), &stage, lines.uint(mhz)?, line).map_err(|e| {
+                let what = match e {
+                    StrategyParseError::BadLine { what, .. } => what,
+                    other => other.to_string(),
+                };
+                parse_err(line, what)
+            })?;
+            stages.push(stage);
+            freqs.push(freq);
         }
         Ok(Self {
             outcome: GaOutcome {

@@ -291,11 +291,15 @@ pub fn solve(table: &StageTable, loss: f64) -> ExactOutcome {
     }
 
     // Uncertified fallback: best Lagrangian candidate through the real
-    // evaluation path (thermal fix point included).
-    let seeds = lagrangian_seeds(table, loss, 64);
-    let best = seeds
+    // evaluation path (thermal fix point included): the same pick as
+    // `max_by` over `lagrangian_seeds(table, loss, 64)`, decoding only
+    // the winner.
+    let (rungs, width) = ladder(table, loss);
+    let best = rungs
         .into_iter()
-        .max_by(|a, b| a.score.total_cmp(&b.score))
+        .take(64)
+        .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
+        .map(|rung| decode(rung, width))
         .unwrap_or_else(|| {
             let genes = vec![table.n_freqs() - 1; n];
             let eval = table.evaluate(&genes);
@@ -460,11 +464,24 @@ fn ascend(
 /// Panics if the table has no frequency points.
 #[must_use]
 pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<LagrangianSeed> {
+    let (mut rungs, width) = ladder(table, loss);
+    rungs.truncate(max_seeds);
+    rungs.into_iter().map(|rung| decode(rung, width)).collect()
+}
+
+/// A distinct ladder rung: its genes big-endian in a fixed number of
+/// bytes per gene (so byte order is gene order), its evaluation and its
+/// score.
+type Rung = (Box<[u8]>, (Evaluation, f64));
+
+/// The distinct rungs of [`lagrangian_seeds`]' ladder sorted by score,
+/// best first, with the bytes per gene of their keys.
+fn ladder(table: &StageTable, loss: f64) -> (Vec<Rung>, usize) {
     let n = table.n_stages();
     let m = table.n_freqs();
     assert!(m >= 1, "table must have frequency points");
-    if n == 0 || max_seeds == 0 || loss.is_nan() || loss >= 1.0 {
-        return Vec::new();
+    if n == 0 || loss.is_nan() || loss >= 1.0 {
+        return (Vec::new(), 1);
     }
     let baseline_time = table.baseline().time_us;
     let budget = baseline_time / (1.0 - loss);
@@ -505,19 +522,21 @@ pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<
     drop(repair);
     // The map yields rungs in gene order, so a stable sort by score
     // breaks ties toward the lower genome.
-    let mut best: Vec<_> = rungs.into_iter().collect();
+    let mut best: Vec<Rung> = rungs.into_iter().collect();
     best.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
-    best.truncate(max_seeds);
-    best.into_iter()
-        .map(|(key, (eval, score))| LagrangianSeed {
-            genes: key
-                .chunks(width)
-                .map(|bytes| bytes.iter().fold(0, |g, &b| g << 8 | usize::from(b)))
-                .collect(),
-            eval,
-            score,
-        })
-        .collect()
+    (best, width)
+}
+
+/// The seed a [`ladder`] rung with `width` bytes per gene encodes.
+fn decode((key, (eval, score)): Rung, width: usize) -> LagrangianSeed {
+    LagrangianSeed {
+        genes: key
+            .chunks(width)
+            .map(|bytes| bytes.iter().fold(0, |g, &b| g << 8 | usize::from(b)))
+            .collect(),
+        eval,
+        score,
+    }
 }
 
 /// Candidate multipliers for the sweep: every same-sign pairwise slope

@@ -187,36 +187,51 @@ pub fn read_strategy<R: BufRead>(reader: R) -> Result<DvfsStrategy, StrategyPars
                 line: line_no,
                 what: "invalid <freq_mhz>".to_owned(),
             })?;
-        if mhz == 0 {
-            return Err(StrategyParseError::BadLine {
-                line: line_no,
-                what: "frequency must be positive".to_owned(),
-            });
-        }
-        if op_end <= op_start {
-            return Err(StrategyParseError::BadLine {
-                line: line_no,
-                what: "op range must be non-empty".to_owned(),
-            });
-        }
-        stages.push(Stage {
+        let stage = Stage {
             start_us,
             dur_us,
             op_range: op_start..op_end,
             kind,
-        });
-        freqs.push(FreqMhz::new(mhz));
-    }
-    // Ranges must be contiguous and increasing, as preprocessing produces.
-    for w in stages.windows(2) {
-        if w[1].op_range.start != w[0].op_range.end {
-            return Err(StrategyParseError::Inconsistent(format!(
-                "stage op ranges not contiguous at op {}",
-                w[1].op_range.start
-            )));
-        }
+        };
+        freqs.push(check_stage(stages.last(), &stage, mhz, line_no)?);
+        stages.push(stage);
     }
     Ok(DvfsStrategy::new(stages, freqs))
+}
+
+/// The checks every strategy decoder applies to a decoded stage line
+/// (1-based `line`) before the stage may run: its frequency is
+/// positive, and its operator range is non-empty and starts where
+/// `prev`'s ended, as preprocessing produces. Returns the frequency.
+///
+/// # Errors
+///
+/// [`StrategyParseError::BadLine`] for a zero frequency or an empty
+/// range, [`StrategyParseError::Inconsistent`] for a range that does
+/// not continue `prev`'s.
+pub fn check_stage(
+    prev: Option<&Stage>,
+    stage: &Stage,
+    mhz: u32,
+    line: usize,
+) -> Result<FreqMhz, StrategyParseError> {
+    let bad_line = |what: &str| StrategyParseError::BadLine {
+        line,
+        what: what.to_owned(),
+    };
+    if mhz == 0 {
+        return Err(bad_line("frequency must be positive"));
+    }
+    if stage.op_range.is_empty() {
+        return Err(bad_line("op range must be non-empty"));
+    }
+    if prev.is_some_and(|p| p.op_range.end != stage.op_range.start) {
+        return Err(StrategyParseError::Inconsistent(format!(
+            "stage op ranges not contiguous at op {}",
+            stage.op_range.start
+        )));
+    }
+    Ok(FreqMhz::new(mhz))
 }
 
 #[cfg(test)]

@@ -174,8 +174,9 @@ pub struct PlannedApply {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::StrategyMismatch`] when the strategy's operator
-/// ranges exceed the profile.
+/// Returns [`ExecError::StrategyMismatch`] when a stage's operator range
+/// is empty, does not start where the previous stage's ended, or
+/// exceeds the profile.
 pub fn plan_applies(
     strategy: &DvfsStrategy,
     baseline_records: &[OpRecord],
@@ -183,11 +184,19 @@ pub fn plan_applies(
     default_freq: FreqMhz,
 ) -> Result<(FreqMhz, Vec<PlannedApply>), ExecError> {
     let covered = strategy.stages().last().map_or(0, |s| s.op_range.end);
-    if covered > baseline_records.len() {
-        return Err(ExecError::StrategyMismatch {
-            strategy_ops: covered,
-            schedule_ops: baseline_records.len(),
-        });
+    let mut prev_end = None;
+    for stage in strategy.stages() {
+        let range = &stage.op_range;
+        if range.is_empty()
+            || range.end > baseline_records.len()
+            || prev_end.is_some_and(|end| end != range.start)
+        {
+            return Err(ExecError::StrategyMismatch {
+                strategy_ops: covered,
+                schedule_ops: baseline_records.len(),
+            });
+        }
+        prev_end = Some(range.end);
     }
     let initial = strategy.freqs().first().copied().unwrap_or(default_freq);
     let mut applies = Vec::new();
@@ -252,7 +261,7 @@ pub fn plan_applies(
 /// # Errors
 ///
 /// Returns [`ExecError::StrategyMismatch`] when the strategy's operator
-/// ranges exceed the profile.
+/// ranges do not fit the profile (see [`plan_applies`]).
 pub fn compile_strategy(
     strategy: &DvfsStrategy,
     baseline_records: &[OpRecord],
@@ -527,6 +536,54 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ExecError::StrategyMismatch { .. }));
+    }
+
+    #[test]
+    fn plan_applies_rejects_ranges_that_do_not_tile_the_profile() {
+        let cfg = quiet_cfg();
+        let w = models::tiny(&cfg);
+        let mut dev = Device::new(cfg);
+        let records = baseline(&mut dev, w.schedule()).records;
+        let n = records.len();
+        let plan = |ranges: &[std::ops::Range<usize>]| {
+            let stages = ranges
+                .iter()
+                .map(|r| Stage {
+                    start_us: 0.0,
+                    dur_us: 1.0,
+                    op_range: r.clone(),
+                    kind: StageKind::Lfc,
+                })
+                .collect();
+            let freqs = [1200, 1800, 1300][..ranges.len()]
+                .iter()
+                .map(|&mhz| FreqMhz::new(mhz))
+                .collect();
+            plan_applies(
+                &DvfsStrategy::new(stages, freqs),
+                &records,
+                1_000.0,
+                FreqMhz::new(1800),
+            )
+        };
+        assert!(plan(&[0..n / 2, n / 2..n]).is_ok());
+        for ranges in [
+            // Inverted: the next stage would index past the records.
+            vec![0..n / 2, n + 50..n],
+            // Empty.
+            vec![0..n / 2, n / 2..n / 2, n / 2..n],
+            // A gap, then an overlap.
+            vec![0..n / 2, n / 2 + 1..n],
+            vec![0..n / 2, n / 2 - 1..n],
+            // Past the records, in a middle stage.
+            vec![0..n + 1, n + 1..n + 2],
+        ] {
+            let err = plan(&ranges).unwrap_err();
+            assert!(
+                matches!(err, ExecError::StrategyMismatch { .. }),
+                "{ranges:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -107,6 +107,13 @@ impl NpuConfig {
         NpuConfigBuilder::new()
     }
 
+    /// The float fields as `(key, value)` pairs, keyed and ordered as a
+    /// device profile declares them: every field except the core count,
+    /// the frequency ladder, the voltage curve and `profile_fp`.
+    pub fn float_fields(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        ROWS.iter().map(|row| (row.key, (row.get)(self)))
+    }
+
     /// Effective uncore bandwidth for a transfer with the given L2 hit
     /// rate, bytes/µs: the harmonic blend of L2 and HBM bandwidth.
     ///
@@ -159,6 +166,111 @@ impl Default for NpuConfig {
     }
 }
 
+/// The rule a float field obeys. The profile parser and
+/// [`NpuConfigBuilder::build`] check the same rule on each [`Row`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rule {
+    /// Finite and strictly positive.
+    Positive,
+    /// Finite and non-negative.
+    NonNegative,
+    /// Within `[0, 1]`.
+    UnitRange,
+    /// Finite and strictly positive, then within `[0, 1]`.
+    PositiveUnitRange,
+    /// Finite.
+    Finite,
+}
+
+impl Rule {
+    /// Checks `v`, naming `key` in the error.
+    pub(crate) fn check(self, key: &'static str, v: f64) -> Result<(), ConfigError> {
+        let positive = v > 0.0 && v.is_finite();
+        let non_negative = v >= 0.0 && v.is_finite();
+        let in_unit_range = (0.0..=1.0).contains(&v);
+        match self {
+            Self::Positive | Self::PositiveUnitRange if !positive => {
+                Err(ConfigError::NonPositive(key))
+            }
+            Self::NonNegative if !non_negative => Err(ConfigError::Negative(key)),
+            Self::UnitRange | Self::PositiveUnitRange if !in_unit_range => {
+                Err(ConfigError::OutOfUnitRange(key))
+            }
+            Self::Finite if !v.is_finite() => Err(ConfigError::NonFinite(key)),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// One float field of [`NpuConfig`]: the `[section] key` a device
+/// profile declares it under, the rule it obeys, and how to read it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    pub(crate) section: &'static str,
+    pub(crate) key: &'static str,
+    pub(crate) rule: Rule,
+    pub(crate) get: fn(&NpuConfig) -> f64,
+}
+
+/// Declares the rows: each becomes a `Row` constant named after its
+/// field, an entry of [`ROWS`] and a binding in `NpuConfig::from_rows`,
+/// whose struct literal makes a float field without a row a compile
+/// error.
+macro_rules! rows {
+    ($($field:ident: [$section:literal] $key:literal, $rule:ident;)*) => {
+        #[allow(non_upper_case_globals)]
+        impl Row {
+            $(pub(crate) const $field: Self = Self {
+                section: $section,
+                key: $key,
+                rule: Rule::$rule,
+                get: |cfg| cfg.$field,
+            };)*
+        }
+
+        /// Every float field of [`NpuConfig`], in profile order.
+        pub(crate) const ROWS: &[Row] = &[$(Row::$field),*];
+
+        impl NpuConfig {
+            /// A configuration of the given structured fields and the
+            /// float values in [`ROWS`] order, with `profile_fp` 0.
+            pub(crate) fn from_rows(
+                core_num: u32,
+                freq_table: FrequencyTable,
+                voltage_curve: VoltageCurve,
+                rows: [f64; ROWS.len()],
+            ) -> Self {
+                let [$($field),*] = rows;
+                Self { core_num, freq_table, voltage_curve, profile_fp: 0, $($field),* }
+            }
+        }
+    };
+}
+
+rows! {
+    ld_bytes_per_cycle_per_core: ["cores"] "ld_bytes_per_cycle", Positive;
+    st_bytes_per_cycle_per_core: ["cores"] "st_bytes_per_cycle", Positive;
+    l2_bw_bytes_per_us: ["memory"] "l2_bw_bytes_per_us", Positive;
+    hbm_bw_bytes_per_us: ["memory"] "hbm_bw_bytes_per_us", Positive;
+    mem_overhead_us: ["memory"] "mem_overhead_us", NonNegative;
+    hbm_pj_per_byte: ["memory"] "hbm_pj_per_byte", NonNegative;
+    setfreq_latency_us: ["frequency"] "setfreq_latency_us", NonNegative;
+    beta_w_per_ghz_v2: ["power"] "beta_w_per_ghz_v2", Positive;
+    theta_w_per_v: ["power"] "theta_w_per_v", Positive;
+    gamma_aicore_w_per_k_v: ["power"] "gamma_aicore_w_per_k_v", Positive;
+    gamma_soc_w_per_k_v: ["power"] "gamma_soc_w_per_k_v", Positive;
+    uncore_idle_w: ["power"] "uncore_idle_w", Positive;
+    uncore_theta_w_per_v: ["power"] "uncore_theta_w_per_v", Positive;
+    uncore_dynamic_fraction: ["power"] "uncore_dynamic_fraction", UnitRange;
+    uncore_min_scale: ["power"] "uncore_min_scale", PositiveUnitRange;
+    ambient_c: ["thermal"] "ambient_c", Finite;
+    k_c_per_w: ["thermal"] "k_c_per_w", NonNegative;
+    thermal_tau_us: ["thermal"] "tau_us", Positive;
+    exec_noise_sd: ["noise"] "exec_sd", NonNegative;
+    power_noise_sd: ["noise"] "power_sd", NonNegative;
+    temp_noise_sd_c: ["noise"] "temp_sd_c", NonNegative;
+}
+
 /// Builder for [`NpuConfig`].
 ///
 /// # Examples
@@ -197,52 +309,10 @@ impl NpuConfigBuilder {
         self
     }
 
-    /// Sets the load port width (bytes/cycle/core).
-    #[must_use]
-    pub fn ld_port_width(mut self, bytes_per_cycle: f64) -> Self {
-        self.cfg.ld_bytes_per_cycle_per_core = bytes_per_cycle;
-        self
-    }
-
-    /// Sets the store port width (bytes/cycle/core).
-    #[must_use]
-    pub fn st_port_width(mut self, bytes_per_cycle: f64) -> Self {
-        self.cfg.st_bytes_per_cycle_per_core = bytes_per_cycle;
-        self
-    }
-
-    /// Sets the peak L2 bandwidth (bytes/µs).
-    #[must_use]
-    pub fn l2_bandwidth(mut self, bytes_per_us: f64) -> Self {
-        self.cfg.l2_bw_bytes_per_us = bytes_per_us;
-        self
-    }
-
-    /// Sets the peak HBM bandwidth (bytes/µs).
-    #[must_use]
-    pub fn hbm_bandwidth(mut self, bytes_per_us: f64) -> Self {
-        self.cfg.hbm_bw_bytes_per_us = bytes_per_us;
-        self
-    }
-
     /// Sets the fixed memory-access overhead `T0` (µs).
     #[must_use]
     pub fn mem_overhead_us(mut self, t0: f64) -> Self {
         self.cfg.mem_overhead_us = t0;
-        self
-    }
-
-    /// Sets the supported frequency points.
-    #[must_use]
-    pub fn freq_table(mut self, table: FrequencyTable) -> Self {
-        self.cfg.freq_table = table;
-        self
-    }
-
-    /// Sets the voltage ladder.
-    #[must_use]
-    pub fn voltage_curve(mut self, curve: VoltageCurve) -> Self {
-        self.cfg.voltage_curve = curve;
         self
     }
 
@@ -277,61 +347,24 @@ impl NpuConfigBuilder {
         self
     }
 
-    /// Sets the AICore power coefficients β (W/(GHz·V²)), θ (W/V) and
-    /// γ (W/(K·V)).
-    #[must_use]
-    pub fn aicore_power_coeffs(mut self, beta: f64, theta: f64, gamma: f64) -> Self {
-        self.cfg.beta_w_per_ghz_v2 = beta;
-        self.cfg.theta_w_per_v = theta;
-        self.cfg.gamma_aicore_w_per_k_v = gamma;
-        self
-    }
-
-    /// Sets the uncore idle power (W) and HBM transfer energy (pJ/B).
-    #[must_use]
-    pub fn uncore_power(mut self, idle_w: f64, pj_per_byte: f64) -> Self {
-        self.cfg.uncore_idle_w = idle_w;
-        self.cfg.hbm_pj_per_byte = pj_per_byte;
-        self
-    }
-
-    /// Finalizes the configuration.
+    /// Finalizes the configuration. The ladder and voltage curve are
+    /// the embedded profile's, already validated.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when a physical quantity is non-positive, a
-    /// noise level is negative, or the thermal coupling leaves the chip no
-    /// steady state ([`NpuConfig::has_thermal_steady_state`]).
+    /// Returns [`ConfigError`] naming the profile key of the first value
+    /// that breaks the rule the profile parser applies to it (a zero
+    /// core count is `count`), or [`ConfigError::ThermalRunaway`] when
+    /// the thermal coupling leaves the chip no steady state
+    /// ([`NpuConfig::has_thermal_steady_state`]).
     pub fn build(self) -> Result<NpuConfig, ConfigError> {
-        let c = &self.cfg;
-        fn pos(v: f64, what: &'static str) -> Result<(), ConfigError> {
-            if v > 0.0 {
-                Ok(())
-            } else {
-                Err(ConfigError::NonPositive(what))
-            }
+        if self.cfg.core_num == 0 {
+            return Err(ConfigError::NonPositive("count"));
         }
-        if c.core_num == 0 {
-            return Err(ConfigError::NonPositive("core_num"));
+        for row in ROWS {
+            row.rule.check(row.key, (row.get)(&self.cfg))?;
         }
-        pos(c.ld_bytes_per_cycle_per_core, "ld_bytes_per_cycle_per_core")?;
-        pos(c.st_bytes_per_cycle_per_core, "st_bytes_per_cycle_per_core")?;
-        pos(c.l2_bw_bytes_per_us, "l2_bw_bytes_per_us")?;
-        pos(c.hbm_bw_bytes_per_us, "hbm_bw_bytes_per_us")?;
-        pos(c.thermal_tau_us, "thermal_tau_us")?;
-        if c.mem_overhead_us < 0.0 {
-            return Err(ConfigError::Negative("mem_overhead_us"));
-        }
-        if c.setfreq_latency_us < 0.0 {
-            return Err(ConfigError::Negative("setfreq_latency_us"));
-        }
-        if c.exec_noise_sd < 0.0 || c.power_noise_sd < 0.0 || c.temp_noise_sd_c < 0.0 {
-            return Err(ConfigError::Negative("noise standard deviation"));
-        }
-        if c.k_c_per_w < 0.0 {
-            return Err(ConfigError::Negative("k_c_per_w"));
-        }
-        if !c.has_thermal_steady_state() {
+        if !self.cfg.has_thermal_steady_state() {
             return Err(ConfigError::ThermalRunaway);
         }
         Ok(self.cfg)
@@ -344,13 +377,18 @@ impl Default for NpuConfigBuilder {
     }
 }
 
-/// Error building an [`NpuConfig`].
+/// Error building an [`NpuConfig`]. Each variant but `ThermalRunaway`
+/// names the profile key of the offending value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A quantity that must be strictly positive was zero or negative.
+    /// A quantity that must be finite and strictly positive was not.
     NonPositive(&'static str),
-    /// A quantity that must be non-negative was negative.
+    /// A quantity that must be finite and non-negative was not.
     Negative(&'static str),
+    /// A fraction that must lie in `[0, 1]` did not.
+    OutOfUnitRange(&'static str),
+    /// A quantity that must be finite was not.
+    NonFinite(&'static str),
     /// The thermal loop gain is 1 or more, so the temperature runs away
     /// ([`NpuConfig::has_thermal_steady_state`]).
     ThermalRunaway,
@@ -361,6 +399,8 @@ impl fmt::Display for ConfigError {
         match self {
             Self::NonPositive(what) => write!(f, "{what} must be strictly positive"),
             Self::Negative(what) => write!(f, "{what} must be non-negative"),
+            Self::OutOfUnitRange(what) => write!(f, "{what} must lie in [0, 1]"),
+            Self::NonFinite(what) => write!(f, "{what} must be finite"),
             Self::ThermalRunaway => write!(
                 f,
                 "k_c_per_w · max(γ_soc, γ_aicore) · V(f_max) must be below 1, \
@@ -406,7 +446,7 @@ mod tests {
     #[test]
     fn builder_rejects_zero_cores() {
         let err = NpuConfig::builder().core_num(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::NonPositive("core_num"));
+        assert_eq!(err, ConfigError::NonPositive("count"));
     }
 
     #[test]
@@ -424,7 +464,7 @@ mod tests {
             .noise(-0.1, 0.0, 0.0)
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::Negative("noise standard deviation"));
+        assert_eq!(err, ConfigError::Negative("exec_sd"));
     }
 
     #[test]

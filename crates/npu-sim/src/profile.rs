@@ -41,7 +41,7 @@
 //! assert_eq!(again.fingerprint(), ascend.fingerprint());
 //! ```
 
-use crate::config::NpuConfig;
+use crate::config::{ConfigError, NpuConfig, Row, Rule, ROWS};
 use crate::freq::{FreqMhz, FrequencyTable, VoltageCurve};
 use std::fmt;
 use std::sync::OnceLock;
@@ -258,6 +258,32 @@ impl fmt::Display for ProfileError {
 
 impl std::error::Error for ProfileError {}
 
+impl ProfileError {
+    /// The parser's form of a rule violation on `line`.
+    fn at(line: usize, e: ConfigError) -> Self {
+        match e {
+            ConfigError::NonPositive(key) => Self::NonPositive {
+                line,
+                key: key.to_owned(),
+            },
+            ConfigError::Negative(key) => Self::Negative {
+                line,
+                key: key.to_owned(),
+            },
+            ConfigError::OutOfUnitRange(key) => Self::OutOfUnitRange {
+                line,
+                key: key.to_owned(),
+            },
+            ConfigError::NonFinite(key) => Self::Type {
+                line,
+                key: key.to_owned(),
+                expected: "a finite number",
+            },
+            ConfigError::ThermalRunaway => Self::ThermalRunaway { line },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // TOML-subset front end
 // ---------------------------------------------------------------------------
@@ -409,8 +435,9 @@ fn parse_value(token: &str, line: usize, key: &str) -> Result<Value, ProfileErro
     if is_numeric_token(token) {
         let cleaned: String = token.chars().filter(|&c| c != '_').collect();
         // Reject tokens `f64::from_str` cannot digest now, with a span,
-        // instead of at first typed access. Finite by construction: the
-        // token grammar has no way to spell `inf` or `nan`.
+        // instead of at first typed access. The token grammar cannot
+        // spell `inf` or `nan`; a token that overflows (`1e400`) reads
+        // as ±∞, which every float rule rejects.
         if cleaned.parse::<f64>().is_err() {
             return Err(ProfileError::Syntax {
                 line,
@@ -504,10 +531,14 @@ struct Section<'a> {
 }
 
 impl<'a> Section<'a> {
-    /// Rejects duplicate keys and keys outside `allowed`.
-    fn check_keys(&self, allowed: &[&str]) -> Result<(), ProfileError> {
+    /// Rejects duplicate keys and keys that are neither `structured`
+    /// nor one of the section's table rows.
+    fn check_keys(&self, structured: &[&str]) -> Result<(), ProfileError> {
         for (i, e) in self.raw.entries.iter().enumerate() {
-            if !allowed.contains(&e.key.as_str()) {
+            let key = e.key.as_str();
+            if !structured.contains(&key)
+                && !ROWS.iter().any(|r| r.section == self.name && r.key == key)
+            {
                 return Err(ProfileError::UnknownKey {
                     line: e.line,
                     section: self.raw.name.clone(),
@@ -539,50 +570,46 @@ impl<'a> Section<'a> {
     fn f64(&self, key: &'static str) -> Result<(f64, usize), ProfileError> {
         let e = self.entry(key)?;
         match &e.value {
-            Value::Num(raw) => match raw.parse::<f64>() {
-                Ok(v) => Ok((v, e.line)),
-                Err(_) => Err(ProfileError::Type {
-                    line: e.line,
-                    key: key.to_owned(),
-                    expected: "a number",
-                }),
-            },
-            _ => Err(ProfileError::Type {
-                line: e.line,
-                key: key.to_owned(),
-                expected: "a number",
-            }),
+            Value::Num(raw) => raw.parse().map_err(|_| type_error(e, "a number")),
+            _ => Err(type_error(e, "a number")),
         }
+        .map(|v| (v, e.line))
+    }
+
+    /// Reads a float and checks it against `rule`.
+    fn checked_f64(&self, key: &'static str, rule: Rule) -> Result<f64, ProfileError> {
+        let (v, line) = self.f64(key)?;
+        rule.check(key, v).map_err(|e| ProfileError::at(line, e))?;
+        Ok(v)
+    }
+
+    /// Reads the section's table rows, in table order, into their slots
+    /// of `rows`.
+    fn read_rows(&self, rows: &mut [f64]) -> Result<(), ProfileError> {
+        for (row, slot) in ROWS.iter().zip(rows) {
+            if row.section == self.name {
+                *slot = self.checked_f64(row.key, row.rule)?;
+            }
+        }
+        Ok(())
     }
 
     fn u32(&self, key: &'static str) -> Result<(u32, usize), ProfileError> {
         let e = self.entry(key)?;
         match &e.value {
-            Value::Num(raw) => match raw.parse::<u32>() {
-                Ok(v) => Ok((v, e.line)),
-                Err(_) => Err(ProfileError::Type {
-                    line: e.line,
-                    key: key.to_owned(),
-                    expected: "a non-negative integer",
-                }),
-            },
-            _ => Err(ProfileError::Type {
-                line: e.line,
-                key: key.to_owned(),
-                expected: "a non-negative integer",
-            }),
+            Value::Num(raw) => raw
+                .parse()
+                .map_err(|_| type_error(e, "a non-negative integer")),
+            _ => Err(type_error(e, "a non-negative integer")),
         }
+        .map(|v| (v, e.line))
     }
 
     fn string(&self, key: &'static str) -> Result<(String, usize), ProfileError> {
         let e = self.entry(key)?;
         match &e.value {
             Value::Str(s) => Ok((s.clone(), e.line)),
-            _ => Err(ProfileError::Type {
-                line: e.line,
-                key: key.to_owned(),
-                expected: "a string",
-            }),
+            _ => Err(type_error(e, "a string")),
         }
     }
 
@@ -597,27 +624,15 @@ impl<'a> Section<'a> {
     fn u32_array(&self, key: &'static str) -> Result<(Vec<u32>, usize), ProfileError> {
         let e = self.entry(key)?;
         let Value::Array(items) = &e.value else {
-            return Err(ProfileError::Type {
-                line: e.line,
-                key: key.to_owned(),
-                expected: "an array of integers",
-            });
+            return Err(type_error(e, "an array of integers"));
         };
         let mut out = Vec::with_capacity(items.len());
         for item in items {
             let Value::Num(raw) = item else {
-                return Err(ProfileError::Type {
-                    line: e.line,
-                    key: key.to_owned(),
-                    expected: "an array of integers",
-                });
+                return Err(type_error(e, "an array of integers"));
             };
             let Ok(v) = raw.parse::<u32>() else {
-                return Err(ProfileError::Type {
-                    line: e.line,
-                    key: key.to_owned(),
-                    expected: "an array of non-negative integers",
-                });
+                return Err(type_error(e, "an array of non-negative integers"));
             };
             out.push(v);
         }
@@ -627,20 +642,12 @@ impl<'a> Section<'a> {
     fn string_array(&self, key: &'static str) -> Result<(Vec<String>, usize), ProfileError> {
         let e = self.entry(key)?;
         let Value::Array(items) = &e.value else {
-            return Err(ProfileError::Type {
-                line: e.line,
-                key: key.to_owned(),
-                expected: "an array of strings",
-            });
+            return Err(type_error(e, "an array of strings"));
         };
         let mut out = Vec::with_capacity(items.len());
         for item in items {
             let Value::Str(s) = item else {
-                return Err(ProfileError::Type {
-                    line: e.line,
-                    key: key.to_owned(),
-                    expected: "an array of strings",
-                });
+                return Err(type_error(e, "an array of strings"));
             };
             out.push(s.clone());
         }
@@ -648,15 +655,28 @@ impl<'a> Section<'a> {
     }
 }
 
-fn find_section<'a>(
+/// The type error for `entry`'s value.
+fn type_error(entry: &Entry, expected: &'static str) -> ProfileError {
+    ProfileError::Type {
+        line: entry.line,
+        key: entry.key.clone(),
+        expected,
+    }
+}
+
+/// Finds section `name` and checks its keys (see [`Section::check_keys`]).
+fn open<'a>(
     sections: &'a [RawSection],
     name: &'static str,
+    structured: &[&str],
 ) -> Result<Section<'a>, ProfileError> {
-    sections
+    let section = sections
         .iter()
         .find(|s| s.name == name)
         .map(|raw| Section { raw, name })
-        .ok_or(ProfileError::MissingSection { section: name })
+        .ok_or(ProfileError::MissingSection { section: name })?;
+    section.check_keys(structured)?;
+    Ok(section)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,39 +709,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-fn require_positive(v: f64, line: usize, key: &str) -> Result<(), ProfileError> {
-    if v > 0.0 && v.is_finite() {
-        Ok(())
-    } else {
-        Err(ProfileError::NonPositive {
-            line,
-            key: key.to_owned(),
-        })
-    }
-}
-
-fn require_non_negative(v: f64, line: usize, key: &str) -> Result<(), ProfileError> {
-    if v >= 0.0 && v.is_finite() {
-        Ok(())
-    } else {
-        Err(ProfileError::Negative {
-            line,
-            key: key.to_owned(),
-        })
-    }
-}
-
-fn require_unit_range(v: f64, line: usize, key: &str) -> Result<(), ProfileError> {
-    if (0.0..=1.0).contains(&v) {
-        Ok(())
-    } else {
-        Err(ProfileError::OutOfUnitRange {
-            line,
-            key: key.to_owned(),
-        })
-    }
 }
 
 impl DeviceProfile {
@@ -781,8 +768,9 @@ impl DeviceProfile {
             }
         }
 
-        let device = find_section(&sections, "device")?;
-        device.check_keys(&["name", "description"])?;
+        // Structured keys first in each section, then its table rows.
+        let mut rows = [0.0; ROWS.len()];
+        let device = open(&sections, "device", &["name", "description"])?;
         let (name, name_line) = device.string("name")?;
         if name.is_empty() {
             return Err(ProfileError::Syntax {
@@ -792,13 +780,7 @@ impl DeviceProfile {
         }
         let (description, _) = device.string_or("description", "")?;
 
-        let cores = find_section(&sections, "cores")?;
-        cores.check_keys(&[
-            "count",
-            "pipelines",
-            "ld_bytes_per_cycle",
-            "st_bytes_per_cycle",
-        ])?;
+        let cores = open(&sections, "cores", &["count", "pipelines"])?;
         let (core_num, core_line) = cores.u32("count")?;
         if core_num == 0 {
             return Err(ProfileError::NonPositive {
@@ -826,29 +808,10 @@ impl DeviceProfile {
                 return Err(ProfileError::MissingPipeline { name: required });
             }
         }
-        let (ld, ld_line) = cores.f64("ld_bytes_per_cycle")?;
-        require_positive(ld, ld_line, "ld_bytes_per_cycle")?;
-        let (st, st_line) = cores.f64("st_bytes_per_cycle")?;
-        require_positive(st, st_line, "st_bytes_per_cycle")?;
+        cores.read_rows(&mut rows)?;
+        open(&sections, "memory", &[])?.read_rows(&mut rows)?;
 
-        let memory = find_section(&sections, "memory")?;
-        memory.check_keys(&[
-            "l2_bw_bytes_per_us",
-            "hbm_bw_bytes_per_us",
-            "mem_overhead_us",
-            "hbm_pj_per_byte",
-        ])?;
-        let (l2_bw, l2_line) = memory.f64("l2_bw_bytes_per_us")?;
-        require_positive(l2_bw, l2_line, "l2_bw_bytes_per_us")?;
-        let (hbm_bw, hbm_line) = memory.f64("hbm_bw_bytes_per_us")?;
-        require_positive(hbm_bw, hbm_line, "hbm_bw_bytes_per_us")?;
-        let (mem_overhead, t0_line) = memory.f64("mem_overhead_us")?;
-        require_non_negative(mem_overhead, t0_line, "mem_overhead_us")?;
-        let (hbm_pj, pj_line) = memory.f64("hbm_pj_per_byte")?;
-        require_non_negative(hbm_pj, pj_line, "hbm_pj_per_byte")?;
-
-        let frequency = find_section(&sections, "frequency")?;
-        frequency.check_keys(&["points_mhz", "setfreq_latency_us"])?;
+        let frequency = open(&sections, "frequency", &["points_mhz"])?;
         let (points, ladder_line) = frequency.u32_array("points_mhz")?;
         if points.is_empty() {
             return Err(ProfileError::Ladder {
@@ -877,13 +840,14 @@ impl DeviceProfile {
                 ),
             });
         }
-        let (setfreq_latency, sf_line) = frequency.f64("setfreq_latency_us")?;
-        require_non_negative(setfreq_latency, sf_line, "setfreq_latency_us")?;
+        frequency.read_rows(&mut rows)?;
 
-        let voltage = find_section(&sections, "voltage")?;
-        voltage.check_keys(&["base_v", "knee_mhz", "slope_v_per_mhz"])?;
-        let (base_v, base_line) = voltage.f64("base_v")?;
-        require_positive(base_v, base_line, "base_v")?;
+        let voltage = open(
+            &sections,
+            "voltage",
+            &["base_v", "knee_mhz", "slope_v_per_mhz"],
+        )?;
+        let base_v = voltage.checked_f64("base_v", Rule::Positive)?;
         let (knee_mhz, knee_line) = voltage.u32("knee_mhz")?;
         if knee_mhz == 0 {
             return Err(ProfileError::NonPositive {
@@ -891,8 +855,7 @@ impl DeviceProfile {
                 key: "knee_mhz".to_owned(),
             });
         }
-        let (slope, slope_line) = voltage.f64("slope_v_per_mhz")?;
-        require_non_negative(slope, slope_line, "slope_v_per_mhz")?;
+        let slope = voltage.checked_f64("slope_v_per_mhz", Rule::NonNegative)?;
         // Coverage: the knee must lie within the ladder span so both
         // firmware regimes (flat, linear) are anchored to real operating
         // points and no ladder point sits outside the curve's
@@ -910,59 +873,9 @@ impl DeviceProfile {
                 freq_mhz: hi,
             });
         }
-
-        let power = find_section(&sections, "power")?;
-        power.check_keys(&[
-            "beta_w_per_ghz_v2",
-            "theta_w_per_v",
-            "gamma_aicore_w_per_k_v",
-            "gamma_soc_w_per_k_v",
-            "uncore_idle_w",
-            "uncore_theta_w_per_v",
-            "uncore_dynamic_fraction",
-            "uncore_min_scale",
-        ])?;
-        let (beta, beta_line) = power.f64("beta_w_per_ghz_v2")?;
-        require_positive(beta, beta_line, "beta_w_per_ghz_v2")?;
-        let (theta, theta_line) = power.f64("theta_w_per_v")?;
-        require_positive(theta, theta_line, "theta_w_per_v")?;
-        let (gamma_aicore, ga_line) = power.f64("gamma_aicore_w_per_k_v")?;
-        require_positive(gamma_aicore, ga_line, "gamma_aicore_w_per_k_v")?;
-        let (gamma_soc, gs_line) = power.f64("gamma_soc_w_per_k_v")?;
-        require_positive(gamma_soc, gs_line, "gamma_soc_w_per_k_v")?;
-        let (uncore_idle, ui_line) = power.f64("uncore_idle_w")?;
-        require_positive(uncore_idle, ui_line, "uncore_idle_w")?;
-        let (uncore_theta, ut_line) = power.f64("uncore_theta_w_per_v")?;
-        require_positive(uncore_theta, ut_line, "uncore_theta_w_per_v")?;
-        let (uncore_dyn, ud_line) = power.f64("uncore_dynamic_fraction")?;
-        require_unit_range(uncore_dyn, ud_line, "uncore_dynamic_fraction")?;
-        let (uncore_min, um_line) = power.f64("uncore_min_scale")?;
-        require_positive(uncore_min, um_line, "uncore_min_scale")?;
-        require_unit_range(uncore_min, um_line, "uncore_min_scale")?;
-
-        let thermal = find_section(&sections, "thermal")?;
-        thermal.check_keys(&["ambient_c", "k_c_per_w", "tau_us"])?;
-        let (ambient, amb_line) = thermal.f64("ambient_c")?;
-        if !ambient.is_finite() {
-            return Err(ProfileError::Type {
-                line: amb_line,
-                key: "ambient_c".to_owned(),
-                expected: "a finite number",
-            });
+        for name in ["power", "thermal", "noise"] {
+            open(&sections, name, &[])?.read_rows(&mut rows)?;
         }
-        let (k, k_line) = thermal.f64("k_c_per_w")?;
-        require_non_negative(k, k_line, "k_c_per_w")?;
-        let (tau, tau_line) = thermal.f64("tau_us")?;
-        require_positive(tau, tau_line, "tau_us")?;
-
-        let noise = find_section(&sections, "noise")?;
-        noise.check_keys(&["exec_sd", "power_sd", "temp_sd_c"])?;
-        let (exec_sd, ex_line) = noise.f64("exec_sd")?;
-        require_non_negative(exec_sd, ex_line, "exec_sd")?;
-        let (power_sd, pw_line) = noise.f64("power_sd")?;
-        require_non_negative(power_sd, pw_line, "power_sd")?;
-        let (temp_sd, tp_line) = noise.f64("temp_sd_c")?;
-        require_non_negative(temp_sd, tp_line, "temp_sd_c")?;
 
         // Constructors below cannot fail: the ladder is validated
         // non-empty/increasing and the curve's base/slope positive and
@@ -973,36 +886,12 @@ impl DeviceProfile {
             Err(e) => unreachable!("validated ladder rejected: {e}"),
         };
         let voltage_curve = VoltageCurve::new(base_v, FreqMhz::new(knee_mhz), slope);
-
-        let config = NpuConfig {
-            core_num,
-            ld_bytes_per_cycle_per_core: ld,
-            st_bytes_per_cycle_per_core: st,
-            l2_bw_bytes_per_us: l2_bw,
-            hbm_bw_bytes_per_us: hbm_bw,
-            mem_overhead_us: mem_overhead,
-            freq_table,
-            voltage_curve,
-            beta_w_per_ghz_v2: beta,
-            theta_w_per_v: theta,
-            gamma_aicore_w_per_k_v: gamma_aicore,
-            gamma_soc_w_per_k_v: gamma_soc,
-            uncore_idle_w: uncore_idle,
-            uncore_theta_w_per_v: uncore_theta,
-            uncore_dynamic_fraction: uncore_dyn,
-            uncore_min_scale: uncore_min,
-            hbm_pj_per_byte: hbm_pj,
-            ambient_c: ambient,
-            k_c_per_w: k,
-            thermal_tau_us: tau,
-            setfreq_latency_us: setfreq_latency,
-            exec_noise_sd: exec_sd,
-            power_noise_sd: power_sd,
-            temp_noise_sd_c: temp_sd,
-            profile_fp: 0,
-        };
+        let config = NpuConfig::from_rows(core_num, freq_table, voltage_curve, rows);
         if !config.has_thermal_steady_state() {
-            return Err(ProfileError::ThermalRunaway { line: k_line });
+            // Reported at the thermal coupling's line.
+            let k = Row::k_c_per_w;
+            let line = open(&sections, k.section, &[])?.entry(k.key)?.line;
+            return Err(ProfileError::ThermalRunaway { line });
         }
 
         let mut profile = Self {
@@ -1078,81 +967,48 @@ impl DeviceProfile {
     pub fn to_toml(&self) -> String {
         use fmt::Write as _;
         let c = &self.config;
-        let mut out = String::with_capacity(1024);
-        // Infallible: `write!` into a String cannot fail.
-        let _ = writeln!(out, "schema = 1");
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[device]");
-        let _ = writeln!(out, "name = {}", quote(&self.name));
-        let _ = writeln!(out, "description = {}", quote(&self.description));
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[cores]");
-        let _ = writeln!(out, "count = {}", c.core_num);
-        let pipes: Vec<String> = self.pipelines.iter().map(|p| quote(p)).collect();
-        let _ = writeln!(out, "pipelines = [{}]", pipes.join(", "));
-        let _ = writeln!(
-            out,
-            "ld_bytes_per_cycle = {:?}",
-            c.ld_bytes_per_cycle_per_core
-        );
-        let _ = writeln!(
-            out,
-            "st_bytes_per_cycle = {:?}",
-            c.st_bytes_per_cycle_per_core
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[memory]");
-        let _ = writeln!(out, "l2_bw_bytes_per_us = {:?}", c.l2_bw_bytes_per_us);
-        let _ = writeln!(out, "hbm_bw_bytes_per_us = {:?}", c.hbm_bw_bytes_per_us);
-        let _ = writeln!(out, "mem_overhead_us = {:?}", c.mem_overhead_us);
-        let _ = writeln!(out, "hbm_pj_per_byte = {:?}", c.hbm_pj_per_byte);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[frequency]");
-        let mhz: Vec<String> = c
-            .freq_table
-            .points()
-            .iter()
-            .map(|f| f.mhz().to_string())
-            .collect();
-        let _ = writeln!(out, "points_mhz = [{}]", mhz.join(", "));
-        let _ = writeln!(out, "setfreq_latency_us = {:?}", c.setfreq_latency_us);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[voltage]");
-        let _ = writeln!(out, "base_v = {:?}", c.voltage_curve.base_volts());
-        let _ = writeln!(out, "knee_mhz = {}", c.voltage_curve.knee().mhz());
-        let _ = writeln!(
-            out,
-            "slope_v_per_mhz = {:?}",
-            c.voltage_curve.slope_v_per_mhz()
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[power]");
-        let _ = writeln!(out, "beta_w_per_ghz_v2 = {:?}", c.beta_w_per_ghz_v2);
-        let _ = writeln!(out, "theta_w_per_v = {:?}", c.theta_w_per_v);
-        let _ = writeln!(
-            out,
-            "gamma_aicore_w_per_k_v = {:?}",
-            c.gamma_aicore_w_per_k_v
-        );
-        let _ = writeln!(out, "gamma_soc_w_per_k_v = {:?}", c.gamma_soc_w_per_k_v);
-        let _ = writeln!(out, "uncore_idle_w = {:?}", c.uncore_idle_w);
-        let _ = writeln!(out, "uncore_theta_w_per_v = {:?}", c.uncore_theta_w_per_v);
-        let _ = writeln!(
-            out,
-            "uncore_dynamic_fraction = {:?}",
-            c.uncore_dynamic_fraction
-        );
-        let _ = writeln!(out, "uncore_min_scale = {:?}", c.uncore_min_scale);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[thermal]");
-        let _ = writeln!(out, "ambient_c = {:?}", c.ambient_c);
-        let _ = writeln!(out, "k_c_per_w = {:?}", c.k_c_per_w);
-        let _ = writeln!(out, "tau_us = {:?}", c.thermal_tau_us);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[noise]");
-        let _ = writeln!(out, "exec_sd = {:?}", c.exec_noise_sd);
-        let _ = writeln!(out, "power_sd = {:?}", c.power_noise_sd);
-        let _ = writeln!(out, "temp_sd_c = {:?}", c.temp_noise_sd_c);
+        let list = |items: Vec<String>| format!("[{}]", items.join(", "));
+        let pipelines = list(self.pipelines.iter().map(|p| quote(p)).collect());
+        let mhz = list(c.freq_table.iter().map(|f| f.mhz().to_string()).collect());
+        let curve = &c.voltage_curve;
+        // Each section's structured keys, which precede its table rows.
+        let sections = [
+            (
+                "device",
+                vec![
+                    ("name", quote(&self.name)),
+                    ("description", quote(&self.description)),
+                ],
+            ),
+            (
+                "cores",
+                vec![("count", c.core_num.to_string()), ("pipelines", pipelines)],
+            ),
+            ("memory", Vec::new()),
+            ("frequency", vec![("points_mhz", mhz)]),
+            (
+                "voltage",
+                vec![
+                    ("base_v", format!("{:?}", curve.base_volts())),
+                    ("knee_mhz", curve.knee().mhz().to_string()),
+                    ("slope_v_per_mhz", format!("{:?}", curve.slope_v_per_mhz())),
+                ],
+            ),
+            ("power", Vec::new()),
+            ("thermal", Vec::new()),
+            ("noise", Vec::new()),
+        ];
+        let mut out = String::from("schema = 1\n");
+        for (section, structured) in sections {
+            // Infallible: `write!` into a String cannot fail.
+            let _ = write!(out, "\n[{section}]\n");
+            for (key, value) in structured {
+                let _ = writeln!(out, "{key} = {value}");
+            }
+            for row in ROWS.iter().filter(|r| r.section == section) {
+                let _ = writeln!(out, "{} = {:?}", row.key, (row.get)(c));
+            }
+        }
         out
     }
 }

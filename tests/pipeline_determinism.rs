@@ -7,7 +7,7 @@
 //! These tests pin that, plus the bit-exact round trip of the persisted
 //! cache artifacts and the stability of the content fingerprints.
 
-use dvfs_repro::core::cache::{profile_key, ProfileArtifact, SearchArtifact};
+use dvfs_repro::core::cache::{fleet_strategy_key, profile_key, ProfileArtifact, SearchArtifact};
 use dvfs_repro::core::{sweep_profiles, EnergyOptimizer, OptimizerConfig};
 use dvfs_repro::power_model::HardwareCalibration;
 use dvfs_repro::prelude::*;
@@ -115,6 +115,69 @@ fn fingerprints_are_stable_and_input_sensitive() {
     let mut cfg2 = cfg.clone();
     cfg2.ambient_c += 1.0;
     assert_ne!(key, profile_key(&cfg2, 7, w.schedule(), &freqs));
+    // Every device field is keyed: each float moved by one ULP, the core
+    // count, one ladder point, and each voltage-curve parameter. The
+    // fleet strategy key hashes the same device fields.
+    let strategy_key = fleet_strategy_key(&cfg, 7, 0);
+    let floats: [fn(&mut NpuConfig) -> &mut f64; 21] = [
+        |c| &mut c.ld_bytes_per_cycle_per_core,
+        |c| &mut c.st_bytes_per_cycle_per_core,
+        |c| &mut c.l2_bw_bytes_per_us,
+        |c| &mut c.hbm_bw_bytes_per_us,
+        |c| &mut c.mem_overhead_us,
+        |c| &mut c.hbm_pj_per_byte,
+        |c| &mut c.setfreq_latency_us,
+        |c| &mut c.beta_w_per_ghz_v2,
+        |c| &mut c.theta_w_per_v,
+        |c| &mut c.gamma_aicore_w_per_k_v,
+        |c| &mut c.gamma_soc_w_per_k_v,
+        |c| &mut c.uncore_idle_w,
+        |c| &mut c.uncore_theta_w_per_v,
+        |c| &mut c.uncore_dynamic_fraction,
+        |c| &mut c.uncore_min_scale,
+        |c| &mut c.ambient_c,
+        |c| &mut c.k_c_per_w,
+        |c| &mut c.thermal_tau_us,
+        |c| &mut c.exec_noise_sd,
+        |c| &mut c.power_noise_sd,
+        |c| &mut c.temp_noise_sd_c,
+    ];
+    let mut moved: Vec<NpuConfig> = floats
+        .iter()
+        .map(|field| {
+            let mut c = cfg.clone();
+            let v = field(&mut c);
+            *v = f64::from_bits(v.to_bits() + 1);
+            c
+        })
+        .collect();
+    let curve = &cfg.voltage_curve;
+    let (base, knee, slope) = (curve.base_volts(), curve.knee(), curve.slope_v_per_mhz());
+    for change in [
+        |c: &mut NpuConfig| c.core_num += 1,
+        |c: &mut NpuConfig| {
+            let mut points = c.freq_table.points().to_vec();
+            *points.last_mut().unwrap() = FreqMhz::new(1900);
+            c.freq_table = FrequencyTable::new(points).unwrap();
+        },
+    ] {
+        let mut c = cfg.clone();
+        change(&mut c);
+        moved.push(c);
+    }
+    for curve in [
+        VoltageCurve::new(base + 0.01, knee, slope),
+        VoltageCurve::new(base, FreqMhz::new(knee.mhz() + 100), slope),
+        VoltageCurve::new(base, knee, slope * 2.0),
+    ] {
+        let mut c = cfg.clone();
+        c.voltage_curve = curve;
+        moved.push(c);
+    }
+    for (i, c) in moved.iter().enumerate() {
+        assert_ne!(key, profile_key(c, 7, w.schedule(), &freqs), "change {i}");
+        assert_ne!(strategy_key, fleet_strategy_key(c, 7, 0), "change {i}");
+    }
     // The device-profile fingerprint is keyed too: a hand-built config
     // with identical physics (builder output, profile_fp == 0) must not
     // alias artifacts of the profile-loaded config.
@@ -214,7 +277,10 @@ prop_compose! {
         use dvfs_repro::dvfs::{Stage, StageKind};
         let mut stages = Vec::new();
         let mut freqs = Vec::new();
-        for &(start, dur, op_start, op_len, lfc, mhz) in &stage_vals {
+        // Stage ranges tile the operators from the first stage's start,
+        // as the decoder requires.
+        let mut op_start = stage_vals[0].2;
+        for &(start, dur, _, op_len, lfc, mhz) in &stage_vals {
             stages.push(Stage {
                 start_us: start,
                 dur_us: dur,
@@ -222,6 +288,7 @@ prop_compose! {
                 kind: if lfc { StageKind::Lfc } else { StageKind::Hfc },
             });
             freqs.push(FreqMhz::new(mhz));
+            op_start += op_len;
         }
         SearchArtifact {
             outcome: GaOutcome {
@@ -566,5 +633,64 @@ fn garbage_persisted_search_is_corrupt_while_absence_stays_a_plain_miss() {
         let stats = cache.stats();
         assert_eq!((stats.search.hits, stats.search.misses), (0, 1));
     }
+
+    // Stage lines a strategy file would reject are corrupt too, at their
+    // own line: a zero frequency, and ranges that are inverted, empty,
+    // or leave a gap. Executing any of them would index past the
+    // profile or divide by a zero clock.
+    let ok = "stage 0 1 0 2 LFC 1300\n";
+    for stages in [
+        "stage 0 1 0 2 LFC 0\n".to_owned(),
+        format!("{ok}stage 1 1 91 41 HFC 1800\n"),
+        format!("{ok}stage 1 1 2 2 HFC 1800\n"),
+        format!("{ok}stage 1 1 3 5 HFC 1800\n"),
+    ] {
+        let n = stages.lines().count();
+        std::fs::write(&path, format!("{head}stages {n}\n{stages}")).unwrap();
+        let cache = ArtifactCache::persistent(&dir).unwrap();
+        assert!(cache.lookup::<SearchArtifact>(2).is_none(), "{stages}");
+        match cache.try_lookup::<SearchArtifact>(2) {
+            Err(CacheError::Corrupt { source, .. }) => assert_eq!(source.line, 6 + n, "{stages}"),
+            other => panic!("{stages}: expected CacheError::Corrupt, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn garbage_persisted_profile_is_corrupt_while_absence_stays_a_plain_miss() {
+    let dir = scratch_cache_dir("profile-garbage");
+    let cache = ArtifactCache::persistent(&dir).unwrap();
+    assert!(cache.try_lookup::<ProfileArtifact>(1).unwrap().is_none());
+
+    // A zero frequency, in a block header or in a record, is corrupt at
+    // its own line instead of aborting the process.
+    let path = dir.join(format!("profile-{:016x}.txt", 2u64));
+    let head = "npu-core-cache profile v2\nbaseline 1 2 3 4\nprofiles 1\n";
+    let rec = |mhz: u32| {
+        format!("rec 0 Compute PingPongIndependent 0 1 {mhz} 0 0 0 0 0 0 1 2 40 8 MatMul\n")
+    };
+    for (text, line) in [
+        (format!("{head}freq 0 0\n"), 4),
+        (format!("{head}freq 1800 1\n{}", rec(0)), 5),
+    ] {
+        std::fs::write(&path, &text).unwrap();
+        let cache = ArtifactCache::persistent(&dir).unwrap();
+        assert!(cache.lookup::<ProfileArtifact>(2).is_none(), "{text}");
+        match cache.try_lookup::<ProfileArtifact>(2) {
+            Err(CacheError::Corrupt {
+                kind, key, source, ..
+            }) => {
+                assert_eq!((kind, key, source.line), ("profile", 2, line), "{text}");
+            }
+            other => panic!("{text}: expected CacheError::Corrupt, got {other:?}"),
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.profile.hits, stats.profile.misses), (0, 2));
+    }
+    // The same record at a real frequency decodes.
+    std::fs::write(&path, format!("{head}freq 1800 1\n{}", rec(1800))).unwrap();
+    let cache = ArtifactCache::persistent(&dir).unwrap();
+    assert!(cache.try_lookup::<ProfileArtifact>(2).unwrap().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

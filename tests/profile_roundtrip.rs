@@ -336,3 +336,22 @@ fn non_finite_floats_are_unrepresentable() {
         assert_eq!(reparsed.fingerprint(), p.fingerprint());
     }
 }
+
+/// The fingerprints `profile_lint` printed before `to_toml` walked the
+/// device row table: the canonical text must stay byte for byte.
+#[test]
+fn shipped_profiles_keep_their_fingerprints() {
+    for (name, fingerprint) in [
+        ("ascend-910", 0x2071_eca2_d18f_d3ff),
+        ("v100-class", 0x916c_4271_dc0c_f774),
+        ("edge-npu", 0xfd0f_00ab_095b_d97c),
+    ] {
+        let p = dvfs_repro::sim::profile::by_name(name).unwrap();
+        assert_eq!(p.fingerprint(), fingerprint, "{name}");
+        assert_eq!(
+            DeviceProfile::parse(&p.to_toml()).unwrap().fingerprint(),
+            fingerprint,
+            "{name} after a round trip"
+        );
+    }
+}
