@@ -148,8 +148,8 @@ fn push_schedule(fp: &mut Fingerprint, schedule: &Schedule) {
     fp.push_usize(schedule.ops().len());
     for op in schedule.ops() {
         fp.push_str(op.name());
-        fp.push_str(&format!("{:?}", op.class()));
-        fp.push_str(&format!("{:?}", op.scenario()));
+        fp.push_str(op.class().name());
+        fp.push_str(op.scenario().name());
         fp.push_u64(u64::from(op.n_blocks()));
         let mix = op.mix();
         for v in [
@@ -450,6 +450,22 @@ impl<'a> Lines<'a> {
             .ok_or_else(|| parse_err(self.line_no, "unexpected end of file"))
     }
 
+    /// Accepts the end of the artifact: only empty lines may follow the
+    /// blocks its counts declared, so a damaged count is an error at the
+    /// first line it leaves over instead of a different artifact.
+    fn finish(mut self) -> Result<(), ArtifactParseError> {
+        for line in self.iter.by_ref() {
+            self.line_no += 1;
+            if !line.is_empty() {
+                return Err(parse_err(
+                    self.line_no,
+                    format!("unexpected line after the last block: `{line}`"),
+                ));
+            }
+        }
+        Ok(())
+    }
+
     fn expect(&mut self, tag: &str) -> Result<&'a str, ArtifactParseError> {
         let line = self.next()?;
         line.strip_prefix(tag)
@@ -504,10 +520,10 @@ fn write_profiles(out: &mut String, profiles: &[FreqProfile]) {
             // round-trippable form.
             let _ = writeln!(
                 out,
-                "rec {} {:?} {:?} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                "rec {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
                 r.index,
-                r.class,
-                r.scenario,
+                r.class.name(),
+                r.scenario.name(),
                 F64Text(r.start_us),
                 F64Text(r.dur_us),
                 r.freq_mhz.mhz(),
@@ -558,7 +574,7 @@ fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseEr
         let soc_w = lines.f64(field("soc_w")?)?;
         let temp_c = lines.f64(field("temp_c")?)?;
         let traffic_bytes = lines.f64(field("traffic_bytes")?)?;
-        let name = field("name")?.to_owned();
+        let name = field("name")?.into();
         records.push(OpRecord {
             index,
             name,
@@ -585,27 +601,17 @@ fn read_freq_block(lines: &mut Lines<'_>) -> Result<FreqProfile, ArtifactParseEr
 }
 
 fn parse_op_class(s: &str, line: usize) -> Result<npu_sim::OpClass, ArtifactParseError> {
-    use npu_sim::OpClass::{AiCpu, Communication, Compute, Idle};
-    match s {
-        "Compute" => Ok(Compute),
-        "AiCpu" => Ok(AiCpu),
-        "Communication" => Ok(Communication),
-        "Idle" => Ok(Idle),
-        _ => Err(parse_err(line, format!("unknown op class `{s}`"))),
-    }
+    npu_sim::OpClass::all()
+        .into_iter()
+        .find(|c| c.name() == s)
+        .ok_or_else(|| parse_err(line, format!("unknown op class `{s}`")))
 }
 
 fn parse_scenario(s: &str, line: usize) -> Result<npu_sim::Scenario, ArtifactParseError> {
-    use npu_sim::Scenario::{
-        PingPongDependent, PingPongFreeDependent, PingPongFreeIndependent, PingPongIndependent,
-    };
-    match s {
-        "PingPongFreeIndependent" => Ok(PingPongFreeIndependent),
-        "PingPongFreeDependent" => Ok(PingPongFreeDependent),
-        "PingPongIndependent" => Ok(PingPongIndependent),
-        "PingPongDependent" => Ok(PingPongDependent),
-        _ => Err(parse_err(line, format!("unknown scenario `{s}`"))),
-    }
+    npu_sim::Scenario::all()
+        .into_iter()
+        .find(|c| c.name() == s)
+        .ok_or_else(|| parse_err(line, format!("unknown scenario `{s}`")))
 }
 
 impl ProfileArtifact {
@@ -634,7 +640,8 @@ impl ProfileArtifact {
     /// # Errors
     ///
     /// Returns [`ArtifactParseError`] on any malformed line, a zero
-    /// frequency included.
+    /// frequency included, and on a non-empty line after the declared
+    /// blocks.
     pub fn from_text(text: &str) -> Result<Self, ArtifactParseError> {
         let mut lines = Lines::new(text);
         let header = lines.next()?;
@@ -654,6 +661,7 @@ impl ProfileArtifact {
         for _ in 0..n {
             profiles.push(read_freq_block(&mut lines)?);
         }
+        lines.finish()?;
         Ok(Self { profiles, baseline })
     }
 }
@@ -705,7 +713,8 @@ impl SearchArtifact {
     /// # Errors
     ///
     /// Returns [`ArtifactParseError`] on any malformed line, including a
-    /// stage line [`check_stage`] rejects.
+    /// stage line [`check_stage`] rejects, and on a non-empty line after
+    /// the declared stages.
     pub fn from_text(text: &str) -> Result<Self, ArtifactParseError> {
         let mut lines = Lines::new(text);
         let header = lines.next()?;
@@ -771,6 +780,7 @@ impl SearchArtifact {
             stages.push(stage);
             freqs.push(freq);
         }
+        lines.finish()?;
         Ok(Self {
             outcome: GaOutcome {
                 strategy: DvfsStrategy::new(stages, freqs),

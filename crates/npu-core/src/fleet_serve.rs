@@ -1164,7 +1164,7 @@ impl FleetController {
                 &mut shadow,
                 self.workload.schedule(),
                 &st.strategy,
-                &st.baseline_records,
+                st.baseline_records(),
                 &opts,
             ) {
                 Ok(r) => {

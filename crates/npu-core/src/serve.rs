@@ -37,7 +37,7 @@
 //! table and seeds, and no wall-clock time enters any decision — two runs of the same serve
 //! loop are bit-identical at any worker thread count.
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, ProfileArtifact};
 use crate::optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 use crate::report::MeasuredIteration;
 use npu_dvfs::{DvfsStrategy, GaOutcome};
@@ -48,6 +48,7 @@ use npu_obs::Event;
 use npu_power_model::HardwareCalibration;
 use npu_sim::{Device, FreqMhz, OpRecord};
 use npu_workloads::Workload;
+use std::sync::Arc;
 
 /// Tuning for the windowed drift detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -384,7 +385,8 @@ impl ActivePrediction {
 }
 
 /// Serving state that persists across epoch windows: the active
-/// strategy, its prediction and baseline records, the detector, and the
+/// strategy, its prediction, the profile its baseline records come from
+/// (shared with the session's cache, not copied), the detector, and the
 /// global iteration/swap counters. Owned by the runtime after the first
 /// window; transplantable (crate-internal) so a fleet controller can
 /// rebuild a borrowing [`ServeRuntime`] around the same device every
@@ -392,7 +394,7 @@ impl ActivePrediction {
 #[derive(Debug, Clone)]
 pub(crate) struct ServeState {
     pub(crate) strategy: DvfsStrategy,
-    pub(crate) baseline_records: Vec<OpRecord>,
+    profile: Arc<ProfileArtifact>,
     active: ActivePrediction,
     detector: DriftDetector,
     pub(crate) generation: usize,
@@ -405,6 +407,11 @@ pub(crate) struct ServeState {
 }
 
 impl ServeState {
+    /// The measured baseline records the strategy's stages index into.
+    pub(crate) fn baseline_records(&self) -> &[OpRecord] {
+        self.profile.profiles.first().map_or(&[], |p| &p.records)
+    }
+
     /// Clears the sticky fallback flag and re-arms the detector's
     /// cooldown — the rehabilitation a fleet controller applies when a
     /// quarantined device passes probation and rejoins the fleet. The
@@ -773,22 +780,16 @@ impl<'a> ServeRuntime<'a> {
     /// Initial optimization on the live device (bring-up: profiling
     /// advances the live clock, as it would in deployment).
     fn initialize(&mut self) -> Result<(), OptimizeError> {
-        let (strategy, baseline_records, outcome) = {
+        let (profile, outcome) = {
             let mut session = self.opt.session(self.workload, &self.opts.clone());
             session.set_cache(self.cache.clone());
             let outcome = session.search()?.clone();
-            let strategy = outcome.strategy.clone();
-            let records = session
-                .profiles()
-                .and_then(|p| p.first())
-                .map(|p| p.records.clone())
-                .unwrap_or_default();
-            (strategy, records, outcome)
+            (searched_profile(&session), outcome)
         };
         let active = ActivePrediction::from_eval(&outcome.best_eval, self.opt.calibration());
         self.state = Some(ServeState {
-            strategy,
-            baseline_records,
+            strategy: outcome.strategy.clone(),
+            profile,
             active,
             detector: DriftDetector::new(self.serve.detector),
             generation: 0,
@@ -822,7 +823,7 @@ impl<'a> ServeRuntime<'a> {
                     &mut self.opt.dev,
                     self.workload.schedule(),
                     &st.strategy,
-                    &st.baseline_records,
+                    st.baseline_records(),
                     &self.serve.fallback,
                 )
                 .map_err(OptimizeError::Exec)?
@@ -832,7 +833,7 @@ impl<'a> ServeRuntime<'a> {
                     &mut self.opt.dev,
                     self.workload.schedule(),
                     &st.strategy,
-                    &st.baseline_records,
+                    st.baseline_records(),
                     &exec_opts,
                 )
                 .map_err(OptimizeError::Exec)?
@@ -903,9 +904,9 @@ impl<'a> ServeRuntime<'a> {
                             st.warm_reopt_wall_s += reopt_s;
                         }
                         match reopt {
-                            Some(Ok((new_strategy, new_records, new_active, search))) => {
-                                st.strategy = new_strategy;
-                                st.baseline_records = new_records;
+                            Some(Ok((new_profile, new_active, search))) => {
+                                st.strategy = search.strategy.clone();
+                                st.profile = new_profile;
                                 st.active = new_active;
                                 st.last_search = search;
                                 st.generation += 1;
@@ -957,13 +958,13 @@ impl<'a> ServeRuntime<'a> {
     }
 
     /// The staged response ladder, on a shadow device frozen at the live
-    /// device's drifted configuration. Returns the re-optimized strategy
-    /// with its (freshly measured) baseline records, prediction and the
-    /// search outcome behind it.
+    /// device's drifted configuration. Returns the (freshly measured)
+    /// profile, the prediction and the search outcome whose strategy
+    /// replaces the active one.
     fn reoptimize(
         &mut self,
         swap_index: u64,
-    ) -> Result<(DvfsStrategy, Vec<OpRecord>, ActivePrediction, GaOutcome), OptimizeError> {
+    ) -> Result<(Arc<ProfileArtifact>, ActivePrediction, GaOutcome), OptimizeError> {
         // Freeze "the hardware right now": a snapshot config reproduces
         // the live drifted physics exactly on a fresh device, and its
         // distinct field values give every cache key a distinct hash.
@@ -1017,21 +1018,23 @@ impl<'a> ServeRuntime<'a> {
         // Rung 3: re-search through the shared cache (fitting the
         // models to a widened profile first).
         let outcome = session.search()?.clone();
-        let strategy = outcome.strategy.clone();
-        let eval = outcome.best_eval;
-        let records = session
-            .profiles()
-            .and_then(|p| p.first())
-            .map(|p| p.records.clone())
-            .unwrap_or_default();
+        let profile = searched_profile(&session);
         drop(session);
         Ok((
-            strategy,
-            records,
-            ActivePrediction::from_eval(&eval, shadow.calibration()),
+            profile,
+            ActivePrediction::from_eval(&outcome.best_eval, shadow.calibration()),
             outcome,
         ))
     }
+}
+
+/// The profile a session's search ran on, shared rather than copied.
+fn searched_profile(session: &crate::OptimizationSession<'_>) -> Arc<ProfileArtifact> {
+    Arc::clone(
+        session
+            .profile_artifact()
+            .expect("the search stage ran the profile stage"),
+    )
 }
 
 #[cfg(test)]

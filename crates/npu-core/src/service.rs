@@ -452,27 +452,14 @@ impl ServiceOutcome {
     }
 }
 
-/// What the admission timeline decided for one admitted request.
-#[derive(Debug, Clone, Copy)]
-enum SimKind {
-    /// Led its flight: a real session runs for this identity.
-    Lead,
-    /// Coalesced onto the in-flight leader.
-    Follow,
-    /// Served warm: the identity completed earlier on the timeline.
-    Warm,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum SimVerdict {
-    Done { completion_us: f64, kind: SimKind },
-    QueueFull { depth: usize },
-    Shed { waited_us: f64 },
-}
-
 /// The discrete-event admission simulation. Virtual servers are modeled
 /// as free-at times; the queue holds request indices; dispatch order is
 /// priority-descending, then arrival, then index.
+///
+/// The timeline writes each request's [`Disposition`] as it decides it.
+/// A completed response carries its provenance and virtual latency but
+/// an empty strategy and a zero prediction: [`OptService::run`] fills
+/// those in from the session results.
 struct AdmissionSim<'a> {
     requests: &'a [OptRequest],
     obs: &'a ObserverHandle,
@@ -486,7 +473,13 @@ struct AdmissionSim<'a> {
     inflight: HashMap<u64, (f64, u64)>,
     /// identity → completion time of the first finished computation.
     done_at: HashMap<u64, f64>,
-    verdicts: Vec<Option<SimVerdict>>,
+    /// One per request that has arrived, in arrival order. A queued
+    /// request holds a placeholder until its dispatch decides it.
+    dispositions: Vec<Disposition>,
+    /// Virtual time of the last completion.
+    makespan_us: f64,
+    /// The strategy a completed response holds until it is filled in.
+    pending: DvfsStrategy,
 }
 
 impl<'a> AdmissionSim<'a> {
@@ -508,17 +501,25 @@ impl<'a> AdmissionSim<'a> {
             queue: Vec::new(),
             inflight: HashMap::new(),
             done_at: HashMap::new(),
-            verdicts: vec![None; requests.len()],
+            dispositions: Vec::with_capacity(requests.len()),
+            makespan_us: 0.0,
+            pending: DvfsStrategy::new(Vec::new(), Vec::new()),
         }
     }
 
-    fn run(mut self) -> Vec<SimVerdict> {
+    /// Runs the timeline: every request's disposition in arrival order,
+    /// and the virtual time of the last completion.
+    fn run(mut self) -> (Vec<Disposition>, f64) {
         for i in 0..self.requests.len() {
             let arrival = self.requests[i].arrival_us;
             self.drain(arrival);
             if self.queue.len() >= self.capacity {
-                self.verdicts[i] = Some(SimVerdict::QueueFull {
-                    depth: self.queue.len(),
+                self.dispositions.push(Disposition::Rejected {
+                    request: i as u64,
+                    reason: RejectReason::QueueFull {
+                        depth: self.queue.len(),
+                    },
+                    waited_us: 0.0,
                 });
                 if self.obs.enabled() {
                     self.obs.emit(Event::RequestRejected {
@@ -529,6 +530,12 @@ impl<'a> AdmissionSim<'a> {
                 }
                 continue;
             }
+            // Placeholder: `drain` decides every queued request.
+            self.dispositions.push(Disposition::Rejected {
+                request: i as u64,
+                reason: RejectReason::Shedding { budget_us: 0.0 },
+                waited_us: 0.0,
+            });
             self.queue.push(i);
             if self.obs.enabled() {
                 self.obs.emit(Event::RequestAdmitted {
@@ -539,10 +546,8 @@ impl<'a> AdmissionSim<'a> {
             self.drain(arrival);
         }
         self.drain(f64::INFINITY);
-        self.verdicts
-            .into_iter()
-            .map(|v| v.expect("every request got a verdict"))
-            .collect()
+        assert!(self.queue.is_empty(), "every request got a verdict");
+        (self.dispositions, self.makespan_us)
     }
 
     /// Dispatches queued requests while a server frees up no later than
@@ -580,7 +585,13 @@ impl<'a> AdmissionSim<'a> {
             let start = free_at.max(req.arrival_us);
             let waited = start - req.arrival_us;
             if waited > req.budget_us {
-                self.verdicts[i] = Some(SimVerdict::Shed { waited_us: waited });
+                self.dispositions[i] = Disposition::Rejected {
+                    request: i as u64,
+                    reason: RejectReason::Shedding {
+                        budget_us: req.budget_us,
+                    },
+                    waited_us: waited,
+                };
                 if self.obs.enabled() {
                     self.obs.emit(Event::RequestRejected {
                         request: i as u64,
@@ -598,8 +609,9 @@ impl<'a> AdmissionSim<'a> {
                     self.done_at.entry(identity).or_insert(completion);
                 }
             }
-            let (completion, kind) = if !self.isolated && self.done_at.contains_key(&identity) {
-                (start + WARM_US, SimKind::Warm)
+            let (completion, provenance) = if !self.isolated && self.done_at.contains_key(&identity)
+            {
+                (start + WARM_US, Provenance::Cached)
             } else if self.coalescing && !self.isolated {
                 match self.inflight.get(&identity) {
                     Some(&(completion, leader)) => {
@@ -612,12 +624,12 @@ impl<'a> AdmissionSim<'a> {
                                 leader,
                             });
                         }
-                        (completion, SimKind::Follow)
+                        (completion, Provenance::Coalesced)
                     }
                     None => {
                         let completion = start + cold_us(&req.workload);
                         self.inflight.insert(identity, (completion, i as u64));
-                        (completion, SimKind::Lead)
+                        (completion, Provenance::Computed)
                     }
                 }
             } else {
@@ -627,23 +639,28 @@ impl<'a> AdmissionSim<'a> {
                         .entry(identity)
                         .or_insert((completion, i as u64));
                 }
-                (completion, SimKind::Lead)
+                (completion, Provenance::Computed)
             };
             self.servers[server] = completion;
-            self.verdicts[i] = Some(SimVerdict::Done {
-                completion_us: completion,
-                kind,
+            self.makespan_us = self.makespan_us.max(completion);
+            let latency_us = completion - req.arrival_us;
+            self.dispositions[i] = Disposition::Completed(OptResponse {
+                request: i as u64,
+                strategy: self.pending.clone(),
+                predicted: Evaluation {
+                    time_us: 0.0,
+                    aicore_energy_wus: 0.0,
+                    soc_energy_wus: 0.0,
+                },
+                predicted_edp: 0.0,
+                provenance,
+                latency_us,
             });
             if self.obs.enabled() {
-                let provenance = match kind {
-                    SimKind::Lead => Provenance::Computed,
-                    SimKind::Follow => Provenance::Coalesced,
-                    SimKind::Warm => Provenance::Cached,
-                };
                 self.obs.emit(Event::RequestCompleted {
                     request: i as u64,
                     provenance: provenance.as_str().to_owned(),
-                    latency_us: completion - req.arrival_us,
+                    latency_us,
                 });
             }
         }
@@ -683,7 +700,7 @@ impl OptService {
             load.windows(2).all(|w| w[0].arrival_us <= w[1].arrival_us),
             "requests must arrive in non-decreasing time order"
         );
-        let verdicts = AdmissionSim::new(
+        let (mut dispositions, makespan_us) = AdmissionSim::new(
             load,
             &self.obs,
             self.coalescing,
@@ -693,32 +710,10 @@ impl OptService {
         )
         .run();
 
-        // Collect the real work: one session per distinct identity in
-        // first-dispatch order, or one per completed request when
-        // sessions are isolated.
-        let mut items: Vec<usize> = Vec::new();
-        let mut identity_slot: HashMap<u64, usize> = HashMap::new();
-        for (i, v) in verdicts.iter().enumerate() {
-            let SimVerdict::Done { .. } = v else { continue };
-            if self.isolated_sessions {
-                items.push(i);
-            } else {
-                if let std::collections::hash_map::Entry::Vacant(e) =
-                    identity_slot.entry(load[i].identity())
-                {
-                    e.insert(items.len());
-                    items.push(i);
-                }
-            }
-        }
-
-        let wall_start = Instant::now();
-        let results = self.execute(load, &items)?;
-        let wall_s = wall_start.elapsed().as_secs_f64();
-
-        // Assemble dispositions in arrival order.
-        let mut dispositions = Vec::with_capacity(load.len());
-        let mut latencies: Vec<f64> = Vec::with_capacity(load.len());
+        // Count the dispositions and collect the real work: one session
+        // per distinct identity in arrival order, or one per completed
+        // request when sessions are isolated. The latency percentiles are
+        // taken here, before any session result exists.
         let mut metrics = ServiceMetrics {
             submitted: load.len() as u64,
             admitted: 0,
@@ -727,76 +722,81 @@ impl OptService {
             warm: 0,
             shed: 0,
             queue_full: 0,
-            sessions: items.len() as u64,
+            sessions: 0,
             p50_latency_us: f64::NAN,
             p99_latency_us: f64::NAN,
-            makespan_us: 0.0,
-            wall_s,
+            makespan_us,
+            wall_s: 0.0,
         };
-        for (i, (req, verdict)) in load.iter().zip(&verdicts).enumerate() {
-            match *verdict {
-                SimVerdict::QueueFull { depth } => {
+        let mut latencies: Vec<f64> = Vec::new();
+        let mut items: Vec<usize> = Vec::new();
+        let mut identity_slot: HashMap<u64, usize> = HashMap::new();
+        for (i, d) in dispositions.iter().enumerate() {
+            let r = match d {
+                Disposition::Rejected {
+                    reason: RejectReason::QueueFull { .. },
+                    ..
+                } => {
                     metrics.queue_full += 1;
-                    dispositions.push(Disposition::Rejected {
-                        request: i as u64,
-                        reason: RejectReason::QueueFull { depth },
-                        waited_us: 0.0,
-                    });
+                    continue;
                 }
-                SimVerdict::Shed { waited_us } => {
-                    metrics.admitted += 1;
-                    metrics.shed += 1;
-                    dispositions.push(Disposition::Rejected {
-                        request: i as u64,
-                        reason: RejectReason::Shedding {
-                            budget_us: req.budget_us,
-                        },
-                        waited_us,
-                    });
-                }
-                SimVerdict::Done {
-                    completion_us,
-                    kind,
+                Disposition::Rejected {
+                    reason: RejectReason::Shedding { .. },
+                    ..
                 } => {
                     metrics.admitted += 1;
-                    metrics.completed += 1;
-                    let provenance = match kind {
-                        SimKind::Lead => Provenance::Computed,
-                        SimKind::Follow => {
-                            metrics.coalesced += 1;
-                            Provenance::Coalesced
-                        }
-                        SimKind::Warm => {
-                            metrics.warm += 1;
-                            Provenance::Cached
-                        }
-                    };
-                    let slot = if self.isolated_sessions {
-                        items
-                            .iter()
-                            .position(|&r| r == i)
-                            .expect("isolated: every completed request has a slot")
-                    } else {
-                        identity_slot[&req.identity()]
-                    };
-                    let (strategy, predicted) = results[slot].clone();
-                    let latency_us = completion_us - req.arrival_us;
-                    latencies.push(latency_us);
-                    metrics.makespan_us = metrics.makespan_us.max(completion_us);
-                    dispositions.push(Disposition::Completed(OptResponse {
-                        request: i as u64,
-                        predicted_edp: predicted.aicore_energy_wus * predicted.time_us,
-                        strategy,
-                        predicted,
-                        provenance,
-                        latency_us,
-                    }));
+                    metrics.shed += 1;
+                    continue;
                 }
+                Disposition::Completed(r) => r,
+            };
+            metrics.admitted += 1;
+            metrics.completed += 1;
+            match r.provenance {
+                Provenance::Computed => {}
+                Provenance::Coalesced => metrics.coalesced += 1,
+                Provenance::Cached => metrics.warm += 1,
+            }
+            latencies.push(r.latency_us);
+            if self.isolated_sessions {
+                items.push(i);
+            } else if let std::collections::hash_map::Entry::Vacant(e) =
+                identity_slot.entry(load[i].identity())
+            {
+                e.insert(items.len());
+                items.push(i);
             }
         }
-        latencies.sort_by(f64::total_cmp);
+        // Equal under `total_cmp` means equal bits, so the unstable sort
+        // (which needs no scratch buffer) orders exactly as a stable one.
+        latencies.sort_unstable_by(f64::total_cmp);
         metrics.p50_latency_us = percentile(&latencies, 0.50);
         metrics.p99_latency_us = percentile(&latencies, 0.99);
+        drop(latencies);
+        metrics.sessions = items.len() as u64;
+
+        let wall_start = Instant::now();
+        let results = self.execute(load, &items)?;
+        metrics.wall_s = wall_start.elapsed().as_secs_f64();
+
+        // Fill the completed responses from their sessions' results.
+        // Isolated sessions ran one per completed request, in order.
+        let mut isolated_slot = 0;
+        for (req, d) in load.iter().zip(&mut dispositions) {
+            let Disposition::Completed(r) = d else {
+                continue;
+            };
+            let slot = if self.isolated_sessions {
+                isolated_slot += 1;
+                isolated_slot - 1
+            } else {
+                identity_slot[&req.identity()]
+            };
+            let (strategy, predicted) = &results[slot];
+            r.strategy = strategy.clone();
+            r.predicted = *predicted;
+            r.predicted_edp = predicted.aicore_energy_wus * predicted.time_us;
+        }
         Ok(ServiceOutcome {
             dispositions,
             metrics,

@@ -28,6 +28,7 @@ use npu_obs::{Event, ObserverHandle, Phase};
 use npu_perf_model::{FreqProfile, PerfModelStore};
 use npu_power_model::PowerModel;
 use npu_sim::FreqMhz;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A staged run of the optimization pipeline over one workload.
@@ -64,10 +65,10 @@ pub struct OptimizationSession<'a> {
     cache: Option<ArtifactCache>,
     profile_cache_key: Option<u64>,
     model_cache_key: Option<u64>,
-    profiles: Option<Vec<FreqProfile>>,
-    baseline: Option<MeasuredIteration>,
-    perf: Option<PerfModelStore>,
-    power: Option<PowerModel>,
+    /// Shared with the cache when the stage went through it.
+    profile: Option<Arc<ProfileArtifact>>,
+    /// Shared with the cache when the stage went through it.
+    models: Option<Arc<ModelArtifact>>,
     preprocessed: Option<Preprocessed>,
     table: Option<StageTable>,
     outcome: Option<GaOutcome>,
@@ -89,10 +90,8 @@ impl<'a> OptimizationSession<'a> {
             cache: None,
             profile_cache_key: None,
             model_cache_key: None,
-            profiles: None,
-            baseline: None,
-            perf: None,
-            power: None,
+            profile: None,
+            models: None,
             preprocessed: None,
             table: None,
             outcome: None,
@@ -145,20 +144,22 @@ impl<'a> OptimizationSession<'a> {
     /// Single-flight: of N concurrent sessions with this key, exactly one
     /// leads — running the authoritative lookup and, on a miss, `compute`
     /// and the insert — while the rest block on its published artifact.
-    /// Without a key or an attached cache, `compute` simply runs, and so
-    /// it does on a device with a fault hook: hook state is not part of
-    /// the key, so cached artifacts would be wrong for a faulty device.
-    fn cached<A: Artifact + Clone>(
+    /// The returned `Arc` is the cache's own: the session shares the
+    /// artifact instead of copying it. Without a key or an attached
+    /// cache, `compute` simply runs, and so it does on a device with a
+    /// fault hook: hook state is not part of the key, so cached artifacts
+    /// would be wrong for a faulty device.
+    fn cached<A: Artifact>(
         &self,
         key: Option<u64>,
         mut compute: impl FnMut() -> Result<A, OptimizeError>,
-    ) -> Result<A, OptimizeError> {
+    ) -> Result<Arc<A>, OptimizeError> {
         let cache = self
             .cache
             .as_ref()
             .filter(|_| self.opt.dev.hook().is_none());
         let (Some(key), Some(cache)) = (key, cache) else {
-            return compute();
+            return compute().map(Arc::new);
         };
         let flight = cache.single_flight(key, || {
             self.emit_cache_event(false, A::NAME);
@@ -169,7 +170,7 @@ impl<'a> OptimizationSession<'a> {
                 if role != FlightRole::Led {
                     self.emit_cache_event(true, A::NAME);
                 }
-                Ok(A::clone(&artifact))
+                Ok(artifact)
             }
             Err(SingleFlightError::Compute(e)) => Err(e),
             Err(SingleFlightError::Poisoned(_)) => {
@@ -178,7 +179,7 @@ impl<'a> OptimizationSession<'a> {
                 // elects a fresh leader that publishes the authoritative
                 // artifact.
                 self.emit_cache_event(false, A::NAME);
-                compute()
+                compute().map(Arc::new)
             }
         }
     }
@@ -213,7 +214,7 @@ impl<'a> OptimizationSession<'a> {
     ///
     /// Returns [`OptimizeError::Device`] if a profiling run fails.
     pub fn profile(&mut self) -> Result<&[FreqProfile], OptimizeError> {
-        if self.profiles.is_none() {
+        if self.profile.is_none() {
             self.phase(Phase::Profile, |s| {
                 let fmax = s.opt.dev.config().freq_table.max();
                 let mut build_freqs = s.opts.build_freqs.clone();
@@ -228,7 +229,7 @@ impl<'a> OptimizationSession<'a> {
                     // and hook state cannot be shared across worker forks
                     // (or fingerprinted).
                     let profiles = s.profile_in_place(&build_freqs)?;
-                    s.fold_profile(profiles, fmax)
+                    Arc::new(s.fold_profile(profiles, fmax))
                 } else {
                     let key = profile_key(
                         s.opt.dev.config(),
@@ -248,12 +249,11 @@ impl<'a> OptimizationSession<'a> {
                         Ok(s.fold_profile(profiles, fmax))
                     })?
                 };
-                s.profiles = Some(artifact.profiles);
-                s.baseline = Some(artifact.baseline);
+                s.profile = Some(artifact);
                 Ok(())
             })?;
         }
-        Ok(self.profiles.as_deref().expect("profile stage ran"))
+        Ok(self.profiles().expect("profile stage ran"))
     }
 
     /// Profiles the workload at `freqs` in place, serially, through the
@@ -328,29 +328,25 @@ impl<'a> OptimizationSession<'a> {
     ///
     /// Returns [`OptimizeError`] if profiling or a model build fails.
     pub fn build_models(&mut self) -> Result<(&PerfModelStore, &PowerModel), OptimizeError> {
-        if self.perf.is_none() {
+        if self.models.is_none() {
             self.profile()?;
             self.phase(Phase::BuildModels, |s| {
                 let key = s
                     .profile_cache_key
                     .map(|pk| model_key(pk, s.opts.fit, &s.opt.calib));
                 s.model_cache_key = key;
-                let models = s.cached(key, || s.fit_models())?;
-                s.perf = Some(models.perf);
-                s.power = Some(models.power);
+                s.models = Some(s.cached(key, || s.fit_models())?);
                 Ok(())
             })?;
         }
-        Ok((
-            self.perf.as_ref().expect("model stage ran"),
-            self.power.as_ref().expect("model stage ran"),
-        ))
+        let models = self.models.as_deref().expect("model stage ran");
+        Ok((&models.perf, &models.power))
     }
 
     /// The cold model computation: fits the performance models and the
     /// power model from the session's profiles.
     fn fit_models(&self) -> Result<ModelArtifact, OptimizeError> {
-        let profiles = self.profiles.as_ref().expect("profile stage ran");
+        let profiles = self.profiles().expect("profile stage ran");
         let perf = PerfModelStore::build_observed(profiles, self.opts.fit, &self.obs)?;
         let voltage = self.opt.dev.config().voltage_curve;
         let power = PowerModel::build(self.opt.calib, voltage, profiles)?;
@@ -376,7 +372,8 @@ impl<'a> OptimizationSession<'a> {
                 // latency cannot land where planned.
                 let fai = s.opts.fai_us.max(s.opt.dev.config().setfreq_latency_us);
                 let key = s.model_cache_key.map(|mk| search_key(mk, fai, &s.opts));
-                let baseline_records = &s.profiles.as_ref().expect("profile stage ran")[0].records;
+                let baseline_records =
+                    &s.profile.as_deref().expect("profile stage ran").profiles[0].records;
                 // A session that runs the search keeps its preprocessed
                 // stages and stage table; one served from the cache
                 // recomputes only the cheap preprocessing, so the stage
@@ -385,10 +382,11 @@ impl<'a> OptimizationSession<'a> {
                 let mut built = None;
                 let artifact = s.cached(key, || {
                     let pre = preprocess(baseline_records, fai);
+                    let models = s.models.as_deref().expect("model stage ran");
                     let table = StageTable::build(
                         &pre,
-                        s.perf.as_ref().expect("model stage ran"),
-                        s.power.as_ref().expect("model stage ran"),
+                        &models.perf,
+                        &models.power,
                         &s.opt.dev.config().freq_table,
                     )?;
                     let outcome = serving_search(
@@ -406,7 +404,7 @@ impl<'a> OptimizationSession<'a> {
                 };
                 s.preprocessed = Some(pre);
                 s.table = table;
-                s.outcome = Some(artifact.outcome);
+                s.outcome = Some(Arc::unwrap_or_clone(artifact).outcome);
                 Ok(())
             })?;
         }
@@ -425,7 +423,8 @@ impl<'a> OptimizationSession<'a> {
             self.search()?;
             self.phase(Phase::Execute, |s| {
                 let strategy = &s.outcome.as_ref().expect("search stage ran").strategy;
-                let baseline_records = &s.profiles.as_ref().expect("profile stage ran")[0].records;
+                let baseline_records =
+                    &s.profile.as_deref().expect("profile stage ran").profiles[0].records;
                 let exec = execute_strategy(
                     &mut s.opt.dev,
                     s.workload.schedule(),
@@ -458,7 +457,7 @@ impl<'a> OptimizationSession<'a> {
             Ok(OptimizationReport {
                 workload: s.workload.name().to_owned(),
                 perf_loss_target: s.opts.ga.perf_loss_target,
-                baseline: *s.baseline.as_ref().expect("profile stage ran"),
+                baseline: *s.baseline().expect("profile stage ran"),
                 optimized: MeasuredIteration::from_run(&exec.result),
                 predicted: outcome.best_eval,
                 stage_count: s.preprocessed.as_ref().expect("search stage ran").len(),
@@ -489,6 +488,9 @@ impl<'a> OptimizationSession<'a> {
     /// before are appended rather than spliced. Re-profiling the maximum
     /// frequency refreshes the measured baseline too.
     ///
+    /// The splice is copy on write: a profile artifact shared with the
+    /// cache is copied first, so the cached one never changes.
+    ///
     /// # Errors
     ///
     /// Returns [`OptimizeError::Device`] if a profiling run fails.
@@ -509,16 +511,17 @@ impl<'a> OptimizationSession<'a> {
                     &s.obs,
                 )?
             };
-            let mut profiles = s.profiles.take().unwrap_or_default();
+            let shared = s.profile.take().expect("profile stage ran");
+            let mut artifact = Arc::unwrap_or_clone(shared);
             for new in fresh {
-                match profiles.iter_mut().find(|p| p.freq == new.freq) {
+                match artifact.profiles.iter_mut().find(|p| p.freq == new.freq) {
                     Some(slot) => *slot = new,
-                    None => profiles.push(new),
+                    None => artifact.profiles.push(new),
                 }
             }
             let fmax = s.opt.dev.config().freq_table.max();
-            s.baseline = Some(s.measure_baseline(&profiles, fmax));
-            s.profiles = Some(profiles);
+            artifact.baseline = s.measure_baseline(&artifact.profiles, fmax);
+            s.profile = Some(Arc::new(artifact));
             s.profile_cache_key = None;
             s.invalidate_models();
             Ok(())
@@ -529,8 +532,7 @@ impl<'a> OptimizationSession<'a> {
     /// search and execute stages recompute on next use.
     fn invalidate_models(&mut self) {
         self.model_cache_key = None;
-        self.perf = None;
-        self.power = None;
+        self.models = None;
         self.preprocessed = None;
         self.table = None;
         self.outcome = None;
@@ -540,25 +542,30 @@ impl<'a> OptimizationSession<'a> {
     /// The frequency profiles, if [`Self::profile`] has run.
     #[must_use]
     pub fn profiles(&self) -> Option<&[FreqProfile]> {
-        self.profiles.as_deref()
+        self.profile.as_deref().map(|a| a.profiles.as_slice())
+    }
+
+    /// The profile artifact itself, shared with the cache it came from.
+    pub(crate) fn profile_artifact(&self) -> Option<&Arc<ProfileArtifact>> {
+        self.profile.as_ref()
     }
 
     /// The measured baseline iteration, if [`Self::profile`] has run.
     #[must_use]
     pub fn baseline(&self) -> Option<&MeasuredIteration> {
-        self.baseline.as_ref()
+        self.profile.as_deref().map(|a| &a.baseline)
     }
 
     /// The fitted performance models, if [`Self::build_models`] has run.
     #[must_use]
     pub fn perf_model(&self) -> Option<&PerfModelStore> {
-        self.perf.as_ref()
+        self.models.as_deref().map(|m| &m.perf)
     }
 
     /// The fitted power model, if [`Self::build_models`] has run.
     #[must_use]
     pub fn power_model(&self) -> Option<&PowerModel> {
-        self.power.as_ref()
+        self.models.as_deref().map(|m| &m.power)
     }
 
     /// The preprocessed LFC/HFC stages, if [`Self::search`] has run.
@@ -591,5 +598,68 @@ impl<'a> OptimizationSession<'a> {
     #[must_use]
     pub fn into_ga_outcome(self) -> Option<GaOutcome> {
         self.outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::cache::{ArtifactCache, ModelArtifact, ProfileArtifact};
+    use crate::{EnergyOptimizer, OptimizerConfig};
+    use npu_power_model::HardwareCalibration;
+    use npu_sim::{Device, FreqMhz, NpuConfig};
+    use npu_workloads::models;
+    use std::sync::Arc;
+
+    fn optimizer(cfg: &NpuConfig) -> EnergyOptimizer {
+        let calib = HardwareCalibration::ground_truth(cfg);
+        EnergyOptimizer::new(Device::new(cfg.clone()), calib)
+    }
+
+    #[test]
+    fn cached_sessions_share_the_cache_artifacts() {
+        let cfg = NpuConfig::ascend_like();
+        let w = models::tiny(&cfg);
+        let opts = OptimizerConfig::default().with_fai_us(100.0);
+        let cache = ArtifactCache::new();
+        let mut cold_opt = optimizer(&cfg);
+        let mut warm_opt = optimizer(&cfg);
+        let mut cold = cold_opt.session(&w, &opts).with_cache(cache.clone());
+        let mut warm = warm_opt.session(&w, &opts).with_cache(cache.clone());
+        for session in [&mut cold, &mut warm] {
+            session.profile().unwrap();
+            session.build_models().unwrap();
+            let profile = cache
+                .lookup::<ProfileArtifact>(session.profile_cache_key.unwrap())
+                .unwrap();
+            let models = cache
+                .lookup::<ModelArtifact>(session.model_cache_key.unwrap())
+                .unwrap();
+            assert!(Arc::ptr_eq(session.profile.as_ref().unwrap(), &profile));
+            assert!(Arc::ptr_eq(session.models.as_ref().unwrap(), &models));
+        }
+    }
+
+    #[test]
+    fn refresh_profile_copies_instead_of_writing_the_cached_profile() {
+        let cfg = NpuConfig::ascend_like();
+        let w = models::tiny(&cfg);
+        let opts = OptimizerConfig::default().with_fai_us(100.0);
+        let cache = ArtifactCache::new();
+        let mut opt = optimizer(&cfg);
+        let mut session = opt.session(&w, &opts).with_cache(cache.clone());
+        session.search().unwrap();
+        let key = session.profile_cache_key.unwrap();
+        let before = cache.lookup::<ProfileArtifact>(key).unwrap().to_text();
+
+        session
+            .refresh_profile(&[FreqMhz::new(1000), FreqMhz::new(1800)])
+            .unwrap();
+        let cached = cache.lookup::<ProfileArtifact>(key).unwrap();
+        assert_eq!(cached.to_text(), before, "the cached profile changed");
+        assert!(!Arc::ptr_eq(session.profile.as_ref().unwrap(), &cached));
+        assert_ne!(session.profile.as_ref().unwrap().to_text(), before);
+        // Everything downstream recomputes from the session's own copy.
+        assert!(session.models.is_none() && session.ga_outcome().is_none());
+        session.search().unwrap();
     }
 }

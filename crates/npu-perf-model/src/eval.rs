@@ -133,7 +133,7 @@ pub fn prediction_curve(
     let name = truth
         .first()
         .and_then(|p| p.records.get(op_index))
-        .map_or_else(String::new, |r| r.name.clone());
+        .map_or_else(String::new, |r| r.name.to_string());
     let mut freq_mhz = Vec::new();
     let mut predicted = Vec::new();
     let mut actual = Vec::new();

@@ -9,6 +9,7 @@ use crate::fitting::{fit, FitError, FitFunction, FitParams};
 use npu_obs::{Event, ObserverHandle};
 use npu_sim::{FreqMhz, OpClass, OpRecord};
 use std::fmt;
+use std::sync::Arc;
 
 /// One profiled run of a schedule at a fixed frequency.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +23,8 @@ pub struct FreqProfile {
 /// A fitted performance model for one operator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfModel {
-    name: String,
+    /// Shared with the profile record it was fitted from.
+    name: Arc<str>,
     class: OpClass,
     params: Option<FitParams>,
     /// Mean observed duration (used for frequency-insensitive operators).

@@ -105,9 +105,10 @@ impl std::error::Error for PowerBuildError {}
 pub struct PowerModel {
     calib: HardwareCalibration,
     voltage: VoltageCurve,
-    observations: Vec<Vec<Observation>>,
+    /// Op-major: one observation per build profile for each operator,
+    /// so operator `i`'s are the `i`-th of `ops.len()` equal chunks.
+    observations: Vec<Observation>,
     ops: Vec<OpPower>,
-    names: Vec<String>,
     gamma_enabled: bool,
 }
 
@@ -133,27 +134,26 @@ impl PowerModel {
                 });
             }
         }
-        let mut observations = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
+        let mut observations = Vec::with_capacity(n * profiles.len());
         for i in 0..n {
-            let obs: Vec<Observation> = profiles
-                .iter()
-                .map(|p| Observation {
-                    f: p.freq,
-                    aicore_w: p.records[i].aicore_w,
-                    soc_w: p.records[i].soc_w,
-                    dt_c: p.records[i].temp_c - calib.thermal.ambient_c,
-                })
-                .collect();
-            names.push(first.records[i].name.clone());
-            observations.push(obs);
+            observations.extend(profiles.iter().map(|p| Observation {
+                f: p.freq,
+                aicore_w: p.records[i].aicore_w,
+                soc_w: p.records[i].soc_w,
+                dt_c: p.records[i].temp_c - calib.thermal.ambient_c,
+            }));
         }
         let mut model = Self {
             calib,
             voltage,
             observations,
-            ops: Vec::new(),
-            names,
+            ops: vec![
+                OpPower {
+                    alpha_aicore: 0.0,
+                    alpha_soc: 0.0,
+                };
+                n
+            ],
             gamma_enabled: true,
         };
         model.refit();
@@ -226,34 +226,39 @@ impl PowerModel {
         }
     }
 
+    /// Recomputes every operator's activity factors from its
+    /// observations, in place.
     fn refit(&mut self) {
+        let Some(stride) = self.observations.len().checked_div(self.ops.len()) else {
+            return; // no operators
+        };
         let g_ai = self.gamma(PowerDomain::AiCore);
         let g_soc = self.gamma(PowerDomain::Soc);
-        self.ops = self
-            .observations
-            .iter()
-            .map(|obs| {
-                let mut a_ai = 0.0;
-                let mut a_soc = 0.0;
-                for o in obs {
-                    let v = self.voltage.volts(o.f);
-                    let fv2 = o.f.ghz() * v * v;
-                    a_ai += (o.aicore_w
-                        - self.calib.aicore_idle.predict(o.f, &self.voltage)
-                        - g_ai * o.dt_c * v)
-                        / fv2;
-                    a_soc += (o.soc_w
-                        - self.calib.soc_idle.predict(o.f, &self.voltage)
-                        - g_soc * o.dt_c * v)
-                        / fv2;
-                }
-                let n = obs.len().max(1) as f64;
-                OpPower {
-                    alpha_aicore: (a_ai / n).max(0.0),
-                    alpha_soc: (a_soc / n).max(0.0),
-                }
-            })
-            .collect();
+        for (op, obs) in self
+            .ops
+            .iter_mut()
+            .zip(self.observations.chunks_exact(stride))
+        {
+            let mut a_ai = 0.0;
+            let mut a_soc = 0.0;
+            for o in obs {
+                let v = self.voltage.volts(o.f);
+                let fv2 = o.f.ghz() * v * v;
+                a_ai += (o.aicore_w
+                    - self.calib.aicore_idle.predict(o.f, &self.voltage)
+                    - g_ai * o.dt_c * v)
+                    / fv2;
+                a_soc += (o.soc_w
+                    - self.calib.soc_idle.predict(o.f, &self.voltage)
+                    - g_soc * o.dt_c * v)
+                    / fv2;
+            }
+            let n = obs.len().max(1) as f64;
+            *op = OpPower {
+                alpha_aicore: (a_ai / n).max(0.0),
+                alpha_soc: (a_soc / n).max(0.0),
+            };
+        }
     }
 
     /// Temperature-independent base power of operator `index` at `f`:

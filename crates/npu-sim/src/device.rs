@@ -848,7 +848,7 @@ impl Device {
                 }
                 let record = OpRecord {
                     index: i,
-                    name: op.name().to_owned(),
+                    name: op.shared_name(),
                     class: op.class(),
                     scenario: op.scenario(),
                     start_us: op_start - start_t,

@@ -9,6 +9,7 @@
 //! from which the ground-truth cycle functions are evaluated.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// High-level class of an operator as seen by the DVFS strategy
 /// (paper Table 1 distinguishes compute operators from AICPU,
@@ -26,10 +27,28 @@ pub enum OpClass {
 }
 
 impl OpClass {
+    /// All four classes.
+    #[must_use]
+    pub fn all() -> [OpClass; 4] {
+        [Self::Compute, Self::AiCpu, Self::Communication, Self::Idle]
+    }
+
     /// Whether operators of this class respond to AICore frequency changes.
     #[must_use]
     pub fn is_core_frequency_sensitive(self) -> bool {
         matches!(self, Self::Compute)
+    }
+
+    /// The variant's name, exactly as [`Debug`](fmt::Debug) prints it:
+    /// the one spelling cache keys and cache artifacts use.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Compute => "Compute",
+            Self::AiCpu => "AiCpu",
+            Self::Communication => "Communication",
+            Self::Idle => "Idle",
+        }
     }
 }
 
@@ -82,6 +101,18 @@ impl Scenario {
             Self::PingPongIndependent,
             Self::PingPongDependent,
         ]
+    }
+
+    /// The variant's name, exactly as [`Debug`](fmt::Debug) prints it:
+    /// the one spelling cache keys and cache artifacts use.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::PingPongFreeIndependent => "PingPongFreeIndependent",
+            Self::PingPongFreeDependent => "PingPongFreeDependent",
+            Self::PingPongIndependent => "PingPongIndependent",
+            Self::PingPongDependent => "PingPongDependent",
+        }
     }
 }
 
@@ -187,7 +218,8 @@ impl Default for CoreMix {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpDescriptor {
-    name: String,
+    /// Shared with every record a run makes of this operator.
+    name: Arc<str>,
     class: OpClass,
     scenario: Scenario,
     n_blocks: u32,
@@ -214,7 +246,7 @@ impl OpDescriptor {
     #[must_use]
     pub fn compute(name: impl Into<String>, scenario: Scenario) -> Self {
         Self {
-            name: name.into(),
+            name: Arc::from(name.into()),
             class: OpClass::Compute,
             scenario,
             n_blocks: 1,
@@ -245,7 +277,7 @@ impl OpDescriptor {
         );
         assert!(duration_us >= 0.0, "duration must be non-negative");
         Self {
-            name: name.into(),
+            name: Arc::from(name.into()),
             class,
             scenario: Scenario::PingPongFreeIndependent,
             n_blocks: 1,
@@ -343,6 +375,11 @@ impl OpDescriptor {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The operator name as the shared string its records hold.
+    pub(crate) fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 
     /// High-level class.
@@ -447,6 +484,16 @@ impl fmt::Display for OpDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn names_are_the_debug_spellings() {
+        for class in OpClass::all() {
+            assert_eq!(class.name(), format!("{class:?}"));
+        }
+        for scenario in Scenario::all() {
+            assert_eq!(scenario.name(), format!("{scenario:?}"));
+        }
+    }
 
     #[test]
     fn scenario_axes() {

@@ -10,6 +10,7 @@
 use crate::freq::FreqMhz;
 use crate::operator::{OpClass, Scenario};
 use crate::timeline::PipelineRatios;
+use std::sync::Arc;
 
 /// One profiled operator execution.
 ///
@@ -18,8 +19,9 @@ use crate::timeline::PipelineRatios;
 pub struct OpRecord {
     /// Position in the executed schedule.
     pub index: usize,
-    /// Operator name (e.g. `"MatMul"`).
-    pub name: String,
+    /// Operator name (e.g. `"MatMul"`), shared with the operator's
+    /// descriptor and every other record of it rather than copied.
+    pub name: Arc<str>,
     /// Operator class.
     pub class: OpClass,
     /// Execution scenario (PingPong × Ld/St dependence).
@@ -58,7 +60,7 @@ mod tests {
     fn end_is_start_plus_duration() {
         let r = OpRecord {
             index: 0,
-            name: "Add".to_owned(),
+            name: "Add".into(),
             class: OpClass::Compute,
             scenario: Scenario::PingPongFreeIndependent,
             start_us: 10.0,

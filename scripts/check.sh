@@ -144,11 +144,13 @@ echo "==> repository benchmark (perfbench): build, unit tests, 1 s run per workl
 # metric) under a fixed ceiling. Peak heap counts allocated bytes, not
 # time, and repeats to 0.1 % across runs, so the gate cannot flip on
 # host noise; it catches any per-call cost that stops scaling with the
-# work. (A 2^20-slot GA memo written per search read 33, 49 and 64 MB.)
+# work. (A 2^20-slot GA memo written per search read 33, 49 and 64 MB;
+# a session copying its cached profile and models put gpt3_optimize at
+# 9.1 MB, where sharing them reads 5.4.)
 perfbench=(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --)
 cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
 cargo test --quiet --offline --manifest-path perfbench/Cargo.toml
-declare -A heap_ceiling_mb=([gpt3_optimize]=24 [service_stream]=8 [fleet_drift]=32)
+declare -A heap_ceiling_mb=([gpt3_optimize]=12 [service_stream]=8 [fleet_drift]=32)
 for workload in gpt3_optimize service_stream fleet_drift; do
   result=$("${perfbench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
   heap=$(sed -n 's/.*"peak_heap_mb": {"value": \([0-9.]*\),.*/\1/p' <<< "$result")

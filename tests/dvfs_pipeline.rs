@@ -31,7 +31,7 @@ fn classification_matches_operator_nature() {
     let mut adam_uncore = 0;
     let mut adam_total = 0;
     for rec in &records {
-        match (rec.name.as_str(), classify(rec)) {
+        match (&*rec.name, classify(rec)) {
             ("MatMul", b) => {
                 matmul_total += 1;
                 if matches!(b, Bottleneck::CoreBound(_)) {

@@ -190,6 +190,44 @@ fn fingerprints_are_stable_and_input_sensitive() {
     assert_ne!(key, profile_key(v100, 7, w.schedule(), &freqs));
 }
 
+/// The three keys a `tiny` session stores its artifacts under, recorded
+/// once: a change to how an op's class or scenario is spelled into the
+/// key, or to any other hashed byte, moves them.
+#[test]
+fn tiny_session_cache_keys_are_pinned() {
+    use dvfs_repro::core::cache::{model_key, search_key, ModelArtifact};
+    const PROFILE: u64 = 0xe9f9_319c_8022_d047;
+    const MODEL: u64 = 0xacd9_c186_37ef_4515;
+    const SEARCH: u64 = 0x9103_20e9_0c0b_bcc9;
+    let cfg = NpuConfig::ascend_like();
+    let w = models::tiny(&cfg);
+    let calib = HardwareCalibration::ground_truth(&cfg);
+    let opts = quick_opts(&cfg);
+    let cache = ArtifactCache::new();
+    let mut opt = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
+    let seed = opt.device().seed();
+    let mut session = opt.session(&w, &opts);
+    session.set_cache(cache.clone());
+    session.search().unwrap();
+    drop(session);
+
+    let mut freqs = opts.build_freqs.clone();
+    freqs.sort();
+    freqs.reverse();
+    let pk = profile_key(&cfg, seed, w.schedule(), &freqs);
+    let mk = model_key(pk, opts.fit, &calib);
+    let fai = opts.fai_us.max(cfg.setfreq_latency_us);
+    let sk = search_key(mk, fai, &opts);
+    assert_eq!(
+        (pk, mk, sk),
+        (PROFILE, MODEL, SEARCH),
+        "got ({pk:#018x}, {mk:#018x}, {sk:#018x})"
+    );
+    assert!(cache.lookup::<ProfileArtifact>(pk).is_some());
+    assert!(cache.lookup::<ModelArtifact>(mk).is_some());
+    assert!(cache.lookup::<SearchArtifact>(sk).is_some());
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: persisted artifacts round-trip bit-exactly.
 // ---------------------------------------------------------------------------
@@ -219,7 +257,7 @@ prop_compose! {
     ) -> OpRecord {
         OpRecord {
             index,
-            name: NAMES[name].to_owned(),
+            name: NAMES[name].into(),
             class: CLASSES[class],
             scenario: SCENARIOS[scenario],
             start_us: vals[0],
@@ -397,7 +435,7 @@ proptest! {
     ) {
         let record = OpRecord {
             index: 3,
-            name: "MatMul".to_owned(),
+            name: "MatMul".into(),
             class: OpClass::Compute,
             scenario: Scenario::PingPongIndependent,
             start_us: vals[0],
@@ -654,6 +692,25 @@ fn garbage_persisted_search_is_corrupt_while_absence_stays_a_plain_miss() {
             other => panic!("{stages}: expected CacheError::Corrupt, got {other:?}"),
         }
     }
+
+    // A stage line past the declared count is corrupt at that line: a
+    // damaged count must not decode into a shorter strategy. Trailing
+    // empty lines are not content.
+    let two = format!("{ok}stage 1 1 2 4 HFC 1800\n");
+    for (text, line) in [
+        (format!("{head}stages 1\n{two}"), 8),
+        (format!("{head}stages 0\n{ok}"), 7),
+    ] {
+        std::fs::write(&path, &text).unwrap();
+        let cache = ArtifactCache::persistent(&dir).unwrap();
+        match cache.try_lookup::<SearchArtifact>(2) {
+            Err(CacheError::Corrupt { source, .. }) => assert_eq!(source.line, line, "{text}"),
+            other => panic!("{text}: expected CacheError::Corrupt, got {other:?}"),
+        }
+    }
+    std::fs::write(&path, format!("{head}stages 2\n{two}\n\n")).unwrap();
+    let cache = ArtifactCache::persistent(&dir).unwrap();
+    assert!(cache.try_lookup::<SearchArtifact>(2).unwrap().is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -692,5 +749,21 @@ fn garbage_persisted_profile_is_corrupt_while_absence_stays_a_plain_miss() {
     std::fs::write(&path, format!("{head}freq 1800 1\n{}", rec(1800))).unwrap();
     let cache = ArtifactCache::persistent(&dir).unwrap();
     assert!(cache.try_lookup::<ProfileArtifact>(2).unwrap().is_some());
+
+    // Content past the declared blocks is corrupt at its first line: a
+    // second `freq` block after `profiles 1`, and one stray line after
+    // the last record.
+    let block = |mhz: u32| format!("freq {mhz} 1\n{}", rec(mhz));
+    for (text, line) in [
+        (format!("{head}{}{}", block(1800), block(1000)), 6),
+        (format!("{head}{}garbage\n", block(1800)), 6),
+    ] {
+        std::fs::write(&path, &text).unwrap();
+        let cache = ArtifactCache::persistent(&dir).unwrap();
+        match cache.try_lookup::<ProfileArtifact>(2) {
+            Err(CacheError::Corrupt { source, .. }) => assert_eq!(source.line, line, "{text}"),
+            other => panic!("{text}: expected CacheError::Corrupt, got {other:?}"),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

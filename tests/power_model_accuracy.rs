@@ -129,3 +129,39 @@ fn calibration_recovers_physical_constants() {
         cfg.k_c_per_w
     );
 }
+
+/// The activity factors of a `tiny` and a `tanh_loop` profile, with and
+/// without the temperature term, fingerprinted by their bits and
+/// compared with values recorded before the observations moved to one
+/// flat op-major table.
+#[test]
+fn alpha_bits_are_pinned_with_and_without_temperature() {
+    use dvfs_repro::core::cache::Fingerprint;
+    let cfg = NpuConfig::ascend_like();
+    let calib = npu_power_model::HardwareCalibration::ground_truth(&cfg);
+    let mut got = Vec::new();
+    for workload in [models::tiny(&cfg), models::tanh_loop(&cfg, 12)] {
+        let mut opt = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
+        let opts = OptimizerConfig::for_device(&cfg).with_threads(1);
+        let mut session = opt.session(&workload, &opts);
+        let profiles = session.profile().unwrap();
+        let model = PowerModel::build(calib, cfg.voltage_curve, profiles).unwrap();
+        for m in [&model, &model.without_temperature()] {
+            let mut fp = Fingerprint::new("alpha");
+            fp.push_usize(m.len());
+            for i in 0..m.len() {
+                let op = m.op(i).unwrap();
+                fp.push_f64(op.alpha_aicore);
+                fp.push_f64(op.alpha_soc);
+            }
+            got.push(fp.finish());
+        }
+    }
+    let want: [u64; 4] = [
+        0x54c5_9229_e067_bf13,
+        0xd314_ad84_c650_9f82,
+        0xc0c7_e9d1_0388_64ed,
+        0x2181_455e_4f36_da4a,
+    ];
+    assert_eq!(got, want, "got {got:#018x?}");
+}

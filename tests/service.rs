@@ -235,3 +235,72 @@ fn coalescing_disabled_runs_every_admitted_request_cold() {
         }
     }
 }
+
+/// Mixes every [`ServiceMetrics`] field but the host wall time into one
+/// fingerprint.
+fn metrics_digest(m: &dvfs_repro::core::service::ServiceMetrics) -> u64 {
+    let mut fp = dvfs_repro::core::cache::Fingerprint::new("metrics");
+    for v in [
+        m.submitted,
+        m.admitted,
+        m.completed,
+        m.coalesced,
+        m.warm,
+        m.shed,
+        m.queue_full,
+        m.sessions,
+    ] {
+        fp.push_u64(v);
+    }
+    for v in [m.p50_latency_us, m.p99_latency_us, m.makespan_us] {
+        fp.push_f64(v);
+    }
+    fp.finish()
+}
+
+/// A seeded load that completes, coalesces, serves warm, sheds and
+/// fills the queue, served shared and isolated at 1 and 2 workers: the
+/// response digest and the metrics are pinned to values recorded before
+/// the dispositions were assembled in the admission pass.
+#[test]
+fn seeded_load_outcome_and_metrics_are_pinned() {
+    let cfg = NpuConfig::ascend_like();
+    let load = generate_load(
+        &catalog(&cfg),
+        &LoadSpec {
+            requests: 400,
+            seed: 17,
+            mean_interarrival_us: 2_000.0,
+            duplicate_fraction: 0.6,
+            unique_pool: 8,
+            budget_us: 40_000.0,
+            ..LoadSpec::default()
+        },
+    );
+    let mut got = Vec::new();
+    for isolated in [false, true] {
+        for workers in [1, 2] {
+            let outcome = OptService::builder(cfg.clone())
+                .with_config(quick_opts())
+                .with_queue_capacity(8)
+                .with_virtual_servers(2)
+                .with_coalescing(!isolated)
+                .with_isolated_sessions(isolated)
+                .with_workers(workers)
+                .try_build()
+                .unwrap()
+                .run(&load)
+                .unwrap();
+            let m = &outcome.metrics;
+            assert!(m.queue_full > 0 && m.shed > 0 && m.completed > 0);
+            if !isolated {
+                assert!(m.coalesced > 0 && m.warm > 0);
+            }
+            got.push((outcome.digest(), metrics_digest(m)));
+        }
+    }
+    let shared = (0x2f0b_50d0_db33_a27d, 0x859c_278c_ed39_ac1f);
+    let isolated = (0x9e3c_622b_04fe_0383, 0xc93b_e174_a00e_304e);
+    let want = [shared, shared, isolated, isolated];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
