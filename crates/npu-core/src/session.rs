@@ -484,9 +484,10 @@ impl<'a> OptimizationSession<'a> {
     /// through the snapshot configuration).
     ///
     /// Frequencies not on the device grid are profiled anyway if the
-    /// sweep accepts them; duplicates and frequencies never profiled
-    /// before are appended rather than spliced. Re-profiling the maximum
-    /// frequency refreshes the measured baseline too.
+    /// sweep accepts them. Each distinct frequency is profiled once, in
+    /// first-occurrence order; one never profiled before is appended
+    /// rather than spliced. Re-profiling the maximum frequency refreshes
+    /// the measured baseline too.
     ///
     /// The splice is copy on write: a profile artifact shared with the
     /// cache is copied first, so the cached one never changes.
@@ -499,14 +500,20 @@ impl<'a> OptimizationSession<'a> {
         if freqs.is_empty() {
             return Ok(());
         }
+        let mut distinct = Vec::with_capacity(freqs.len());
+        for &f in freqs {
+            if !distinct.contains(&f) {
+                distinct.push(f);
+            }
+        }
         self.phase(Phase::Profile, |s| {
             let fresh = if s.opt.dev.hook().is_some() {
-                s.profile_in_place(freqs)?
+                s.profile_in_place(&distinct)?
             } else {
                 sweep_profiles(
                     &s.opt.dev,
                     s.workload.schedule(),
-                    freqs,
+                    &distinct,
                     s.opts.threads,
                     &s.obs,
                 )?
@@ -661,5 +668,27 @@ mod tests {
         // Everything downstream recomputes from the session's own copy.
         assert!(session.models.is_none() && session.ga_outcome().is_none());
         session.search().unwrap();
+    }
+
+    #[test]
+    fn refresh_profile_profiles_a_duplicated_frequency_once() {
+        use npu_obs::{MetricsRegistry, ObserverHandle};
+
+        let cfg = NpuConfig::ascend_like();
+        let w = models::tiny(&cfg);
+        let opts = OptimizerConfig::default().with_fai_us(100.0);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let mut opt = optimizer(&cfg).with_observer(ObserverHandle::from_arc(metrics.clone()));
+        let mut session = opt.session(&w, &opts);
+        session.profile().unwrap();
+        let fresh = FreqMhz::new(1300);
+        assert!(session.profiles().unwrap().iter().all(|p| p.freq != fresh));
+        let runs = metrics.counter("event.ProfileRun");
+
+        session.refresh_profile(&[fresh, fresh]).unwrap();
+        assert_eq!(metrics.counter("event.ProfileRun"), runs + 1);
+        let profiles = session.profiles().unwrap();
+        assert_eq!(profiles.iter().filter(|p| p.freq == fresh).count(), 1);
+        assert_eq!(profiles.last().map(|p| p.freq), Some(fresh));
     }
 }

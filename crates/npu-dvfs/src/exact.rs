@@ -42,6 +42,14 @@
 //! on large schedules these seed the GA population with near-optimal
 //! individuals that point mutation alone could not rediscover.
 //!
+//! Few argmins move from one rung to the next (2–4 % of the stage-rungs
+//! of a 48-stage fleet table or of GPT-3's 960 stages), so the sweep
+//! keeps each stage's argmin and rescans a stage only at the rung its
+//! due list names. A stage skips to its next crossing only when a
+//! margin test at both ends of the skip proves that no rounding of
+//! `e + λ·t` can move its argmin in between; [`lagrangian_seeds`] gives
+//! the argument. Every rung stays bit-identical to a full rescan.
+//!
 //! # The serving search
 //!
 //! On the tables this crate serves, the GA's generations add nothing
@@ -58,7 +66,6 @@ use crate::strategy::{DvfsStrategy, Evaluation, StageTable};
 use npu_obs::{Event, ObserverHandle};
 use npu_sim::FreqMhz;
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 
 /// The DP abandons certification when any node's pruned frontier
 /// exceeds this.
@@ -294,12 +301,13 @@ pub fn solve(table: &StageTable, loss: f64) -> ExactOutcome {
     // evaluation path (thermal fix point included): the same pick as
     // `max_by` over `lagrangian_seeds(table, loss, 64)`, decoding only
     // the winner.
-    let (rungs, width) = ladder(table, loss);
-    let best = rungs
-        .into_iter()
+    let ladder = ladder(table, loss);
+    let best = ladder
+        .order
+        .iter()
         .take(64)
-        .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-        .map(|rung| decode(rung, width))
+        .max_by(|&&a, &&b| ladder.scored[a].1.total_cmp(&ladder.scored[b].1))
+        .map(|&rung| ladder.seed(rung))
         .unwrap_or_else(|| {
             let genes = vec![table.n_freqs() - 1; n];
             let eval = table.evaluate(&genes);
@@ -438,8 +446,8 @@ fn ascend(
 /// `e + λ·t`. Over-budget rungs are repaired by greedily upgrading the
 /// stage with the best time-saved-per-energy-spent ratio until the
 /// latency bound (`T ≤ B/(1−loss)`) holds or no upgrade helps. Returns
-/// the distinct candidates sorted by score, best first, truncated to
-/// `max_seeds`.
+/// the distinct candidates sorted by score, best first (equal scores in
+/// ascending gene order), truncated to `max_seeds`.
 ///
 /// A target `loss ≥ 1` (or NaN) sets no latency bound to repair into,
 /// so the ladder is empty; callers then seed nothing from it.
@@ -452,90 +460,300 @@ fn ascend(
 /// ratio descending, ties to the lowest stage index, and a NaN ratio
 /// (only non-finite cells produce one) taken as soon as it belongs to
 /// the lowest-index candidate left. The call ranks every `(stage, gene)`
-/// upgrade once; an over-budget rung marks the upgrades its genes hold
-/// and takes them in rank order, checking the budget on the time sums
-/// alone (the thermal fix point never changes time). That is O(n) per
-/// repaired rung plus O(log n) per upgraded stage, and bit-identical to
-/// rescanning every stage and re-evaluating the whole table after each
-/// upgrade. Each distinct rung is evaluated once.
+/// upgrade once, at the first over-budget rung; such a rung marks the
+/// upgrades a copy of its genes holds and takes them in rank order,
+/// checking the budget on the time sums alone (the thermal fix point
+/// never changes time). That is O(n) per repaired rung plus O(log n)
+/// per upgraded stage, and bit-identical to rescanning every stage and
+/// re-evaluating the whole table after each upgrade.
+///
+/// The argmins are kept from rung to rung: a stage is rescanned only at
+/// the rung its due list names, a stage whose gene did not move leaves
+/// the time sums alone, a rung on which no gene moved repeats the one
+/// before it and is skipped, and each distinct rung is evaluated once,
+/// incrementally from the last. After a scan at rung `j` picks gene `a`,
+/// the stage is next due after rung `k`, the last rung below its
+/// crossing `min{(e_g − e_a)/(t_a − t_g) : t_g < t_a}`, if for every
+/// `g ≠ a` the scan's own f64 values `v = e + λ * t` satisfy
+/// `v_g > v_a * (1 + 2⁻⁴⁹)` at both `λ_j` and `λ_k`; otherwise it is due
+/// at `j + 1`. The λ = `f64::MAX` rung, and every stage outside the
+/// guard below, is scanned at every rung.
+///
+/// The skip changes no rung. The guard: every cell is finite,
+/// non-negative and zero or normal, and every positive `λ·t` of the
+/// sweep is normal (with `e` and `λ·t` below `f64::MAX / 8`). Under it
+/// both roundings in `v` are relative, so with `u = 2⁻⁵³`,
+/// `(1−u)²·x ≤ v ≤ (1+u)²·x` for the exact `x = e + λt`, and every `v`
+/// is zero or normal. The test's own product is then off by at most a
+/// factor `1 − u`, so passing it at λ means
+/// `x_g > x_a·(1 + 2⁻⁴⁹)(1−u)³/(1+u)²`, which gives
+/// `(1−u)²·x_g − (1+u)²·x_a > 0` because
+/// `(1 + 2⁻⁴⁹)(1 − u) > ((1+u)/(1−u))⁴`. That expression is affine in
+/// λ, so passing at `λ_j` and `λ_k` keeps it positive at every rung in
+/// between, where `v_g ≥ (1−u)²·x_g > (1+u)²·x_a ≥ v_a`: every `g ≠ a`
+/// lies strictly above `v_a`, and the first-minimum argmin is `a` again.
+/// The crossing only picks `k`; the two tests alone carry the argument.
 ///
 /// # Panics
 ///
 /// Panics if the table has no frequency points.
 #[must_use]
 pub fn lagrangian_seeds(table: &StageTable, loss: f64, max_seeds: usize) -> Vec<LagrangianSeed> {
-    let (mut rungs, width) = ladder(table, loss);
-    rungs.truncate(max_seeds);
-    rungs.into_iter().map(|rung| decode(rung, width)).collect()
+    let ladder = ladder(table, loss);
+    ladder
+        .order
+        .iter()
+        .take(max_seeds)
+        .map(|&rung| ladder.seed(rung))
+        .collect()
 }
 
-/// A distinct ladder rung: its genes big-endian in a fixed number of
-/// bytes per gene (so byte order is gene order), its evaluation and its
-/// score.
-type Rung = (Box<[u8]>, (Evaluation, f64));
+/// The distinct rungs of [`lagrangian_seeds`]' ladder.
+struct Ladder {
+    /// Bytes per gene of a key.
+    width: usize,
+    /// Every distinct rung's genes big-endian in `width` bytes each (so
+    /// byte order is gene order), one key after another in sweep order.
+    keys: Vec<u8>,
+    /// Each rung's evaluation and score, in sweep order.
+    scored: Vec<(Evaluation, f64)>,
+    /// The rungs by score descending, then genes ascending.
+    order: Vec<usize>,
+}
 
-/// The distinct rungs of [`lagrangian_seeds`]' ladder sorted by score,
-/// best first, with the bytes per gene of their keys.
-fn ladder(table: &StageTable, loss: f64) -> (Vec<Rung>, usize) {
+impl Ladder {
+    /// Rung `rung`'s key.
+    fn key(&self, rung: usize) -> &[u8] {
+        let len = self.keys.len() / self.scored.len();
+        &self.keys[rung * len..(rung + 1) * len]
+    }
+
+    /// Rung `rung` as a seed.
+    fn seed(&self, rung: usize) -> LagrangianSeed {
+        let (eval, score) = self.scored[rung];
+        LagrangianSeed {
+            genes: self
+                .key(rung)
+                .chunks(self.width)
+                .map(|bytes| bytes.iter().fold(0, |g, &b| g << 8 | usize::from(b)))
+                .collect(),
+            eval,
+            score,
+        }
+    }
+}
+
+/// No stage, gene or rung: the end of a due list, a stage not yet
+/// scanned, a free [`KeyIndex`] slot.
+const NONE: usize = usize::MAX;
+
+/// `1 + 2⁻⁴⁹`: how far above the minimum every other λ-value must lie
+/// for a stage's argmin to be carried across rungs.
+const MARGIN: f64 = 1.0 + 8.0 * f64::EPSILON;
+
+/// The distinct rungs of [`lagrangian_seeds`]' ladder, sorted.
+fn ladder(table: &StageTable, loss: f64) -> Ladder {
     let n = table.n_stages();
     let m = table.n_freqs();
     assert!(m >= 1, "table must have frequency points");
+    // Just enough bytes per gene for the alphabet.
+    let width = (usize::BITS - (m - 1).leading_zeros()).div_ceil(8).max(1) as usize;
+    let mut ladder = Ladder {
+        width,
+        keys: Vec::new(),
+        scored: Vec::new(),
+        order: Vec::new(),
+    };
     if n == 0 || loss.is_nan() || loss >= 1.0 {
-        return (Vec::new(), 1);
+        return ladder;
     }
     let baseline_time = table.baseline().time_us;
     let budget = baseline_time / (1.0 - loss);
+    // Rung `j < rungs` sits at λ = `sweep[j]`, rung `rungs` at f64::MAX.
     let sweep = lambda_sweep(table);
-    let mut repair = Repair::rank(table);
-
-    // Distinct rungs, keyed by their genes big-endian in just enough
-    // bytes per gene for the alphabet, so key order is gene order.
-    let width = (usize::BITS - (m - 1).leading_zeros()).div_ceil(8).max(1) as usize;
-    let mut rungs: BTreeMap<Box<[u8]>, (Evaluation, f64)> = BTreeMap::new();
-    let mut key = vec![0u8; n * width];
-    let mut genes = vec![0usize; n];
-    let mut tree = TimeTree::new(n);
-    for &lambda in sweep.iter().chain(std::iter::once(&f64::MAX)) {
-        for (s, (g, leaf)) in genes.iter_mut().zip(tree.leaves_mut()).enumerate() {
+    let rungs = sweep.len();
+    // The sweep's least positive and greatest λ (`sweep[0]` is 0).
+    let (lo, hi) = (
+        sweep.get(1).copied().unwrap_or(f64::INFINITY),
+        sweep[rungs - 1],
+    );
+    let guarded: Vec<bool> = (0..n)
+        .map(|s| {
             let (time, ea) = table.rows(s);
-            *g = if lambda == f64::MAX {
-                argmin(time.iter().copied())
-            } else {
-                argmin(ea.iter().zip(time).map(|(e, t)| e + lambda * t))
-            };
-            *leaf = time[*g];
+            guarded(time, ea, lo, hi)
+        })
+        .collect();
+
+    // Due lists: `head[j]` is the first stage to rescan at rung `j` and
+    // `next[s]` the stage after `s` in its list. Every stage starts due
+    // at rung 0.
+    let mut head = vec![NONE; rungs];
+    head[0] = 0;
+    let mut next: Vec<usize> = (1..n).chain([NONE]).collect();
+    // The rung's argmins before repair, and their times.
+    let mut genes = vec![NONE; n];
+    let mut tree = TimeTree::new(n);
+    // The repair's ranking and the copy of a rung it walks.
+    let mut walk: Option<(Repair, Vec<usize>, TimeTree)> = None;
+    let mut index = KeyIndex::new(rungs + 1);
+    let mut key = vec![0u8; n * width];
+    let mut inc: Option<IncrementalEval> = None;
+    for j in 0..=rungs {
+        let mut moved = false;
+        let mut place = |s: usize, g: usize| {
+            if genes[s] != g {
+                genes[s] = g;
+                tree.set(s, table.rows(s).0[g]);
+                moved = true;
+            }
+        };
+        if j == rungs {
+            for s in 0..n {
+                place(s, argmin(table.rows(s).0.iter().copied()));
+            }
+        } else {
+            let lambda = sweep[j];
+            let mut s = head[j];
+            while s != NONE {
+                let after = next[s];
+                let (time, ea) = table.rows(s);
+                let a = argmin(ea.iter().zip(time).map(|(e, t)| e + lambda * t));
+                place(s, a);
+                let due = if guarded[s] {
+                    due_after(time, ea, a, &sweep, j)
+                } else {
+                    j + 1
+                };
+                if due < rungs {
+                    next[s] = head[due];
+                    head[due] = s;
+                }
+                s = after;
+            }
         }
-        tree.rebuild();
-        repair.walk(table, &mut genes, &mut tree, budget);
-        for (bytes, &g) in key.chunks_exact_mut(width).zip(&genes) {
+        if !moved {
+            continue;
+        }
+        let rung: &[usize] = if tree.total() > budget {
+            let (repair, walked, walked_tree) =
+                walk.get_or_insert_with(|| (Repair::rank(table), genes.clone(), TimeTree::new(n)));
+            walked.copy_from_slice(&genes);
+            walked_tree.nodes.copy_from_slice(&tree.nodes);
+            repair.walk(table, walked, walked_tree, budget);
+            walked
+        } else {
+            &genes
+        };
+        for (bytes, &g) in key.chunks_exact_mut(width).zip(rung) {
             for (shift, byte) in bytes.iter_mut().rev().enumerate() {
                 *byte = (g >> (8 * shift)) as u8;
             }
         }
-        if !rungs.contains_key(key.as_slice()) {
-            let eval = table.evaluate(&genes);
-            let rung = (eval, score(&eval, baseline_time, loss));
-            rungs.insert(key.as_slice().into(), rung);
+        if index.insert(&key, &ladder.keys) {
+            ladder.keys.extend_from_slice(&key);
+            let eval = match &mut inc {
+                Some(inc) => {
+                    inc.assign(rung);
+                    inc.eval()
+                }
+                None => inc.insert(IncrementalEval::new(table, rung)).eval(),
+            };
+            ladder
+                .scored
+                .push((eval, score(&eval, baseline_time, loss)));
         }
     }
     // Free the ranking before the seeds' genes are allocated.
-    drop(repair);
-    // The map yields rungs in gene order, so a stable sort by score
-    // breaks ties toward the lower genome.
-    let mut best: Vec<Rung> = rungs.into_iter().collect();
-    best.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
-    (best, width)
+    drop(walk);
+    let mut order: Vec<usize> = (0..ladder.scored.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let score = |r: usize| ladder.scored[r].1;
+        score(b)
+            .total_cmp(&score(a))
+            .then_with(|| ladder.key(a).cmp(ladder.key(b)))
+    });
+    ladder.order = order;
+    ladder
 }
 
-/// The seed a [`ladder`] rung with `width` bytes per gene encodes.
-fn decode((key, (eval, score)): Rung, width: usize) -> LagrangianSeed {
-    LagrangianSeed {
-        genes: key
-            .chunks(width)
-            .map(|bytes| bytes.iter().fold(0, |g, &b| g << 8 | usize::from(b)))
-            .collect(),
-        eval,
-        score,
+/// Whether a stage with rows `(time, ea)` meets the guard of
+/// [`lagrangian_seeds`]' skip at every rung λ in `{0} ∪ [lo, hi]`:
+/// every cell finite, non-negative and zero or normal, and every
+/// positive `λ·t` normal, with `e` and `λ·t` below `f64::MAX / 8`.
+fn guarded(time: &[f64], ea: &[f64], lo: f64, hi: f64) -> bool {
+    const HUGE: f64 = f64::MAX / 8.0;
+    let cell = |x: f64| x.is_sign_positive() && (x == 0.0 || x.is_normal()) && x <= HUGE;
+    // A rounded `t * lo` at or above 2⁻¹⁰²¹ leaves the exact product
+    // above `f64::MIN_POSITIVE`.
+    time.iter().chain(ea).all(|&x| cell(x))
+        && time
+            .iter()
+            .all(|&t| t == 0.0 || (t * lo >= 2.0 * f64::MIN_POSITIVE && t * hi <= HUGE))
+}
+
+/// The rung at which a guarded stage with rows `(time, ea)`, scanned at
+/// rung `j` of `sweep` with argmin `a`, is due again: after the last
+/// rung `k` below its crossing when the margin test passes at `λ_j` and
+/// `λ_k`, else `j + 1` (see [`lagrangian_seeds`]).
+fn due_after(time: &[f64], ea: &[f64], a: usize, sweep: &[f64], j: usize) -> usize {
+    let clears = |lambda: f64| {
+        let floor = (ea[a] + lambda * time[a]) * MARGIN;
+        (0..time.len()).all(|g| g == a || ea[g] + lambda * time[g] > floor)
+    };
+    if !clears(sweep[j]) {
+        return j + 1;
+    }
+    let crossing = (0..time.len())
+        .filter(|&g| time[g] < time[a])
+        .map(|g| (ea[g] - ea[a]) / (time[a] - time[g]))
+        .fold(f64::INFINITY, f64::min);
+    let k = j + sweep[j + 1..].partition_point(|&l| l < crossing);
+    if k > j && clears(sweep[k]) {
+        k + 1
+    } else {
+        j + 1
+    }
+}
+
+/// An open-addressing hash index over the keys of a [`Ladder`], sized
+/// once for the most keys a sweep can make.
+struct KeyIndex {
+    /// A power-of-two table of key numbers; [`NONE`] marks a free slot.
+    slots: Vec<usize>,
+}
+
+impl KeyIndex {
+    fn new(capacity: usize) -> Self {
+        Self {
+            slots: vec![NONE; (2 * capacity).next_power_of_two()],
+        }
+    }
+
+    /// Whether `key` is not yet among the equal-length keys laid end to
+    /// end in `keys`; if so, it is indexed as the next of them, and the
+    /// caller appends it.
+    fn insert(&mut self, key: &[u8], keys: &[u8]) -> bool {
+        // FxHash over 8-byte words; the table uses the top bits.
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut hash = 0u64;
+        for chunk in key.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            hash = (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> 32) as usize & mask;
+        loop {
+            let rung = self.slots[slot];
+            if rung == NONE {
+                self.slots[slot] = keys.len() / key.len();
+                return true;
+            }
+            if keys[rung * key.len()..(rung + 1) * key.len()] == *key {
+                return false;
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 }
 
@@ -546,7 +764,8 @@ fn decode((key, (eval, score)): Rung, width: usize) -> LagrangianSeed {
 fn lambda_sweep(table: &StageTable) -> Vec<f64> {
     const MAX_LAMBDAS: usize = 192;
     let m = table.n_freqs();
-    let mut lambdas = vec![0.0_f64];
+    let mut lambdas = Vec::with_capacity(1 + table.n_stages() * m * (m - 1) / 2);
+    lambdas.push(0.0_f64);
     for s in 0..table.n_stages() {
         let (time, ea) = table.rows(s);
         for a in 0..m {
@@ -735,10 +954,9 @@ impl Repair {
 /// over the same heap-ordered pairwise tree, with the same `left +
 /// right` additions, that [`IncrementalEval`] keeps (leaves padded with
 /// zeros to a power of two), so its total is bit-identical to the
-/// `time_us` of [`StageTable::evaluate`].
+/// `time_us` of [`StageTable::evaluate`] once every stage's time is set.
 #[derive(Debug)]
 struct TimeTree {
-    n: usize,
     n_pad: usize,
     /// Root at index 1, leaf `i` at `n_pad + i`.
     nodes: Vec<f64>,
@@ -748,21 +966,8 @@ impl TimeTree {
     fn new(n: usize) -> Self {
         let n_pad = n.next_power_of_two();
         Self {
-            n,
             n_pad,
             nodes: vec![0.0; 2 * n_pad],
-        }
-    }
-
-    /// The stages' times, to be followed by [`Self::rebuild`].
-    fn leaves_mut(&mut self) -> &mut [f64] {
-        &mut self.nodes[self.n_pad..self.n_pad + self.n]
-    }
-
-    /// Recomputes every sum from the leaves.
-    fn rebuild(&mut self) {
-        for i in (1..self.n_pad).rev() {
-            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1];
         }
     }
 

@@ -602,22 +602,8 @@ fn arb_ladder_case() -> impl Strategy<Value = LadderCase> {
         (any::<bool>(), any::<bool>(), any::<bool>()),
     )
         .prop_map(|(n, m, cells, traps, (quantized, specials, coupled))| {
-            let freqs: Vec<FreqMhz> = (0..m)
-                .map(|k| FreqMhz::new(1000 + 100 * k as u32))
-                .collect();
-            let mut stages = Vec::new();
-            let (mut time, mut ea, mut es) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut time, mut ea) = (Vec::new(), Vec::new());
             for s in 0..n {
-                stages.push(Stage {
-                    start_us: s as f64,
-                    dur_us: 1.0,
-                    op_range: s..s + 1,
-                    kind: if s % 2 == 0 {
-                        StageKind::Lfc
-                    } else {
-                        StageKind::Hfc
-                    },
-                });
                 let (mut trow, mut arow) = (Vec::new(), Vec::new());
                 for &(kt, ke, jitter, special) in &cells[s * 9..s * 9 + m] {
                     let (mut t, mut e) = if quantized {
@@ -649,30 +635,110 @@ fn arb_ladder_case() -> impl Strategy<Value = LadderCase> {
                         *e = f64::INFINITY;
                     }
                 }
-                es.push(
-                    trow.iter()
-                        .zip(&arow)
-                        .map(|(t, e)| 1.5 * e + 10.0 * t)
-                        .collect(),
-                );
                 time.push(trow);
                 ea.push(arow);
             }
-            let mut table = StageTable::from_parts(freqs, stages, time.clone(), ea.clone(), es)
-                .expect("consistent shapes");
-            if coupled {
-                let volts = (0..m).map(|k| 0.7 + 0.03 * k as f64).collect();
-                table = table.with_thermal_coupling(
-                    ThermalCoupling {
-                        gamma_aicore: 0.05,
-                        gamma_soc: 0.1,
-                        k_c_per_w: 0.08,
-                    },
-                    volts,
-                );
-            }
-            LadderCase { table, time, ea }
+            ladder_case(time, ea, coupled)
         })
+}
+
+/// A [`LadderCase`] over `time` and `ea` (one row per stage, one column
+/// per frequency from 1,000 MHz up in 100 MHz steps), with SoC energy
+/// `1.5·e + 10·t`; `coupled` turns on the thermal fix point.
+fn ladder_case(time: Vec<Vec<f64>>, ea: Vec<Vec<f64>>, coupled: bool) -> LadderCase {
+    let m = time.first().map_or(1, Vec::len);
+    let freqs: Vec<FreqMhz> = (0..m)
+        .map(|k| FreqMhz::new(1000 + 100 * k as u32))
+        .collect();
+    let stages = (0..time.len())
+        .map(|s| Stage {
+            start_us: s as f64,
+            dur_us: 1.0,
+            op_range: s..s + 1,
+            kind: if s % 2 == 0 {
+                StageKind::Lfc
+            } else {
+                StageKind::Hfc
+            },
+        })
+        .collect();
+    let es = time
+        .iter()
+        .zip(&ea)
+        .map(|(trow, arow)| {
+            trow.iter()
+                .zip(arow)
+                .map(|(t, e)| 1.5 * e + 10.0 * t)
+                .collect()
+        })
+        .collect();
+    let mut table = StageTable::from_parts(freqs, stages, time.clone(), ea.clone(), es)
+        .expect("consistent shapes");
+    if coupled {
+        let volts = (0..m).map(|k| 0.7 + 0.03 * k as f64).collect();
+        table = table.with_thermal_coupling(
+            ThermalCoupling {
+                gamma_aicore: 0.05,
+                gamma_soc: 0.1,
+                k_c_per_w: 0.08,
+            },
+            volts,
+        );
+    }
+    LadderCase { table, time, ea }
+}
+
+/// A 3-frequency table on whose sweep rounding in `e + λ * t` decides
+/// argmins: 1–2 random probe stages, and for every same-sign slope of a
+/// probe (where two of its genes cross) ten helper stages whose only
+/// slope lies 1–5 ulps below or above it. Half the probes hold genes
+/// whose times lie within a factor 1.001 of each other, so `λ·t` dwarfs
+/// `e` and the gap between two genes' values moves by far less than an
+/// ulp of them from rung to rung. A helper's genes `(t, e)` are `(2, 0)`,
+/// `(1, L)` and `(1e9, 1e18)`: its one slope is `L`, and its slow third
+/// gene puts the all-max baseline so far out that no rung is repaired.
+fn arb_rounding_case() -> impl Strategy<Value = LadderCase> {
+    let gene = (0.0f64..1.0, 1.0f64..1e3);
+    let probe = (
+        1.0f64..1e3,
+        prop_oneof![Just(1.0), 1e-9f64..1e-3],
+        (gene.clone(), gene.clone(), gene),
+    );
+    prop::collection::vec(probe, 1..3).prop_map(|probes| {
+        let mut rows: Vec<[(f64, f64); 3]> = probes
+            .into_iter()
+            .map(|(base, spread, genes)| {
+                let at = |(x, e): (f64, f64)| (base * (1.0 + spread * x), e);
+                [at(genes.0), at(genes.1), at(genes.2)]
+            })
+            .collect();
+        for p in 0..rows.len() {
+            let probe = rows[p];
+            for a in 0..3 {
+                for b in a + 1..3 {
+                    let (dt, de) = (probe[a].0 - probe[b].0, probe[b].1 - probe[a].1);
+                    if !((dt > 0.0 && de > 0.0) || (dt < 0.0 && de < 0.0)) {
+                        continue;
+                    }
+                    let crossing = (de / dt).to_bits();
+                    for ulps in 1..=5 {
+                        for bits in [crossing - ulps, crossing + ulps] {
+                            rows.push([(2.0, 0.0), (1.0, f64::from_bits(bits)), (1e9, 1e18)]);
+                        }
+                    }
+                }
+            }
+        }
+        let time = rows
+            .iter()
+            .map(|r| r.iter().map(|g| g.0).collect())
+            .collect();
+        let ea = rows
+            .iter()
+            .map(|r| r.iter().map(|g| g.1).collect())
+            .collect();
+        ladder_case(time, ea, false)
+    })
 }
 
 /// `exact::lagrangian_seeds` as first written, with the quadratic
@@ -788,19 +854,116 @@ proptest! {
         case in arb_ladder_case(),
         loss in prop_oneof![Just(0.0), 0.0f64..0.05, 0.05f64..0.9],
     ) {
-        let got = exact::lagrangian_seeds(&case.table, loss, usize::MAX);
-        let want = reference_lagrangian_seeds(&case, loss, usize::MAX);
-        prop_assert_eq!(got.len(), want.len());
-        // Rust leaves the sign and payload of a NaN result unspecified,
-        // so a NaN compares as one value; every other float by its bits.
-        let bits = |s: &exact::LagrangianSeed| {
-            [s.eval.time_us, s.eval.aicore_energy_wus, s.eval.soc_energy_wus, s.score]
-                .map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() })
-        };
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(&g.genes, &w.genes, "rung {i}: genes differ");
-            prop_assert_eq!(bits(g), bits(w), "rung {i}: evaluation or score bits differ");
+        ladder_matches_reference(&case, loss)?;
+    }
+
+    /// The ladder carries a stage's argmin across rungs only where no
+    /// rounding can move it: on sweeps with rungs a few ulps either side
+    /// of every probe crossing, every rung matches the full rescan.
+    #[test]
+    fn lagrangian_skip_holds_where_rounding_decides(case in arb_rounding_case()) {
+        ladder_matches_reference(&case, 0.02)?;
+    }
+}
+
+/// Compares every rung of `exact::lagrangian_seeds` with
+/// [`reference_lagrangian_seeds`]: same genes, same evaluation and score
+/// bits, same order.
+fn ladder_matches_reference(case: &LadderCase, loss: f64) -> Result<(), String> {
+    let got = exact::lagrangian_seeds(&case.table, loss, usize::MAX);
+    let want = reference_lagrangian_seeds(case, loss, usize::MAX);
+    prop_assert_eq!(got.len(), want.len());
+    // Rust leaves the sign and payload of a NaN result unspecified, so a
+    // NaN compares as one value; every other float by its bits.
+    let bits = |s: &exact::LagrangianSeed| {
+        [
+            s.eval.time_us,
+            s.eval.aicore_energy_wus,
+            s.eval.soc_energy_wus,
+            s.score,
+        ]
+        .map(|x| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+    };
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        prop_assert_eq!(&g.genes, &w.genes, "rung {i}: genes differ");
+        prop_assert_eq!(
+            bits(g),
+            bits(w),
+            "rung {i}: evaluation or score bits differ"
+        );
+    }
+    Ok(())
+}
+
+/// `(s, err)`: `a + b` rounded, and its error, so `s + err = a + b`
+/// exactly (Knuth's TwoSum).
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let s = a + b;
+    let b_part = s - a;
+    (s, (a - (s - b_part)) + (b - b_part))
+}
+
+/// `(p, err)`: `a * b` rounded, and its error through one fused
+/// multiply-add, so `p + err = a·b` exactly while nothing underflows.
+fn two_product(a: f64, b: f64) -> (f64, f64) {
+    let p = a * b;
+    (p, a.mul_add(b, -p))
+}
+
+/// The sign of the exact sum of `terms`. Shewchuk's grow-expansion keeps
+/// the running sum as non-overlapping components of increasing
+/// magnitude, and the largest nonzero component carries the sign.
+fn exact_sum_sign(terms: &[f64]) -> std::cmp::Ordering {
+    let mut expansion: Vec<f64> = Vec::new();
+    for &term in terms {
+        let mut grown = Vec::with_capacity(expansion.len() + 1);
+        let mut q = term;
+        for &e in &expansion {
+            let (sum, err) = two_sum(q, e);
+            if err != 0.0 {
+                grown.push(err);
+            }
+            q = sum;
         }
+        grown.push(q);
+        expansion = grown;
+    }
+    expansion
+        .iter()
+        .rev()
+        .find(|&&x| x != 0.0)
+        .map_or(std::cmp::Ordering::Equal, |x| x.total_cmp(&0.0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The lemma behind the ladder's skip: for non-negative `e` and a
+    /// normal `λ·t`, the scan's `e + λ * t` lies within a factor
+    /// `(1 ± u)²` of the exact `x = e + λt`, u = 2⁻⁵³. With
+    /// `x = v + err` from an error-free product and sum, the bounds read
+    /// `err + (2u + u²)·x ≥ 0` and `−err + (2u − u²)·x ≥ 0`, sums of
+    /// exactly scaled terms whose sign is taken exactly.
+    #[test]
+    fn lambda_value_rounds_within_the_lemma_bound(
+        e in prop_oneof![Just(0.0), 1e-12f64..1e-3, 1e-3f64..1e12],
+        lambda in prop_oneof![1e-9f64..1e-3, 1e-3f64..1e9],
+        t in prop_oneof![1e-6f64..1.0, 1.0f64..1e9],
+    ) {
+        let (p, p_err) = two_product(lambda, t);
+        let (v, s_err) = two_sum(e, p);
+        prop_assert_eq!(v.to_bits(), (e + lambda * t).to_bits());
+        let (u2, uu) = (f64::EPSILON, f64::EPSILON * f64::EPSILON / 4.0);
+        let above = [s_err, p_err, u2 * v, u2 * s_err, u2 * p_err, uu * v, uu * s_err, uu * p_err];
+        let below = [-s_err, -p_err, u2 * v, u2 * s_err, u2 * p_err, -uu * v, -uu * s_err, -uu * p_err];
+        prop_assert!(exact_sum_sign(&above).is_ge(), "v above (1+u)²x: e={e:e} λ={lambda:e} t={t:e}");
+        prop_assert!(exact_sum_sign(&below).is_ge(), "v below (1-u)²x: e={e:e} λ={lambda:e} t={t:e}");
     }
 }
 
