@@ -42,7 +42,8 @@ use crate::optimizer::{EnergyOptimizer, OptimizeError, OptimizerConfig};
 use crate::report::MeasuredIteration;
 use npu_dvfs::{DvfsStrategy, GaOutcome};
 use npu_exec::{
-    execute_resilient, execute_strategy, Degradation, ExecutorOptions, ResilientOptions,
+    execute_resilient, CompiledStrategy, Degradation, ExecutionOutcome, ExecutorOptions,
+    ResilientOptions,
 };
 use npu_obs::Event;
 use npu_power_model::HardwareCalibration;
@@ -805,19 +806,24 @@ impl<'a> ServeRuntime<'a> {
 
     /// The window loop proper. `st` is detached from `self.state` for
     /// the duration so re-optimization can borrow `self` mutably.
+    ///
+    /// The active strategy is compiled once, at the window's first
+    /// healthy iteration and again after each swap, and every healthy
+    /// iteration replays it record-free: the loop reads only the run's
+    /// totals. Fallback iterations go through the guardrailed executor,
+    /// which checks each run's records.
     fn serve_window(
         &mut self,
         st: &mut ServeState,
         iterations: usize,
         out: &mut ServeOutcome,
     ) -> Result<(), OptimizeError> {
-        let obs = self.opt.observer().clone();
         let exec_opts = ExecutorOptions {
             planned_latency_us: self.opts.planned_latency_us,
             ..ExecutorOptions::default()
         };
+        let mut plan: Option<CompiledStrategy> = None;
         for _ in 0..iterations {
-            let i = st.served;
             let exec = if st.fell_back {
                 execute_resilient(
                     &mut self.opt.dev,
@@ -829,132 +835,161 @@ impl<'a> ServeRuntime<'a> {
                 .map_err(OptimizeError::Exec)?
                 .outcome
             } else {
-                execute_strategy(
-                    &mut self.opt.dev,
-                    self.workload.schedule(),
-                    &st.strategy,
-                    st.baseline_records(),
-                    &exec_opts,
-                )
-                .map_err(OptimizeError::Exec)?
+                let compiled = match plan.take() {
+                    Some(compiled) => compiled,
+                    None => CompiledStrategy::compile(
+                        &self.opt.dev,
+                        self.workload.schedule(),
+                        &st.strategy,
+                        st.baseline_records(),
+                        &exec_opts,
+                    )
+                    .map_err(OptimizeError::Exec)?
+                    .record_free(),
+                };
+                let exec = compiled
+                    .run(&mut self.opt.dev, self.workload.schedule())
+                    .map_err(OptimizeError::Exec)?;
+                plan = Some(compiled);
+                exec
             };
-            if degradation_rank(&exec.degradation) > degradation_rank(&out.degradation) {
-                out.degradation = exec.degradation.clone();
+            if self.settle_iteration(st, &exec, out) {
+                plan = None;
             }
-            let meas = MeasuredIteration::from_run(&exec.result);
-            let gen_used = st.generation;
-            let residual = st.detector.residual(
-                st.active.time_us,
-                st.active.aicore_w,
-                st.active.temp_c,
-                &meas,
-            );
-            let mut drift_score = None;
-            match st.detector.record(residual) {
-                DriftSignal::Quiet => {}
-                DriftSignal::WindowClosed { score } => {
-                    drift_score = Some(score);
-                    if obs.enabled() {
-                        obs.emit(Event::DriftScore {
-                            iter: i,
-                            score,
-                            threshold: st.detector.config().threshold,
-                        });
-                    }
-                }
-                DriftSignal::Detected { score, windows } => {
-                    drift_score = Some(score);
-                    if obs.enabled() {
-                        obs.emit(Event::DriftScore {
-                            iter: i,
-                            score,
-                            threshold: st.detector.config().threshold,
-                        });
-                        obs.emit(Event::DriftDetected {
-                            iter: i,
-                            score,
-                            windows,
-                        });
-                    }
-                    out.detections += 1;
-                    if !st.fell_back && out.swaps < self.serve.max_swaps {
-                        let ladder_len = if self.serve.ladder_freqs.is_empty() {
-                            self.opts.build_freqs.len()
-                        } else {
-                            self.serve.ladder_freqs.len()
-                        };
-                        obs.emit(Event::ReoptimizationStarted {
-                            iter: i,
-                            freqs: ladder_len,
-                        });
-                        let warm = !self.pending_seeds.is_empty();
-                        let t0 = std::time::Instant::now();
-                        // The chaos hook models a ladder that hangs: it
-                        // consumes the armed seeds (a real ladder would)
-                        // and produces no result.
-                        let reopt = if self.force_reopt_failure {
-                            self.pending_seeds.clear();
-                            None
-                        } else {
-                            Some(self.reoptimize(st.total_swaps))
-                        };
-                        let reopt_s = t0.elapsed().as_secs_f64();
-                        st.reopt_wall_s += reopt_s;
-                        if warm {
-                            st.warm_reopt_wall_s += reopt_s;
-                        }
-                        match reopt {
-                            Some(Ok((new_profile, new_active, search))) => {
-                                st.strategy = search.strategy.clone();
-                                st.profile = new_profile;
-                                st.active = new_active;
-                                st.last_search = search;
-                                st.generation += 1;
-                                st.total_swaps += 1;
-                                out.swaps += 1;
-                                if warm {
-                                    out.warm_swaps += 1;
-                                }
-                                st.detector.reset_after_swap();
-                                obs.emit(Event::StrategySwapped {
-                                    iter: i + 1,
-                                    generation: st.generation,
-                                    predicted_energy_wus: st.active.aicore_w * st.active.time_us,
-                                });
-                            }
-                            Some(Err(_)) | None => {
-                                // Degrade, don't die: keep serving the
-                                // last good strategy behind guardrails.
-                                // The generation counter does NOT bump —
-                                // no swap happened — and the detector's
-                                // cooldown is re-armed to match: the
-                                // execution mode just changed under it
-                                // (resilient fallback), so the residuals
-                                // it scores next reflect the switch, not
-                                // fresh drift. Without the reset the
-                                // stale prediction re-detects every
-                                // window while the counters say nothing
-                                // was swapped.
-                                st.fell_back = true;
-                                st.detector.reset_after_swap();
-                            }
-                        }
-                    }
-                }
-            }
-            out.iterations.push(ServeIteration {
-                index: i,
-                generation: gen_used,
-                time_us: exec.result.duration_us,
-                aicore_energy_wus: exec.result.energy_aicore_j * 1e6,
-                soc_energy_wus: exec.result.energy_soc_j * 1e6,
-                temp_c: meas.temp_c,
-                drift_score,
-            });
-            st.served += 1;
         }
         out.fell_back = st.fell_back;
         Ok(())
+    }
+
+    /// Books one served iteration: scores it against the active
+    /// prediction and, when the detector calls drift, climbs the response
+    /// ladder. Returns whether the active strategy was swapped.
+    fn settle_iteration(
+        &mut self,
+        st: &mut ServeState,
+        exec: &ExecutionOutcome,
+        out: &mut ServeOutcome,
+    ) -> bool {
+        let obs = self.opt.observer();
+        let i = st.served;
+        if degradation_rank(&exec.degradation) > degradation_rank(&out.degradation) {
+            out.degradation = exec.degradation.clone();
+        }
+        let meas = MeasuredIteration::from_run(&exec.result);
+        let gen_used = st.generation;
+        let residual = st.detector.residual(
+            st.active.time_us,
+            st.active.aicore_w,
+            st.active.temp_c,
+            &meas,
+        );
+        let mut drift_score = None;
+        match st.detector.record(residual) {
+            DriftSignal::Quiet => {}
+            DriftSignal::WindowClosed { score } => {
+                drift_score = Some(score);
+                if obs.enabled() {
+                    obs.emit(Event::DriftScore {
+                        iter: i,
+                        score,
+                        threshold: st.detector.config().threshold,
+                    });
+                }
+            }
+            DriftSignal::Detected { score, windows } => {
+                drift_score = Some(score);
+                if obs.enabled() {
+                    obs.emit(Event::DriftScore {
+                        iter: i,
+                        score,
+                        threshold: st.detector.config().threshold,
+                    });
+                    obs.emit(Event::DriftDetected {
+                        iter: i,
+                        score,
+                        windows,
+                    });
+                }
+                out.detections += 1;
+                if !st.fell_back && out.swaps < self.serve.max_swaps {
+                    self.respond_to_drift(st, out, i);
+                }
+            }
+        }
+        out.iterations.push(ServeIteration {
+            index: i,
+            generation: gen_used,
+            time_us: exec.result.duration_us,
+            aicore_energy_wus: exec.result.energy_aicore_j * 1e6,
+            soc_energy_wus: exec.result.energy_soc_j * 1e6,
+            temp_c: meas.temp_c,
+            drift_score,
+        });
+        st.served += 1;
+        st.generation != gen_used
+    }
+
+    /// Runs the response ladder after the drift detected at iteration
+    /// `i`, and swaps its strategy in, or degrades the loop to
+    /// guardrailed fallback when it fails.
+    fn respond_to_drift(&mut self, st: &mut ServeState, out: &mut ServeOutcome, i: usize) {
+        let obs = self.opt.observer().clone();
+        let ladder_len = if self.serve.ladder_freqs.is_empty() {
+            self.opts.build_freqs.len()
+        } else {
+            self.serve.ladder_freqs.len()
+        };
+        obs.emit(Event::ReoptimizationStarted {
+            iter: i,
+            freqs: ladder_len,
+        });
+        let warm = !self.pending_seeds.is_empty();
+        let t0 = std::time::Instant::now();
+        // The chaos hook models a ladder that hangs: it consumes the armed
+        // seeds (a real ladder would) and produces no result.
+        let reopt = if self.force_reopt_failure {
+            self.pending_seeds.clear();
+            None
+        } else {
+            Some(self.reoptimize(st.total_swaps))
+        };
+        let reopt_s = t0.elapsed().as_secs_f64();
+        st.reopt_wall_s += reopt_s;
+        if warm {
+            st.warm_reopt_wall_s += reopt_s;
+        }
+        match reopt {
+            Some(Ok((new_profile, new_active, search))) => {
+                st.strategy = search.strategy.clone();
+                st.profile = new_profile;
+                st.active = new_active;
+                st.last_search = search;
+                st.generation += 1;
+                st.total_swaps += 1;
+                out.swaps += 1;
+                if warm {
+                    out.warm_swaps += 1;
+                }
+                st.detector.reset_after_swap();
+                obs.emit(Event::StrategySwapped {
+                    iter: i + 1,
+                    generation: st.generation,
+                    predicted_energy_wus: st.active.aicore_w * st.active.time_us,
+                });
+            }
+            Some(Err(_)) | None => {
+                // Degrade, don't die: keep serving the last good strategy
+                // behind guardrails. The generation counter does NOT bump —
+                // no swap happened — and the detector's cooldown is
+                // re-armed to match: the execution mode just changed under
+                // it (resilient fallback), so the residuals it scores next
+                // reflect the switch, not fresh drift. Without the reset
+                // the stale prediction re-detects every window while the
+                // counters say nothing was swapped.
+                st.fell_back = true;
+                st.detector.reset_after_swap();
+            }
+        }
     }
 
     /// The staged response ladder, on a shadow device frozen at the live
@@ -1040,6 +1075,9 @@ fn searched_profile(session: &crate::OptimizationSession<'_>) -> Arc<ProfileArti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use npu_obs::{Observer, ObserverHandle};
+    use npu_sim::{DriftModel, NpuConfig};
+    use std::sync::Mutex;
 
     fn meas(time_us: f64, aicore_w: f64, temp_c: f64) -> MeasuredIteration {
         MeasuredIteration {
@@ -1219,5 +1257,144 @@ mod tests {
             }
         }
         assert!(validate_serve_options(&ServeOptions::default()).is_ok());
+    }
+
+    /// Every event, in order, in its `Debug` form (which spells each
+    /// float exactly), with host wall times zeroed.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<String>>);
+
+    impl Observer for Recorder {
+        fn on_event(&self, event: &Event) {
+            let line = match event {
+                Event::PhaseFinished { phase, .. } => format!("PhaseFinished {phase:?}"),
+                e => format!("{e:?}"),
+            };
+            self.0.lock().unwrap().push(line);
+        }
+    }
+
+    /// A serve window as the loop ran before strategies were compiled:
+    /// `execute_strategy` (placing the triggers and keeping the records)
+    /// on every iteration, then the runtime's own bookkeeping.
+    fn reference_window(rt: &mut ServeRuntime<'_>, iterations: usize) -> Vec<ServeIteration> {
+        if rt.state.is_none() {
+            rt.initialize().unwrap();
+        }
+        let mut st = rt.state.take().unwrap();
+        let exec_opts = ExecutorOptions {
+            planned_latency_us: rt.opts.planned_latency_us,
+            ..ExecutorOptions::default()
+        };
+        let mut out = ServeOutcome {
+            iterations: Vec::new(),
+            swaps: 0,
+            detections: 0,
+            fell_back: false,
+            warm_swaps: 0,
+            degradation: Degradation::None,
+        };
+        for _ in 0..iterations {
+            assert!(!st.fell_back);
+            let exec = npu_exec::execute_strategy(
+                &mut rt.opt.dev,
+                rt.workload.schedule(),
+                &st.strategy,
+                st.baseline_records(),
+                &exec_opts,
+            )
+            .unwrap();
+            assert_eq!(exec.result.records.len(), rt.workload.op_count());
+            rt.settle_iteration(&mut st, &exec, &mut out);
+        }
+        rt.state = Some(st);
+        out.iterations
+    }
+
+    /// Three windows of a drifting, noisy device, each on a runtime
+    /// rebuilt around the restored state as a fleet epoch does; the
+    /// detector swaps the strategy in the middle of the second window.
+    /// Returns every iteration's fields by bits and the event stream.
+    fn serve_three_windows(reference: bool) -> (Vec<[u64; 7]>, Vec<String>) {
+        let cfg = NpuConfig::builder()
+            .thermal_tau_us(2_000.0)
+            .setfreq_latency_us(50.0)
+            .build()
+            .unwrap();
+        let w = npu_workloads::models::tiny(&cfg);
+        let calib = HardwareCalibration::ground_truth(&cfg);
+        let recorder = Arc::new(Recorder::default());
+        let mut opt = EnergyOptimizer::new(Device::with_seed(cfg, 42), calib)
+            .with_observer(ObserverHandle::from_arc(recorder.clone()));
+        opt.device_mut()
+            .set_drift(DriftModel::ambient_ramp(-300.0, 15.0).with_gamma_aging(-9.0, 0.45));
+        let opts = OptimizerConfig::default()
+            .with_threads(1)
+            .with_fai_us(100.0)
+            .with_loss_target(0.5);
+        let serve = ServeOptions {
+            detector: DriftDetectorConfig {
+                window: 4,
+                threshold: 1e-9,
+                ..DriftDetectorConfig::default()
+            },
+            ladder_freqs: vec![FreqMhz::new(1400)],
+            ..ServeOptions::default()
+        };
+        let mut state = None;
+        let mut iterations = Vec::new();
+        for n in [10, 20, 10] {
+            let mut rt = ServeRuntime::builder(&mut opt, &w)
+                .with_config(opts.clone())
+                .with_serve_options(serve.clone())
+                .try_build()
+                .unwrap();
+            rt.restore_state(state.take());
+            if reference {
+                iterations.extend(reference_window(&mut rt, n));
+            } else {
+                iterations.extend(rt.run_epoch(n).unwrap().iterations);
+            }
+            state = rt.take_state();
+        }
+        let generations: Vec<usize> = iterations.iter().map(|it| it.generation).collect();
+        assert_eq!(
+            (generations[10], generations[29]),
+            (0, 1),
+            "{generations:?}"
+        );
+        let bits = iterations
+            .iter()
+            .map(|it| {
+                [
+                    it.index as u64,
+                    it.generation as u64,
+                    it.time_us.to_bits(),
+                    it.aicore_energy_wus.to_bits(),
+                    it.soc_energy_wus.to_bits(),
+                    it.temp_c.to_bits(),
+                    it.drift_score.map_or(u64::MAX, f64::to_bits),
+                ]
+            })
+            .collect();
+        let events = std::mem::take(&mut *recorder.0.lock().unwrap());
+        (bits, events)
+    }
+
+    #[test]
+    fn compiled_record_free_windows_match_per_iteration_execution() {
+        let (served, served_events) = serve_three_windows(false);
+        let (reference, reference_events) = serve_three_windows(true);
+        assert_eq!(served, reference);
+        for kind in [
+            "IterationMeasured",
+            "SetFreqIssued",
+            "DeviceRun",
+            "StrategySwapped",
+        ] {
+            let n = served_events.iter().filter(|e| e.starts_with(kind)).count();
+            assert!(n > 0, "no {kind} event");
+        }
+        assert_eq!(served_events, reference_events);
     }
 }

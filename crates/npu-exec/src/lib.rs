@@ -14,6 +14,12 @@
 //! that mismatch is exactly the paper's Fig. 18 experiment, where a
 //! 14 ms-delayed `SetFreq` (V100-class DVFS) erodes both the power savings
 //! and the performance of the same strategy.
+//!
+//! Execution is compile, then run: [`CompiledStrategy::compile`] places
+//! the triggers once, and [`CompiledStrategy::run`] replays them on the
+//! device. [`execute_strategy`] does both for one iteration; a loop that
+//! repeats a strategy compiles it once and runs it every iteration, as the
+//! paper's runtime does (Sect. 7).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,7 +39,7 @@ pub use resilient::{
 use npu_dvfs::DvfsStrategy;
 use npu_obs::Event;
 use npu_sim::{
-    Device, DeviceError, FreqMhz, OpRecord, RunOptions, RunResult, Schedule, SetFreqCmd,
+    Device, DeviceError, FreqMhz, OpRecord, RecordMode, RunOptions, RunResult, Schedule, SetFreqCmd,
 };
 use std::fmt;
 
@@ -280,18 +286,124 @@ pub fn compile_strategy(
     Ok((initial, cmds))
 }
 
+/// A strategy compiled for one schedule on one device: the initial
+/// frequency and the `SetFreq` commands, placed against the baseline
+/// profile and sorted by trigger, in the device run every iteration of
+/// the strategy makes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledStrategy {
+    run: RunOptions,
+    /// Operators in the schedule the triggers index.
+    ops: usize,
+}
+
+impl CompiledStrategy {
+    /// Places `strategy`'s triggers against `baseline_records`, for the
+    /// apply latency `opts` plans with (the device's own by default).
+    /// Runs keep their per-operator records until
+    /// [`Self::record_free`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] when the options are inconsistent or the
+    /// strategy does not fit the schedule or its profile.
+    pub fn compile(
+        dev: &Device,
+        schedule: &Schedule,
+        strategy: &DvfsStrategy,
+        baseline_records: &[OpRecord],
+        opts: &ExecutorOptions,
+    ) -> Result<Self, ExecError> {
+        opts.validate()?;
+        if baseline_records.len() != schedule.len() {
+            return Err(ExecError::StrategyMismatch {
+                strategy_ops: baseline_records.len(),
+                schedule_ops: schedule.len(),
+            });
+        }
+        let planned = opts
+            .planned_latency_us
+            .unwrap_or(dev.config().setfreq_latency_us);
+        let fmax = dev.config().freq_table.max();
+        let (initial, mut cmds) = compile_strategy(strategy, baseline_records, planned, fmax)?;
+        cmds.sort_by_key(|c| c.after_op);
+        let mut run = RunOptions::at(initial).with_setfreq(cmds);
+        if opts.collect_telemetry {
+            run = run.with_telemetry(opts.telemetry_period_us);
+        }
+        Ok(Self {
+            run,
+            ops: schedule.len(),
+        })
+    }
+
+    /// Runs of this plan keep no per-operator records
+    /// ([`RecordMode::Discard`]). They draw the same noise and leave the
+    /// device as a recorded run does, so every total, the frequency
+    /// trace, the telemetry and every later run stay bit-identical.
+    #[must_use]
+    pub fn record_free(mut self) -> Self {
+        self.run.records = RecordMode::Discard;
+        self
+    }
+
+    /// The `SetFreq` commands, sorted by trigger operator.
+    #[must_use]
+    pub fn setfreq(&self) -> &[SetFreqCmd] {
+        &self.run.setfreq
+    }
+
+    /// Runs one iteration of the plan on `dev`.
+    ///
+    /// When the device carries an enabled observer, the iteration is
+    /// reported as an [`Event::IterationMeasured`] labeled `"optimized"`
+    /// (the `SetFreq` applies themselves are emitted by the device during
+    /// the run).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::StrategyMismatch`] when `schedule` is not as
+    /// long as the schedule the plan was compiled for, and
+    /// [`ExecError::Device`] when the device rejects the run.
+    pub fn run(
+        &self,
+        dev: &mut Device,
+        schedule: &Schedule,
+    ) -> Result<ExecutionOutcome, ExecError> {
+        if schedule.len() != self.ops {
+            return Err(ExecError::StrategyMismatch {
+                strategy_ops: self.ops,
+                schedule_ops: schedule.len(),
+            });
+        }
+        let result = dev.run(schedule, &self.run)?;
+        let obs = dev.observer();
+        if obs.enabled() {
+            obs.emit(Event::IterationMeasured {
+                label: "optimized".to_owned(),
+                time_us: result.duration_us,
+                aicore_w: result.avg_aicore_w(),
+                soc_w: result.avg_soc_w(),
+                temp_c: result.end_temp_c,
+            });
+        }
+        Ok(ExecutionOutcome {
+            result,
+            setfreq_count: self.run.setfreq.len(),
+            initial_freq: self.run.initial_freq,
+            degradation: Degradation::None,
+        })
+    }
+}
+
 /// Executes `strategy` on `dev` over `schedule`, placing `SetFreq`
-/// triggers against `baseline_records`.
-///
-/// When the device carries an enabled observer, the executed iteration is
-/// reported as an [`Event::IterationMeasured`] labeled `"optimized"` (the
-/// `SetFreq` applies themselves are emitted by the device during the
-/// run).
+/// triggers against `baseline_records`: [`CompiledStrategy::compile`],
+/// then one recorded [`CompiledStrategy::run`].
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] when the strategy does not fit the schedule or
-/// the device rejects the run.
+/// Returns [`ExecError`] when the options are inconsistent, the strategy
+/// does not fit the schedule or the device rejects the run.
 pub fn execute_strategy(
     dev: &mut Device,
     schedule: &Schedule,
@@ -299,40 +411,7 @@ pub fn execute_strategy(
     baseline_records: &[OpRecord],
     opts: &ExecutorOptions,
 ) -> Result<ExecutionOutcome, ExecError> {
-    opts.validate()?;
-    if baseline_records.len() != schedule.len() {
-        return Err(ExecError::StrategyMismatch {
-            strategy_ops: baseline_records.len(),
-            schedule_ops: schedule.len(),
-        });
-    }
-    let planned = opts
-        .planned_latency_us
-        .unwrap_or(dev.config().setfreq_latency_us);
-    let fmax = dev.config().freq_table.max();
-    let (initial, cmds) = compile_strategy(strategy, baseline_records, planned, fmax)?;
-    let setfreq_count = cmds.len();
-    let mut run_opts = RunOptions::at(initial).with_setfreq(cmds);
-    if opts.collect_telemetry {
-        run_opts = run_opts.with_telemetry(opts.telemetry_period_us);
-    }
-    let result = dev.run(schedule, &run_opts)?;
-    let obs = dev.observer();
-    if obs.enabled() {
-        obs.emit(Event::IterationMeasured {
-            label: "optimized".to_owned(),
-            time_us: result.duration_us,
-            aicore_w: result.avg_aicore_w(),
-            soc_w: result.avg_soc_w(),
-            temp_c: result.end_temp_c,
-        });
-    }
-    Ok(ExecutionOutcome {
-        result,
-        setfreq_count,
-        initial_freq: initial,
-        degradation: Degradation::None,
-    })
+    CompiledStrategy::compile(dev, schedule, strategy, baseline_records, opts)?.run(dev, schedule)
 }
 
 #[cfg(test)]

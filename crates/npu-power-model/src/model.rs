@@ -22,15 +22,6 @@ pub enum PowerDomain {
     Soc,
 }
 
-/// One raw per-operator power observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Observation {
-    f: FreqMhz,
-    aicore_w: f64,
-    soc_w: f64,
-    dt_c: f64,
-}
-
 /// Per-operator fitted activity factors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpPower {
@@ -105,10 +96,11 @@ impl std::error::Error for PowerBuildError {}
 pub struct PowerModel {
     calib: HardwareCalibration,
     voltage: VoltageCurve,
-    /// Op-major: one observation per build profile for each operator,
-    /// so operator `i`'s are the `i`-th of `ops.len()` equal chunks.
-    observations: Vec<Observation>,
-    ops: Vec<OpPower>,
+    /// Per operator, the activity factors fitted with the calibrated
+    /// temperature coefficients and with `γ = 0` (what
+    /// [`Self::without_temperature`] serves). Both are fitted at build
+    /// time, so the model keeps no raw observations.
+    fits: Vec<[OpPower; 2]>,
     gamma_enabled: bool,
 }
 
@@ -134,41 +126,26 @@ impl PowerModel {
                 });
             }
         }
-        let mut observations = Vec::with_capacity(n * profiles.len());
-        for i in 0..n {
-            observations.extend(profiles.iter().map(|p| Observation {
-                f: p.freq,
-                aicore_w: p.records[i].aicore_w,
-                soc_w: p.records[i].soc_w,
-                dt_c: p.records[i].temp_c - calib.thermal.ambient_c,
-            }));
-        }
-        let mut model = Self {
+        let fits = (0..n)
+            .map(|i| fit_op(&calib, &voltage, profiles, i))
+            .collect();
+        Ok(Self {
             calib,
             voltage,
-            observations,
-            ops: vec![
-                OpPower {
-                    alpha_aicore: 0.0,
-                    alpha_soc: 0.0,
-                };
-                n
-            ],
+            fits,
             gamma_enabled: true,
-        };
-        model.refit();
-        Ok(model)
+        })
     }
 
-    /// The temperature-blind ablation: rebuilds every activity factor with
+    /// The temperature-blind ablation: every activity factor fitted with
     /// `γ = 0`, as in the paper's Sect. 7.3 comparison (temperature power
     /// gets misclassified as `α·f·V²`, inflating its frequency slope).
     #[must_use]
     pub fn without_temperature(&self) -> Self {
-        let mut clone = self.clone();
-        clone.gamma_enabled = false;
-        clone.refit();
-        clone
+        Self {
+            gamma_enabled: false,
+            ..self.clone()
+        }
     }
 
     /// Whether the temperature term is active.
@@ -180,19 +157,19 @@ impl PowerModel {
     /// Number of operator models.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.fits.len()
     }
 
     /// Whether the model is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.fits.is_empty()
     }
 
     /// The fitted activity factors of operator `index`.
     #[must_use]
     pub fn op(&self, index: usize) -> Option<&OpPower> {
-        self.ops.get(index)
+        self.fits.get(index).map(|fit| self.fitted(fit))
     }
 
     /// The calibration this model was built on.
@@ -226,39 +203,10 @@ impl PowerModel {
         }
     }
 
-    /// Recomputes every operator's activity factors from its
-    /// observations, in place.
-    fn refit(&mut self) {
-        let Some(stride) = self.observations.len().checked_div(self.ops.len()) else {
-            return; // no operators
-        };
-        let g_ai = self.gamma(PowerDomain::AiCore);
-        let g_soc = self.gamma(PowerDomain::Soc);
-        for (op, obs) in self
-            .ops
-            .iter_mut()
-            .zip(self.observations.chunks_exact(stride))
-        {
-            let mut a_ai = 0.0;
-            let mut a_soc = 0.0;
-            for o in obs {
-                let v = self.voltage.volts(o.f);
-                let fv2 = o.f.ghz() * v * v;
-                a_ai += (o.aicore_w
-                    - self.calib.aicore_idle.predict(o.f, &self.voltage)
-                    - g_ai * o.dt_c * v)
-                    / fv2;
-                a_soc += (o.soc_w
-                    - self.calib.soc_idle.predict(o.f, &self.voltage)
-                    - g_soc * o.dt_c * v)
-                    / fv2;
-            }
-            let n = obs.len().max(1) as f64;
-            *op = OpPower {
-                alpha_aicore: (a_ai / n).max(0.0),
-                alpha_soc: (a_soc / n).max(0.0),
-            };
-        }
+    /// The fit of one operator this model serves: the γ-aware one, or
+    /// the `γ = 0` one once the temperature term is disabled.
+    fn fitted<'a>(&self, fit: &'a [OpPower; 2]) -> &'a OpPower {
+        &fit[usize::from(!self.gamma_enabled)]
     }
 
     /// Temperature-independent base power of operator `index` at `f`:
@@ -271,7 +219,7 @@ impl PowerModel {
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn predict_base(&self, index: usize, f: FreqMhz) -> BasePower {
-        let op = &self.ops[index];
+        let op = self.fitted(&self.fits[index]);
         let v = self.voltage.volts(f);
         let fv2 = f.ghz() * v * v;
         BasePower {
@@ -345,7 +293,7 @@ impl PowerModel {
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn predict(&self, index: usize, f: FreqMhz) -> PowerPrediction {
-        let op = &self.ops[index];
+        let op = self.fitted(&self.fits[index]);
         let v = self.voltage.volts(f);
         let fv2 = f.ghz() * v * v;
         let soc_base = op.alpha_soc * fv2 + self.calib.soc_idle.predict(f, &self.voltage);
@@ -409,6 +357,36 @@ impl PowerModel {
             0.0
         }
     }
+}
+
+/// Operator `i`'s activity factors from its record in every profile
+/// (Eq. (14), averaged over the profiles): fitted with the calibrated
+/// temperature coefficients, and with `γ = 0`.
+fn fit_op(
+    calib: &HardwareCalibration,
+    voltage: &VoltageCurve,
+    profiles: &[FreqProfile],
+    i: usize,
+) -> [OpPower; 2] {
+    let gammas = [(calib.gamma_aicore, calib.gamma_soc), (0.0, 0.0)];
+    let mut sums = [[0.0_f64; 2]; 2];
+    for p in profiles {
+        let (f, rec) = (p.freq, &p.records[i]);
+        let dt_c = rec.temp_c - calib.thermal.ambient_c;
+        let v = voltage.volts(f);
+        let fv2 = f.ghz() * v * v;
+        let idle_ai = calib.aicore_idle.predict(f, voltage);
+        let idle_soc = calib.soc_idle.predict(f, voltage);
+        for ([ai, soc], (g_ai, g_soc)) in sums.iter_mut().zip(gammas) {
+            *ai += (rec.aicore_w - idle_ai - g_ai * dt_c * v) / fv2;
+            *soc += (rec.soc_w - idle_soc - g_soc * dt_c * v) / fv2;
+        }
+    }
+    let n = profiles.len().max(1) as f64;
+    sums.map(|[ai, soc]| OpPower {
+        alpha_aicore: (ai / n).max(0.0),
+        alpha_soc: (soc / n).max(0.0),
+    })
 }
 
 /// Relative power-prediction errors of `model` against holdout profiles

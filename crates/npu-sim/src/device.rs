@@ -18,6 +18,7 @@
 //! [`Device::warm_until_steady`] runs no loop: it solves the thermal
 //! steady state of repeating a schedule in closed form.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -141,15 +142,35 @@ impl Default for SetFreqRetry {
     }
 }
 
+/// What a [`Device::run`] keeps of its per-operator measurements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordMode {
+    /// Measure every operator and keep its [`OpRecord`] in
+    /// [`RunResult::records`].
+    Keep,
+    /// Measure every operator as [`RecordMode::Keep`] does, and keep no
+    /// record. The run draws the same measurement noise, and an installed
+    /// hook still sees (and may tamper with) each record, so the device
+    /// ends in the state a recorded run leaves: the next run is the same
+    /// either way. Without a hook no record is built. For loops that
+    /// repeat a schedule and read only the run's totals.
+    Discard,
+    /// Measure no operator: no record is built and no measurement noise
+    /// is drawn, so later runs draw different noise than after a
+    /// recorded run. For sweeps that read only totals or telemetry.
+    Skip,
+}
+
 /// Options controlling one [`Device::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOptions {
     /// Core frequency at the start of the run.
     pub initial_freq: FreqMhz,
-    /// `SetFreq` dispatches, any order (sorted internally by trigger).
+    /// `SetFreq` dispatches, any order. A list already sorted by trigger
+    /// is used as it is; any other is sorted (stably) into a copy.
     pub setfreq: Vec<SetFreqCmd>,
-    /// Collect one [`OpRecord`] per operator.
-    pub collect_records: bool,
+    /// What the run keeps of its per-operator measurements.
+    pub records: RecordMode,
     /// Collect telemetry samples.
     pub collect_telemetry: bool,
     /// Telemetry sampling period, µs.
@@ -166,7 +187,7 @@ impl RunOptions {
         Self {
             initial_freq: freq,
             setfreq: Vec::new(),
-            collect_records: true,
+            records: RecordMode::Keep,
             collect_telemetry: false,
             telemetry_period_us: 1_000.0,
             setfreq_retry: None,
@@ -188,10 +209,11 @@ impl RunOptions {
         self
     }
 
-    /// Disables per-op records (saves memory on long sweeps).
+    /// Measures no operator ([`RecordMode::Skip`]; saves memory on long
+    /// sweeps).
     #[must_use]
     pub fn without_records(mut self) -> Self {
-        self.collect_records = false;
+        self.records = RecordMode::Skip;
         self
     }
 
@@ -716,8 +738,7 @@ impl Device {
         if options.collect_telemetry {
             check_sample_period(options.telemetry_period_us)?;
         }
-        let mut cmds = options.setfreq.clone();
-        for cmd in &cmds {
+        for cmd in &options.setfreq {
             if cmd.after_op >= schedule.len() {
                 return Err(DeviceError::TriggerOutOfRange {
                     index: cmd.after_op,
@@ -728,7 +749,14 @@ impl Device {
                 return Err(DeviceError::UnsupportedFrequency(cmd.target));
             }
         }
-        cmds.sort_by_key(|c| c.after_op);
+        // Compiled strategies hand over their commands sorted.
+        let cmds = if options.setfreq.is_sorted_by_key(|c| c.after_op) {
+            Cow::Borrowed(options.setfreq.as_slice())
+        } else {
+            let mut sorted = options.setfreq.clone();
+            sorted.sort_by_key(|c| c.after_op);
+            Cow::Owned(sorted)
+        };
 
         self.freq = options.initial_freq;
         let start_t = self.clock_us;
@@ -737,20 +765,24 @@ impl Device {
         // One record per operator: reserved up front, so a profile holds
         // exactly what it records instead of the slack a doubling `Vec`
         // leaves.
-        let records = if options.collect_records {
+        let keep_records = options.records == RecordMode::Keep;
+        let records = if keep_records {
             Vec::with_capacity(schedule.len())
         } else {
             Vec::new()
         };
+        // The initial point plus at most one apply per command.
+        let mut freq_trace = Vec::with_capacity(options.setfreq.len() + 1);
+        freq_trace.push((start_t, self.freq));
         let mut result = RunResult {
-            freq_trace: vec![(start_t, self.freq)],
+            freq_trace,
             records,
             ..RunResult::default()
         };
         let mut energy_ai_wus = 0.0; // W·µs
         let mut energy_soc_wus = 0.0;
         let mut next_sample = start_t;
-        let mut cmd_iter = cmds.into_iter().peekable();
+        let mut cmd_iter = cmds.iter().copied().peekable();
         // The uncore clock is fixed for the run; the core clock and (with
         // drift) the configuration change the constants below.
         let floor = uncore_idle_floor(&self.eff, self.uncore_scale);
@@ -832,17 +864,24 @@ impl Device {
                 self.dispatch_setfreq(cmd.target, 1, &mut pending, &mut retries, options);
             }
 
-            if options.collect_records {
+            // A discarded measurement draws its noise all the same, so the
+            // noise stream does not depend on whether records are kept.
+            if options.records != RecordMode::Skip {
+                let ai_noise = self.noise.factor(self.cfg.power_noise_sd);
+                let soc_noise = self.noise.factor(self.cfg.power_noise_sd);
+                let temp_noise = self.noise.normal(0.0, self.cfg.temp_noise_sd_c);
+                if !keep_records && self.hook.is_none() {
+                    continue; // nothing to keep, and no hook to show it to
+                }
                 let dur = self.clock_us - op_start;
                 let (p_ai_avg, p_soc_avg) = if dur > 0.0 {
                     (op_energy_ai / dur, op_energy_soc / dur)
                 } else {
                     (0.0, 0.0)
                 };
-                let m_ai = p_ai_avg * self.noise.factor(self.cfg.power_noise_sd);
-                let m_soc = p_soc_avg * self.noise.factor(self.cfg.power_noise_sd);
-                let mut m_temp =
-                    self.thermal.temp_c() + self.noise.normal(0.0, self.cfg.temp_noise_sd_c);
+                let m_ai = p_ai_avg * ai_noise;
+                let m_soc = p_soc_avg * soc_noise;
+                let mut m_temp = self.thermal.temp_c() + temp_noise;
                 if let Some(h) = &self.hook {
                     m_temp += h.with(|hk| hk.temp_offset_c(self.clock_us));
                 }
@@ -860,12 +899,12 @@ impl Device {
                     temp_c: m_temp,
                     traffic_bytes: op.total_traffic_bytes(),
                 };
-                match &self.hook {
-                    None => result.records.push(record),
+                let record = match &self.hook {
+                    None => record,
                     Some(h) => {
                         let orig_dur = record.dur_us;
                         match h.with(|hk| hk.on_record(record)) {
-                            RecordFate::Keep(r) => result.records.push(r),
+                            RecordFate::Keep(r) => r,
                             RecordFate::Tampered(r, kind) => {
                                 if self.obs.enabled() {
                                     self.obs.emit(Event::FaultInjected {
@@ -874,10 +913,13 @@ impl Device {
                                         magnitude: r.dur_us - orig_dur,
                                     });
                                 }
-                                result.records.push(r);
+                                r
                             }
                         }
                     }
+                };
+                if keep_records {
+                    result.records.push(record);
                 }
             }
         }

@@ -59,7 +59,9 @@ mod timeline;
 pub mod trace;
 
 pub use config::{ConfigError, Micros, NpuConfig, NpuConfigBuilder};
-pub use device::{Device, DeviceError, RunOptions, RunResult, Schedule, SetFreqCmd, SetFreqRetry};
+pub use device::{
+    Device, DeviceError, RecordMode, RunOptions, RunResult, Schedule, SetFreqCmd, SetFreqRetry,
+};
 pub use drift::DriftModel;
 pub use freq::{FreqMhz, FreqTableError, FrequencyTable, VoltageCurve};
 pub use hook::{DeviceHook, HookHandle, RecordFate, SampleFate, SetFreqFate};

@@ -10,11 +10,16 @@
 //! a change to the warm-up moves only the warmed column. After a
 //! deliberate change of outputs, run with `--nocapture` and copy the
 //! printed table.
+//!
+//! A record-free run ([`RecordMode::Discard`]) is compared with a
+//! recorded one in five of the cases (plain, SetFreq mid-op, drift,
+//! telemetry and a fault hook), and pinned on the drift case, the path a
+//! served iteration takes.
 
 use dvfs_repro::core::cache::Fingerprint;
 use dvfs_repro::fault::FaultInjector;
 use dvfs_repro::prelude::*;
-use dvfs_repro::sim::{DeviceHook, HookHandle, OpClass, RunResult, SetFreqCmd};
+use dvfs_repro::sim::{DeviceHook, HookHandle, OpClass, RecordMode, RunResult, SetFreqCmd};
 use std::sync::{Arc, Mutex};
 
 /// A case's device set-up and run options.
@@ -24,7 +29,7 @@ type Setup = fn(&mut Device, &Schedule) -> RunOptions;
 /// then cold.
 type Pin = (&'static str, Setup, u64, u64);
 
-const PINS: [Pin; 6] = [
+const PINS: [Pin; 7] = [
     ("plain", plain, 0xBF76893B45886301, 0xEE2253BAFCC74596),
     (
         "setfreq_mid_op",
@@ -50,6 +55,12 @@ const PINS: [Pin; 6] = [
         fault_hook,
         0x9130DE5652297ED2,
         0x172F15D888DF2FAF,
+    ),
+    (
+        "record_free",
+        record_free,
+        0x5CE1E1ACB82A3552,
+        0x7FDED913ABE0D7F4,
     ),
 ];
 
@@ -119,6 +130,14 @@ fn fault_hook(dev: &mut Device, s: &Schedule) -> RunOptions {
     RunOptions::at(dev.config().freq_table.max())
         .with_setfreq(setfreq_cmds(dev, s))
         .with_telemetry(50.0)
+}
+
+/// The `drift` run, keeping no records.
+fn record_free(dev: &mut Device, s: &Schedule) -> RunOptions {
+    RunOptions {
+        records: RecordMode::Discard,
+        ..drift(dev, s)
+    }
 }
 
 /// Mixes `floats` into `fp` by bit pattern.
@@ -206,4 +225,67 @@ fn device_loop_outputs_match_the_recorded_pins() {
 #[test]
 fn cold_device_runs_match_the_recorded_pins() {
     check_column(false);
+}
+
+/// The fingerprint of one run alone.
+fn run_bits(r: &RunResult) -> u64 {
+    let mut fp = Fingerprint::new("run");
+    push_run(&mut fp, r);
+    fp.finish()
+}
+
+/// Clock, temperature and frequency, by bits.
+fn state_bits(dev: &Device) -> (u64, u64, FreqMhz) {
+    (dev.clock_us().to_bits(), dev.temp_c().to_bits(), dev.freq())
+}
+
+#[test]
+fn record_free_runs_match_recorded_runs() {
+    let cases: [(&str, Setup); 5] = [
+        ("plain", plain),
+        ("setfreq_mid_op", setfreq_mid_op),
+        ("drift", drift),
+        ("telemetry", telemetry),
+        ("fault_hook", fault_hook),
+    ];
+    for profile in profile::builtins() {
+        let cfg = profile.config().clone();
+        let s = schedule(&cfg);
+        for (name, setup) in cases {
+            for warm in [false, true] {
+                // Two devices in the same state, each with its own hook.
+                let [(mut kept, opts), (mut free, _)] = [(); 2].map(|()| {
+                    let mut dev = Device::with_seed(cfg.clone(), 0x5EED);
+                    let opts = setup(&mut dev, &s);
+                    if warm {
+                        dev.warm_until_steady(&s, opts.initial_freq).unwrap();
+                    }
+                    (dev, opts)
+                });
+                let case = format!("{} {name} warm={warm}", profile.name());
+                let recorded = kept.run(&s, &opts).unwrap();
+                let discarded = free
+                    .run(
+                        &s,
+                        &RunOptions {
+                            records: RecordMode::Discard,
+                            ..opts.clone()
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(recorded.records.len(), s.len(), "{case}");
+                assert_eq!(discarded.records.capacity(), 0, "{case}");
+                let without_records = RunResult {
+                    records: Vec::new(),
+                    ..recorded
+                };
+                assert_eq!(run_bits(&without_records), run_bits(&discarded), "{case}");
+                assert_eq!(state_bits(&kept), state_bits(&free), "{case}");
+                // Same noise stream and hook state: the next recorded runs
+                // match bit for bit.
+                let next = [&mut kept, &mut free].map(|dev| run_bits(&dev.run(&s, &opts).unwrap()));
+                assert_eq!(next[0], next[1], "{case}");
+            }
+        }
+    }
 }
