@@ -1,7 +1,9 @@
 //! Drives a simulated device through the paper's offline calibration
 //! procedure (Fig. 11, "Offline Computation"): idle-state measurements at
 //! two frequencies, a test load followed by a cool-down observation for
-//! `γ`, and equilibrium runs under several loads for `k`.
+//! `γ`, and equilibrium runs under several loads for `k`. Each load reaches
+//! its thermal equilibrium through [`Device::warm_until_steady`], the
+//! closed-form steady state profiling warms to as well.
 
 use crate::calib::{fit_gamma, CalibrationError, HardwareCalibration, IdleFit, ThermalFit};
 use npu_obs::{Event, Phase};
@@ -16,15 +18,10 @@ pub struct CalibrationOptions {
     pub idle_freqs: Vec<FreqMhz>,
     /// How long to observe each idle point, µs.
     pub idle_observe_us: f64,
-    /// How long to run the test load before the cool-down, µs.
-    pub heat_us: f64,
     /// Cool-down observation length, µs.
     pub cooldown_us: f64,
     /// Cool-down sampling period, µs.
     pub cooldown_sample_us: f64,
-    /// How long each equilibrium load runs for the `k` fit, µs (several
-    /// thermal time constants).
-    pub equilibrium_us: f64,
 }
 
 impl Default for CalibrationOptions {
@@ -32,10 +29,8 @@ impl Default for CalibrationOptions {
         Self {
             idle_freqs: vec![FreqMhz::new(1000), FreqMhz::new(1800)],
             idle_observe_us: 30_000.0,
-            heat_us: 10.0e6,
             cooldown_us: 8.0e6,
             cooldown_sample_us: 5_000.0,
-            equilibrium_us: 10.0e6,
         }
     }
 }
@@ -107,36 +102,24 @@ impl From<CalibrationError> for DeviceCalibrationError {
     }
 }
 
-fn run_until(
-    dev: &mut Device,
-    schedule: &Schedule,
-    freq: FreqMhz,
-    duration_us: f64,
-) -> Result<(f64, f64), DeviceError> {
-    // Repeats the schedule until `duration_us` has elapsed; returns the
-    // average AICore/SoC power of the final repetition.
-    let start = dev.clock_us();
-    let mut last = (0.0, 0.0);
-    while dev.clock_us() - start < duration_us {
-        let r = dev.run(schedule, &RunOptions::at(freq).without_records())?;
-        last = (r.avg_aicore_w(), r.avg_soc_w());
-        if r.duration_us <= 0.0 {
-            break; // empty schedule cannot make progress
-        }
-    }
-    Ok(last)
-}
-
 /// Runs the full offline calibration on `dev`.
 ///
 /// `test_load` heats the chip for the `γ` cool-down fit; `equilibrium_loads`
 /// (two or more schedules of different intensity) provide the
-/// `(P_soc, T_eq)` points for the `k` fit, as in paper Fig. 10.
+/// `(P_soc, T_eq)` points for the `k` fit, as in paper Fig. 10. All loads
+/// run at the ladder's top frequency. The chip reaches each load's thermal
+/// steady state through [`Device::warm_until_steady`]; the idle points,
+/// the cool-down and one record-free run per equilibrium load are
+/// simulated, because they are the measurements.
 ///
 /// # Errors
 ///
 /// Returns [`DeviceCalibrationError`] if a run fails, data is degenerate,
-/// or fewer than two equilibrium loads are supplied.
+/// or fewer than two equilibrium loads are supplied. A drift model that
+/// ages the chip past its thermal stability line during a warm-up is
+/// [`DeviceCalibrationError::Device`] wrapping
+/// [`DeviceError::ThermalRunaway`]: such a chip has no equilibrium to
+/// measure.
 pub fn calibrate_device(
     dev: &mut Device,
     test_load: &Schedule,
@@ -168,10 +151,11 @@ pub fn calibrate_device(
     let aicore_idle = IdleFit::fit(&ai_pts, &voltage)?;
     let soc_idle = IdleFit::fit(&soc_pts, &voltage)?;
 
-    // 2. γ from the post-load cool-down: heat up, then watch power fall
-    //    with temperature at fixed frequency/voltage.
+    // 2. γ from the post-load cool-down: warm to the test load's steady
+    //    state, then watch power fall with temperature at fixed
+    //    frequency/voltage.
     dev.reset();
-    run_until(dev, test_load, fmax, opts.heat_us)?;
+    dev.warm_until_steady(test_load, fmax)?;
     let cooldown = dev.observe_idle(opts.cooldown_us, opts.cooldown_sample_us)?;
     let v = voltage.volts(fmax);
     let ai_ct: Vec<(f64, f64)> = cooldown.iter().map(|s| (s.temp_c, s.aicore_w)).collect();
@@ -179,12 +163,15 @@ pub fn calibrate_device(
     let gamma_aicore = fit_gamma(&ai_ct, v)?;
     let gamma_soc = fit_gamma(&soc_ct, v)?;
 
-    // 3. k from equilibrium temperature under different loads (Fig. 10).
+    // 3. k from equilibrium temperature under different loads (Fig. 10):
+    //    one run at each load's steady state gives its SoC power and the
+    //    temperature it holds.
     let mut k_pts = Vec::new();
     for load in equilibrium_loads {
         dev.reset();
-        let (_, soc_w) = run_until(dev, load, fmax, opts.equilibrium_us)?;
-        k_pts.push((soc_w, dev.temp_c()));
+        dev.warm_until_steady(load, fmax)?;
+        let run = dev.run(load, &RunOptions::at(fmax).without_records())?;
+        k_pts.push((run.avg_soc_w(), dev.temp_c()));
     }
     let thermal = ThermalFit::fit(&k_pts)?;
 
@@ -225,8 +212,8 @@ mod tests {
     use npu_sim::{NpuConfig, OpDescriptor, Scenario};
 
     fn quiet_cfg() -> NpuConfig {
-        // Noise-free device and a fast thermal constant keep the test quick
-        // while preserving the calibration structure.
+        // Noise-free device; the fast thermal constant lets `fast_opts`'
+        // short cool-down span two time constants.
         NpuConfig::builder()
             .noise(0.0, 0.0, 0.0)
             .thermal_tau_us(2.0e5)
@@ -253,10 +240,8 @@ mod tests {
     fn fast_opts() -> CalibrationOptions {
         CalibrationOptions {
             idle_observe_us: 10_000.0,
-            heat_us: 8.0e5,
             cooldown_us: 4.0e5,
             cooldown_sample_us: 5_000.0,
-            equilibrium_us: 1.2e6,
             ..CalibrationOptions::default()
         }
     }
@@ -328,6 +313,38 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DeviceCalibrationError::NoLoads));
+    }
+
+    #[test]
+    fn calibration_of_a_chip_aging_past_its_stability_line_is_a_runaway_error() {
+        use npu_sim::DriftModel;
+        use npu_workloads::{models, ops};
+
+        // Loop gain 0.88 at the top frequency; γ aging of up to +50 %
+        // takes it past 1 within the first warm-up.
+        let cfg = NpuConfig::builder().thermal_coupling(1.0).build().unwrap();
+        let mut dev = Device::new(cfg.clone());
+        dev.set_drift(DriftModel::none().with_gamma_aging(0.5, 0.5));
+        let heat = models::operator_loop(ops::matmul(&cfg, "Heat", 4096, 4096, 4096, 0.5), 24);
+        let loads = vec![
+            models::tanh_loop(&cfg, 24).schedule().clone(),
+            models::tiny(&cfg).schedule().clone(),
+            heat.schedule().clone(),
+        ];
+        let err = calibrate_device(
+            &mut dev,
+            heat.schedule(),
+            &loads,
+            &CalibrationOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DeviceCalibrationError::Device(DeviceError::ThermalRunaway(_))
+            ),
+            "{err}"
+        );
     }
 
     #[test]

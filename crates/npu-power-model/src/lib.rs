@@ -23,17 +23,14 @@
 //! use npu_perf_model::FreqProfile;
 //! use npu_power_model::{calibrate_device, CalibrationOptions, PowerModel};
 //!
-//! let cfg = NpuConfig::builder().thermal_tau_us(2.0e5).build()?;
+//! let cfg = NpuConfig::ascend_like();
 //! let mut dev = Device::new(cfg.clone());
 //! let tiny = models::tiny(&cfg);
 //! let loads: Vec<Schedule> = vec![
 //!     models::softmax_loop(&cfg, 50).schedule().clone(),
 //!     models::tiny(&cfg).schedule().clone(),
 //! ];
-//! let opts = CalibrationOptions {
-//!     heat_us: 6.0e5, cooldown_us: 4.0e5, equilibrium_us: 1.0e6,
-//!     ..CalibrationOptions::default()
-//! };
+//! let opts = CalibrationOptions::default();
 //! let calib = calibrate_device(&mut dev, &loads[1], &loads, &opts)?;
 //! let profiles: Vec<FreqProfile> = [1000u32, 1800]
 //!     .iter()

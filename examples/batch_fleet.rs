@@ -41,8 +41,10 @@ fn run_batch(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = NpuConfig::ascend_like();
-    // Oracle calibration keeps the example quick; swap in
-    // `EnergyOptimizer::calibrated(cfg)` for the measured procedure.
+    // Ground-truth calibration: the example is about the shared cache,
+    // and the oracle keeps calibration's measurement error out of its
+    // reports. `EnergyOptimizer::calibrated(cfg)` runs the measured
+    // procedure instead.
     let calib = HardwareCalibration::ground_truth(&cfg);
     let batch = [
         models::tiny(&cfg),

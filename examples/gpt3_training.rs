@@ -20,8 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.op_count()
     );
 
-    // The oracle calibration skips the ~40 s (virtual) offline phase; use
-    // `EnergyOptimizer::calibrated(cfg)` to run it for real.
+    // Ground-truth calibration keeps calibration's measurement error out
+    // of the table, so each row shows the search and the executor alone;
+    // `EnergyOptimizer::calibrated(cfg)` runs the measured procedure.
     let calib = npu_power_model::HardwareCalibration::ground_truth(&cfg);
     let mut optimizer = EnergyOptimizer::new(Device::new(cfg.clone()), calib);
 

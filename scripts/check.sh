@@ -32,12 +32,14 @@ echo "==> profile lint (parse + validate + fixed-point check for profiles/*.toml
 # serialization fixed point, or if a required profile is missing.
 cargo run --quiet --release --example profile_lint > /dev/null
 
-echo "==> quickstart smoke on two device profiles (ascend default + v100-class)"
-# The full Fig. 1 loop must complete on more than the Ascend regression
-# pin: the coarse-ladder 15 ms-SetFreq V100-class profile exercises the
+echo "==> quickstart smoke on every built-in device profile (ascend default, v100-class, edge-npu)"
+# The full Fig. 1 loop, measured calibration included, must complete on
+# more than the Ascend regression pin: the coarse-ladder 15 ms-SetFreq
+# V100-class profile and the sparse 4-point edge-npu ladder exercise the
 # ladder-derived calibration/build-frequency defaults end to end.
 cargo run --quiet --release --example quickstart > /dev/null
 NPU_PROFILE=v100-class cargo run --quiet --release --example quickstart > /dev/null
+NPU_PROFILE=edge-npu cargo run --quiet --release --example quickstart > /dev/null
 
 echo "==> paper bins that warm the device to its thermal steady state"
 # fig10_thermal is self-checking: it exits non-zero unless its pooled

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 type Pin = (&'static str, fn(&mut Fingerprint), u64);
 
 const PINS: [Pin; 5] = [
-    ("calibration", calibration, 0x650EEE7E1C763EEC),
+    ("calibration", calibration, 0x479B38B43BD2BDE1),
     ("cold_warm_session", cold_warm_session, 0x501AED5D76E53566),
     ("hooked_session", hooked_session, 0x87809A4A75B425CC),
     ("serve_ladder", serve_ladder, 0x21EDF331553C516A),

@@ -2,19 +2,9 @@
 //! Sect. 7.3 protocol at test scale).
 
 use dvfs_repro::prelude::*;
-use npu_power_model::{validation_errors, ErrorDistribution, PowerDomain};
+use npu_power_model::{validation_errors, ErrorDistribution, HardwareCalibration, PowerDomain};
 
-fn fast_calibration_options() -> CalibrationOptions {
-    CalibrationOptions {
-        heat_us: 3.0e6,
-        cooldown_us: 2.0e6,
-        cooldown_sample_us: 20_000.0,
-        equilibrium_us: 6.0e6,
-        ..CalibrationOptions::default()
-    }
-}
-
-fn calibrated_device(cfg: &NpuConfig) -> (Device, npu_power_model::HardwareCalibration) {
+fn calibrated_device(cfg: &NpuConfig) -> (Device, HardwareCalibration) {
     let mut dev = Device::new(cfg.clone());
     let heat = models::operator_loop(ops::matmul(cfg, "Heat", 4096, 4096, 4096, 0.5), 24);
     let loads = vec![
@@ -26,7 +16,7 @@ fn calibrated_device(cfg: &NpuConfig) -> (Device, npu_power_model::HardwareCalib
         &mut dev,
         heat.schedule(),
         &loads,
-        &fast_calibration_options(),
+        &CalibrationOptions::default(),
     )
     .expect("calibration succeeds");
     (dev, calib)
@@ -117,16 +107,71 @@ fn calibration_recovers_physical_constants() {
     let cfg = NpuConfig::ascend_like();
     let (_dev, calib) = calibrated_device(&cfg);
     assert!(
-        (calib.gamma_aicore - cfg.gamma_aicore_w_per_k_v).abs() < 0.1,
+        (calib.gamma_aicore - cfg.gamma_aicore_w_per_k_v).abs() < 0.05,
         "gamma {} vs truth {}",
         calib.gamma_aicore,
         cfg.gamma_aicore_w_per_k_v
     );
     assert!(
-        (calib.thermal.k_c_per_w - cfg.k_c_per_w).abs() < 0.03,
+        (calib.thermal.k_c_per_w - cfg.k_c_per_w).abs() < 0.005,
         "k {} vs truth {}",
         calib.thermal.k_c_per_w,
         cfg.k_c_per_w
+    );
+
+    // Without noise the procedure lands on the truth: γ is read off an
+    // exact cool-down, and each `k` point sits at its load's steady state.
+    // edge-npu's k and T0 keep a bias that does not come from the
+    // warm-up: its heat load runs 0.16 s against τ = 0.5 s, so the
+    // temperature a run ends at is not the mean its power implies. They
+    // are held to the errors calibration had when it still simulated
+    // 10 s of each load (1.402e-3 and 0.0349 °C).
+    let mut misses = Vec::new();
+    for p in dvfs_repro::sim::profile::builtins() {
+        let (k_rel, t0_c) = match p.name() {
+            "edge-npu" => (1.403e-3, 0.0349),
+            _ => (1e-4, 0.01),
+        };
+        let mut cfg = p.config().clone();
+        cfg.exec_noise_sd = 0.0;
+        cfg.power_noise_sd = 0.0;
+        cfg.temp_noise_sd_c = 0.0;
+        let got = *EnergyOptimizer::calibrated(cfg.clone())
+            .expect("calibration succeeds")
+            .calibration();
+        let truth = HardwareCalibration::ground_truth(&cfg);
+        let rel = |got: f64, truth: f64| ((got - truth) / truth).abs();
+        let rows = [
+            (
+                "k (relative)",
+                rel(got.thermal.k_c_per_w, truth.thermal.k_c_per_w),
+                k_rel,
+            ),
+            (
+                "T0 (°C)",
+                (got.thermal.ambient_c - truth.thermal.ambient_c).abs(),
+                t0_c,
+            ),
+            (
+                "gamma_aicore (relative)",
+                rel(got.gamma_aicore, truth.gamma_aicore),
+                1e-9,
+            ),
+            (
+                "gamma_soc (relative)",
+                rel(got.gamma_soc, truth.gamma_soc),
+                1e-9,
+            ),
+        ];
+        for (param, err, bound) in rows {
+            if err.is_nan() || err > bound {
+                misses.push(format!("{} {param}: {err:.4e} > {bound:e}", p.name()));
+            }
+        }
+    }
+    assert!(
+        misses.is_empty(),
+        "noise-free calibration misses: {misses:#?}"
     );
 }
 
