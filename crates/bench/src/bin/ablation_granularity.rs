@@ -5,9 +5,13 @@
 //!
 //! All strategies are generated against the same models and budget
 //! (2 % loss) and *executed* on the same device; measured numbers below.
+//! Losses are the paper's `1 − B/T`. Exits non-zero when a strategy's
+//! predicted time misses the [`LossBudget`] bound `T ≤ B/(1−ℓ)`.
 
 use npu_bench::{build_models, steady_profiles};
-use npu_dvfs::{phase_level, preprocess::preprocess, program_level, search, GaConfig, StageTable};
+use npu_dvfs::{
+    phase_level, preprocess::preprocess, program_level, search, GaConfig, LossBudget, StageTable,
+};
 use npu_exec::{execute_strategy, ExecutorOptions};
 use npu_perf_model::FitFunction;
 use npu_sim::{Device, FreqMhz, NpuConfig};
@@ -36,10 +40,11 @@ fn main() {
         "granularity", "SetFreq", "loss%", "AIC_red%", "pred_loss%", "pred_red%"
     );
     let pred_base = table.baseline();
-    let report = |label: &str,
-                  strategy: &npu_dvfs::DvfsStrategy,
-                  predicted: &npu_dvfs::Evaluation,
-                  dev: &mut Device| {
+    let mut missed = Vec::new();
+    let mut report = |label: &str,
+                      strategy: &npu_dvfs::DvfsStrategy,
+                      predicted: &npu_dvfs::Evaluation,
+                      dev: &mut Device| {
         let exec = execute_strategy(
             dev,
             workload.schedule(),
@@ -52,11 +57,14 @@ fn main() {
             "{:<26} {:>8} {:>9.2} {:>9.2} {:>10.2} {:>10.2}",
             label,
             strategy.setfreq_count(FreqMhz::new(1800)),
-            100.0 * (exec.result.duration_us / baseline_time - 1.0),
+            100.0 * LossBudget::measured(baseline_time, exec.result.duration_us),
             100.0 * (1.0 - exec.result.avg_aicore_w() / baseline_power),
-            100.0 * (predicted.time_us / pred_base.time_us - 1.0),
+            100.0 * LossBudget::measured(pred_base.time_us, predicted.time_us),
             100.0 * (1.0 - predicted.aicore_w() / pred_base.aicore_w())
         );
+        if !LossBudget(target).meets(pred_base.time_us, predicted.time_us) {
+            missed.push(label.to_owned());
+        }
     };
 
     let prog = program_level(&table, target);
@@ -92,4 +100,8 @@ fn main() {
 
     println!("\n# expectation: finer granularity saves more power inside the same");
     println!("# loss budget — the case for millisecond-level DVFS control.");
+    if !missed.is_empty() {
+        eprintln!("predicted time over the loss budget: {}", missed.join(", "));
+        std::process::exit(1);
+    }
 }

@@ -14,6 +14,7 @@
 //! uncore setting with the fine-grained core-DVFS strategy.
 
 use npu_core::{EnergyOptimizer, OptimizerConfig};
+use npu_dvfs::LossBudget;
 use npu_power_model::HardwareCalibration;
 use npu_sim::{Device, FreqMhz, NpuConfig, RunOptions};
 use npu_workloads::models;
@@ -51,7 +52,7 @@ fn main() {
                 "{:<10} {:>8.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
                 format!("{core} MHz"),
                 scale,
-                100.0 * (run.duration_us / base.duration_us - 1.0),
+                100.0 * LossBudget::measured(base.duration_us, run.duration_us),
                 run.avg_soc_w(),
                 100.0 * (1.0 - run.avg_soc_w() / base.avg_soc_w()),
                 100.0 * (1.0 - run.avg_aicore_w() / base.avg_aicore_w()),

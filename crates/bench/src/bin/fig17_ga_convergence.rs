@@ -5,9 +5,12 @@
 //! Expected shape: stricter targets converge faster; everything converges
 //! well within 500 iterations; at the 2 % target the LFC/HFC prior
 //! individual is already near-optimal. Also runs the prior-less ablation.
+//!
+//! Exits non-zero when, at any target, the returned strategy misses the
+//! [`LossBudget`] bound `T ≤ B/(1−ℓ)` or scores below generation 0.
 
 use npu_bench::{build_models, split_profiles, steady_profiles};
-use npu_dvfs::{preprocess::preprocess, search, GaConfig, StageTable};
+use npu_dvfs::{preprocess::preprocess, search, GaConfig, LossBudget, StageTable};
 use npu_perf_model::FitFunction;
 use npu_sim::{Device, NpuConfig};
 use npu_workloads::models;
@@ -33,6 +36,7 @@ fn main() {
     let seeded = GaConfig::default().with_oracle_seeds(8);
     let targets = [0.02, 0.04, 0.06, 0.08, 0.10];
     let mut traces = Vec::new();
+    let mut failures = Vec::new();
     for &t in &targets {
         let ga = seeded.clone().with_loss_target(t);
         let start = Instant::now();
@@ -52,6 +56,12 @@ fn main() {
             out.best_score,
             out.evaluations,
         );
+        if !LossBudget(t).meets(table.baseline().time_us, out.best_eval.time_us) {
+            failures.push(format!("target {t}: strategy misses the loss budget"));
+        }
+        if out.best_score < out.score_trace[0] {
+            failures.push(format!("target {t}: final score below generation 0"));
+        }
         traces.push(out.score_trace);
     }
 
@@ -84,4 +94,10 @@ fn main() {
         without.score_trace[0], without.best_score
     );
     println!("# paper: at the 2% target the introduced prior individuals are already optimal");
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("{failure}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -10,7 +10,7 @@
 
 use npu_bench::{build_models, steady_profiles};
 use npu_core::model_free_search;
-use npu_dvfs::{preprocess::preprocess, search, GaConfig, StageTable};
+use npu_dvfs::{preprocess::preprocess, search, GaConfig, LossBudget, StageTable};
 use npu_exec::{execute_strategy, ExecutorOptions};
 use npu_perf_model::FitFunction;
 use npu_sim::{Device, NpuConfig};
@@ -58,7 +58,7 @@ fn main() {
     );
     println!(
         "  measured: loss {:+.2}%, AICore {:.2} W ({:+.2}%)",
-        100.0 * (mb_exec.result.duration_us / baseline_time - 1.0),
+        100.0 * LossBudget::measured(baseline_time, mb_exec.result.duration_us),
         mb_exec.result.avg_aicore_w(),
         100.0 * (1.0 - mb_exec.result.avg_aicore_w() / baseline_power)
     );
@@ -79,7 +79,7 @@ fn main() {
         );
         println!(
             "  best measured: loss {:+.2}%, AICore {:.2} W ({:+.2}%)",
-            100.0 * (mf.best_eval.time_us / baseline_time - 1.0),
+            100.0 * LossBudget::measured(baseline_time, mf.best_eval.time_us),
             mf.best_eval.aicore_w(),
             100.0 * (1.0 - mf.best_eval.aicore_w() / baseline_power)
         );

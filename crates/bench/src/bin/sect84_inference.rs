@@ -3,6 +3,7 @@
 //! dispatches slower than the NPU executes), trading a small performance
 //! loss for large power cuts.
 
+use npu_dvfs::LossBudget;
 use npu_sim::{Device, FreqMhz, NpuConfig, OpClass, RunOptions};
 use npu_workloads::models;
 
@@ -43,7 +44,7 @@ fn main() {
             "{:<10} {:>9.2} {:>8.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             f.to_string(),
             run.duration_us / 1000.0,
-            100.0 * (run.duration_us / base.duration_us - 1.0),
+            100.0 * LossBudget::measured(base.duration_us, run.duration_us),
             run.avg_soc_w(),
             100.0 * (1.0 - run.avg_soc_w() / base.avg_soc_w()),
             run.avg_aicore_w(),

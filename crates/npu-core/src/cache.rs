@@ -235,7 +235,10 @@ pub fn search_key(model_key: u64, fai_us: f64, opts: &OptimizerConfig) -> u64 {
     // v4: sessions run the exact solver instead of the GA, so the
     // strategy under a key changed wherever the solver beats the GA,
     // and only the loss target and the warm seeds are hashed.
-    let mut fp = Fingerprint::new("npu-core/search/v4");
+    // v5: the score's bonus and the ascent test the loss budget as
+    // T ≤ B/(1−ℓ) (`npu_dvfs::LossBudget`), which rounds differently
+    // from their former B/T ≥ 1−ℓ at the ceiling.
+    let mut fp = Fingerprint::new("npu-core/search/v5");
     fp.push_u64(model_key);
     fp.push_f64(fai_us);
     fp.push_f64(opts.ga.perf_loss_target);

@@ -93,7 +93,7 @@ use crate::serve::{
     degradation_rank, validate_serve_options, ConfigError, ServeOptions, ServeOutcome,
     ServeRuntime, ServeState,
 };
-use npu_dvfs::GaOutcome;
+use npu_dvfs::{GaOutcome, LossBudget};
 use npu_exec::{execute_resilient, Degradation};
 use npu_fault::{FaultInjector, FaultPlan, FleetFaultPlan};
 use npu_obs::{Event, ObserverHandle};
@@ -1154,11 +1154,14 @@ impl FleetController {
         // The fallback guardrail's latency SLA is baseline-anchored, but
         // an energy-optimal strategy legitimately trades up to the search's
         // allowed performance loss against the baseline — widen the
-        // slack accordingly, or no strategy searched under a loss target
-        // could ever pass probation.
+        // slack to the loss budget's ceiling, or no strategy searched
+        // under a loss target could ever pass probation. The clamp keeps
+        // the slack finite.
         let mut opts = self.serve.fallback;
         let loss = self.opts.ga.perf_loss_target.clamp(0.0, 0.95);
-        opts.guardrail.sla_slack /= 1.0 - loss;
+        if let Some(slack) = LossBudget(loss).ceiling(opts.guardrail.sla_slack) {
+            opts.guardrail.sla_slack = slack;
+        }
         for _ in 0..self.health.probation_iterations {
             match execute_resilient(
                 &mut shadow,

@@ -1,6 +1,6 @@
 //! Optimization reports: measured baseline vs. DVFS-optimized iteration.
 
-use npu_dvfs::Evaluation;
+use npu_dvfs::{Evaluation, LossBudget};
 use npu_sim::RunResult;
 use std::fmt;
 
@@ -60,11 +60,11 @@ pub struct OptimizationReport {
 }
 
 impl OptimizationReport {
-    /// Measured relative performance loss (positive = slower than
-    /// baseline).
+    /// Measured performance loss `1 − B/T`, the paper's definition
+    /// ([`LossBudget::measured`]; positive = slower than baseline).
     #[must_use]
     pub fn perf_loss(&self) -> f64 {
-        self.optimized.time_us / self.baseline.time_us - 1.0
+        LossBudget::measured(self.baseline.time_us, self.optimized.time_us)
     }
 
     /// Measured AICore power reduction (positive = saved power).

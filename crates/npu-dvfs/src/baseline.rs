@@ -3,12 +3,13 @@
 //! Prior GPU work applies DVFS at the granularity of a whole program run
 //! (paper refs. [2, 3, 12, 15]) or of multi-second sub-phases (refs.
 //! [32, 38, 39, 46, 47]). These baselines search the same objective as the
-//! fine-grained GA — minimum average AICore power subject to a
-//! performance lower bound — but with one frequency for the whole
+//! fine-grained GA — minimum average AICore power subject to the
+//! [`LossBudget`] bound — but with one frequency for the whole
 //! iteration, or one per contiguous phase. Comparing them against the
 //! operator-level search quantifies the benefit of millisecond DVFS, the
 //! paper's core motivation.
 
+use crate::budget::LossBudget;
 use crate::engine::IncrementalEval;
 use crate::strategy::{DvfsStrategy, Evaluation, StageTable};
 use npu_sim::FreqMhz;
@@ -38,8 +39,7 @@ pub fn program_level(table: &StageTable, perf_loss_target: f64) -> BaselineOutco
     let mut best: Option<(usize, Evaluation)> = None;
     for g in 0..table.n_freqs() {
         let eval = table.evaluate(&vec![g; n]);
-        let meets = eval.time_us <= baseline_time * (1.0 + perf_loss_target) + 1e-9;
-        if !meets {
+        if !LossBudget(perf_loss_target).meets(baseline_time, eval.time_us) {
             continue;
         }
         let better = match &best {
@@ -98,7 +98,7 @@ pub fn phase_level(table: &StageTable, n_phases: usize, perf_loss_target: f64) -
         acc += s.dur_us;
     }
 
-    let budget = table.baseline().time_us * (1.0 + perf_loss_target) + 1e-9;
+    let baseline_time = table.baseline().time_us;
     let mut phase_gene = vec![max_gene; n_phases];
     let genes_for = |pg: &[usize]| -> Vec<usize> { (0..n).map(|i| pg[phase_of[i]]).collect() };
     // A scratch incremental evaluator hops between trial genomes,
@@ -116,7 +116,7 @@ pub fn phase_level(table: &StageTable, n_phases: usize, perf_loss_target: f64) -
             trial[p] -= 1;
             scratch.assign(&genes_for(&trial));
             let eval = scratch.eval();
-            if eval.time_us > budget {
+            if !LossBudget(perf_loss_target).meets(baseline_time, eval.time_us) {
                 continue;
             }
             let saved = current.aicore_w() - eval.aicore_w();
@@ -196,7 +196,7 @@ mod tests {
         let t = table(8);
         let out = program_level(&t, 0.02);
         let base = t.baseline().time_us;
-        assert!(out.eval.time_us <= base * 1.02 + 1e-6);
+        assert!(LossBudget(0.02).meets(base, out.eval.time_us));
         // Uniform: no switches needed.
         assert_eq!(out.strategy.setfreq_count(out.strategy.freqs()[0]), 0);
     }
@@ -222,7 +222,7 @@ mod tests {
             prog.eval.aicore_w()
         );
         let base = t.baseline().time_us;
-        assert!(phase.eval.time_us <= base * (1.0 + target) + 1e-6);
+        assert!(LossBudget(target).meets(base, phase.eval.time_us));
     }
 
     #[test]
@@ -254,7 +254,33 @@ mod tests {
         // the budget; it cannot beat the exhaustive uniform sweep.
         assert!(one.eval.aicore_w() >= prog.eval.aicore_w() - 1e-9);
         let base = t.baseline().time_us;
-        assert!(one.eval.time_us <= base * 1.04 + 1e-6);
+        assert!(LossBudget(0.04).meets(base, one.eval.time_us));
+    }
+
+    #[test]
+    fn baselines_take_the_papers_budget() {
+        // The slower, lower-power frequency runs 1105 µs against a
+        // 1000 µs baseline at ℓ = 0.1: past B·(1+ℓ) = 1100 but within
+        // B/(1−ℓ) ≈ 1111.1, so both baselines must pick it.
+        let stage = Stage {
+            start_us: 0.0,
+            dur_us: 1000.0,
+            op_range: 0..1,
+            kind: StageKind::Lfc,
+        };
+        let (slow, fast) = (FreqMhz::new(1000), FreqMhz::new(1800));
+        let t = StageTable::from_parts(
+            vec![slow, fast],
+            vec![stage],
+            vec![vec![1105.0, 1000.0]],
+            vec![vec![20_000.0, 40_000.0]],
+            vec![vec![200_000.0, 250_000.0]],
+        )
+        .unwrap();
+        assert_eq!(program_level(&t, 0.1).strategy.freqs(), &[slow]);
+        assert_eq!(phase_level(&t, 1, 0.1).strategy.freqs(), &[slow]);
+        // A tighter target keeps the baseline frequency.
+        assert_eq!(program_level(&t, 0.09).strategy.freqs(), &[fast]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Incremental evaluation and roulette selection for the GA search.
+//! Incremental evaluation and roulette selection for the searches.
 //!
-//! Scoring dominates GA wall time: the paper's configuration evaluates
-//! 200 individuals × 600 generations, and every candidate move of the
-//! memetic refinement is another evaluation. Two observations make the
-//! hot loop cheap without changing any result:
+//! Scoring dominates search wall time: the paper's GA configuration
+//! evaluates 200 individuals × 600 generations, and every candidate move
+//! of the coordinate ascent ([`crate::exact`]'s, which the serving search
+//! and the GA's memetic refinement run) is another evaluation. Two
+//! observations make the hot loops cheap without changing any result:
 //!
 //! 1. **Incrementality.** An evaluation is a sum of per-stage cells plus
 //!    a thermal fix point on the totals. [`IncrementalEval`] keeps the
@@ -86,18 +87,6 @@ impl<'t> IncrementalEval<'t> {
         }
     }
 
-    /// The current genome.
-    #[must_use]
-    pub fn genes(&self) -> &[usize] {
-        &self.genes
-    }
-
-    /// The table this evaluator reads from.
-    #[must_use]
-    pub fn table(&self) -> &'t StageTable {
-        self.table
-    }
-
     /// Sets one gene, updating O(log n) tree nodes.
     ///
     /// # Panics
@@ -144,7 +133,7 @@ impl<'t> IncrementalEval<'t> {
     }
 
     /// Evaluates the current genome (thermal fix point included).
-    /// Bit-identical to `table.evaluate(self.genes())`.
+    /// Bit-identical to a full `table.evaluate` of it.
     #[must_use]
     pub fn eval(&self) -> Evaluation {
         self.table.finish_sums(self.root())
@@ -365,7 +354,7 @@ mod tests {
         let mut inc = IncrementalEval::new(&t, &[0, 1, 2, 3, 4, 5]);
         let target = vec![8, 1, 0, 3, 7, 2];
         inc.assign(&target);
-        assert_eq!(inc.genes(), target.as_slice());
+        assert_eq!(inc.genes, target);
         assert_bit_identical(&inc.eval(), &t.evaluate(&target));
     }
 

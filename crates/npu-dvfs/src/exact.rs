@@ -56,10 +56,10 @@
 //! over the ladder's best rung, at many times its cost. [`serving_search`]
 //! therefore runs [`solve`], scores each warm-start seed next to its
 //! answer and, when the answer is not certified, climbs from the best
-//! candidate by coordinate ascent — the step the GA's memetic refinement
-//! takes, and what its generations polish beyond the ladder. The result
-//! comes back as a [`GaOutcome`].
+//! candidate by coordinate ascent (`ascend`), which the GA's memetic
+//! refinement also runs. The result comes back as a [`GaOutcome`].
 
+use crate::budget::LossBudget;
 use crate::engine::IncrementalEval;
 use crate::ga::{score, GaOutcome};
 use crate::strategy::{DvfsStrategy, Evaluation, StageTable};
@@ -375,8 +375,7 @@ pub fn serving_search(
     // (the ladder relaxes the thermal fix point away); climb to it.
     let mut probes = 0;
     if !solved.certified {
-        (eval, best_score, probes) =
-            ascend(table, &mut genes, eval, best_score, baseline_time, loss);
+        (eval, best_score, probes) = ascend(table, &mut genes, baseline_time, loss);
     }
     obs.emit(Event::SearchSolved {
         stages: table.n_stages(),
@@ -394,25 +393,24 @@ pub fn serving_search(
     }
 }
 
-/// Coordinate ascent on the Eq. (17) score from `genes` (evaluated as
-/// `eval`, scoring `start` against `baseline_time`): sweeps the stages
-/// in order, moving each to the gene that scores highest with every
-/// other stage fixed, until a sweep moves nothing. Every move raises the
-/// score, so it ends. A start that meets the bound `T ≤ B/(1−ℓ)` never
-/// leaves it. Returns the end point's evaluation (bit-identical to
-/// [`StageTable::evaluate`]) and score, and the probes it took.
-fn ascend(
+/// Coordinate ascent on the Eq. (17) score against `baseline_time` from
+/// `genes`: sweeps the stages in order, moving each to the gene that
+/// scores highest with every other stage fixed, until a sweep moves
+/// nothing. Every move raises the score, so it ends. A start that meets
+/// the [`LossBudget`] bound never leaves it. Returns the end point's
+/// evaluation (bit-identical to [`StageTable::evaluate`]) and score, and
+/// the probes it took.
+pub(crate) fn ascend(
     table: &StageTable,
     genes: &mut [usize],
-    eval: Evaluation,
-    start: f64,
     baseline_time: f64,
     loss: f64,
 ) -> (Evaluation, f64, usize) {
-    let meets = |e: &Evaluation| baseline_time / e.time_us >= 1.0 - loss;
-    let keep_budget = meets(&eval);
+    let meets = |e: &Evaluation| LossBudget(loss).meets(baseline_time, e.time_us);
     let mut inc = IncrementalEval::new(table, genes);
-    let (mut best, mut probes) = (start, 0);
+    let start = inc.eval();
+    let keep_budget = meets(&start);
+    let (mut best, mut probes) = (score(&start, baseline_time, loss), 0);
     loop {
         let mut moved = false;
         for (s, gene) in genes.iter_mut().enumerate() {
@@ -444,13 +442,14 @@ fn ascend(
 /// Sweeps the Lagrangian multiplier λ over the per-stage breakpoint
 /// slopes `Δe/Δt`, collecting the per-stage argmin genomes of
 /// `e + λ·t`. Over-budget rungs are repaired by greedily upgrading the
-/// stage with the best time-saved-per-energy-spent ratio until the
-/// latency bound (`T ≤ B/(1−loss)`) holds or no upgrade helps. Returns
-/// the distinct candidates sorted by score, best first (equal scores in
-/// ascending gene order), truncated to `max_seeds`.
+/// stage with the best time-saved-per-energy-spent ratio until the time
+/// is at most the [`LossBudget`] ceiling `B/(1−loss)` or no upgrade
+/// helps. Returns the distinct candidates sorted by score, best first
+/// (equal scores in ascending gene order), truncated to `max_seeds`.
 ///
-/// A target `loss ≥ 1` (or NaN) sets no latency bound to repair into,
-/// so the ladder is empty; callers then seed nothing from it.
+/// A target that sets no bound (`loss ≥ 1` or NaN) leaves nothing to
+/// repair into, so the ladder is empty; callers then seed nothing from
+/// it.
 ///
 /// # Repair cost
 ///
@@ -564,11 +563,13 @@ fn ladder(table: &StageTable, loss: f64) -> Ladder {
         scored: Vec::new(),
         order: Vec::new(),
     };
-    if n == 0 || loss.is_nan() || loss >= 1.0 {
+    if n == 0 {
         return ladder;
     }
     let baseline_time = table.baseline().time_us;
-    let budget = baseline_time / (1.0 - loss);
+    let Some(budget) = LossBudget(loss).ceiling(baseline_time) else {
+        return ladder;
+    };
     // Rung `j < rungs` sits at λ = `sweep[j]`, rung `rungs` at f64::MAX.
     let sweep = lambda_sweep(table);
     let rungs = sweep.len();

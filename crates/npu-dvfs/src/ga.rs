@@ -6,7 +6,9 @@
 //! follows Eq. (17): individuals meeting the performance lower bound earn
 //! a doubled score. New generations come from score-proportional
 //! (roulette) selection, last-`k` suffix crossover, and single-gene
-//! mutation, with the best individual carried over unchanged.
+//! mutation, with the best individual carried over unchanged. After the
+//! last generation, the best individual climbs by the coordinate ascent
+//! [`crate::exact::serving_search`] runs (the memetic refinement).
 //!
 //! Generations live in a [`GenomePool`] arena (two pools, swapped per
 //! generation). Children are built inside the arena by copy, suffix swap
@@ -26,7 +28,8 @@
 //! this GA: they call [`crate::exact::serving_search`]. The GA stays for
 //! the paper's figures, which call [`search`] directly.
 
-use crate::engine::{IncrementalEval, RouletteWheel};
+use crate::budget::LossBudget;
+use crate::engine::RouletteWheel;
 use crate::exact;
 use crate::pool::GenomePool;
 use crate::preprocess::StageKind;
@@ -122,14 +125,15 @@ pub struct GaOutcome {
     pub best_score: f64,
     /// Best score after each generation (paper Fig. 17).
     pub score_trace: Vec<f64>,
-    /// Total individuals scored (GA generations plus refinement probes).
+    /// Total individuals scored (GA generations plus the final ascent's
+    /// probes).
     pub evaluations: usize,
 }
 
 /// Scores one evaluation per Eq. (17): `Score = (Per/Per_base)² / Power`,
-/// doubled when the relative performance meets the lower bound
-/// `Per_lb = Per_base · (1 − loss_target)`. Performance is the reciprocal
-/// of iteration time, so `Per/Per_base = baseline_time / time`.
+/// doubled when the time meets the [`LossBudget`] bound
+/// `T ≤ B/(1−loss_target)`. Performance is the reciprocal of iteration
+/// time, so `Per/Per_base = baseline_time / time`.
 ///
 /// Degenerate evaluations — non-positive or non-finite time or power —
 /// score `0.0`, so a poisoned individual can never win the roulette or
@@ -149,7 +153,7 @@ pub fn score(eval: &Evaluation, baseline_time_us: f64, perf_loss_target: f64) ->
     if !base.is_finite() {
         return 0.0;
     }
-    if rel >= 1.0 - perf_loss_target {
+    if LossBudget(perf_loss_target).meets(baseline_time_us, eval.time_us) {
         2.0 * base
     } else {
         base
@@ -321,102 +325,19 @@ pub fn search_observed(table: &StageTable, cfg: &GaConfig, obs: &ObserverHandle)
         std::mem::swap(&mut pool, &mut next);
     }
 
-    let mut best_genes = Vec::with_capacity(n);
-    pool.read_genes(0, &mut best_genes);
-
-    // Memetic refinement: deterministic budget-constrained coordinate
-    // ascent from the GA's best individual, with O(log n) incremental
-    // probes per candidate move. With hundreds of genes,
-    // crossover/mutation alone leave per-gene slack; the ascent climbs
-    // the same Eq. (17) fitness the GA scores, restricted to the loss
-    // budget. Refining on the search fitness itself (rather than a
-    // proxy like raw power) keeps the returned strategy consistent with
-    // `best_score` — minimizing power alone degenerates to the slowest
-    // in-budget individual, which both discards the GA's work and can
-    // *raise* energy (power falls slower than time grows).
-    let budget = baseline_time * (1.0 + cfg.perf_loss_target) + 1e-9;
-    let refine = |start: &[usize], probes: &mut usize| -> (Vec<usize>, Evaluation) {
-        let mut inc = IncrementalEval::new(table, start);
-        let mut current = inc.eval();
-        // If the start point is over budget, walk it back toward max
-        // frequency first.
-        while current.time_us > budget {
-            let mut best_fix: Option<(usize, f64)> = None;
-            for s in 0..n {
-                if inc.genes()[s] == max_gene {
-                    continue;
-                }
-                let trial = inc.probe(s, max_gene);
-                *probes += 1;
-                let saved = current.time_us - trial.time_us;
-                if saved > 0.0 && best_fix.as_ref().is_none_or(|&(_, b)| saved > b) {
-                    best_fix = Some((s, saved));
-                }
-            }
-            let Some((s, _)) = best_fix else { break };
-            inc.set_gene(s, max_gene);
-            current = inc.eval();
-        }
-        let mut current_score = score(&current, baseline_time, cfg.perf_loss_target);
-        loop {
-            let mut best_move: Option<(usize, usize, f64)> = None;
-            for s in 0..n {
-                let cur = inc.genes()[s];
-                for g in 0..m {
-                    if g == cur {
-                        continue;
-                    }
-                    let trial = inc.probe(s, g);
-                    *probes += 1;
-                    if trial.time_us > budget {
-                        continue;
-                    }
-                    let gain = score(&trial, baseline_time, cfg.perf_loss_target);
-                    if gain <= current_score + 1e-15 {
-                        continue;
-                    }
-                    if best_move.as_ref().is_none_or(|&(_, _, r)| gain > r) {
-                        best_move = Some((s, g, gain));
-                    }
-                }
-            }
-            let Some((s, g, gain)) = best_move else { break };
-            inc.set_gene(s, g);
-            current = inc.eval();
-            current_score = gain;
-        }
-        (inc.genes().to_vec(), current)
-    };
-    // Greedy ascent is order-dependent: refine both from the GA's best
-    // individual and from the all-max baseline, keep the higher-scoring
-    // endpoint. Ascent from the GA's best only ever adds score, so the
-    // returned strategy always achieves at least the GA's `best_score`
-    // and the reported score is the returned strategy's own.
-    let mut probes = 0;
-    let (genes_a, eval_a) = refine(&best_genes, &mut probes);
-    let (genes_b, eval_b) = refine(&vec![max_gene; n], &mut probes);
+    // Memetic refinement: coordinate ascent from the GA's best individual
+    // (the elite at index 0). Every move raises the score, so the
+    // returned strategy achieves at least the GA's best.
+    let mut genes = Vec::with_capacity(n);
+    pool.read_genes(0, &mut genes);
+    let (best_eval, best_score, probes) =
+        exact::ascend(table, &mut genes, baseline_time, cfg.perf_loss_target);
     evaluations += probes;
-    let score_a = score(&eval_a, baseline_time, cfg.perf_loss_target);
-    let score_b = score(&eval_b, baseline_time, cfg.perf_loss_target);
-    // The GA's own best stays a candidate: when it sits over budget the
-    // ascent's walk-back phase is not score-monotone, and dropping to a
-    // lower-scoring refined individual would both regress the result
-    // and break the trace's monotonicity.
-    let (cand_genes, cand_score) = if score_b > score_a {
-        (genes_b, score_b)
-    } else {
-        (genes_a, score_a)
-    };
-    if cand_score >= best_score {
-        best_genes = cand_genes;
-        best_score = cand_score;
-    }
     if let Some(last) = score_trace.last_mut() {
         *last = best_score;
     }
 
-    let freqs: Vec<FreqMhz> = best_genes.iter().map(|&g| table.freqs()[g]).collect();
-    let best_eval = table.evaluate(&best_genes);
+    let freqs: Vec<FreqMhz> = genes.iter().map(|&g| table.freqs()[g]).collect();
     GaOutcome {
         strategy: DvfsStrategy::new(table.stages().to_vec(), freqs),
         best_eval,
@@ -497,8 +418,11 @@ mod tests {
         let t = table(4, 4);
         let out = search(&t, &quick_cfg());
         let baseline = t.baseline().time_us;
-        let loss = out.best_eval.time_us / baseline - 1.0;
-        assert!(loss <= 0.02 + 1e-9, "predicted loss {loss}");
+        assert!(
+            LossBudget(0.02).meets(baseline, out.best_eval.time_us),
+            "predicted loss {}",
+            LossBudget::measured(baseline, out.best_eval.time_us)
+        );
     }
 
     #[test]
@@ -682,10 +606,10 @@ mod tests {
         for target in [0.01, 0.02, 0.05, 0.10] {
             let t = table(5, 5);
             let out = search(&t, &quick_cfg().with_loss_target(target));
-            let budget = t.baseline().time_us * (1.0 + target) + 1e-6;
+            let base = t.baseline().time_us;
             assert!(
-                out.best_eval.time_us <= budget,
-                "target {target}: {} > {budget}",
+                LossBudget(target).meets(base, out.best_eval.time_us),
+                "target {target}: {} over {base}",
                 out.best_eval.time_us
             );
         }
@@ -746,6 +670,6 @@ mod tests {
         let t = table(2, 2);
         let cfg = GaConfig::default().with_population(2).with_iterations(1);
         let out = search(&t, &cfg);
-        assert!(out.best_eval.time_us <= t.baseline().time_us * 1.02 + 1e-9);
+        assert!(LossBudget(0.02).meets(t.baseline().time_us, out.best_eval.time_us));
     }
 }

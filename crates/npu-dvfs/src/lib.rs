@@ -10,14 +10,18 @@
 //! * [`StageTable`] — precomputed per-stage/per-frequency performance and
 //!   power predictions, so one strategy scores in microseconds
 //!   (the model-based advantage of paper Sect. 8.1);
+//! * [`LossBudget`] — the performance bound `T ≤ B/(1−ℓ)` of Sect. 6.3
+//!   and the measured loss `1 − B/T`, the one form every search, baseline
+//!   and report here uses;
 //! * [`search`] — the genetic algorithm (Sect. 6.3): baseline + prior
 //!   individuals, Eq. (17) scoring with a doubled score when the
 //!   performance bound is met, roulette selection, last-`k` crossover and
-//!   point mutation;
+//!   point mutation, then the serving search's coordinate ascent from the
+//!   best individual;
 //! * [`IncrementalEval`] / [`RouletteWheel`] — incremental evaluation
-//!   for the GA's memetic refinement (O(changed genes · log stages) per
-//!   re-score, bit-identical to a full pass) and its O(log n) roulette
-//!   selection;
+//!   for the coordinate ascent and the baselines (O(changed genes ·
+//!   log stages) per re-score, bit-identical to a full pass) and the GA's
+//!   O(log n) roulette selection;
 //! * [`GenomePool`] — the structure-of-arrays genome arena the GA
 //!   generations live in, bound to its [`StageTable`]: one byte per
 //!   gene, one contiguous buffer reused across generations, and
@@ -49,6 +53,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod baseline;
+mod budget;
 pub mod classify;
 mod engine;
 pub mod exact;
@@ -59,6 +64,7 @@ pub mod preprocess;
 mod strategy;
 
 pub use baseline::{phase_level, program_level, BaselineOutcome};
+pub use budget::LossBudget;
 pub use classify::{Bottleneck, Sensitivity};
 pub use engine::{IncrementalEval, RouletteWheel};
 pub use exact::{serving_search, ExactOutcome, LagrangianSeed};

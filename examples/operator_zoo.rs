@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             npu_dvfs::Sensitivity::Sensitive => "HFC",
             npu_dvfs::Sensitivity::Insensitive => "LFC",
         };
-        let d_perf = 100.0 * (lo.duration_us / hi.duration_us - 1.0);
+        let d_perf = 100.0 * LossBudget::measured(hi.duration_us, lo.duration_us);
         let d_power = 100.0 * (1.0 - lo.avg_aicore_w() / hi.avg_aicore_w());
         println!(
             "{:<22} {:<22} {:<6} {:>8.2} {:>8.2} {:>9.1} {:>9.1}",

@@ -41,13 +41,18 @@ cargo run --quiet --release --example quickstart > /dev/null
 NPU_PROFILE=v100-class cargo run --quiet --release --example quickstart > /dev/null
 NPU_PROFILE=edge-npu cargo run --quiet --release --example quickstart > /dev/null
 
-echo "==> paper bins that warm the device to its thermal steady state"
+echo "==> paper bins (steady-state warm-up, the paper-scale GA, the loss budget)"
 # fig10_thermal is self-checking: it exits non-zero unless its pooled
 # fit recovers the profile's T0 within 0.25 °C and k within 1 %.
-# table3_end_to_end exits non-zero when a row's planned loss T/B - 1
-# exceeds the search's own budget 1/(1-l) - 1 (its measured loss is
-# reported, not gated).
-for bin in fig10_thermal table2_power_error sect84_inference table3_end_to_end; do
+# table3_end_to_end exits non-zero when a row's planned strategy misses
+# the loss budget T <= B/(1-l) (npu_dvfs::LossBudget; its measured loss
+# is reported, not gated). fig17_ga_convergence runs the GA at paper
+# scale and exits non-zero unless every target's strategy meets the
+# budget and ends at or above its generation-0 score;
+# ablation_granularity exits non-zero unless every strategy's predicted
+# time meets the budget.
+for bin in fig10_thermal table2_power_error sect84_inference table3_end_to_end \
+  fig17_ga_convergence ablation_granularity; do
   cargo run --quiet --release -p npu-bench --bin "$bin" > /dev/null
 done
 

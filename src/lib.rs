@@ -66,7 +66,7 @@ pub mod prelude {
         Provenance, RejectReason, ServeBuilder, ServeIteration, ServeOptions, ServeOutcome,
         ServeRuntime, ServiceBuilder, ServiceMetrics, ServiceOutcome, SingleFlightError,
     };
-    pub use npu_dvfs::{DvfsStrategy, GaConfig, GaOutcome, StageTable};
+    pub use npu_dvfs::{DvfsStrategy, GaConfig, GaOutcome, LossBudget, StageTable};
     pub use npu_exec::{
         execute_resilient, execute_strategy, Degradation, ExecutionOutcome, ExecutorOptions,
         Guardrail, ResilientOptions, ResilientOutcome, RetryPolicy,

@@ -198,7 +198,7 @@ fn tiny_session_cache_keys_are_pinned() {
     use dvfs_repro::core::cache::{model_key, search_key, ModelArtifact};
     const PROFILE: u64 = 0xe9f9_319c_8022_d047;
     const MODEL: u64 = 0xacd9_c186_37ef_4515;
-    const SEARCH: u64 = 0x9103_20e9_0c0b_bcc9;
+    const SEARCH: u64 = 0x7bae_ef54_c2cf_509a;
     let cfg = NpuConfig::ascend_like();
     let w = models::tiny(&cfg);
     let calib = HardwareCalibration::ground_truth(&cfg);

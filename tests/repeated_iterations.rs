@@ -36,7 +36,10 @@ fn one_policy_serves_many_iterations() {
             &ExecutorOptions::default(),
         )
         .unwrap();
-        losses.push(exec.result.duration_us / baseline.duration_us - 1.0);
+        losses.push(LossBudget::measured(
+            baseline.duration_us,
+            exec.result.duration_us,
+        ));
         reductions.push(1.0 - exec.result.avg_aicore_w() / baseline.avg_aicore_w());
     }
 
